@@ -68,9 +68,10 @@ def flop_count(method: str, n: int, c: int, c_out: int, m: Optional[int] = None)
 
     Normalization work is excluded from every method by convention: the
     quadratic count drops the softmax exponentials and divisions, and the
-    randomized count drops the mN normalizer multiplies (under 0.4% of
-    the total); only this convention reproduces the published comparison
-    table on both paths at two decimals.
+    randomized count drops the 2mN normalizer multiply-adds (1/(c + c_out)
+    of the total, under 0.8% at c = c_out = 64); only this convention
+    reproduces the published comparison table on both paths at two
+    decimals.
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")

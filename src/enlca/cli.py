@@ -100,20 +100,25 @@ def _parse_int_list(raw: str, flag: str) -> list[int]:
     return values
 
 
-def _derived_maps(args, base: RngSpec):
-    """q, k, v from a single feature map via seeded random transforms."""
-    x = _load_matrix(args.features)
-    c_in = x.shape[0]
-    c_embed = args.c_embed if args.c_embed is not None else min(64, c_in)
-    config = EnlaConfig(
+def _enla_config(args, base: RngSpec) -> EnlaConfig:
+    """Forward settings from the shared flags; the projection stream is offset 2."""
+    return EnlaConfig(
         rng=base.stream(2),
         m=args.m,
         k_amp=args.k_amp,
         orthogonal=args.orthogonal,
         epsilon=args.epsilon,
     )
+
+
+def _derived_maps(args, base: RngSpec):
+    """q, k, v from a single feature map via seeded random transforms."""
+    x = _load_matrix(args.features)
+    c_in = x.shape[0]
+    c_embed = args.c_embed if args.c_embed is not None else min(64, c_in)
+    config = _enla_config(args, base)
     params = random_block_params(base.stream(1), c_in, c_embed, config)
-    q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, args.k_amp, args.epsilon)
+    q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, config.k_amp, config.epsilon)
     v = params.w_psi.T @ x
     return q, k, v, config, params, x
 
@@ -125,14 +130,7 @@ def _resolve_qkv(args, base: RngSpec):
     missing = [flag for flag, val in (("--q", args.q), ("--k", args.k), ("--v", args.v)) if val is None]
     if missing:
         raise UsageError(f"give --features or all of --q/--k/--v (missing {', '.join(missing)})")
-    config = EnlaConfig(
-        rng=base.stream(2),
-        m=args.m,
-        k_amp=args.k_amp,
-        orthogonal=args.orthogonal,
-        epsilon=args.epsilon,
-    )
-    return _load_matrix(args.q), _load_matrix(args.k), _load_matrix(args.v), config
+    return _load_matrix(args.q), _load_matrix(args.k), _load_matrix(args.v), _enla_config(args, base)
 
 
 def _cmd_exact(args) -> int:

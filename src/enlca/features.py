@@ -113,14 +113,28 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     u = as_matrix(u_cols, "phi input")
     if u.shape[0] != f.c:
         raise ShapeError(f"phi input has {u.shape[0]} channels, projection expects {f.c}")
+    return _phi_values(f, u)
+
+
+def _phi_values(f: ProjectionMatrix, u: np.ndarray) -> PhiFeatures:
+    """phi for a u that is already a validated c x N matrix.
+
+    F @ U is the only m x N array made: the shift, |u|^2 / 2 and the
+    1/sqrt(m) scale are folded into one N-vector that is subtracted in
+    place before an in-place exp. Every exponent is then <= -log(m) / 2,
+    so a finite shift is the only check needed. An |u|^2 / 2 that
+    overflows sends its column's exponents to -inf, whose exp is the
+    correctly rounded 0.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        proj = f.f @ u
-        shift = float(proj.max())
-        half_sq = 0.5 * (u * u).sum(axis=0)
-        values = np.exp(proj - shift - half_sq[None, :]) / math.sqrt(f.m)
-    if not np.isfinite(values).all():
+        values = f.f @ u
+        shift = float(values.max())
+        half_sq = 0.5 * np.einsum("ij,ij->j", u, u)
+    if not math.isfinite(shift):
         col = int(np.flatnonzero(~np.isfinite(values).all(axis=0))[0])
         raise NumericError(f"phi overflowed after stabilization at column {col}")
+    values -= half_sq + (shift + 0.5 * math.log(f.m))
+    np.exp(values, out=values)
     return PhiFeatures(values=values, log_shift=shift)
 
 

@@ -1,10 +1,13 @@
 """Independent brute-force reimplementations used as test oracles.
 
-Everything here is deliberately scalar-loop Python over plain lists, so
-these stay independent of the vectorized code paths they check.
+Everything here is deliberately scalar-loop Python over plain lists, or
+plain numpy evaluated literally as the formula reads, so these stay
+independent of the optimized code paths they check.
 """
 
 import math
+
+import numpy as np
 
 
 def naive_matmul(a, b):
@@ -39,6 +42,18 @@ def naive_attention(q_cols, k_cols, v_cols):
                 column[ch] += w * v_cols[j][ch]
         out.append(column)
     return out
+
+
+def two_path_forward(f, q, k, v):
+    """Random-feature attention for projection rows f (m x c), q, k (c x N)
+    and v (c_out x N), unstabilized, with the numerator and the normalizer
+    computed on separate paths. Returns (output, normalizer)."""
+    scale = 1.0 / math.sqrt(f.shape[0])
+    pq = scale * np.exp(f @ q - 0.5 * (q * q).sum(axis=0))
+    pk = scale * np.exp(f @ k - 0.5 * (k * k).sum(axis=0))
+    numerator = (v @ pk.T) @ pq
+    normalizer = pk.sum(axis=1) @ pq
+    return numerator / normalizer, normalizer
 
 
 def naive_contrastive(t_rows, n1, n2, b):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from enlca.enla import (
     random_block_params,
 )
 from enlca.exact import attention_row_entropies, exact_attention
-from enlca.matrices import RngSpec, ShapeError, column_norms, gaussian_sample
+from enlca.features import phi, sample_projection
+from enlca.matrices import RngSpec, ShapeError, as_matrix, column_norms, gaussian_sample
+from oracles import two_path_forward
 
 
 def seeded_qkv(seed, c, c_out, n, k_amp=1.0):
@@ -141,6 +145,103 @@ class TestEnlaForward:
             EnlaConfig(rng=RngSpec(0), k_amp=0.5)
         with pytest.raises(ValueError):
             EnlaConfig(rng=RngSpec(0), epsilon=0.0)
+
+
+class TestTwoPathReference:
+    """The single-GEMM forward against the unstabilized reference that
+    computes the numerator and the normalizer separately."""
+
+    @staticmethod
+    def forward_and_reference(c, c_out, n, m, orthogonal, k_amp=6.0, epsilon=1e-12):
+        """Inputs, config and the reference output; the reference normalizer
+        comes back in phi's stabilized units, where epsilon applies: the
+        exact one times exp(-(log_shift(q) + log_shift(k)))."""
+        q, k, v = seeded_qkv(50 + n + m, c, c_out, n, k_amp)
+        config = EnlaConfig(rng=RngSpec(51), m=m, k_amp=k_amp, orthogonal=orthogonal,
+                            epsilon=epsilon)
+        f = sample_projection(config.rng, m, c, orthogonal).f
+        reference, normalizer = two_path_forward(f, q, k, v)
+        stabilized = normalizer * np.exp(-((f @ q).max() + (f @ k).max()))
+        return q, k, v, config, reference, stabilized
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    @pytest.mark.parametrize("c, c_out, n, m", [
+        (8, 8, 64, 128),   # typical
+        (6, 4, 1, 32),     # N = 1
+        (6, 4, 40, 1),     # m = 1
+        (5, 1, 30, 16),    # c_out = 1
+    ])
+    def test_matches_reference(self, c, c_out, n, m, orthogonal):
+        q, k, v, config, reference, _ = self.forward_and_reference(c, c_out, n, m, orthogonal)
+        out = enla_forward(q, k, v, config)
+        assert out.shape == reference.shape
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_floor_count_matches_reference_normalizer(self):
+        # an epsilon halfway between two reference normalizers splits the
+        # positions unambiguously; the forward must floor exactly those
+        _, _, _, _, _, normalizer = self.forward_and_reference(4, 3, 20, 16, False, k_amp=1.0)
+        ordered = np.sort(normalizer)
+        gap = int(np.argmax(np.diff(ordered[5:15]))) + 5
+        epsilon = float(0.5 * (ordered[gap] + ordered[gap + 1]))
+        q, k, v, config, _, _ = self.forward_and_reference(4, 3, 20, 16, False, k_amp=1.0,
+                                                           epsilon=epsilon)
+        floored = int((normalizer < epsilon).sum())
+        with pytest.warns(NormalizerUnderflowWarning) as caught:
+            enla_forward(q, k, v, config)
+        assert str(caught[0].message) == (
+            f"{floored} normalizer entries below epsilon={epsilon} were floored"
+        )
+
+
+class TestInPlaceSafety:
+    """The forward writes its temporaries in place; none of that may reach
+    the caller's arrays, which as_matrix passes through uncopied."""
+
+    @staticmethod
+    def snapshot(*arrays):
+        for a in arrays:
+            assert np.shares_memory(as_matrix(a), a)
+        return [a.tobytes() for a in arrays]
+
+    def test_phi_leaves_input_untouched(self):
+        projection = sample_projection(RngSpec(60), 32, 5)
+        u = gaussian_sample(RngSpec(61), 5, 17)
+        before = self.snapshot(u, projection.f)
+        phi(projection, u)
+        assert [u.tobytes(), projection.f.tobytes()] == before
+
+    def test_forward_leaves_inputs_untouched(self):
+        q, k, v = seeded_qkv(62, c=5, c_out=3, n=19, k_amp=6.0)
+        before = self.snapshot(q, k, v)
+        # a huge epsilon also exercises the in-place normalizer floor
+        with pytest.warns(NormalizerUnderflowWarning):
+            enla_forward(q, k, v, EnlaConfig(rng=RngSpec(63), m=16, epsilon=1e6))
+        enla_forward(q, k, v, EnlaConfig(rng=RngSpec(63), m=16))
+        assert [q.tobytes(), k.tobytes(), v.tobytes()] == before
+
+    def test_block_leaves_inputs_untouched(self):
+        x = gaussian_sample(RngSpec(64), 7, 15)
+        params = random_block_params(RngSpec(65), 7, 3, EnlaConfig(rng=RngSpec(66), m=16))
+        weights = (params.w_theta, params.w_delta, params.w_psi)
+        before = self.snapshot(x, *weights)
+        enlca_block(x, params)
+        assert [a.tobytes() for a in (x, *weights)] == before
+
+
+def test_forward_peak_memory_is_one_feature_matrix():
+    # phi(K) is reduced to m x (c_out + 1) and freed before phi(Q) exists,
+    # so the peak is one m x N float64 matrix plus O((c + c_out) N)
+    n, c, m = 8192, 8, 64
+    q, k, v = seeded_qkv(67, c=c, c_out=c, n=n, k_amp=6.0)
+    config = EnlaConfig(rng=RngSpec(68), m=m)
+    tracemalloc.start()
+    try:
+        enla_forward(q, k, v, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * m * n
 
 
 class TestEnlcaBlock:

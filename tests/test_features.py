@@ -100,6 +100,31 @@ class TestPhi:
         with pytest.raises(NumericError, match="column 1"):
             phi(proj, u)
 
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_shifted_values_recover_exact_features(self, orthogonal):
+        proj = sample_projection(RngSpec(8), 24, 6, orthogonal)
+        u = 1.5 * gaussian_sample(RngSpec(9), 6, 11)
+        out = phi(proj, u)
+        exact = np.exp(proj.f @ u - 0.5 * (u * u).sum(axis=0)) / math.sqrt(24)
+        recovered = out.values * math.exp(out.log_shift)
+        assert np.abs(recovered - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert (out.values <= 1.0 / math.sqrt(24)).all()
+
+    def test_overflowing_square_norm_gives_zero_column(self):
+        # |u|^2 overflows while F @ u stays finite: that column's exact
+        # features round to 0, and the other column is unaffected
+        proj = ProjectionMatrix(
+            f=np.array([[1e-160, 0.0, 0.0], [0.0, 1e-160, 0.0]]),
+            orthogonal=False,
+            rng=RngSpec(0),
+        )
+        u = np.ones((3, 2))
+        u[:, 1] = 1e160
+        out = phi(proj, u)
+        assert np.array_equal(out.values[:, 1], np.zeros(2))
+        assert np.allclose(out.values[:, 0] * math.exp(out.log_shift),
+                           np.exp(proj.f @ u[:, 0] - 1.5) / math.sqrt(2), rtol=1e-12)
+
     def test_monte_carlo_unbiasedness_at_e(self):
         # mean of phi(q) . phi(k) over independent projections approaches
         # exp(q . k) = e for aligned unit vectors.
