@@ -92,7 +92,7 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     a time. The stabilization shifts inside phi cancel in the output
     ratio. Normalizer entries below config.epsilon are floored and
     reported through a NormalizerUnderflowWarning rather than an error;
-    exact zeros are impossible since the features are strictly positive.
+    that includes exact zeros from features that underflowed.
     """
     q = as_matrix(q, "q")
     k = as_matrix(k, "k")
