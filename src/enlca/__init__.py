@@ -4,9 +4,7 @@ exact-attention oracle, and the cost model tying it together."""
 
 from .analysis import (
     FlopModel,
-    ScalingMeasurement,
-    SweepResult,
-    VarianceSweep,
+    SweepTable,
     approximation_error_sweep,
     consecutive_ratios,
     flop_count,
@@ -59,11 +57,9 @@ from .matrices import (
     as_vector,
     column_norms,
     gaussian_sample,
-    matmul,
     normalize_columns,
     read_matrix_binary,
     read_matrix_csv,
-    softmax_vec,
     write_matrix_binary,
     write_matrix_csv,
 )

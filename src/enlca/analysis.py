@@ -22,13 +22,11 @@ import numpy as np
 from .enla import EnlaConfig, enla_forward, normalize_and_scale
 from .exact import exact_attention
 from .features import kernel_variance_empirical, kernel_variance_theory
-from .matrices import FormatError, NumericError, RngSpec, gaussian_sample
+from .matrices import FormatError, NumericError, RngSpec, _open_for, gaussian_sample
 
 __all__ = [
     "FlopModel",
-    "ScalingMeasurement",
-    "SweepResult",
-    "VarianceSweep",
+    "SweepTable",
     "approximation_error_sweep",
     "consecutive_ratios",
     "flop_count",
@@ -104,36 +102,23 @@ def flop_table(
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """One metric series over an ascending axis."""
+class SweepTable:
+    """Metric columns over an ascending axis.
+
+    Each row of `points` follows `columns`; column 0 ("x") is the axis
+    value. `skipped` holds the axis values left out because a measurement
+    overflowed.
+    """
 
     axis: str
     metric_kind: str
-    points: tuple[tuple[float, float], ...]
+    columns: tuple[str, ...]
+    points: tuple[tuple[float, ...], ...]
+    skipped: tuple[float, ...] = ()
 
-    def xs(self) -> list[float]:
-        return [x for x, _ in self.points]
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.points]
-
-
-@dataclass(frozen=True)
-class VarianceSweep:
-    """Theory and measurement side by side, plus any amplification values
-    skipped because either side overflowed."""
-
-    theory: SweepResult
-    empirical: SweepResult
-    overflowed: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ScalingMeasurement:
-    """Median wall-clock seconds per input size for both forwards."""
-
-    exact: SweepResult
-    enla: SweepResult
+    def column(self, name: str) -> list[float]:
+        i = self.columns.index(name)
+        return [row[i] for row in self.points]
 
 
 def approximation_error_sweep(
@@ -144,7 +129,7 @@ def approximation_error_sweep(
     k_amp: float,
     trials: int,
     rng: RngSpec,
-) -> SweepResult:
+) -> SweepTable:
     """Median relative Frobenius error of the randomized forward against
     the exact oracle, per sample count.
 
@@ -168,11 +153,11 @@ def approximation_error_sweep(
     for m in sorted(set(int(m) for m in m_list)):
         errors = np.empty(trials)
         for t in range(trials):
-            config = EnlaConfig(rng=rng.stream(16 + t), m=m, k_amp=max(k_amp, 1.0))
+            config = EnlaConfig(rng=rng.stream(16 + t), m=m, k_amp=k_amp)
             approx = enla_forward(q, k, v, config)
             errors[t] = float(np.linalg.norm(approx - reference)) / ref_norm
         points.append((float(m), float(np.median(errors))))
-    return SweepResult(axis="m", metric_kind="rel_error", points=tuple(points))
+    return SweepTable(axis="m", metric_kind="rel_error", columns=("x", "value"), points=tuple(points))
 
 
 def variance_sweep_k(
@@ -182,21 +167,20 @@ def variance_sweep_k(
     trials: int,
     rng: RngSpec,
     orthogonal: bool = False,
-) -> VarianceSweep:
+) -> SweepTable:
     """Estimator variance on amplified aligned unit vectors, theory next
     to measurement, per amplification factor.
 
     Point i draws its trials under rng.stream(i * (trials + 1)). Points
     where either side overflows float range are skipped with a warning
-    and reported in `overflowed`; the sweep continues.
+    and reported in `skipped`; the sweep continues.
     """
     k_values = [float(k) for k in k_list]
     if any(k < 1.0 for k in k_values):
         raise ValueError(f"amplification factors must be >= 1, got {k_values}")
     if sorted(k_values) != k_values:
         raise ValueError(f"k_list must be ascending, got {k_values}")
-    theory_points = []
-    empirical_points = []
+    points = []
     overflowed = []
     for i, k_amp in enumerate(k_values):
         u = np.zeros(c)
@@ -212,14 +196,13 @@ def variance_sweep_k(
             overflowed.append(k_amp)
             warnings.warn(f"variance measurement overflowed at k_amp={k_amp}: {exc}", RuntimeWarning)
             continue
-        theory_points.append((k_amp, theory))
-        empirical_points.append((k_amp, report.empirical))
-    return VarianceSweep(
-        theory=SweepResult(axis="k_amp", metric_kind="variance_theory", points=tuple(theory_points)),
-        empirical=SweepResult(
-            axis="k_amp", metric_kind="variance_empirical", points=tuple(empirical_points)
-        ),
-        overflowed=tuple(overflowed),
+        points.append((k_amp, theory, report.empirical))
+    return SweepTable(
+        axis="k_amp",
+        metric_kind="variance_theory,variance_empirical",
+        columns=("x", "theory", "empirical"),
+        points=tuple(points),
+        skipped=tuple(overflowed),
     )
 
 
@@ -230,7 +213,7 @@ def runtime_scaling(
     m: int,
     repeats: int,
     rng: RngSpec = RngSpec(0),
-) -> ScalingMeasurement:
+) -> SweepTable:
     """Median wall-clock seconds of each forward per input size.
 
     Timed sections run back to back on one thread of control; nothing
@@ -241,8 +224,7 @@ def runtime_scaling(
     sizes = [int(n) for n in n_list]
     if sorted(sizes) != sizes or any(n < 1 for n in sizes):
         raise ValueError(f"n_list must be ascending and positive, got {sizes}")
-    exact_points = []
-    enla_points = []
+    points = []
     for i, n in enumerate(sizes):
         theta = gaussian_sample(rng.stream(3 * i + 1), c, n)
         delta = gaussian_sample(rng.stream(3 * i + 2), c, n)
@@ -258,80 +240,34 @@ def runtime_scaling(
             start = time.perf_counter()
             enla_forward(q, k, v, config)
             enla_times.append(time.perf_counter() - start)
-        exact_points.append((float(n), float(np.median(exact_times))))
-        enla_points.append((float(n), float(np.median(enla_times))))
-    return ScalingMeasurement(
-        exact=SweepResult(axis="n", metric_kind="seconds", points=tuple(exact_points)),
-        enla=SweepResult(axis="n", metric_kind="seconds", points=tuple(enla_points)),
-    )
+        points.append((float(n), float(np.median(exact_times)), float(np.median(enla_times))))
+    return SweepTable(axis="n", metric_kind="seconds", columns=("x", "exact", "enla"), points=tuple(points))
 
 
-def consecutive_ratios(result: SweepResult) -> list[tuple[float, float, float]]:
-    """(x_i, x_{i+1}, value_{i+1} / value_i) for consecutive points."""
-    out = []
-    for (x0, v0), (x1, v1) in zip(result.points, result.points[1:]):
-        out.append((x0, x1, v1 / v0))
-    return out
+def consecutive_ratios(table: SweepTable, column: str) -> list[tuple[float, float, float]]:
+    """(x_i, x_{i+1}, value_{i+1} / value_i) of one column over consecutive rows."""
+    xs, values = table.column("x"), table.column(column)
+    return [(x0, x1, v1 / v0) for x0, x1, v0, v1 in zip(xs, xs[1:], values, values[1:])]
 
 
 # ---------------------------------------------------------------------------
-# Sweep CSV: a comment header naming the axis and metric kind(s) and the
-# column layout, then one ascending-x row per point. Variance sweeps carry
-# theory and measurement side by side; scaling measurements carry both
-# forwards.
+# Sweep CSV: a comment header naming the axis, the metric kind(s) and the
+# columns, then one ascending-x row per point.
 # ---------------------------------------------------------------------------
 
 
-def _series_table(result) -> tuple[str, list[str], list[tuple[float, ...]]]:
-    if isinstance(result, SweepResult):
-        return (
-            f"# axis={result.axis} metric_kind={result.metric_kind} columns=x,value",
-            ["x", "value"],
-            [(x, v) for x, v in result.points],
-        )
-    if isinstance(result, VarianceSweep):
-        header = (
-            f"# axis={result.theory.axis} "
-            "metric_kind=variance_theory,variance_empirical columns=x,theory,empirical"
-        )
-        rows = [
-            (x, t, e)
-            for (x, t), (_, e) in zip(result.theory.points, result.empirical.points)
-        ]
-        return header, ["x", "theory", "empirical"], rows
-    if isinstance(result, ScalingMeasurement):
-        header = "# axis=n metric_kind=seconds columns=x,exact,enla"
-        rows = [
-            (x, te, tl)
-            for (x, te), (_, tl) in zip(result.exact.points, result.enla.points)
-        ]
-        return header, ["x", "exact", "enla"], rows
-    raise TypeError(f"cannot serialize {type(result).__name__}")
-
-
-def write_sweep_csv(result, dest: Union[str, Path, IO[str]]) -> None:
-    """Serialize a sweep (or paired sweeps) to CSV."""
-    header, _, rows = _series_table(result)
-    owned = isinstance(dest, (str, Path))
-    fp = open(dest, "w") if owned else dest
-    try:
-        fp.write(header + "\n")
-        for row in rows:
+def write_sweep_csv(table: SweepTable, dest: Union[str, Path, IO[str]]) -> None:
+    """Serialize a sweep table to CSV."""
+    with _open_for(dest, "w") as fp:
+        fp.write(f"# axis={table.axis} metric_kind={table.metric_kind} columns={','.join(table.columns)}\n")
+        for row in table.points:
             fp.write(",".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if owned:
-            fp.close()
 
 
 def read_sweep_csv(src: Union[str, Path, IO[str]]) -> tuple[dict, list[tuple[float, ...]]]:
     """Parse a sweep CSV into its header fields and data rows."""
-    owned = isinstance(src, (str, Path))
-    fp = open(src, "r") if owned else src
-    try:
+    with _open_for(src, "r") as fp:
         lines = [line for line in fp.read().splitlines() if line]
-    finally:
-        if owned:
-            fp.close()
     if not lines or not lines[0].startswith("# "):
         raise FormatError("sweep CSV must start with a '# ' header line")
     meta = {}

@@ -27,7 +27,9 @@ from .analysis import (
     approximation_error_sweep,
     consecutive_ratios,
     flop_count,
+    flop_table,
     runtime_scaling,
+    variance_sweep_k,
     write_sweep_csv,
 )
 from .contrastive import ContrastiveConfig, contrastive_loss, reconstruction_loss, relevance_scores, total_loss
@@ -90,11 +92,11 @@ def _emit_matrix(a: np.ndarray, out: Optional[str]) -> None:
         write_matrix_csv(a, out)
 
 
-def _parse_int_list(raw: str, flag: str) -> list[int]:
+def _parse_list(raw: str, flag: str, kind=int) -> list:
     try:
-        values = [int(tok) for tok in raw.split(",") if tok != ""]
+        values = [kind(tok) for tok in raw.split(",") if tok != ""]
     except ValueError:
-        raise UsageError(f"{flag} must be comma-separated integers, got {raw!r}") from None
+        raise UsageError(f"{flag} must be comma-separated {kind.__name__}s, got {raw!r}") from None
     if not values:
         raise UsageError(f"{flag} must name at least one value")
     return values
@@ -182,18 +184,29 @@ def _cmd_variance(args) -> int:
 
 def _cmd_approx_sweep(args) -> int:
     base = RngSpec(_resolve_seed(args))
-    m_list = _parse_int_list(args.m_list, "--m-list")
+    m_list = _parse_list(args.m_list, "--m-list")
     result = approximation_error_sweep(
         args.n, args.c, args.cout, m_list, args.k_amp, args.trials, base
     )
-    if args.out is None:
-        write_sweep_csv(result, sys.stdout)
-    else:
-        write_sweep_csv(result, args.out)
+    write_sweep_csv(result, sys.stdout if args.out is None else args.out)
+    return 0
+
+
+def _cmd_variance_sweep(args) -> int:
+    base = RngSpec(_resolve_seed(args))
+    k_list = _parse_list(args.k_list, "--k-list", float)
+    result = variance_sweep_k(k_list, args.c, args.m, args.trials, base)
+    write_sweep_csv(result, sys.stdout if args.out is None else args.out)
     return 0
 
 
 def _cmd_flops(args) -> int:
+    if args.method is None:
+        print(f"{'method':<14}{'MACs':>16}{'GFLOPs':>10}")
+        for row in flop_table(n=args.n, c=args.c, c_out=args.cout):
+            label = row.method if row.m is None else f"{row.method}-m{row.m}"
+            print(f"{label:<14}{row.macs:>16,}{row.gflops:>10.2f}")
+        return 0
     try:
         model = flop_count(args.method, args.n, args.c, args.cout, args.m)
     except ValueError as exc:
@@ -203,9 +216,7 @@ def _cmd_flops(args) -> int:
 
 
 def _cmd_contrastive(args) -> int:
-    cfg = ContrastiveConfig(
-        k_amp=args.k_amp, n1=args.n1, n2=args.n2, b=args.b, lambda_cl=args.lambda_cl
-    )
+    cfg = ContrastiveConfig(n1=args.n1, n2=args.n2, b=args.b)
     if args.t is not None:
         scores = _load_matrix(args.t)
     elif args.q is not None and args.k is not None:
@@ -244,13 +255,13 @@ def _cmd_corr_map(args) -> int:
 
 def _cmd_bench(args) -> int:
     base = RngSpec(_resolve_seed(args))
-    n_list = _parse_int_list(args.n_list, "--n-list")
+    n_list = _parse_list(args.n_list, "--n-list")
     result = runtime_scaling(n_list, args.c, args.cout, args.m, args.repeats, base)
-    for label, series in (("exact", result.exact), ("enla", result.enla)):
-        for n, seconds in series.points:
+    for label in ("exact", "enla"):
+        for n, seconds in zip(result.column("x"), result.column(label)):
             print(f"{label} n={int(n)} seconds={_fmt(seconds)}")
-    for label, series in (("exact", result.exact), ("enla", result.enla)):
-        for n0, n1, ratio in consecutive_ratios(series):
+    for label in ("exact", "enla"):
+        for n0, n1, ratio in consecutive_ratios(result, label):
             print(f"{label} ratio {int(n0)}->{int(n1)} {_fmt(ratio)}")
     if args.out is not None:
         write_sweep_csv(result, args.out)
@@ -334,11 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="sweep CSV (default stdout)")
     p.set_defaults(func=_cmd_approx_sweep)
 
+    p = sub.add_parser("variance-sweep", help="estimator variance vs amplification, theory and measurement")
+    p.add_argument("--k-list", dest="k_list", default="1,2,4,6,8",
+                   help="comma-separated ascending amplification factors")
+    p.add_argument("--c", type=int, default=8)
+    p.add_argument("--m", type=int, default=128)
+    p.add_argument("--trials", type=int, default=20_000)
+    _add_seed(p)
+    p.add_argument("--out", help="sweep CSV (default stdout)")
+    p.set_defaults(func=_cmd_variance_sweep)
+
     p = sub.add_parser("flops", help="multiply-accumulate cost model")
-    p.add_argument("--method", required=True, choices=("nla", "enlca", "conv3x3"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--cout", type=int, required=True)
+    p.add_argument("--method", choices=("nla", "enlca", "conv3x3"),
+                   help="one method (default: the whole comparison table)")
+    p.add_argument("--n", type=int, default=10_000, help="spatial size (default 100x100)")
+    p.add_argument("--c", type=int, default=64)
+    p.add_argument("--cout", type=int, default=64)
     p.add_argument("--m", type=int, default=None)
     p.set_defaults(func=_cmd_flops)
 

@@ -27,17 +27,13 @@ __all__ = [
 @dataclass(frozen=True)
 class ContrastiveConfig:
     """Loss hyperparameters: group fraction n1, irrelevant-window start
-    fraction n2, margin b and the composition weight lambda_cl."""
+    fraction n2 and margin b."""
 
-    k_amp: float = 6.0
     n1: float = 0.02
     n2: float = 0.08
     b: float = 1.0
-    lambda_cl: float = 1e-3
 
     def __post_init__(self):
-        if not self.k_amp >= 1.0:
-            raise ValueError(f"k_amp must be >= 1, got {self.k_amp}")
         for name in ("n1", "n2"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
@@ -46,8 +42,8 @@ class ContrastiveConfig:
             raise ValueError(
                 f"the irrelevant window must fit: n1 + n2 <= 1, got {self.n1} + {self.n2}"
             )
-        if not np.isfinite(self.b) or not np.isfinite(self.lambda_cl):
-            raise ValueError("b and lambda_cl must be finite")
+        if not np.isfinite(self.b):
+            raise ValueError(f"b must be finite, got {self.b}")
 
 
 def relevance_scores(q, k, k_amp: float, epsilon: float = 1e-12) -> np.ndarray:
@@ -69,7 +65,9 @@ def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
     Both groups hold exactly P = floor(n1 * N) entries; the window starts
     at 0-based rank floor(n2 * N) of the descending sort. The loss is not
     clamped, so values below b (or below zero) are legal and indicate the
-    top group already dominates.
+    top group already dominates. Each group's log-mean-exp is shifted by
+    the group's largest entry, so the loss stays finite however large the
+    scores are.
     """
     t = as_matrix(t, "relevance matrix")
     n = t.shape[1]
@@ -83,11 +81,15 @@ def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
             f"needs ranks up to {start + p}"
         )
     ordered = np.sort(t, axis=1)[:, ::-1]
-    exp_ordered = np.exp(ordered)
-    numerator = exp_ordered[:, :p].mean(axis=1)
-    denominator = exp_ordered[:, start:start + p].mean(axis=1)
-    per_row = -np.log(numerator / denominator) + cfg.b
+    per_row = _log_mean_exp(ordered[:, start:start + p]) - _log_mean_exp(ordered[:, :p]) + cfg.b
     return float(per_row.mean())
+
+
+def _log_mean_exp(group: np.ndarray) -> np.ndarray:
+    """Row-wise log(mean(exp(group))) for rows sorted descending, shifted
+    by each row's first (largest) entry."""
+    first = group[:, :1]
+    return first[:, 0] + np.log(np.exp(group - first).mean(axis=1))
 
 
 def reconstruction_loss(sr, hr) -> float:

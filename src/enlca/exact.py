@@ -53,6 +53,11 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _row_entropies(p: np.ndarray) -> np.ndarray:
+    """Entropy in nats of each row of a non-negative matrix; zero entries contribute 0."""
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+
+
 def exact_attention(q, k, v, keep_weights: bool = False, chunk_size: int = 256) -> AttentionOutput:
     """Full-precision attention output for q, k (c x N) and v (c_out x N).
 
@@ -83,8 +88,7 @@ def correlation_map(q, k, query_index: int) -> np.ndarray:
     if not 0 <= query_index < q.shape[1]:
         raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
     logits = k.T @ q[:, query_index]
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    return _softmax_rows(logits[None, :])[0]
 
 
 def shannon_entropy(p) -> float:
@@ -94,8 +98,7 @@ def shannon_entropy(p) -> float:
         raise ShapeError("entropy expects a non-empty 1-D vector")
     if (p < 0).any() or not np.isfinite(p).all():
         raise ValueError("entropy expects non-negative finite probabilities")
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(_row_entropies(p[None, :])[0])
 
 
 def attention_row_entropies(q, k, chunk_size: int = 256) -> np.ndarray:
@@ -109,7 +112,5 @@ def attention_row_entropies(q, k, chunk_size: int = 256) -> np.ndarray:
     out = np.empty(n, dtype=np.float64)
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        w = _softmax_rows(q[:, start:stop].T @ k)
-        logw = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), 0.0)
-        out[start:stop] = -(w * logw).sum(axis=1)
+        out[start:stop] = _row_entropies(_softmax_rows(q[:, start:stop].T @ k))
     return out

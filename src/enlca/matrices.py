@@ -13,6 +13,7 @@ numpy's ziggurat transform on that stream.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Union
@@ -28,11 +29,9 @@ __all__ = [
     "as_vector",
     "column_norms",
     "gaussian_sample",
-    "matmul",
     "normalize_columns",
     "read_matrix_binary",
     "read_matrix_csv",
-    "softmax_vec",
     "write_matrix_binary",
     "write_matrix_csv",
 ]
@@ -113,27 +112,6 @@ class RngSpec:
         return RngSpec(self.seed, (self.stream_id + offset) % (_U64_MAX + 1))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with validated shapes.
-
-    Delegates to numpy's BLAS path; within one process the accumulation
-    order is fixed, so repeated calls on identical inputs are bitwise
-    reproducible.
-    """
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
-
-
-def softmax_vec(v) -> np.ndarray:
-    """Numerically stable softmax of a 1-D vector (max-subtracted)."""
-    v = as_vector(v, "softmax input")
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
 def gaussian_sample(rng: RngSpec, rows: int, cols: int) -> np.ndarray:
     """rows x cols matrix of iid standard normals from the given stream."""
     if rows < 1 or cols < 1:
@@ -170,34 +148,31 @@ def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _open_for(dest, mode: str):
-    if isinstance(dest, (str, Path)):
-        return open(dest, mode), True
-    return dest, False
+@contextmanager
+def _open_for(target, mode: str):
+    """Yield a file for `target`: a path is opened in `mode` and closed on
+    exit; an already open file is yielded as is and left open."""
+    if isinstance(target, (str, Path)):
+        with open(target, mode) as fp:
+            yield fp
+    else:
+        yield target
 
 
 def write_matrix_csv(a, dest: Union[str, Path, IO[str]]) -> None:
     """Write a matrix in the canonical CSV interchange format."""
     a = as_matrix(a)
-    fp, owned = _open_for(dest, "w")
-    try:
+    with _open_for(dest, "w") as fp:
         fp.write(f"{a.shape[0]},{a.shape[1]}\n")
         for row in a:
             fp.write(",".join(repr(float(x)) for x in row))
             fp.write("\n")
-    finally:
-        if owned:
-            fp.close()
 
 
 def read_matrix_csv(src: Union[str, Path, IO[str]]) -> np.ndarray:
     """Parse the canonical CSV format; inverse of write_matrix_csv."""
-    fp, owned = _open_for(src, "r")
-    try:
+    with _open_for(src, "r") as fp:
         text = fp.read()
-    finally:
-        if owned:
-            fp.close()
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty input, expected a rows,cols header")
@@ -235,23 +210,15 @@ def write_matrix_binary(a, dest: Union[str, Path, IO[bytes]], dtype: str = "f64"
     if a.shape[0] > 0xFFFFFFFF or a.shape[1] > 0xFFFFFFFF:
         raise FormatError(f"shape {a.shape} exceeds the u32 header range")
     payload = np.ascontiguousarray(a, dtype=_BINARY_DTYPES[code]).tobytes()
-    fp, owned = _open_for(dest, "wb")
-    try:
+    with _open_for(dest, "wb") as fp:
         fp.write(_BINARY_HEADER.pack(_BINARY_MAGIC, a.shape[0], a.shape[1], code))
         fp.write(payload)
-    finally:
-        if owned:
-            fp.close()
 
 
 def read_matrix_binary(src: Union[str, Path, IO[bytes]]) -> np.ndarray:
     """Parse the binary format; always yields float64."""
-    fp, owned = _open_for(src, "rb")
-    try:
+    with _open_for(src, "rb") as fp:
         blob = fp.read()
-    finally:
-        if owned:
-            fp.close()
     if len(blob) < _BINARY_HEADER.size:
         raise FormatError(f"truncated header: {len(blob)} bytes")
     magic, rows, cols, code = _BINARY_HEADER.unpack_from(blob)

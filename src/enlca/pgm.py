@@ -11,7 +11,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .matrices import ShapeError, as_vector
+from .matrices import ShapeError, _open_for, as_vector
 
 __all__ = ["export_correlation_pgm", "read_pgm"]
 
@@ -26,30 +26,20 @@ def export_correlation_pgm(map_values, height: int, width: int, dest: Union[str,
     lo = float(values.min())
     hi = float(values.max())
     if hi > lo:
-        scaled = np.rint((values - lo) * (255.0 / (hi - lo)))
+        scaled = np.rint((values - lo) / (hi - lo) * 255.0)
         pixels = np.clip(scaled, 0, 255).astype(np.uint8)
     else:
         pixels = np.zeros(values.size, dtype=np.uint8)
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    owned = isinstance(dest, (str, Path))
-    fp = open(dest, "wb") if owned else dest
-    try:
+    with _open_for(dest, "wb") as fp:
         fp.write(header)
         fp.write(pixels.tobytes())
-    finally:
-        if owned:
-            fp.close()
 
 
 def read_pgm(src: Union[str, Path, IO[bytes]]) -> np.ndarray:
     """Parse a binary P5 image back into a height x width uint8 array."""
-    owned = isinstance(src, (str, Path))
-    fp = open(src, "rb") if owned else src
-    try:
+    with _open_for(src, "rb") as fp:
         blob = fp.read()
-    finally:
-        if owned:
-            fp.close()
     parts = blob.split(b"\n", 3)
     if len(parts) != 4 or parts[0] != b"P5":
         raise ValueError("not a binary P5 image")

@@ -10,19 +10,6 @@ import math
 import numpy as np
 
 
-def naive_matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
-    out = [[0.0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for t in range(inner):
-                acc += a[i][t] * b[t][j]
-            out[i][j] = acc
-    return out
-
-
 def naive_attention(q_cols, k_cols, v_cols):
     """q_cols/k_cols/v_cols are lists of column vectors (length N each).
     Returns the output columns, one per query."""

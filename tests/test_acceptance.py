@@ -88,7 +88,7 @@ def test_criterion_3_variance_law():
     report = kernel_variance_empirical(half, half, m=32, trials=100_000,
                                        rng=RngSpec(5, 3_000_000))
     sweep = variance_sweep_k([1.0, 2.0], c=8, m=128, trials=100_000, rng=RngSpec(5))
-    ratios = [e / t for (_, t), (_, e) in zip(sweep.theory.points, sweep.empirical.points)]
+    ratios = [e / t for _, t, e in sweep.points]
     elapsed = time.perf_counter() - start
     ok = (
         report.rel_gap < 0.05
@@ -140,8 +140,8 @@ def test_criterion_5_oracle_convergence():
 def test_criterion_6_linear_vs_quadratic_scaling():
     start = time.perf_counter()
     result = runtime_scaling([2500, 10_000], c=16, c_out=16, m=128, repeats=3, rng=RngSpec(0))
-    exact_ratio = consecutive_ratios(result.exact)[0][2]
-    enla_ratio = consecutive_ratios(result.enla)[0][2]
+    exact_ratio = consecutive_ratios(result, "exact")[0][2]
+    enla_ratio = consecutive_ratios(result, "enla")[0][2]
     elapsed = time.perf_counter() - start
     ok = exact_ratio >= 8.0 and enla_ratio <= 8.0 and enla_ratio <= exact_ratio / 2.0
     _report(6, "linear vs quadratic wall-clock scaling", ok and elapsed < 300.0,
@@ -150,6 +150,7 @@ def test_criterion_6_linear_vs_quadratic_scaling():
 
 def test_criterion_7_contrastive_loss_correctness():
     cfg = ContrastiveConfig()
+    k_amp = 6.0
     checks = []
     # matches the scalar oracle on seeded instances
     worst = 0.0
@@ -157,21 +158,21 @@ def test_criterion_7_contrastive_loss_correctness():
         scores = relevance_scores(
             gaussian_sample(RngSpec(seed), 8, 50),
             gaussian_sample(RngSpec(seed, 1), 8, 50),
-            cfg.k_amp,
+            k_amp,
         )
         expected = naive_contrastive(scores.tolist(), cfg.n1, cfg.n2, cfg.b)
         worst = max(worst, abs(contrastive_loss(scores, cfg) - expected))
     checks.append(worst < 1e-10)
     # constant features return exactly the margin
-    checks.append(contrastive_loss(np.full((50, 50), cfg.k_amp), cfg) == 1.0)
+    checks.append(contrastive_loss(np.full((50, 50), k_amp), cfg) == 1.0)
     # raising the top group strictly lowers the loss
     scores = relevance_scores(
-        gaussian_sample(RngSpec(13), 8, 50), gaussian_sample(RngSpec(14), 8, 50), cfg.k_amp
+        gaussian_sample(RngSpec(13), 8, 50), gaussian_sample(RngSpec(14), 8, 50), k_amp
     )
     base = contrastive_loss(scores, cfg)
     bumped = scores.copy()
     top = np.argsort(bumped[0])[::-1][:1]
-    bumped[0, top] = np.minimum(bumped[0, top] + 0.1, cfg.k_amp)
+    bumped[0, top] = np.minimum(bumped[0, top] + 0.1, k_amp)
     checks.append(contrastive_loss(bumped, cfg) < base)
     _report(7, "contrastive loss correctness", all(checks), f"max oracle gap {worst:.2e}")
 

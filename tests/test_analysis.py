@@ -63,20 +63,20 @@ class TestApproximationErrorSweep:
             n=64, c=8, c_out=8, m_list=[16, 64, 256, 1024], k_amp=1.0,
             trials=16, rng=RngSpec(50),
         )
-        errs = sweep.values()
+        errs = sweep.column("value")
         assert all(hi > lo for hi, lo in zip(errs, errs[1:]))
 
     def test_amplification_increases_error(self):
         shared = dict(n=32, c=4, c_out=4, m_list=[64], trials=32, rng=RngSpec(51))
-        flat = approximation_error_sweep(k_amp=1.0, **shared).values()[0]
-        sharp = approximation_error_sweep(k_amp=6.0, **shared).values()[0]
+        flat = approximation_error_sweep(k_amp=1.0, **shared).column("value")[0]
+        sharp = approximation_error_sweep(k_amp=6.0, **shared).column("value")[0]
         assert sharp >= flat
 
     def test_single_position_is_error_free(self):
         sweep = approximation_error_sweep(
             n=1, c=3, c_out=3, m_list=[4, 16], k_amp=1.0, trials=4, rng=RngSpec(52)
         )
-        assert max(sweep.values()) < 1e-12
+        assert max(sweep.column("value")) < 1e-12
 
     def test_deterministic(self):
         kwargs = dict(n=16, c=3, c_out=3, m_list=[8, 32], k_amp=1.0, trials=4, rng=RngSpec(53))
@@ -90,24 +90,24 @@ class TestApproximationErrorSweep:
 class TestVarianceSweep:
     def test_theory_strictly_increases_over_amplification(self):
         sweep = variance_sweep_k([1, 2, 4, 6, 8], c=8, m=128, trials=16, rng=RngSpec(54))
-        theory = sweep.theory.values()
+        theory = sweep.column("theory")
         assert all(later > earlier for earlier, later in zip(theory, theory[1:]))
 
     def test_theory_point_at_default_amplification(self):
         sweep = variance_sweep_k([6], c=8, m=128, trials=4, rng=RngSpec(55))
         expected = math.exp(12.0) * (math.exp(24.0) - 1.0) / 128.0
-        assert abs(sweep.theory.values()[0] - expected) / expected < 1e-12
+        assert abs(sweep.column("theory")[0] - expected) / expected < 1e-12
 
     def test_empirical_tracks_theory_at_low_amplification(self):
         sweep = variance_sweep_k([1], c=8, m=128, trials=30_000, rng=RngSpec(5))
-        ratio = sweep.empirical.values()[0] / sweep.theory.values()[0]
+        ratio = sweep.column("empirical")[0] / sweep.column("theory")[0]
         assert 0.5 <= ratio <= 2.0
 
     def test_overflow_is_reported_and_skipped(self):
         with pytest.warns(RuntimeWarning, match="overflowed"):
             sweep = variance_sweep_k([1, 200], c=4, m=8, trials=8, rng=RngSpec(56))
-        assert sweep.overflowed == (200.0,)
-        assert sweep.theory.xs() == [1.0]
+        assert sweep.skipped == (200.0,)
+        assert sweep.column("x") == [1.0]
 
     def test_ascending_required(self):
         with pytest.raises(ValueError):
@@ -117,15 +117,15 @@ class TestVarianceSweep:
 class TestRuntimeScaling:
     def test_smoke_and_ordering(self):
         result = runtime_scaling([256, 512], c=8, c_out=8, m=16, repeats=3, rng=RngSpec(57))
-        assert result.exact.xs() == [256.0, 512.0]
-        assert all(v > 0 for v in result.exact.values() + result.enla.values())
-        ratios = consecutive_ratios(result.exact)
+        assert result.column("x") == [256.0, 512.0]
+        assert all(v > 0 for v in result.column("exact") + result.column("enla"))
+        ratios = consecutive_ratios(result, "exact")
         assert len(ratios) == 1 and ratios[0][:2] == (256.0, 512.0)
 
     def test_more_samples_cost_more_time(self):
         small = runtime_scaling([2048], c=8, c_out=8, m=16, repeats=3, rng=RngSpec(58))
         large = runtime_scaling([2048], c=8, c_out=8, m=128, repeats=3, rng=RngSpec(58))
-        assert small.enla.values()[0] < large.enla.values()[0]
+        assert small.column("enla")[0] < large.column("enla")[0]
 
     def test_repeats_guard(self):
         with pytest.raises(ValueError):

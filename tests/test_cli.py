@@ -1,7 +1,13 @@
+import math
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from enlca.cli import main
+from enlca.analysis import read_sweep_csv
+from enlca.cli import UsageError, build_parser, main
 from enlca.exact import shannon_entropy
 from enlca.matrices import RngSpec, gaussian_sample, read_matrix_csv, write_matrix_csv
 from enlca.pgm import read_pgm
@@ -40,6 +46,14 @@ class TestFlopsCommand:
         code, out, _ = run(capsys, "flops", "--method", "enlca", "--n", "10000",
                            "--c", "64", "--cout", "64", "--m", "128")
         assert code == 0 and out == "0.66 GFLOPs\n"
+
+    def test_table_without_method(self, capsys):
+        code, out, _ = run(capsys, "flops")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 11
+        assert lines[0].split() == ["method", "MACs", "GFLOPs"]
+        assert lines[1].split() == ["nla", "12,800,000,000", "25.60"]
+        assert lines[-1].split() == ["enlca-m256", "655,360,000", "1.31"]
 
     def test_missing_m_is_usage_error(self, capsys):
         code, _, err = run(capsys, "flops", "--method", "enlca", "--n", "100",
@@ -163,6 +177,21 @@ class TestApproxSweepCommand:
         assert len(lines) == 4
 
 
+class TestVarianceSweepCommand:
+    def test_writes_sweep_csv(self, tmp_path, capsys):
+        out = tmp_path / "variance.csv"
+        code, _, _ = run(capsys, "variance-sweep", "--k-list", "1,2", "--c", "4", "--m", "16",
+                         "--trials", "64", "--seed", "60", "--out", str(out))
+        assert code == 0
+        meta, rows = read_sweep_csv(out)
+        assert meta["axis"] == "k_amp" and meta["columns"] == "x,theory,empirical"
+        assert [r[0] for r in rows] == [1.0, 2.0]
+
+    def test_bad_k_list_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "variance-sweep", "--k-list", "1,x")
+        assert code == 1 and "--k-list" in err
+
+
 class TestContrastiveCommand:
     def test_from_query_key(self, matrices, capsys):
         code, out, _ = run(capsys, "contrastive", "--q", matrices["q"], "--k", matrices["k"],
@@ -184,6 +213,12 @@ class TestContrastiveCommand:
         expected_total = 0.5 + 1e-3 * float(lines["contrastive_loss"])
         # stdout carries 10 significant digits
         assert abs(float(lines["total_loss"]) - expected_total) < 1e-9
+
+    def test_large_amplification_gives_finite_loss(self, matrices, capsys):
+        code, out, _ = run(capsys, "contrastive", "--q", matrices["q"], "--k", matrices["k"],
+                           "--k-amp", "1000", "--n1", "0.1", "--n2", "0.3")
+        assert code == 0
+        assert math.isfinite(float(out.split()[1]))
 
     def test_group_too_small_is_numeric_failure(self, tmp_path, capsys):
         t = tmp_path / "t.csv"
@@ -297,3 +332,22 @@ class TestSeedEnvVar:
         code, _, err = run(capsys, "enla", "--q", matrices["q"], "--k", matrices["k"],
                            "--v", matrices["v"], "--m", "8")
         assert code == 1 and "ENLCA_SEED" in err
+
+
+def test_readme_commands_parse():
+    """Every `enlca ...` line in README's shell blocks, backslash
+    continuations joined, parses with the CLI's own parser."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    commands = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("enlca ")
+    ]
+    assert {"flops", "approx-sweep", "variance-sweep", "bench", "corr-map"} <= {a[1] for a in commands}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except UsageError as exc:
+            pytest.fail(f"{shlex.join(argv)}: {exc}")

@@ -89,6 +89,11 @@ class TestContrastiveLoss:
         row[top] = np.minimum(row[top] + 0.1, 6.0)
         assert contrastive_loss(bumped, cfg) < base
 
+    def test_large_scores_match_shifted(self):
+        t = gaussian_sample(RngSpec(20), 50, 50)
+        cfg = ContrastiveConfig()
+        assert abs(contrastive_loss(t + 800.0, cfg) - contrastive_loss(t, cfg)) < 1e-9
+
     def test_row_permutation_invariance_is_exact(self):
         t = relevance_scores(
             gaussian_sample(RngSpec(13), 6, 25), gaussian_sample(RngSpec(14), 6, 25), 6.0
@@ -108,7 +113,7 @@ class TestContrastiveLoss:
             gaussian_sample(RngSpec(seed, 1), 4, 40),
             k_amp,
         )
-        cfg = ContrastiveConfig(k_amp=k_amp, n1=0.1, n2=0.3)
+        cfg = ContrastiveConfig(n1=0.1, n2=0.3)
         loss = contrastive_loss(t, cfg)
         assert cfg.b - 2 * k_amp <= loss <= cfg.b + 2 * k_amp
 

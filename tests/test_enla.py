@@ -112,7 +112,7 @@ class TestEnlaForward:
             n=48, c=6, c_out=6, m_list=[16, 64, 256, 1024, 4096], k_amp=1.0,
             trials=16, rng=RngSpec(23),
         )
-        errs = sweep.values()
+        errs = sweep.column("value")
         assert all(hi >= lo for hi, lo in zip(errs, errs[1:]))
 
     def test_amplification_sharpens_every_row(self):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enlca.exact import correlation_map
 from enlca.matrices import (
     FormatError,
     NumericError,
@@ -14,16 +15,12 @@ from enlca.matrices import (
     as_matrix,
     column_norms,
     gaussian_sample,
-    matmul,
     normalize_columns,
     read_matrix_binary,
     read_matrix_csv,
-    softmax_vec,
     write_matrix_binary,
     write_matrix_csv,
 )
-
-from oracles import naive_matmul
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -53,60 +50,38 @@ class TestAsMatrix:
             as_matrix([[float("inf")], [0.0]])
 
 
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(8, dtype=float).reshape(2, 4) - 3.0
-        assert np.array_equal(matmul(np.eye(2), m), m)
-
-    def test_hand_product(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(out, [[17.0], [39.0]])
-
-    def test_against_triple_loop(self):
-        gen = np.random.Generator(np.random.Philox(key=1))
-        a = gen.standard_normal((7, 5))
-        b = gen.standard_normal((5, 3))
-        expected = naive_matmul(a.tolist(), b.tolist())
-        assert np.abs(matmul(a, b) - np.array(expected)).max() < 1e-12
-
-    def test_dimension_mismatch_reports_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"3x4.*5x2"):
-            matmul(np.zeros((3, 4)), np.zeros((5, 2)))
-
-    def test_associativity_at_tolerance(self):
-        gen = np.random.Generator(np.random.Philox(key=7))
-        a, b, c = (gen.standard_normal((16, 16)) for _ in range(3))
-        lhs = matmul(matmul(a, b), c)
-        rhs = matmul(a, matmul(b, c))
-        assert np.abs(lhs - rhs).max() < 1e-9
+def softmax(values):
+    """The library's one softmax, reached through correlation_map: a single
+    unit query against one-channel keys makes the logits equal `values`."""
+    return correlation_map([[1.0]], [values], 0)
 
 
 class TestSoftmax:
     def test_uniform(self):
-        assert np.allclose(softmax_vec([0.0, 0.0, 0.0]), [1 / 3] * 3, atol=1e-15)
+        assert np.allclose(softmax([0.0, 0.0, 0.0]), [1 / 3] * 3, atol=1e-15)
 
     def test_analytic(self):
-        out = softmax_vec([math.log(2.0), 0.0])
+        out = softmax([math.log(2.0), 0.0])
         assert abs(out[0] - 2 / 3) < 1e-12 and abs(out[1] - 1 / 3) < 1e-12
 
     def test_large_inputs_match_shifted(self):
-        big = softmax_vec([1000.0, 999.0])
+        big = softmax([1000.0, 999.0])
         assert np.isfinite(big).all()
-        assert np.abs(big - softmax_vec([1.0, 0.0])).max() < 1e-12
+        assert np.abs(big - softmax([1.0, 0.0])).max() < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            softmax_vec([])
+            softmax([])
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20), st.floats(-100, 100))
     def test_shift_invariance(self, values, shift):
-        base = softmax_vec(values)
-        shifted = softmax_vec([v + shift for v in values])
+        base = softmax(values)
+        shifted = softmax([v + shift for v in values])
         assert np.abs(base - shifted).max() < 1e-12
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=20))
     def test_simplex(self, values):
-        out = softmax_vec(values)
+        out = softmax(values)
         assert (out >= 0).all()
         assert abs(out.sum() - 1.0) < 1e-12
 

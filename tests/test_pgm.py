@@ -39,6 +39,13 @@ def test_endpoints_map_to_full_range():
     assert image[0] == 0 and image[-1] == 255
 
 
+def test_subnormal_range_scales_without_overflow():
+    # 255 / (hi - lo) overflows to inf for a subnormal range
+    buf = io.BytesIO()
+    export_correlation_pgm([0.0, 5e-324, 1e-323, 0.0], 2, 2, buf)
+    assert read_pgm(io.BytesIO(buf.getvalue())).ravel().tolist() == [0, 128, 255, 0]
+
+
 def test_header_layout(tmp_path):
     path = tmp_path / "hdr.pgm"
     export_correlation_pgm(np.arange(6.0), 2, 3, path)
