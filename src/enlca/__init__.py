@@ -40,7 +40,6 @@ from .features import (
     PhiFeatures,
     ProjectionMatrix,
     VarianceReport,
-    kernel_estimate,
     kernel_estimates,
     kernel_exact,
     kernel_variance_empirical,

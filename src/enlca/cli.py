@@ -6,7 +6,9 @@ with seeded random transforms plus unit-normalization and amplification,
 mirroring how the block consumes one input.
 
 Exit codes: 0 success, 1 usage problem (bad flags, unreadable or
-malformed files), 2 numeric failure (shape mismatch, overflow).
+malformed files) or a closed stdout (a reader that quit early, as in
+`enlca flops | head -1`; this exit prints nothing), 2 numeric failure
+(shape mismatch, overflow).
 
 The default seed is 0, overridable through the ENLCA_SEED environment
 variable; an explicit --seed always wins. Stream layout per invocation:
@@ -405,7 +407,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so that the flush at
+        # interpreter exit does not raise again and print a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,6 @@ __all__ = [
     "PhiFeatures",
     "ProjectionMatrix",
     "VarianceReport",
-    "kernel_estimate",
     "kernel_estimates",
     "kernel_exact",
     "kernel_variance_empirical",
@@ -41,7 +40,6 @@ class ProjectionMatrix:
 
     f: np.ndarray
     orthogonal: bool
-    rng: RngSpec
 
     @property
     def m(self) -> int:
@@ -60,21 +58,6 @@ class PhiFeatures:
     log_shift: float
 
 
-def _orthogonalize_rows(block: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt orthonormalization of the rows, run twice per row to
-    keep orthogonality at machine precision."""
-    q = np.empty_like(block)
-    for i in range(block.shape[0]):
-        v = block[i].copy()
-        for _ in range(2):
-            v -= q[:i].T @ (q[:i] @ v)
-        norm = np.linalg.norm(v)
-        if norm < 1e-150:
-            raise NumericError(f"degenerate Gaussian block: row {i} is linearly dependent")
-        q[i] = v / norm
-    return q
-
-
 def sample_projection(rng: RngSpec, m: int, c: int, orthogonal: bool = False) -> ProjectionMatrix:
     """Draw an m x c projection with iid N(0,1) entries.
 
@@ -82,23 +65,25 @@ def sample_projection(rng: RngSpec, m: int, c: int, orthogonal: bool = False) ->
     up to c rows) and each row keeps its original norm, which is chi_c
     distributed and independent of all row directions; every row is still
     marginally N(0, I_c), so estimators built on the projection stay
-    unbiased while their variance drops.
+    unbiased while their variance drops. The directions are the Q factor
+    of the block's transpose with its signs fixed so that diag(R) > 0,
+    which makes them the Gram-Schmidt directions of the block's rows.
     """
     if m < 1 or c < 1:
         raise ShapeError(f"projection shape must be positive, got ({m}, {c})")
-    gen = rng.generator()
-    if not orthogonal:
-        return ProjectionMatrix(f=gen.standard_normal((m, c)), orthogonal=False, rng=rng)
-    blocks = []
-    remaining = m
-    while remaining > 0:
-        b = min(remaining, c)
-        block = gen.standard_normal((b, c))
-        directions = _orthogonalize_rows(block)
-        norms = np.linalg.norm(block, axis=1)
-        blocks.append(directions * norms[:, None])
-        remaining -= b
-    return ProjectionMatrix(f=np.vstack(blocks), orthogonal=True, rng=rng)
+    f = rng.generator().standard_normal((m, c))
+    if orthogonal:
+        for start in range(0, m, c):
+            block = f[start:start + c]
+            q_factor, r_factor = np.linalg.qr(block.T)
+            diag = np.diagonal(r_factor)
+            degenerate = np.flatnonzero(np.abs(diag) < 1e-150)
+            if degenerate.size:
+                raise NumericError(
+                    f"degenerate Gaussian block: row {int(degenerate[0])} is linearly dependent"
+                )
+            block[...] = q_factor.T * (np.sign(diag) * np.linalg.norm(block, axis=1))[:, None]
+    return ProjectionMatrix(f=f, orthogonal=orthogonal)
 
 
 def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
@@ -138,12 +123,17 @@ def _phi_values(f: ProjectionMatrix, u: np.ndarray) -> PhiFeatures:
     return PhiFeatures(values=values, log_shift=shift)
 
 
-def kernel_exact(q_i, k_j) -> float:
-    """exp(q . k), the exponential (softmax) kernel."""
+def _kernel_operands(q_i, k_j) -> tuple[np.ndarray, np.ndarray]:
     q = as_vector(q_i, "q")
     k = as_vector(k_j, "k")
     if q.shape != k.shape:
         raise ShapeError(f"kernel operands need equal length, got {q.size} vs {k.size}")
+    return q, k
+
+
+def kernel_exact(q_i, k_j) -> float:
+    """exp(q . k), the exponential (softmax) kernel."""
+    q, k = _kernel_operands(q_i, k_j)
     inner = float(q @ k)
     try:
         value = math.exp(inner)
@@ -158,10 +148,7 @@ def kernel_variance_theory(q_i, k_j, m: int) -> float:
     """Closed-form variance of the m-sample iid feature estimator of
     exp(q . k): K^2 * (exp(|q + k|^2) - 1) / m. May return inf when the
     closed form itself exceeds float range."""
-    q = as_vector(q_i, "q")
-    k = as_vector(k_j, "k")
-    if q.shape != k.shape:
-        raise ShapeError(f"kernel operands need equal length, got {q.size} vs {k.size}")
+    q, k = _kernel_operands(q_i, k_j)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     z = q + k
@@ -169,35 +156,6 @@ def kernel_variance_theory(q_i, k_j, m: int) -> float:
         k2 = np.exp(2.0 * float(q @ k))
         growth = np.expm1(float(z @ z))
     return float(k2 * growth) / m
-
-
-def kernel_estimate(f: ProjectionMatrix, q_i, k_j) -> float:
-    """One draw of the estimator phi(q) . phi(k), with the stabilization
-    shifts folded back in."""
-    q = as_vector(q_i, "q")
-    k = as_vector(k_j, "k")
-    pq = phi(f, q[:, None])
-    pk = phi(f, k[:, None])
-    dot = float(pq.values[:, 0] @ pk.values[:, 0])
-    try:
-        value = dot * math.exp(pq.log_shift + pk.log_shift)
-    except OverflowError:
-        raise NumericError("kernel estimate overflowed") from None
-    if not math.isfinite(value):
-        raise NumericError("kernel estimate overflowed")
-    return value
-
-
-def _estimate_from_stream(fmat: np.ndarray, z: np.ndarray, log_const: float) -> float:
-    # phi(q) . phi(k) collapses to exp(-(|q|^2+|k|^2)/2) * mean_l exp(f_l . z)
-    # for z = q + k; evaluated max-shifted.
-    g = fmat @ z
-    s = float(g.max())
-    try:
-        scale = math.exp(s + log_const)
-    except OverflowError:
-        return math.inf
-    return scale * float(np.exp(g - s).mean())
 
 
 def kernel_estimates(
@@ -211,20 +169,23 @@ def kernel_estimates(
     """Estimator samples across `trials` independent projections.
 
     Trial t draws its projection from rng.stream(1 + t), so trials are
-    order-independent and can be reproduced individually.
+    order-independent and can be reproduced individually. A trial's
+    phi(q) . phi(k) collapses to exp(-(|q|^2 + |k|^2) / 2) * mean_l
+    exp(f_l . z) for z = q + k, which is evaluated max-shifted.
     """
-    q = as_vector(q_i, "q")
-    k = as_vector(k_j, "k")
-    if q.shape != k.shape:
-        raise ShapeError(f"kernel operands need equal length, got {q.size} vs {k.size}")
+    q, k = _kernel_operands(q_i, k_j)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     z = q + k
     log_const = -0.5 * (float(q @ q) + float(k @ k))
     out = np.empty(trials, dtype=np.float64)
     for t in range(trials):
-        f = sample_projection(rng.stream(1 + t), m, q.size, orthogonal)
-        value = _estimate_from_stream(f.f, z, log_const)
+        g = sample_projection(rng.stream(1 + t), m, q.size, orthogonal).f @ z
+        s = float(g.max())
+        try:
+            value = math.exp(s + log_const) * float(np.exp(g - s).mean())
+        except OverflowError:
+            value = math.inf
         if not math.isfinite(value):
             raise NumericError(f"kernel estimate overflowed at trial {t}")
         out[t] = value

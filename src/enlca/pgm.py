@@ -6,6 +6,7 @@ map renders as all zeros. No image library involved.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import IO, Union
 
@@ -26,6 +27,9 @@ def export_correlation_pgm(map_values, height: int, width: int, dest: Union[str,
     lo = float(values.min())
     hi = float(values.max())
     if hi > lo:
+        if math.isinf(hi - lo):
+            # halving keeps the range finite; the lost low bit is far below one grey level
+            values, lo, hi = values / 2, lo / 2, hi / 2
         scaled = np.rint((values - lo) / (hi - lo) * 255.0)
         pixels = np.clip(scaled, 0, 255).astype(np.uint8)
     else:

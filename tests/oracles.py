@@ -43,6 +43,51 @@ def two_path_forward(f, q, k, v):
     return numerator / normalizer, normalizer
 
 
+def philox_gaussian(seed, stream_id, rows, cols):
+    """rows x cols standard normals from the Philox stream keyed by
+    (seed, stream_id), drawn in one call."""
+    key = np.array([seed, stream_id % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, cols))
+
+
+def gram_schmidt_rows(block):
+    """Orthonormal rows by Gram-Schmidt, run twice per row to keep
+    orthogonality at machine precision."""
+    q = np.empty_like(block)
+    for i in range(block.shape[0]):
+        v = block[i].copy()
+        for _ in range(2):
+            v -= q[:i].T @ (q[:i] @ v)
+        q[i] = v / np.linalg.norm(v)
+    return q
+
+
+def block_gram_schmidt(gaussian, c):
+    """The orthogonal projection built from an m x c Gaussian draw: each
+    block of up to c rows gets Gram-Schmidt directions scaled by the
+    block's original row norms."""
+    blocks = []
+    for start in range(0, gaussian.shape[0], c):
+        block = gaussian[start:start + c]
+        blocks.append(gram_schmidt_rows(block) * np.linalg.norm(block, axis=1)[:, None])
+    return np.vstack(blocks)
+
+
+def stream_estimates(q, k, m, trials, seed, stream_id=0):
+    """iid estimator samples per the stream contract: trial t draws an
+    m x c projection F from Philox key (seed, stream_id + 1 + t), and
+    phi(q) . phi(k) = exp(-(|q|^2 + |k|^2) / 2) * mean exp(F (q + k)),
+    evaluated with the max of F (q + k) shifted out."""
+    z = q + k
+    log_const = -0.5 * (float(q @ q) + float(k @ k))
+    out = []
+    for t in range(trials):
+        g = philox_gaussian(seed, stream_id + 1 + t, m, q.size) @ z
+        top = float(g.max())
+        out.append(math.exp(top + log_const) * float(np.exp(g - top).mean()))
+    return np.array(out)
+
+
 def naive_contrastive(t_rows, n1, n2, b):
     """Scalar reimplementation of the sorted-group log-ratio loss."""
     n = len(t_rows[0])

@@ -1,11 +1,15 @@
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enlca
 from enlca.analysis import read_sweep_csv
 from enlca.cli import UsageError, build_parser, main
 from enlca.exact import shannon_entropy
@@ -306,6 +310,21 @@ class TestErrorPaths:
         bad.write_text("1,2\nnan,1.0\n")
         code, _, err = run(capsys, "exact", "--q", str(bad), "--k", str(bad), "--v", str(bad))
         assert code == 2
+
+    def test_closed_stdout_exits_quietly(self):
+        # a reader that quits early: the pipe's read end is closed before
+        # the command writes its table
+        src = str(Path(enlca.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "enlca", "flops"], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
 
 
 class TestSeedEnvVar:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from enlca.features import (
     ProjectionMatrix,
-    kernel_estimate,
     kernel_estimates,
     kernel_exact,
     kernel_variance_empirical,
@@ -16,6 +15,7 @@ from enlca.features import (
     sample_projection,
 )
 from enlca.matrices import NumericError, RngSpec, ShapeError, gaussian_sample
+from oracles import block_gram_schmidt, philox_gaussian, stream_estimates
 
 
 def unit_vector(c, scale=1.0):
@@ -48,6 +48,14 @@ class TestSampleProjection:
             gram = block @ block.T
             off = gram - np.diag(np.diag(gram))
             assert np.abs(off).max() < 1e-9
+
+    @pytest.mark.parametrize("m, c", [(5, 8), (8, 8), (130, 8), (1, 1)])
+    def test_orthogonal_matches_gram_schmidt(self, m, c):
+        # m < c, m = c, m > c with a partial last block, and the 1 x 1 case
+        spec = RngSpec(31, 7)
+        f = sample_projection(spec, m, c, orthogonal=True).f
+        reference = block_gram_schmidt(philox_gaussian(31, 7, m, c), c)
+        assert np.abs(f - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_row_norm_distribution(self):
         # E|g|^2 = c for a standard Gaussian c-vector; the orthogonal
@@ -93,7 +101,6 @@ class TestPhi:
         proj = ProjectionMatrix(
             f=np.array([[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]]),
             orthogonal=False,
-            rng=RngSpec(0),
         )
         u = np.ones((3, 2))
         u[:, 1] = 1e308
@@ -116,7 +123,6 @@ class TestPhi:
         proj = ProjectionMatrix(
             f=np.array([[1e-160, 0.0, 0.0], [0.0, 1e-160, 0.0]]),
             orthogonal=False,
-            rng=RngSpec(0),
         )
         u = np.ones((3, 2))
         u[:, 1] = 1e160
@@ -186,8 +192,18 @@ class TestKernelEstimates:
         k = gaussian_sample(RngSpec(62), 5, 1)[:, 0]
         rng = RngSpec(63)
         fast = kernel_estimates(q, k, m=16, trials=1, rng=rng)[0]
-        via_phi = kernel_estimate(sample_projection(rng.stream(1), 16, 5), q, k)
+        proj = sample_projection(rng.stream(1), 16, 5)
+        pq = phi(proj, q[:, None])
+        pk = phi(proj, k[:, None])
+        via_phi = float(pq.values[:, 0] @ pk.values[:, 0]) * math.exp(pq.log_shift + pk.log_shift)
         assert abs(fast - via_phi) / via_phi < 1e-10
+
+    @pytest.mark.parametrize("m", [1, 16, 130])
+    def test_iid_matches_stream_contract_bitwise(self, m):
+        q = gaussian_sample(RngSpec(66), 8, 1)[:, 0]
+        k = gaussian_sample(RngSpec(67), 8, 1)[:, 0]
+        est = kernel_estimates(q, k, m=m, trials=5, rng=RngSpec(68, 40))
+        assert np.array_equal(est, stream_estimates(q, k, m, 5, seed=68, stream_id=40))
 
     def test_strict_positivity(self):
         q = gaussian_sample(RngSpec(64), 6, 1)[:, 0]

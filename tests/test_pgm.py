@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ def test_subnormal_range_scales_without_overflow():
     buf = io.BytesIO()
     export_correlation_pgm([0.0, 5e-324, 1e-323, 0.0], 2, 2, buf)
     assert read_pgm(io.BytesIO(buf.getvalue())).ravel().tolist() == [0, 128, 255, 0]
+
+
+def test_overflowing_range_scales_without_warning():
+    # hi - lo overflows to inf for a range wider than the float maximum
+    buf = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        export_correlation_pgm([-1e308, 0.0, 1e308, 0.0], 2, 2, buf)
+    assert read_pgm(io.BytesIO(buf.getvalue())).ravel().tolist() == [0, 128, 255, 128]
 
 
 def test_header_layout(tmp_path):
