@@ -46,7 +46,7 @@ def two_path_forward(f, q, k, v):
 def philox_gaussian(seed, stream_id, rows, cols):
     """rows x cols standard normals from the Philox stream keyed by
     (seed, stream_id), drawn in one call."""
-    key = np.array([seed, stream_id % 2**64], dtype=np.uint64)
+    key = np.array([seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, cols))
 
 

@@ -314,8 +314,7 @@ class TestErrorPaths:
     def test_closed_stdout_exits_quietly(self):
         # a reader that quits early: the pipe's read end is closed before
         # the command writes its table
-        src = str(Path(enlca.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = dict(os.environ, PYTHONPATH=str(Path(enlca.__file__).resolve().parents[1]))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
