@@ -40,6 +40,7 @@ __all__ = [
 FLOPS_PER_MAC = 2
 
 _METHODS = ("nla", "enlca", "conv3x3")
+_TABLE_SAMPLE_COUNTS = (2, 4, 8, 16, 32, 64, 128, 256)
 
 
 @dataclass(frozen=True)
@@ -88,16 +89,11 @@ def flop_count(method: str, n: int, c: int, c_out: int, m: Optional[int] = None)
     return FlopModel(method=method, n=n, c=c, c_out=c_out, m=m, macs=macs, flops=FLOPS_PER_MAC * macs)
 
 
-def flop_table(
-    n: int = 10_000,
-    c: int = 64,
-    c_out: int = 64,
-    m_values: Sequence[int] = (2, 4, 8, 16, 32, 64, 128, 256),
-) -> list[FlopModel]:
+def flop_table(n: int = 10_000, c: int = 64, c_out: int = 64) -> list[FlopModel]:
     """The standard comparison table: quadratic attention, one 3x3
     convolution, and the randomized forward across sample counts."""
     rows = [flop_count("nla", n, c, c_out), flop_count("conv3x3", n, c, c_out)]
-    rows.extend(flop_count("enlca", n, c, c_out, m) for m in m_values)
+    rows.extend(flop_count("enlca", n, c, c_out, m) for m in _TABLE_SAMPLE_COUNTS)
     return rows
 
 
@@ -160,14 +156,16 @@ def approximation_error_sweep(
     return SweepTable(axis="m", metric_kind="rel_error", columns=("x", "value"), points=tuple(points))
 
 
-def variance_sweep_k(
-    k_list: Sequence[float],
-    c: int,
-    m: int,
-    trials: int,
-    rng: RngSpec,
-    orthogonal: bool = False,
-) -> SweepTable:
+def _aligned_vector(c: int, k_amp: float) -> np.ndarray:
+    """The c-vector sqrt(k_amp) e_1: a unit direction amplified by k_amp."""
+    if c < 1:
+        raise ValueError(f"dimension c must be >= 1, got {c}")
+    u = np.zeros(c)
+    u[0] = np.sqrt(k_amp)
+    return u
+
+
+def variance_sweep_k(k_list: Sequence[float], c: int, m: int, trials: int, rng: RngSpec) -> SweepTable:
     """Estimator variance on amplified aligned unit vectors, theory next
     to measurement, per amplification factor.
 
@@ -183,8 +181,7 @@ def variance_sweep_k(
     points = []
     overflowed = []
     for i, k_amp in enumerate(k_values):
-        u = np.zeros(c)
-        u[0] = math.sqrt(k_amp)
+        u = _aligned_vector(c, k_amp)
         theory = kernel_variance_theory(u, u, m)
         if not math.isfinite(theory):
             overflowed.append(k_amp)

@@ -6,12 +6,12 @@ with seeded random transforms plus unit-normalization and amplification,
 mirroring how the block consumes one input.
 
 Exit codes: 0 success, 1 usage problem (bad flags, unreadable or
-malformed files) or a closed stdout (a reader that quit early, as in
-`enlca flops | head -1`; this exit prints nothing), 2 numeric failure
-(shape mismatch, overflow).
+malformed files, out-of-range values) or a closed stdout (a reader that
+quit early, as in `enlca flops | head -1`; this exit prints nothing), 2
+numeric failure (shape mismatch, overflow). Flag pairings are checked
+before anything is computed, so a usage error prints no partial result.
 
-The default seed is 0, overridable through the ENLCA_SEED environment
-variable; an explicit --seed always wins. Stream layout per invocation:
+The base seed is --seed, 0 by default. Stream layout per invocation:
 derived transform weights come from stream offset 1, the attention
 projection from offset 2.
 """
@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import (
+    _aligned_vector,
     approximation_error_sweep,
     consecutive_ratios,
     flop_count,
@@ -50,8 +51,6 @@ from .pgm import export_correlation_pgm
 
 __all__ = ["main"]
 
-SEED_ENV_VAR = "ENLCA_SEED"
-
 
 class UsageError(Exception):
     """Invalid invocation: bad flags, unreadable or malformed inputs."""
@@ -66,18 +65,6 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must hold an integer, got {raw!r}") from None
-
-
 def _load_matrix(path: str) -> np.ndarray:
     try:
         return read_matrix_csv(path)
@@ -88,10 +75,7 @@ def _load_matrix(path: str) -> np.ndarray:
 
 
 def _emit_matrix(a: np.ndarray, out: Optional[str]) -> None:
-    if out is None:
-        write_matrix_csv(a, sys.stdout)
-    else:
-        write_matrix_csv(a, out)
+    write_matrix_csv(a, sys.stdout if out is None else out)
 
 
 def _parse_list(raw: str, flag: str, kind=int) -> list:
@@ -104,42 +88,37 @@ def _parse_list(raw: str, flag: str, kind=int) -> list:
     return values
 
 
-def _enla_config(args, base: RngSpec) -> EnlaConfig:
-    """Forward settings from the shared flags; the projection stream is offset 2."""
-    return EnlaConfig(
-        rng=base.stream(2),
-        m=args.m,
-        k_amp=args.k_amp,
-        orthogonal=args.orthogonal,
-        epsilon=args.epsilon,
-    )
+def _enla_config(args, base: RngSpec, **projection) -> EnlaConfig:
+    """Forward settings from the derivation flags plus, where the subcommand
+    has them, --m/--orthogonal; the projection stream is offset 2."""
+    return EnlaConfig(rng=base.stream(2), k_amp=args.k_amp, epsilon=args.epsilon, **projection)
 
 
-def _derived_maps(args, base: RngSpec):
-    """q, k, v from a single feature map via seeded random transforms."""
+def _block_params(args, base: RngSpec, **projection):
+    """The --features map and block weights drawn from stream offset 1."""
     x = _load_matrix(args.features)
-    c_in = x.shape[0]
-    c_embed = args.c_embed if args.c_embed is not None else min(64, c_in)
-    config = _enla_config(args, base)
-    params = random_block_params(base.stream(1), c_in, c_embed, config)
-    q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, config.k_amp, config.epsilon)
-    v = params.w_psi.T @ x
-    return q, k, v, config, params, x
+    c_embed = args.c_embed if args.c_embed is not None else min(64, x.shape[0])
+    config = _enla_config(args, base, **projection)
+    return x, random_block_params(base.stream(1), x.shape[0], c_embed, config)
 
 
-def _resolve_qkv(args, base: RngSpec):
+def _resolve_inputs(args, base: RngSpec, paths, **projection):
+    """([q, k, v], config): q, k, v derived from --features, or else the
+    matrices at `paths` (--q, --k and, if taken, --v) used as given."""
     if args.features is not None:
-        q, k, v, config, _, _ = _derived_maps(args, base)
-        return q, k, v, config
-    missing = [flag for flag, val in (("--q", args.q), ("--k", args.k), ("--v", args.v)) if val is None]
+        x, params = _block_params(args, base, **projection)
+        config = params.config
+        q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, config.k_amp, config.epsilon)
+        return [q, k, params.w_psi.T @ x], config
+    flags = ("--q", "--k", "--v")[:len(paths)]
+    missing = [flag for flag, path in zip(flags, paths) if path is None]
     if missing:
-        raise UsageError(f"give --features or all of --q/--k/--v (missing {', '.join(missing)})")
-    return _load_matrix(args.q), _load_matrix(args.k), _load_matrix(args.v), _enla_config(args, base)
+        raise UsageError(f"give --features or all of {'/'.join(flags)} (missing {', '.join(missing)})")
+    return [_load_matrix(path) for path in paths], _enla_config(args, base, **projection)
 
 
 def _cmd_exact(args) -> int:
-    base = RngSpec(_resolve_seed(args))
-    q, k, v, _ = _resolve_qkv(args, base)
+    (q, k, v), _ = _resolve_inputs(args, RngSpec(args.seed), (args.q, args.k, args.v))
     result = exact_attention(q, k, v, keep_weights=args.weights_out is not None)
     _emit_matrix(result.y, args.out)
     if args.weights_out is not None:
@@ -148,23 +127,20 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_enla(args) -> int:
-    base = RngSpec(_resolve_seed(args))
-    q, k, v, config = _resolve_qkv(args, base)
+    (q, k, v), config = _resolve_inputs(args, RngSpec(args.seed), (args.q, args.k, args.v),
+                                        m=args.m, orthogonal=args.orthogonal)
     _emit_matrix(enla_forward(q, k, v, config), args.out)
     return 0
 
 
 def _cmd_block(args) -> int:
-    base = RngSpec(_resolve_seed(args))
-    if args.features is None:
-        raise UsageError("block derives everything from one input: give --features")
-    _, _, _, _, params, x = _derived_maps(args, base)
+    x, params = _block_params(args, RngSpec(args.seed), m=args.m, orthogonal=args.orthogonal)
     _emit_matrix(enlca_block(x, params), args.out)
     return 0
 
 
 def _cmd_phi(args) -> int:
-    base = RngSpec(_resolve_seed(args))
+    base = RngSpec(args.seed)
     u = _load_matrix(args.input)
     projection = sample_projection(base.stream(2), args.m, u.shape[0], args.orthogonal)
     features = phi(projection, u)
@@ -174,9 +150,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    base = RngSpec(_resolve_seed(args))
-    u = np.zeros(args.c)
-    u[0] = np.sqrt(args.k_amp)
+    base = RngSpec(args.seed)
+    u = _aligned_vector(args.c, args.k_amp)
     report = kernel_variance_empirical(u, u, args.m, args.trials, base.stream(2), args.orthogonal)
     print(f"theory {_fmt(report.theoretical)}")
     print(f"empirical {_fmt(report.empirical)}")
@@ -185,19 +160,16 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_approx_sweep(args) -> int:
-    base = RngSpec(_resolve_seed(args))
     m_list = _parse_list(args.m_list, "--m-list")
-    result = approximation_error_sweep(
-        args.n, args.c, args.cout, m_list, args.k_amp, args.trials, base
-    )
+    result = approximation_error_sweep(args.n, args.c, args.cout, m_list, args.k_amp, args.trials,
+                                       RngSpec(args.seed))
     write_sweep_csv(result, sys.stdout if args.out is None else args.out)
     return 0
 
 
 def _cmd_variance_sweep(args) -> int:
-    base = RngSpec(_resolve_seed(args))
     k_list = _parse_list(args.k_list, "--k-list", float)
-    result = variance_sweep_k(k_list, args.c, args.m, args.trials, base)
+    result = variance_sweep_k(k_list, args.c, args.m, args.trials, RngSpec(args.seed))
     write_sweep_csv(result, sys.stdout if args.out is None else args.out)
     return 0
 
@@ -209,15 +181,13 @@ def _cmd_flops(args) -> int:
             label = row.method if row.m is None else f"{row.method}-m{row.m}"
             print(f"{label:<14}{row.macs:>16,}{row.gflops:>10.2f}")
         return 0
-    try:
-        model = flop_count(args.method, args.n, args.c, args.cout, args.m)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    print(f"{model.gflops:.2f} GFLOPs")
+    print(f"{flop_count(args.method, args.n, args.c, args.cout, args.m).gflops:.2f} GFLOPs")
     return 0
 
 
 def _cmd_contrastive(args) -> int:
+    if (args.sr is None) != (args.hr is None):
+        raise UsageError("--sr and --hr come together")
     cfg = ContrastiveConfig(n1=args.n1, n2=args.n2, b=args.b)
     if args.t is not None:
         scores = _load_matrix(args.t)
@@ -227,8 +197,6 @@ def _cmd_contrastive(args) -> int:
         raise UsageError("give --t, or both --q and --k")
     cl = contrastive_loss(scores, cfg)
     print(f"contrastive_loss {_fmt(cl)}")
-    if (args.sr is None) != (args.hr is None):
-        raise UsageError("--sr and --hr come together")
     if args.sr is not None:
         rec = reconstruction_loss(_load_matrix(args.sr), _load_matrix(args.hr))
         print(f"reconstruction_loss {_fmt(rec)}")
@@ -237,18 +205,15 @@ def _cmd_contrastive(args) -> int:
 
 
 def _cmd_corr_map(args) -> int:
-    base = RngSpec(_resolve_seed(args))
-    if args.features is not None:
-        q, k, _, _, _, _ = _derived_maps(args, base)
-    elif args.q is not None and args.k is not None:
-        q, k = _load_matrix(args.q), _load_matrix(args.k)
-    else:
-        raise UsageError("give --features, or both --q and --k")
-    cmap = correlation_map(q, k, args.query_index)
+    if args.out is not None and (args.height is None or args.width is None):
+        raise UsageError("--out needs --height and --width to shape the image")
+    (q, k, *_), _ = _resolve_inputs(args, RngSpec(args.seed), (args.q, args.k))
+    try:
+        cmap = correlation_map(q, k, args.query_index)
+    except IndexError as exc:
+        raise UsageError(str(exc)) from None
     print(f"entropy {_fmt(shannon_entropy(cmap))}")
     if args.out is not None:
-        if args.height is None or args.width is None:
-            raise UsageError("--out needs --height and --width to shape the image")
         export_correlation_pgm(cmap, args.height, args.width, args.out)
     if args.csv_out is not None:
         write_matrix_csv(cmap[None, :], args.csv_out)
@@ -256,9 +221,8 @@ def _cmd_corr_map(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    base = RngSpec(_resolve_seed(args))
     n_list = _parse_list(args.n_list, "--n-list")
-    result = runtime_scaling(n_list, args.c, args.cout, args.m, args.repeats, base)
+    result = runtime_scaling(n_list, args.c, args.cout, args.m, args.repeats, RngSpec(args.seed))
     for label in ("exact", "enla"):
         for n, seconds in zip(result.column("x"), result.column(label)):
             print(f"{label} n={int(n)} seconds={_fmt(seconds)}")
@@ -271,27 +235,29 @@ def _cmd_bench(args) -> int:
 
 
 def _add_seed(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"base seed (default: ${SEED_ENV_VAR} or 0)")
+    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
 
 
-def _add_enla_flags(parser) -> None:
+def _add_projection_flags(parser) -> None:
     parser.add_argument("--m", type=int, default=128, help="random sample count")
-    parser.add_argument("--k-amp", type=float, default=6.0, dest="k_amp",
-                        help="amplification factor for derived features")
     parser.add_argument("--orthogonal", action="store_true",
                         help="orthogonalize the projection rows")
+
+
+def _add_derivation_flags(parser, required: bool = False) -> None:
+    parser.add_argument("--features", required=required,
+                        help="single feature map CSV; q/k/v are derived")
+    parser.add_argument("--c-embed", type=int, default=None, dest="c_embed",
+                        help="embedding width for derived q/k (default min(64, c_in))")
+    parser.add_argument("--k-amp", type=float, default=6.0, dest="k_amp",
+                        help="amplification factor for derived features")
     parser.add_argument("--epsilon", type=float, default=1e-12,
                         help="normalizer / column-norm floor")
 
 
-def _add_qkv_inputs(parser) -> None:
-    parser.add_argument("--q", help="query matrix CSV (used as-is)")
-    parser.add_argument("--k", help="key matrix CSV (used as-is)")
-    parser.add_argument("--v", help="value matrix CSV")
-    parser.add_argument("--features", help="single feature map CSV; q/k/v are derived")
-    parser.add_argument("--c-embed", type=int, default=None, dest="c_embed",
-                        help="embedding width for derived q/k (default min(64, c_in))")
+def _add_inputs(parser, *names) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}", help=f"{name} matrix CSV, used as given")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,30 +266,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="exact quadratic attention")
-    _add_qkv_inputs(p)
-    _add_enla_flags(p)
+    _add_inputs(p, "q", "k", "v")
+    _add_derivation_flags(p)
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.add_argument("--weights-out", dest="weights_out", help="also write the N x N weight matrix")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("enla", help="randomized linear-complexity attention")
-    _add_qkv_inputs(p)
-    _add_enla_flags(p)
+    _add_inputs(p, "q", "k", "v")
+    _add_derivation_flags(p)
+    _add_projection_flags(p)
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_enla)
 
-    p = sub.add_parser("block", help="residual attention block over one feature map")
-    _add_qkv_inputs(p)
-    _add_enla_flags(p)
+    # Flags are spelled in full here: an abbreviated --k would be read as --k-amp.
+    p = sub.add_parser("block", help="residual attention block over one feature map",
+                       allow_abbrev=False)
+    _add_derivation_flags(p, required=True)
+    _add_projection_flags(p)
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_block)
 
     p = sub.add_parser("phi", help="apply the positive feature map to a matrix")
     p.add_argument("--input", required=True, help="input matrix CSV (c x N)")
-    _add_enla_flags(p)
+    _add_projection_flags(p)
     _add_seed(p)
     p.add_argument("--out", required=True,
                    help="stabilized feature CSV; exact features = out * exp(log_shift)")
@@ -332,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("variance", help="estimator variance on amplified aligned vectors")
     p.add_argument("--c", type=int, default=8, help="feature dimension")
     p.add_argument("--trials", type=int, default=10_000)
-    _add_enla_flags(p)
+    _add_projection_flags(p)
+    p.add_argument("--k-amp", type=float, default=6.0, dest="k_amp")
     _add_seed(p)
     p.set_defaults(func=_cmd_variance)
 
@@ -380,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_contrastive)
 
     p = sub.add_parser("corr-map", help="correlation map of one query position")
-    _add_qkv_inputs(p)
-    _add_enla_flags(p)
+    _add_inputs(p, "q", "k")
+    _add_derivation_flags(p)
     _add_seed(p)
     p.add_argument("--query-index", type=int, default=0, dest="query_index")
     p.add_argument("--height", type=int, default=None)
@@ -416,16 +386,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (UsageError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # ShapeError (exit 2) and FormatError (exit 1) are both ValueErrors: order matters.
     except (ShapeError, NumericError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,7 +46,7 @@ class ContrastiveConfig:
             raise ValueError(f"b must be finite, got {self.b}")
 
 
-def relevance_scores(q, k, k_amp: float, epsilon: float = 1e-12) -> np.ndarray:
+def relevance_scores(q, k, k_amp: float) -> np.ndarray:
     """N x N matrix of amplified cosines: entry (i, j) is k_amp times the
     cosine between query column i and key column j. Invariant to positive
     rescaling of any input column."""
@@ -56,7 +56,7 @@ def relevance_scores(q, k, k_amp: float, epsilon: float = 1e-12) -> np.ndarray:
         raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
     if not k_amp >= 1.0:
         raise ValueError(f"k_amp must be >= 1, got {k_amp}")
-    return k_amp * (normalize_columns(q, epsilon).T @ normalize_columns(k, epsilon))
+    return k_amp * (normalize_columns(q).T @ normalize_columns(k))
 
 
 def contrastive_loss(t, cfg: ContrastiveConfig) -> float:

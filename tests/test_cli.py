@@ -325,31 +325,80 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert proc.stderr == b""
 
+    @pytest.mark.parametrize("argv,message", [
+        (["corr-map", "--features", "X", "--query-index", "999"], "query_index 999 out of range"),
+        (["variance", "--c", "0", "--trials", "10"], "c must be >= 1"),
+        (["variance-sweep", "--c", "0", "--trials", "10"], "c must be >= 1"),
+        (["corr-map", "--q", "Q", "--k", "K", "--k-amp", "0.5"], "k_amp must be >= 1"),
+    ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp"])
+    def test_out_of_range_value_is_usage_error(self, matrices, capsys, argv, message):
+        names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"]}
+        code, out, err = run(capsys, *[names.get(a, a) for a in argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
 
-class TestSeedEnvVar:
-    def test_env_seed_changes_output(self, matrices, tmp_path, capsys, monkeypatch):
-        default_path, env_path = tmp_path / "d.csv", tmp_path / "e.csv"
+    @pytest.mark.parametrize("argv", [
+        ["contrastive", "--q", "Q", "--k", "K", "--n1", "0.1", "--n2", "0.3", "--sr", "Q"],
+        ["corr-map", "--features", "X", "--out", "map.pgm"],
+    ], ids=["contrastive --sr", "corr-map --out"])
+    def test_unpaired_flag_prints_nothing(self, matrices, tmp_path, capsys, argv):
+        names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
+                 "map.pgm": str(tmp_path / "map.pgm")}
+        code, out, err = run(capsys, *[names.get(a, a) for a in argv])
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert not (tmp_path / "map.pgm").exists()
+
+
+# Each subcommand takes only the flags it reads.
+REMOVED_FLAGS = [
+    ("exact", ["--m", "8"]),
+    ("exact", ["--orthogonal"]),
+    ("corr-map", ["--v", "V"]),
+    ("corr-map", ["--m", "8"]),
+    ("corr-map", ["--orthogonal"]),
+    ("phi", ["--k-amp", "2"]),
+    ("phi", ["--epsilon", "1e-9"]),
+    ("variance", ["--epsilon", "1e-9"]),
+    ("block", ["--q", "Q"]),
+    ("block", ["--k", "K"]),
+    ("block", ["--v", "V"]),
+]
+
+
+@pytest.mark.parametrize("command,extra", REMOVED_FLAGS,
+                         ids=[f"{command} {extra[0]}" for command, extra in REMOVED_FLAGS])
+def test_removed_flag_is_usage_error(matrices, tmp_path, capsys, command, extra):
+    q, k, v, x = matrices["q"], matrices["k"], matrices["v"], matrices["features"]
+    valid = {
+        "exact": ["--q", q, "--k", k, "--v", v],
+        "corr-map": ["--q", q, "--k", k],
+        "phi": ["--input", q, "--out", str(tmp_path / "phi.csv")],
+        "variance": ["--trials", "10"],
+        "block": ["--features", x],
+    }[command]
+    extra = [{"Q": q, "K": k, "V": v}.get(a, a) for a in extra]
+    code, out, err = run(capsys, command, *valid, *extra)
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {extra[0]}" in err
+
+
+class TestSeed:
+    def test_default_seed_is_zero(self, matrices, tmp_path, capsys):
+        default_path, zero_path = tmp_path / "d.csv", tmp_path / "z.csv"
         argv = ["enla", "--q", matrices["q"], "--k", matrices["k"], "--v", matrices["v"],
                 "--m", "16"]
         run(capsys, *argv, "--out", str(default_path))
+        run(capsys, *argv, "--seed", "0", "--out", str(zero_path))
+        assert default_path.read_bytes() == zero_path.read_bytes()
+
+    def test_environment_does_not_set_seed(self, matrices, tmp_path, capsys, monkeypatch):
+        plain_path, env_path = tmp_path / "p.csv", tmp_path / "e.csv"
+        argv = ["enla", "--q", matrices["q"], "--k", matrices["k"], "--v", matrices["v"],
+                "--m", "16"]
+        run(capsys, *argv, "--out", str(plain_path))
         monkeypatch.setenv("ENLCA_SEED", "12345")
         run(capsys, *argv, "--out", str(env_path))
-        assert default_path.read_bytes() != env_path.read_bytes()
-
-    def test_flag_beats_env(self, matrices, tmp_path, capsys, monkeypatch):
-        flag_path, plain_path = tmp_path / "f.csv", tmp_path / "p.csv"
-        argv = ["enla", "--q", matrices["q"], "--k", matrices["k"], "--v", matrices["v"],
-                "--m", "16", "--seed", "42"]
-        run(capsys, *argv, "--out", str(plain_path))
-        monkeypatch.setenv("ENLCA_SEED", "777")
-        run(capsys, *argv, "--out", str(flag_path))
-        assert flag_path.read_bytes() == plain_path.read_bytes()
-
-    def test_bad_env_value(self, matrices, capsys, monkeypatch):
-        monkeypatch.setenv("ENLCA_SEED", "not-a-number")
-        code, _, err = run(capsys, "enla", "--q", matrices["q"], "--k", matrices["k"],
-                           "--v", matrices["v"], "--m", "8")
-        assert code == 1 and "ENLCA_SEED" in err
+        assert plain_path.read_bytes() == env_path.read_bytes()
 
 
 def test_readme_commands_parse():
