@@ -22,7 +22,7 @@ import numpy as np
 from .enla import EnlaConfig, enla_forward, normalize_and_scale
 from .exact import exact_attention
 from .features import kernel_variance_empirical, kernel_variance_theory
-from .matrices import FormatError, NumericError, RngSpec, _open_for, gaussian_sample
+from .matrices import FormatError, NumericError, RngSpec, _open_for, check_settings, gaussian_sample
 
 __all__ = [
     "FlopModel",
@@ -160,6 +160,7 @@ def _aligned_vector(c: int, k_amp: float) -> np.ndarray:
     """The c-vector sqrt(k_amp) e_1: a unit direction amplified by k_amp."""
     if c < 1:
         raise ValueError(f"dimension c must be >= 1, got {c}")
+    check_settings(k_amp=k_amp)
     u = np.zeros(c)
     u[0] = np.sqrt(k_amp)
     return u
@@ -174,8 +175,8 @@ def variance_sweep_k(k_list: Sequence[float], c: int, m: int, trials: int, rng: 
     and reported in `skipped`; the sweep continues.
     """
     k_values = [float(k) for k in k_list]
-    if any(k < 1.0 for k in k_values):
-        raise ValueError(f"amplification factors must be >= 1, got {k_values}")
+    for k_amp in k_values:
+        check_settings(k_amp=k_amp)
     if sorted(k_values) != k_values:
         raise ValueError(f"k_list must be ascending, got {k_values}")
     points = []

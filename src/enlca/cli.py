@@ -44,6 +44,7 @@ from .matrices import (
     NumericError,
     RngSpec,
     ShapeError,
+    check_settings,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -140,6 +141,7 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_phi(args) -> int:
+    check_settings(m=args.m)
     base = RngSpec(args.seed)
     u = _load_matrix(args.input)
     projection = sample_projection(base.stream(2), args.m, u.shape[0], args.orthogonal)
@@ -150,6 +152,7 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_variance(args) -> int:
+    check_settings(m=args.m)
     base = RngSpec(args.seed)
     u = _aligned_vector(args.c, args.k_amp)
     report = kernel_variance_empirical(u, u, args.m, args.trials, base.stream(2), args.orthogonal)
@@ -295,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_projection_flags(p)
     _add_seed(p)
     p.add_argument("--out", required=True,
-                   help="stabilized feature CSV; exact features = out * exp(log_shift)")
+                   help="stabilized feature CSV; exact features = out * exp(log_shift), "
+                        "where the printed log_shift is the max of F u - |u|^2/2")
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("variance", help="estimator variance on amplified aligned vectors")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import ShapeError, as_matrix, normalize_columns
+from .matrices import ShapeError, as_matrix, check_settings, normalize_columns
 
 __all__ = [
     "ContrastiveConfig",
@@ -54,8 +54,7 @@ def relevance_scores(q, k, k_amp: float) -> np.ndarray:
     k = as_matrix(k, "k")
     if q.shape != k.shape:
         raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
-    if not k_amp >= 1.0:
-        raise ValueError(f"k_amp must be >= 1, got {k_amp}")
+    check_settings(k_amp=k_amp)
     return k_amp * (normalize_columns(q).T @ normalize_columns(k))
 
 

@@ -4,9 +4,11 @@ The forward replaces every exp(q_i . k_j) with the random-feature
 estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
 (m x (c_out + 1)), then multiplied by phi(Q)^T, so no N x N object ever
 exists and one GEMM yields both the numerator rows and the normalizer
-row. The multiply-add count is 2mNc + 2mN(c_out + 1), the 2mN being the
-normalizer; analysis.flop_count keeps the published convention, which
-excludes the normalizer.
+row. Both phi(K) and phi(Q) are streamed in column chunks through one
+reused m x CHUNK feature buffer, so the forward's extra memory is that
+buffer plus the (c_out + 1) x N output. The multiply-add count is
+2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
+keeps the published convention, which excludes the normalizer.
 
 Query/key columns are unit-normalized and scaled by sqrt(k_amp) before
 entering the forward; k_amp > 1 sharpens the attention distribution at the
@@ -15,14 +17,19 @@ price of exponentially larger estimator variance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
-from .features import _phi_values, phi, sample_projection  # noqa: F401
-from .matrices import RngSpec, ShapeError, as_matrix, normalize_columns
+from .features import _exp_features, _finite_or_zero, _half_sq_norms, phi, sample_projection  # noqa: F401
+from .matrices import RngSpec, ShapeError, as_matrix, check_settings, normalize_columns
+
+# Columns per chunk of the forward: the feature buffer is m x CHUNK
+# (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
+CHUNK = 2048
 
 __all__ = [
     "EnlaConfig",
@@ -55,12 +62,7 @@ class EnlaConfig:
     epsilon: float = 1e-12
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not self.k_amp >= 1.0:
-            raise ValueError(f"k_amp must be >= 1, got {self.k_amp}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        check_settings(m=self.m, k_amp=self.k_amp, epsilon=self.epsilon)
 
 
 def normalize_and_scale(theta_out, delta_out, k_amp: float, epsilon: float = 1e-12):
@@ -76,8 +78,7 @@ def normalize_and_scale(theta_out, delta_out, k_amp: float, epsilon: float = 1e-
         raise ShapeError(
             f"query/key maps need equal shapes, got {theta_out.shape} vs {delta_out.shape}"
         )
-    if not k_amp >= 1.0:
-        raise ValueError(f"k_amp must be >= 1, got {k_amp}")
+    check_settings(k_amp=k_amp)
     scale = np.sqrt(k_amp)
     q = scale * normalize_columns(theta_out, epsilon)
     k = scale * normalize_columns(delta_out, epsilon)
@@ -87,12 +88,22 @@ def normalize_and_scale(theta_out, delta_out, k_amp: float, epsilon: float = 1e-
 def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     """Randomized attention output for q, k (c x N) and v (c_out x N).
 
-    phi(K) [V^T | 1] is computed before anything touches phi(Q), which
-    keeps the cost linear in N and only one m x N feature matrix alive at
-    a time. The stabilization shifts inside phi cancel in the output
-    ratio. Normalizer entries below config.epsilon are floored and
-    reported through a NormalizerUnderflowWarning rather than an error;
-    that includes exact zeros from features that underflowed.
+    The keys are streamed first, CHUNK columns at a time, through one
+    m x CHUNK feature buffer: each chunk's features are reduced into
+    kv = phi(K) [V^T | 1] (m x (c_out + 1)) at once. Keys share one
+    shift, the running max of the real exponent F k - |k|^2 / 2; when a
+    chunk raises it, kv is rescaled by exp(old - new). The queries then go
+    through the same buffer, each column shifted by its own max of F q,
+    and each (c_out + 1)-row output block is written in place. Both kinds
+    of shift cancel in the output ratio, so one column of extreme norm
+    cannot push the features of the others out of float range.
+
+    Normalizer entries below config.epsilon are floored and reported
+    through a NormalizerUnderflowWarning rather than an error; that
+    includes exact zeros from features that underflowed. The normalizer
+    is in stabilized units: the exact one times
+    m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K), with S_K the final key
+    shift.
     """
     q = as_matrix(q, "q")
     k = as_matrix(k, "k")
@@ -101,10 +112,38 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
         raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
     if v.shape[1] != q.shape[1]:
         raise ShapeError(f"v has {v.shape[1]} positions, q/k have {q.shape[1]}")
-    projection = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal)
-    # the ones row of [V; 1] makes the last row of `out` the normalizer
-    kv = _phi_values(projection, k).values @ np.vstack((v, np.ones(v.shape[1]))).T
-    out = kv.T @ _phi_values(projection, q).values     # (c_out + 1) x N
+    f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
+    c_out, n = v.shape
+    width = min(n, CHUNK)
+    features = np.empty((config.m, width))
+    # [V_b; 1] per chunk: the ones row makes the last column of kv the key sum
+    staged = np.empty((c_out + 1, width))
+    staged[-1] = 1.0
+    kv = np.zeros((config.m, c_out + 1))
+    key_shift = -math.inf
+
+    def shift_keys(top, start, stop):
+        nonlocal key_shift, kv
+        half_sq = _half_sq_norms(k[:, start:stop])
+        raised = max(key_shift, float(np.max(top - half_sq)))
+        if raised > key_shift:
+            kv *= math.exp(key_shift - raised)
+            key_shift = raised
+        return half_sq + _finite_or_zero(key_shift)
+
+    for start in range(0, n, CHUNK):
+        stop = min(n, start + CHUNK)
+        block = features[:, :stop - start]
+        _exp_features(f, k, start, stop, block, shift_keys)
+        staged[:-1, :stop - start] = v[:, start:stop]
+        kv += block @ staged[:, :stop - start].T
+
+    out = np.empty((c_out + 1, n))
+    for start in range(0, n, CHUNK):
+        stop = min(n, start + CHUNK)
+        block = features[:, :stop - start]
+        _exp_features(f, q, start, stop, block, _shift_query)
+        np.matmul(kv.T, block, out=out[:, start:stop])
     numerator, d = out[:-1], out[-1]
     low = d < config.epsilon
     if low.any():
@@ -116,6 +155,13 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
         np.maximum(d, config.epsilon, out=d)
     numerator /= d
     return numerator
+
+
+def _shift_query(top, start, stop):
+    """Each query column's own max of F q; it cancels per output column.
+    A column whose projections all overflowed to -inf gets 0 features."""
+    top[top == -math.inf] = 0.0
+    return top
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ the Monte-Carlo helpers here.
 
 All exponentials are max-shifted before evaluation; phi reports the shift
 so exact values can be recovered, and ratio-style consumers can ignore it.
+phi and the attention forward share one kernel, `_exp_features`, which
+differs between them only in the shift it subtracts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import NumericError, RngSpec, ShapeError, as_matrix, as_vector
+from .matrices import NumericError, RngSpec, ShapeError, as_matrix, as_vector, check_settings
 
 __all__ = [
     "PhiFeatures",
@@ -89,38 +91,60 @@ def sample_projection(rng: RngSpec, m: int, c: int, orthogonal: bool = False) ->
 def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     """Apply the positive feature map to every column of u_cols (c x N).
 
-    A single shift, the max entry of F @ U, is subtracted inside the
-    exponential so the call cannot overflow; the exact feature matrix is
-    values * exp(log_shift). Any consumer that divides one phi product by
-    another (the attention forward) can use `values` directly because the
-    shifts cancel.
+    A single shift, the max of the real exponent F u - |u|^2 / 2 over the
+    whole matrix, is subtracted inside the exponential so the call cannot
+    overflow; the exact feature matrix is values * exp(log_shift). Any
+    consumer that divides one phi product by another (the attention
+    forward) can use `values` directly because the shifts cancel.
     """
     u = as_matrix(u_cols, "phi input")
     if u.shape[0] != f.c:
         raise ShapeError(f"phi input has {u.shape[0]} channels, projection expects {f.c}")
-    return _phi_values(f, u)
+    values = np.empty((f.m, u.shape[1]))
+    half_sq = _half_sq_norms(u)
+    log_shift = -math.inf
+
+    def shift(top, start, stop):
+        nonlocal log_shift
+        log_shift = float(np.max(top - half_sq))
+        # the 1/sqrt(m) scale rides along with the shift
+        return half_sq + (_finite_or_zero(log_shift) + 0.5 * math.log(f.m))
+
+    _exp_features(f.f, u, 0, u.shape[1], values, shift)
+    return PhiFeatures(values=values, log_shift=log_shift)
 
 
-def _phi_values(f: ProjectionMatrix, u: np.ndarray) -> PhiFeatures:
-    """phi for a u that is already a validated c x N matrix.
+def _half_sq_norms(u: np.ndarray) -> np.ndarray:
+    """|u_j|^2 / 2 per column; an overflow gives inf, whose features are 0."""
+    with np.errstate(over="ignore"):
+        return 0.5 * np.einsum("ij,ij->j", u, u)
 
-    F @ U is the only m x N array made: the shift, |u|^2 / 2 and the
-    1/sqrt(m) scale are folded into one N-vector that is subtracted in
-    place before an in-place exp. Every exponent is then <= -log(m) / 2,
-    so a finite shift is the only check needed. An |u|^2 / 2 that
-    overflows sends its column's exponents to -inf, whose exp is the
-    correctly rounded 0.
+
+def _finite_or_zero(shift: float) -> float:
+    """A shift of -inf means every exponent it covers is -inf; any finite
+    shift then gives the correct 0 features, where -inf would give NaN."""
+    return shift if math.isfinite(shift) else 0.0
+
+
+def _exp_features(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndarray, shift) -> None:
+    """The feature kernel: exp(F u_j - s_j) for columns start..stop-1 of a
+    validated c x N matrix u, written in place into out (m x (stop - start)).
+
+    `shift(top, start, stop)` receives the column maxima of F u over the
+    slice and returns s, a scalar or one entry per column. F u is formed in
+    `out`, s is subtracted in place and exp runs in place, so the kernel
+    allocates nothing of size m x N. A projection that overflows (a column
+    maximum of +inf or NaN) cannot be repaired by any shift and raises
+    NumericError naming the column of u.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        values = f.f @ u
-        shift = float(values.max())
-        half_sq = 0.5 * np.einsum("ij,ij->j", u, u)
-    if not math.isfinite(shift):
-        col = int(np.flatnonzero(~np.isfinite(values).all(axis=0))[0])
-        raise NumericError(f"phi overflowed after stabilization at column {col}")
-    values -= half_sq + (shift + 0.5 * math.log(f.m))
-    np.exp(values, out=values)
-    return PhiFeatures(values=values, log_shift=shift)
+        np.matmul(f, u[:, start:stop], out=out)
+        top = out.max(axis=0)
+        if not (top < math.inf).all():
+            col = start + int(np.flatnonzero(~(top < math.inf))[0])
+            raise NumericError(f"phi overflowed after stabilization at column {col}")
+        out -= shift(top, start, stop)
+    np.exp(out, out=out)
 
 
 def _kernel_operands(q_i, k_j) -> tuple[np.ndarray, np.ndarray]:
@@ -149,8 +173,7 @@ def kernel_variance_theory(q_i, k_j, m: int) -> float:
     exp(q . k): K^2 * (exp(|q + k|^2) - 1) / m. May return inf when the
     closed form itself exceeds float range."""
     q, k = _kernel_operands(q_i, k_j)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    check_settings(m=m)
     z = q + k
     with np.errstate(over="ignore"):
         k2 = np.exp(2.0 * float(q @ k))

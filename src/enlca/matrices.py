@@ -27,6 +27,7 @@ __all__ = [
     "ShapeError",
     "as_matrix",
     "as_vector",
+    "check_settings",
     "column_norms",
     "gaussian_sample",
     "normalize_columns",
@@ -53,6 +54,19 @@ class NumericError(ArithmeticError):
 
 class FormatError(ValueError):
     """Serialized matrix data could not be parsed."""
+
+
+def check_settings(*, m=None, k_amp=None, epsilon=None) -> None:
+    """The one range check of the attention settings, shared by the
+    library and the CLI: sample count m >= 1, amplification k_amp >= 1 and
+    floor epsilon > 0. A setting left at None is not checked. Raises
+    ValueError naming the setting and the offending value."""
+    if m is not None and not m >= 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if k_amp is not None and not k_amp >= 1.0:
+        raise ValueError(f"k_amp must be >= 1, got {k_amp}")
+    if epsilon is not None and not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -129,8 +143,7 @@ def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
     """Scale each column to unit norm; columns with norm below `epsilon`
     are divided by `epsilon` instead (so zero columns stay zero)."""
     a = as_matrix(a)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_settings(epsilon=epsilon)
     norms = np.maximum(column_norms(a), epsilon)
     return a / norms[None, :]
 

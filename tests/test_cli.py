@@ -330,9 +330,17 @@ class TestErrorPaths:
         (["variance", "--c", "0", "--trials", "10"], "c must be >= 1"),
         (["variance-sweep", "--c", "0", "--trials", "10"], "c must be >= 1"),
         (["corr-map", "--q", "Q", "--k", "K", "--k-amp", "0.5"], "k_amp must be >= 1"),
-    ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp"])
-    def test_out_of_range_value_is_usage_error(self, matrices, capsys, argv, message):
-        names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"]}
+        (["phi", "--input", "Q", "--out", "OUT", "--m", "0"], "m must be >= 1, got 0"),
+        (["variance", "--m", "0", "--trials", "10"], "m must be >= 1, got 0"),
+        (["variance", "--k-amp", "0.5", "--trials", "10"], "k_amp must be >= 1, got 0.5"),
+        (["variance", "--k-amp", "-1", "--trials", "10"], "k_amp must be >= 1, got -1.0"),
+        (["variance-sweep", "--k-list", "nan", "--trials", "10"], "k_amp must be >= 1, got nan"),
+    ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp",
+            "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
+            "variance-sweep --k-list nan"])
+    def test_out_of_range_value_is_usage_error(self, matrices, tmp_path, capsys, argv, message):
+        names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
+                 "OUT": str(tmp_path / "out.csv")}
         code, out, err = run(capsys, *[names.get(a, a) for a in argv])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err

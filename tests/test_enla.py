@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from enlca.analysis import approximation_error_sweep
 from enlca.enla import (
+    CHUNK,
     EnlaConfig,
     EnlcaBlockParams,
     NormalizerUnderflowWarning,
@@ -17,7 +18,7 @@ from enlca.enla import (
 )
 from enlca.exact import attention_row_entropies, exact_attention
 from enlca.features import phi, sample_projection
-from enlca.matrices import RngSpec, ShapeError, as_matrix, column_norms, gaussian_sample
+from enlca.matrices import NumericError, RngSpec, ShapeError, as_matrix, column_norms, gaussian_sample
 from oracles import two_path_forward
 
 
@@ -154,14 +155,16 @@ class TestTwoPathReference:
     @staticmethod
     def forward_and_reference(c, c_out, n, m, orthogonal, k_amp=6.0, epsilon=1e-12):
         """Inputs, config and the reference output; the reference normalizer
-        comes back in phi's stabilized units, where epsilon applies: the
-        exact one times exp(-(log_shift(q) + log_shift(k)))."""
+        comes back in the forward's stabilized units, where epsilon
+        applies: the exact one times m * exp(|q_j|^2 / 2 - max_l f_l . q_j
+        - S_K), with S_K the max over all keys of F k - |k|^2 / 2."""
         q, k, v = seeded_qkv(50 + n + m, c, c_out, n, k_amp)
         config = EnlaConfig(rng=RngSpec(51), m=m, k_amp=k_amp, orthogonal=orthogonal,
                             epsilon=epsilon)
         f = sample_projection(config.rng, m, c, orthogonal).f
         reference, normalizer = two_path_forward(f, q, k, v)
-        stabilized = normalizer * np.exp(-((f @ q).max() + (f @ k).max()))
+        key_shift = (f @ k - 0.5 * (k * k).sum(axis=0)).max()
+        stabilized = normalizer * m * np.exp(0.5 * (q * q).sum(axis=0) - (f @ q).max(axis=0) - key_shift)
         return q, k, v, config, reference, stabilized
 
     @pytest.mark.parametrize("orthogonal", [False, True])
@@ -192,6 +195,94 @@ class TestTwoPathReference:
         assert str(caught[0].message) == (
             f"{floored} normalizer entries below epsilon={epsilon} were floored"
         )
+
+
+class TestAdversarialNorms:
+    """One column of extreme norm must not corrupt the other outputs. At
+    c=8, N=64, m=4096 and unit norms, the median relative error of the
+    outputs against the exact oracle is 0.044; a float loss reads 1.0."""
+
+    @staticmethod
+    def other_columns_error(side, scale):
+        q, k, v = seeded_qkv(3, c=8, c_out=8, n=64)
+        (q if side == "q" else k)[:, 0] *= scale
+        exact = exact_attention(q, k, v).y
+        out = enla_forward(q, k, v, EnlaConfig(rng=RngSpec(4), m=4096, k_amp=1.0))
+        rel = np.linalg.norm(out - exact, axis=0) / np.linalg.norm(exact, axis=0)
+        return float(np.median(rel[1:]))
+
+    @pytest.mark.parametrize("scale", [8.0, 30.0])
+    def test_query_column(self, scale):
+        assert self.other_columns_error("q", scale) < 0.06
+
+    def test_key_column(self):
+        # exp(|q + k|^2) in the variance law raises the spread to about 0.14
+        assert self.other_columns_error("k", 30.0) < 0.3
+
+
+class TestChunkLoop:
+    """The forward against the unstabilized two-path reference when the
+    positions fill one chunk, just miss it, or spill into later ones."""
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_matches_reference(self, n, orthogonal):
+        q, k, v = seeded_qkv(70, c=4, c_out=3, n=n, k_amp=2.0)
+        k = k * np.linspace(0.1, 1.1, n)
+        config = EnlaConfig(rng=RngSpec(71), m=16, k_amp=2.0, orthogonal=orthogonal)
+        f = sample_projection(config.rng, 16, 4, orthogonal).f
+        # keys (with their values) in ascending order of their largest
+        # exponent, so every later chunk raises the key shift
+        exponent = f @ k - 0.5 * (k * k).sum(axis=0)
+        order = np.argsort(exponent.max(axis=0))
+        k, v, exponent = k[:, order], v[:, order], exponent[:, order]
+        shifts = [exponent[:, s:s + CHUNK].max() for s in range(0, n, CHUNK)]
+        assert all(a < b for a, b in zip(shifts, shifts[1:]))
+        reference, _ = two_path_forward(f, q, k, v)
+        out = enla_forward(q, k, v, config)
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_every_key_norm_overflows(self):
+        # every |k|^2 / 2 is inf, so every key feature is 0: all
+        # normalizers are floored and the output stays finite
+        q, _, v = seeded_qkv(72, c=4, c_out=3, n=20)
+        k = np.full((4, 20), 1e155)
+        with pytest.warns(NormalizerUnderflowWarning, match="^20 normalizer entries"):
+            out = enla_forward(q, k, v, EnlaConfig(rng=RngSpec(73), m=16))
+        assert np.array_equal(out, np.zeros_like(v))
+
+    def test_first_chunk_key_norms_overflow(self):
+        # the key shift stays -inf through the first chunk, then turns
+        # finite; the overflowing keys get weight 0 as in the reference
+        n = CHUNK + 5
+        q, k, v = seeded_qkv(74, c=4, c_out=3, n=n)
+        k[:, :CHUNK] = 1e155
+        config = EnlaConfig(rng=RngSpec(75), m=16, k_amp=1.0)
+        f = sample_projection(config.rng, 16, 4).f
+        with np.errstate(over="ignore"):
+            reference, _ = two_path_forward(f, q, k, v)
+        out = enla_forward(q, k, v, config)
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_projection_overflow_names_global_column(self, side):
+        bad = CHUNK + 5
+        q, k, v = seeded_qkv(76, c=4, c_out=3, n=CHUNK + 8)
+        (q if side == "q" else k)[:, bad] = 1e308
+        with pytest.raises(NumericError, match=f"column {bad}$"):
+            enla_forward(q, k, v, EnlaConfig(rng=RngSpec(77), m=64))
+
+    def test_query_projections_all_underflow(self):
+        # every f_l . q_0 overflows to -inf: that column has no finite
+        # shift, its features are 0 and its normalizer is floored
+        q, k, v = seeded_qkv(78, c=4, c_out=3, n=6)
+        config = EnlaConfig(rng=RngSpec(79), m=1, k_amp=1.0)
+        f = sample_projection(config.rng, 1, 4).f
+        assert np.abs(f).sum() > 2.0
+        q[:, 0] = -1e308 * np.sign(f[0])
+        with pytest.warns(NormalizerUnderflowWarning, match="^1 normalizer entries"):
+            out = enla_forward(q, k, v, config)
+        assert np.array_equal(out[:, 0], np.zeros(3)) and np.isfinite(out).all()
 
 
 class TestInPlaceSafety:
@@ -230,9 +321,10 @@ class TestInPlaceSafety:
 
 
 def test_forward_peak_memory_is_one_feature_matrix():
-    # phi(K) is reduced to m x (c_out + 1) and freed before phi(Q) exists,
-    # so the peak is one m x N float64 matrix plus O((c + c_out) N)
-    n, c, m = 8192, 8, 64
+    # keys and queries stream through one m x CHUNK feature buffer, so the
+    # peak is that buffer plus O((c + c_out) N): the output and its
+    # normalizer row, (c_out + 1) x N
+    n, c, m = 4 * CHUNK, 8, 64
     q, k, v = seeded_qkv(67, c=c, c_out=c, n=n, k_amp=6.0)
     config = EnlaConfig(rng=RngSpec(68), m=m)
     tracemalloc.start()
@@ -241,7 +333,7 @@ def test_forward_peak_memory_is_one_feature_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * m * n
+    assert peak <= 8 * (m * CHUNK + (2 * c + 1) * n)
 
 
 class TestEnlcaBlock:

@@ -88,7 +88,7 @@ class TestPhi:
     def test_shift_is_max_projection(self):
         proj = sample_projection(RngSpec(6), 8, 3)
         u = gaussian_sample(RngSpec(7), 3, 4)
-        assert phi(proj, u).log_shift == (proj.f @ u).max()
+        assert phi(proj, u).log_shift == (proj.f @ u - 0.5 * (u * u).sum(axis=0)).max()
 
     def test_channel_mismatch(self):
         proj = sample_projection(RngSpec(0), 4, 3)
