@@ -54,7 +54,6 @@ from .matrices import (
     ShapeError,
     as_matrix,
     as_vector,
-    column_norms,
     gaussian_sample,
     normalize_columns,
     read_matrix_binary,
@@ -62,6 +61,6 @@ from .matrices import (
     write_matrix_binary,
     write_matrix_csv,
 )
-from .pgm import export_correlation_pgm, read_pgm
+from .pgm import export_correlation_pgm
 
 __version__ = "0.1.0"

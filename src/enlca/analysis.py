@@ -22,7 +22,7 @@ import numpy as np
 from .enla import EnlaConfig, enla_forward, normalize_and_scale
 from .exact import exact_attention
 from .features import kernel_variance_empirical, kernel_variance_theory
-from .matrices import FormatError, NumericError, RngSpec, _open_for, check_settings, gaussian_sample
+from .matrices import NumericError, RngSpec, _open_for, check_settings, gaussian_sample
 
 __all__ = [
     "FlopModel",
@@ -31,7 +31,6 @@ __all__ = [
     "consecutive_ratios",
     "flop_count",
     "flop_table",
-    "read_sweep_csv",
     "runtime_scaling",
     "variance_sweep_k",
     "write_sweep_csv",
@@ -260,20 +259,3 @@ def write_sweep_csv(table: SweepTable, dest: Union[str, Path, IO[str]]) -> None:
         fp.write(f"# axis={table.axis} metric_kind={table.metric_kind} columns={','.join(table.columns)}\n")
         for row in table.points:
             fp.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_sweep_csv(src: Union[str, Path, IO[str]]) -> tuple[dict, list[tuple[float, ...]]]:
-    """Parse a sweep CSV into its header fields and data rows."""
-    with _open_for(src, "r") as fp:
-        lines = [line for line in fp.read().splitlines() if line]
-    if not lines or not lines[0].startswith("# "):
-        raise FormatError("sweep CSV must start with a '# ' header line")
-    meta = {}
-    for token in lines[0][2:].split():
-        key, _, value = token.partition("=")
-        meta[key] = value
-    try:
-        rows = [tuple(float(f) for f in line.split(",")) for line in lines[1:]]
-    except ValueError as exc:
-        raise FormatError(f"bad sweep row: {exc}") from None
-    return meta, rows

@@ -10,6 +10,12 @@ All exponentials are max-shifted before evaluation; phi reports the shift
 so exact values can be recovered, and ratio-style consumers can ignore it.
 phi and the attention forward share one kernel, `_exp_features`, which
 differs between them only in the shift it subtracts.
+
+Projections come from one private sampler, `_projection_blocks`, which
+serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
+trials of `kernel_estimates`. It re-keys one Philox to each projection's
+stream and orthogonalizes a block with stacked QR; every projection is
+bit-identical to one drawn alone by a fresh generator on its stream.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import NumericError, RngSpec, ShapeError, as_matrix, as_vector, check_settings
+from .matrices import _U64_MAX, NumericError, RngSpec, ShapeError, as_matrix, as_vector, check_settings
 
 __all__ = [
     "PhiFeatures",
@@ -34,6 +40,10 @@ __all__ = [
 ]
 
 _REL_GAP_FLOOR = 1e-30
+
+# Monte-Carlo trials per block: one stacked QR and one vectorized estimator
+# pass each. Larger blocks are no faster and hold more memory.
+_TRIAL_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -71,21 +81,50 @@ def sample_projection(rng: RngSpec, m: int, c: int, orthogonal: bool = False) ->
     of the block's transpose with its signs fixed so that diag(R) > 0,
     which makes them the Gram-Schmidt directions of the block's rows.
     """
+    f = next(_projection_blocks(rng, range(1), m, c, orthogonal))[0]
+    return ProjectionMatrix(f=f, orthogonal=orthogonal)
+
+
+def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int, orthogonal: bool):
+    """Yield the m x c projections of rng.stream(o) for o in offsets, as
+    (count, m, c) stacks of up to _TRIAL_BLOCK. For each projection the one
+    Philox gets key (seed, stream_id + o mod 2^64) and a zero counter
+    through the public state setter: the draw of a fresh generator on that
+    stream, at a tenth of the cost of building one."""
     if m < 1 or c < 1:
         raise ShapeError(f"projection shape must be positive, got ({m}, {c})")
-    f = rng.generator().standard_normal((m, c))
-    if orthogonal:
-        for start in range(0, m, c):
-            block = f[start:start + c]
-            q_factor, r_factor = np.linalg.qr(block.T)
-            diag = np.diagonal(r_factor)
-            degenerate = np.flatnonzero(np.abs(diag) < 1e-150)
-            if degenerate.size:
-                raise NumericError(
-                    f"degenerate Gaussian block: row {int(degenerate[0])} is linearly dependent"
-                )
-            block[...] = q_factor.T * (np.sign(diag) * np.linalg.norm(block, axis=1))[:, None]
-    return ProjectionMatrix(f=f, orthogonal=orthogonal)
+    gen = rng.generator()
+    # gen starts on rng's own stream, the one sample_projection draws
+    fresh = None if offsets == range(1) else gen.bit_generator.state
+    for first in range(0, len(offsets), _TRIAL_BLOCK):
+        block = offsets[first:first + _TRIAL_BLOCK]
+        f = np.empty((len(block), m, c))
+        for j, offset in enumerate(block):
+            if fresh is not None:
+                fresh["state"]["key"][1] = (rng.stream_id + offset) & _U64_MAX
+                gen.bit_generator.state = fresh
+            gen.standard_normal(out=f[j])
+        if orthogonal:
+            _orthogonalize(f)
+        yield f
+
+
+def _orthogonalize(f: np.ndarray) -> None:
+    """Orthogonalize, in place, every block of up to c rows of each
+    projection in a (count, m, c) stack, with one stacked QR per block
+    index: the directions are Q * sign(diag R) of the block's transpose,
+    scaled by the block's original row norms."""
+    c = f.shape[2]
+    for start in range(0, f.shape[1], c):
+        block = f[:, start:start + c]
+        q_factor, r_factor = np.linalg.qr(block.transpose(0, 2, 1))
+        diag = np.diagonal(r_factor, axis1=1, axis2=2)
+        degenerate = np.flatnonzero(np.abs(diag) < 1e-150)
+        if degenerate.size:
+            row = int(degenerate[0]) % diag.shape[1]
+            raise NumericError(f"degenerate Gaussian block: row {row} is linearly dependent")
+        norms = np.sign(diag) * np.linalg.norm(block, axis=2)
+        block[...] = q_factor.transpose(0, 2, 1) * norms[:, :, None]
 
 
 def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
@@ -195,6 +234,13 @@ def kernel_estimates(
     order-independent and can be reproduced individually. A trial's
     phi(q) . phi(k) collapses to exp(-(|q|^2 + |k|^2) / 2) * mean_l
     exp(f_l . z) for z = q + k, which is evaluated max-shifted.
+
+    Trials run _TRIAL_BLOCK at a time: one re-keyed Philox draws the
+    block, one stacked QR per block of c rows orthogonalizes it and one
+    vectorized pass forms F z, its row maxima and the shifted means. Each
+    estimate is bit-identical to drawing and evaluating its trial alone;
+    only the prefactor exp(max + log_const) stays a per-trial math.exp,
+    because np.exp may round it differently.
     """
     q, k = _kernel_operands(q_i, k_j)
     if trials < 1:
@@ -202,16 +248,20 @@ def kernel_estimates(
     z = q + k
     log_const = -0.5 * (float(q @ q) + float(k @ k))
     out = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        g = sample_projection(rng.stream(1 + t), m, q.size, orthogonal).f @ z
-        s = float(g.max())
-        try:
-            value = math.exp(s + log_const) * float(np.exp(g - s).mean())
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise NumericError(f"kernel estimate overflowed at trial {t}")
-        out[t] = value
+    t = 0
+    for f in _projection_blocks(rng, range(1, 1 + trials), m, q.size, orthogonal):
+        g = np.matmul(f, z)
+        s = g.max(axis=1)
+        means = np.exp(g - s[:, None]).mean(axis=1)
+        for top, mean in zip(s.tolist(), means.tolist()):
+            try:
+                value = math.exp(top + log_const) * mean
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise NumericError(f"kernel estimate overflowed at trial {t}")
+            out[t] = value
+            t += 1
     return out
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "check_settings",
-    "column_norms",
     "gaussian_sample",
     "normalize_columns",
     "read_matrix_binary",
@@ -41,7 +40,7 @@ _U64_MAX = 2**64 - 1
 
 _BINARY_MAGIC = b"ENLM"
 _BINARY_HEADER = struct.Struct("<4sIII")
-_BINARY_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
+_BINARY_F64 = 0
 
 
 class ShapeError(ValueError):
@@ -133,18 +132,12 @@ def gaussian_sample(rng: RngSpec, rows: int, cols: int) -> np.ndarray:
     return rng.generator().standard_normal((rows, cols))
 
 
-def column_norms(a) -> np.ndarray:
-    """Euclidean norm of every column."""
-    a = as_matrix(a)
-    return np.sqrt((a * a).sum(axis=0))
-
-
 def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
     """Scale each column to unit norm; columns with norm below `epsilon`
     are divided by `epsilon` instead (so zero columns stay zero)."""
     a = as_matrix(a)
     check_settings(epsilon=epsilon)
-    norms = np.maximum(column_norms(a), epsilon)
+    norms = np.maximum(np.sqrt((a * a).sum(axis=0)), epsilon)
     return a / norms[None, :]
 
 
@@ -156,8 +149,8 @@ def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
 # which is shortest-round-trip, so re-parsing restores bit-identical f64.
 #
 # Binary: 16-byte header (magic b"ENLM", u32 rows, u32 cols, u32 dtype)
-# followed by the row-major little-endian payload. dtype 0 is f64 and is
-# lossless; dtype 1 is f32, offered purely as a compact encoding.
+# followed by the row-major little-endian payload. dtype is always 0, f64,
+# so the format is lossless.
 # ---------------------------------------------------------------------------
 
 
@@ -213,18 +206,14 @@ def read_matrix_csv(src: Union[str, Path, IO[str]]) -> np.ndarray:
     return as_matrix(out, "CSV matrix")
 
 
-def write_matrix_binary(a, dest: Union[str, Path, IO[bytes]], dtype: str = "f64") -> None:
-    """Write the binary format; dtype is 'f64' (lossless) or 'f32'."""
+def write_matrix_binary(a, dest: Union[str, Path, IO[bytes]]) -> None:
+    """Write the lossless f64 binary format."""
     a = as_matrix(a)
-    codes = {"f64": 0, "f32": 1}
-    if dtype not in codes:
-        raise ValueError(f"dtype must be 'f64' or 'f32', got {dtype!r}")
-    code = codes[dtype]
     if a.shape[0] > 0xFFFFFFFF or a.shape[1] > 0xFFFFFFFF:
         raise FormatError(f"shape {a.shape} exceeds the u32 header range")
-    payload = np.ascontiguousarray(a, dtype=_BINARY_DTYPES[code]).tobytes()
+    payload = np.ascontiguousarray(a, dtype="<f8").tobytes()
     with _open_for(dest, "wb") as fp:
-        fp.write(_BINARY_HEADER.pack(_BINARY_MAGIC, a.shape[0], a.shape[1], code))
+        fp.write(_BINARY_HEADER.pack(_BINARY_MAGIC, a.shape[0], a.shape[1], _BINARY_F64))
         fp.write(payload)
 
 
@@ -237,12 +226,11 @@ def read_matrix_binary(src: Union[str, Path, IO[bytes]]) -> np.ndarray:
     magic, rows, cols, code = _BINARY_HEADER.unpack_from(blob)
     if magic != _BINARY_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
-    if code not in _BINARY_DTYPES:
+    if code != _BINARY_F64:
         raise FormatError(f"unknown dtype code {code}")
-    dt = _BINARY_DTYPES[code]
-    expected = rows * cols * dt.itemsize
+    expected = rows * cols * 8
     payload = blob[_BINARY_HEADER.size:]
     if len(payload) != expected:
         raise FormatError(f"payload holds {len(payload)} bytes, expected {expected}")
-    a = np.frombuffer(payload, dtype=dt).reshape(rows, cols)
+    a = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
     return as_matrix(a, "binary matrix")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .matrices import ShapeError, _open_for, as_vector
 
-__all__ = ["export_correlation_pgm", "read_pgm"]
+__all__ = ["export_correlation_pgm"]
 
 
 def export_correlation_pgm(map_values, height: int, width: int, dest: Union[str, Path, IO[bytes]]) -> None:
@@ -38,19 +38,3 @@ def export_correlation_pgm(map_values, height: int, width: int, dest: Union[str,
     with _open_for(dest, "wb") as fp:
         fp.write(header)
         fp.write(pixels.tobytes())
-
-
-def read_pgm(src: Union[str, Path, IO[bytes]]) -> np.ndarray:
-    """Parse a binary P5 image back into a height x width uint8 array."""
-    with _open_for(src, "rb") as fp:
-        blob = fp.read()
-    parts = blob.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5":
-        raise ValueError("not a binary P5 image")
-    width, height = (int(tok) for tok in parts[1].split())
-    if parts[2] != b"255":
-        raise ValueError(f"unsupported maxval {parts[2]!r}")
-    payload = parts[3]
-    if len(payload) != width * height:
-        raise ValueError(f"payload holds {len(payload)} bytes, expected {width * height}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)

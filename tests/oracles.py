@@ -1,4 +1,5 @@
-"""Independent brute-force reimplementations used as test oracles.
+"""Independent brute-force reimplementations used as test oracles, and
+readers for the library's output formats that only tests need.
 
 Everything here is deliberately scalar-loop Python over plain lists, or
 plain numpy evaluated literally as the formula reads, so these stay
@@ -6,8 +7,11 @@ independent of the optimized code paths they check.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
+
+from enlca.matrices import FormatError
 
 
 def naive_attention(q_cols, k_cols, v_cols):
@@ -45,8 +49,8 @@ def two_path_forward(f, q, k, v):
 
 def philox_gaussian(seed, stream_id, rows, cols):
     """rows x cols standard normals from the Philox stream keyed by
-    (seed, stream_id), drawn in one call."""
-    key = np.array([seed, stream_id], dtype=np.uint64)
+    (seed, stream_id mod 2^64), drawn in one call."""
+    key = np.array([seed, stream_id % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).standard_normal((rows, cols))
 
 
@@ -73,19 +77,21 @@ def block_gram_schmidt(gaussian, c):
     return np.vstack(blocks)
 
 
+def projection_estimate(f, q, k):
+    """phi(q) . phi(k) for one m x c projection f, which collapses to
+    exp(-(|q|^2 + |k|^2) / 2) * mean exp(f (q + k)), evaluated with the
+    max of f (q + k) shifted out."""
+    g = f @ (q + k)
+    top = float(g.max())
+    log_const = -0.5 * (float(q @ q) + float(k @ k))
+    return math.exp(top + log_const) * float(np.exp(g - top).mean())
+
+
 def stream_estimates(q, k, m, trials, seed, stream_id=0):
     """iid estimator samples per the stream contract: trial t draws an
-    m x c projection F from Philox key (seed, stream_id + 1 + t), and
-    phi(q) . phi(k) = exp(-(|q|^2 + |k|^2) / 2) * mean exp(F (q + k)),
-    evaluated with the max of F (q + k) shifted out."""
-    z = q + k
-    log_const = -0.5 * (float(q @ q) + float(k @ k))
-    out = []
-    for t in range(trials):
-        g = philox_gaussian(seed, stream_id + 1 + t, m, q.size) @ z
-        top = float(g.max())
-        out.append(math.exp(top + log_const) * float(np.exp(g - top).mean()))
-    return np.array(out)
+    m x c projection from Philox key (seed, stream_id + 1 + t mod 2^64)."""
+    return np.array([projection_estimate(philox_gaussian(seed, stream_id + 1 + t, m, q.size), q, k)
+                     for t in range(trials)])
 
 
 def naive_contrastive(t_rows, n1, n2, b):
@@ -117,3 +123,37 @@ def columns(matrix):
     """Column vectors of a 2-D array-like, as plain lists."""
     rows = [list(r) for r in matrix]
     return [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
+
+
+def read_pgm(src):
+    """Parse a binary P5 image (a path or an open binary file) into a
+    height x width uint8 array."""
+    blob = Path(src).read_bytes() if isinstance(src, (str, Path)) else src.read()
+    parts = blob.split(b"\n", 3)
+    if len(parts) != 4 or parts[0] != b"P5":
+        raise ValueError("not a binary P5 image")
+    width, height = (int(tok) for tok in parts[1].split())
+    if parts[2] != b"255":
+        raise ValueError(f"unsupported maxval {parts[2]!r}")
+    payload = parts[3]
+    if len(payload) != width * height:
+        raise ValueError(f"payload holds {len(payload)} bytes, expected {width * height}")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+
+
+def read_sweep_csv(src):
+    """Parse a sweep CSV (a path or an open text file) into its header
+    fields and data rows."""
+    text = Path(src).read_text() if isinstance(src, (str, Path)) else src.read()
+    lines = [line for line in text.splitlines() if line]
+    if not lines or not lines[0].startswith("# "):
+        raise FormatError("sweep CSV must start with a '# ' header line")
+    meta = {}
+    for token in lines[0][2:].split():
+        key, _, value = token.partition("=")
+        meta[key] = value
+    try:
+        rows = [tuple(float(f) for f in line.split(",")) for line in lines[1:]]
+    except ValueError as exc:
+        raise FormatError(f"bad sweep row: {exc}") from None
+    return meta, rows

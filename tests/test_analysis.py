@@ -9,12 +9,12 @@ from enlca.analysis import (
     consecutive_ratios,
     flop_count,
     flop_table,
-    read_sweep_csv,
     runtime_scaling,
     variance_sweep_k,
     write_sweep_csv,
 )
 from enlca.matrices import RngSpec
+from oracles import read_sweep_csv
 
 
 class TestFlopCount:

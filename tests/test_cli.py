@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 import enlca
-from enlca.analysis import read_sweep_csv
 from enlca.cli import UsageError, build_parser, main
 from enlca.exact import shannon_entropy
 from enlca.matrices import RngSpec, gaussian_sample, read_matrix_csv, write_matrix_csv
-from enlca.pgm import read_pgm
+from oracles import read_pgm, read_sweep_csv
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from enlca.enla import (
 )
 from enlca.exact import attention_row_entropies, exact_attention
 from enlca.features import phi, sample_projection
-from enlca.matrices import NumericError, RngSpec, ShapeError, as_matrix, column_norms, gaussian_sample
+from enlca.matrices import NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample
 from oracles import two_path_forward
 
 
@@ -41,8 +41,8 @@ class TestNormalizeAndScale:
         theta = gaussian_sample(RngSpec(1), 5, 12)
         delta = gaussian_sample(RngSpec(2), 5, 12)
         q, k = normalize_and_scale(theta, delta, 6.0)
-        assert np.abs(column_norms(q) - np.sqrt(6.0)).max() < 1e-12
-        assert np.abs(column_norms(k) - np.sqrt(6.0)).max() < 1e-12
+        assert np.abs(np.linalg.norm(q, axis=0) - np.sqrt(6.0)).max() < 1e-12
+        assert np.abs(np.linalg.norm(k, axis=0) - np.sqrt(6.0)).max() < 1e-12
 
     @settings(max_examples=30)
     @given(st.integers(0, 2**32), st.floats(1.0, 16.0))

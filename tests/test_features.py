@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enlca.features import (
+    _TRIAL_BLOCK,
     ProjectionMatrix,
+    _projection_blocks,
     kernel_estimates,
     kernel_exact,
     kernel_variance_empirical,
@@ -15,7 +17,12 @@ from enlca.features import (
     sample_projection,
 )
 from enlca.matrices import NumericError, RngSpec, ShapeError, gaussian_sample
-from oracles import block_gram_schmidt, philox_gaussian, stream_estimates
+from oracles import block_gram_schmidt, philox_gaussian, projection_estimate, stream_estimates
+
+
+B = _TRIAL_BLOCK
+BLOCK_TRIALS = [1, B - 1, B, B + 1, 2 * B + 3]
+WRAPPING_ID = 2**64 - 20
 
 
 def unit_vector(c, scale=1.0):
@@ -200,10 +207,12 @@ class TestKernelEstimates:
 
     @pytest.mark.parametrize("m", [1, 16, 130])
     def test_iid_matches_stream_contract_bitwise(self, m):
+        # trial counts on both sides of the _TRIAL_BLOCK boundaries
         q = gaussian_sample(RngSpec(66), 8, 1)[:, 0]
         k = gaussian_sample(RngSpec(67), 8, 1)[:, 0]
-        est = kernel_estimates(q, k, m=m, trials=5, rng=RngSpec(68, 40))
-        assert np.array_equal(est, stream_estimates(q, k, m, 5, seed=68, stream_id=40))
+        for trials in BLOCK_TRIALS:
+            est = kernel_estimates(q, k, m=m, trials=trials, rng=RngSpec(68, 40))
+            assert np.array_equal(est, stream_estimates(q, k, m, trials, seed=68, stream_id=40))
 
     def test_strict_positivity(self):
         q = gaussian_sample(RngSpec(64), 6, 1)[:, 0]
@@ -230,6 +239,79 @@ class TestKernelEstimates:
             est = kernel_estimates(q, k, m=8, trials=20_000, rng=base)
             se = est.std(ddof=1) / math.sqrt(est.size)
             assert abs(est.mean() - kernel_exact(q, k)) <= 3 * se
+
+
+class TestTrialBlocks:
+    """kernel_estimates runs trials in blocks of _TRIAL_BLOCK; the counts
+    in BLOCK_TRIALS end on each side of a block boundary."""
+
+    @staticmethod
+    def operands():
+        return gaussian_sample(RngSpec(66), 8, 1)[:, 0], gaussian_sample(RngSpec(67), 8, 1)[:, 0]
+
+    @pytest.mark.parametrize("trials", BLOCK_TRIALS)
+    @pytest.mark.parametrize("m", [1, 16, 130])
+    def test_orthogonal_matches_per_trial_route(self, m, trials):
+        # m = 130 at c = 8 leaves a partial last block of rows
+        q, k = self.operands()
+        rng = RngSpec(69, 41)
+        est = kernel_estimates(q, k, m=m, trials=trials, rng=rng, orthogonal=True)
+        per_trial = [projection_estimate(sample_projection(rng.stream(1 + t), m, 8, True).f, q, k)
+                     for t in range(trials)]
+        assert np.array_equal(est, per_trial)
+        reference = [projection_estimate(block_gram_schmidt(philox_gaussian(69, 42 + t, m, 8), 8), q, k)
+                     for t in range(trials)]
+        assert np.abs(est - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_stream_ids_wrap(self, orthogonal):
+        q, k = self.operands()
+        trials = 2 * B + 3
+        est = kernel_estimates(q, k, m=16, trials=trials, rng=RngSpec(70, WRAPPING_ID), orthogonal=orthogonal)
+        per_trial = [projection_estimate(sample_projection(RngSpec(70, (WRAPPING_ID + 1 + t) % 2**64),
+                                                           16, 8, orthogonal).f, q, k)
+                     for t in range(trials)]
+        assert np.array_equal(est, per_trial)
+
+    def test_rekeyed_draw_matches_fresh_generator(self):
+        offsets = range(1, 2 * B + 3)
+        draws = np.concatenate(list(_projection_blocks(RngSpec(71, WRAPPING_ID), offsets, 4, 3, False)))
+        for draw, offset in zip(draws, offsets):
+            stream_id = (WRAPPING_ID + offset) % 2**64
+            assert np.array_equal(draw, RngSpec(71, stream_id).generator().standard_normal((4, 3)))
+        # the last ids before the wrap, up to 2^64 - 1, come first
+        assert [(WRAPPING_ID + o) % 2**64 for o in offsets][18:21] == [2**64 - 1, 0, 1]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            kernel_estimates(np.ones(3), np.ones(3), 4, trials, RngSpec(0))
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_overflow_names_trial_zero(self, orthogonal):
+        big = np.full(4, 1e308)
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match="overflowed at trial 0$"):
+            kernel_estimates(big, big, 4, 2 * B + 3, RngSpec(0), orthogonal)
+
+    def test_degenerate_block_raises(self, monkeypatch):
+        # a zero row in trial B + 1, inside the second block, leaves that
+        # trial's stacked-QR block rank-deficient
+        real_generator = RngSpec.generator
+
+        class ZeroRowGenerator:
+            def __init__(self, gen):
+                self.gen, self.bit_generator, self.draws = gen, gen.bit_generator, 0
+
+            def standard_normal(self, out):
+                self.gen.standard_normal(out=out)
+                if self.draws == B + 1:
+                    out[2] = 0.0
+                self.draws += 1
+
+        monkeypatch.setattr(RngSpec, "generator", lambda spec: ZeroRowGenerator(real_generator(spec)))
+        with pytest.raises(NumericError, match="degenerate Gaussian block: row 2"):
+            kernel_estimates(np.ones(4), np.ones(4), 3, 2 * B + 3, RngSpec(0), orthogonal=True)
+        kernel_estimates(np.ones(4), np.ones(4), 3, B + 1, RngSpec(0), orthogonal=True)
 
 
 class TestVarianceEmpirical:

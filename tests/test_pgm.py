@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from enlca.matrices import ShapeError
-from enlca.pgm import export_correlation_pgm, read_pgm
+from enlca.pgm import export_correlation_pgm
+from oracles import read_pgm
 
 
 def test_single_pixel_constant_map_is_zero(tmp_path):
