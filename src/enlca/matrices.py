@@ -13,6 +13,7 @@ numpy's ziggurat transform on that stream.
 from __future__ import annotations
 
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,7 @@ _U64_MAX = 2**64 - 1
 _BINARY_MAGIC = b"ENLM"
 _BINARY_HEADER = struct.Struct("<4sIII")
 _BINARY_F64 = 0
+_ENLM_NOT_CSV = "input is an ENLM binary matrix, not CSV"
 
 
 class ShapeError(ValueError):
@@ -156,10 +158,11 @@ def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
 
 @contextmanager
 def _open_for(target, mode: str):
-    """Yield a file for `target`: a path is opened in `mode` and closed on
-    exit; an already open file is yielded as is and left open."""
+    """Yield a file for `target`: a path is opened in `mode` (as UTF-8 in
+    text modes) and closed on exit; an already open file is yielded as is
+    and left open."""
     if isinstance(target, (str, Path)):
-        with open(target, mode) as fp:
+        with open(target, mode, encoding=None if "b" in mode else "utf-8") as fp:
             yield fp
     else:
         yield target
@@ -170,40 +173,58 @@ def write_matrix_csv(a, dest: Union[str, Path, IO[str]]) -> None:
     a = as_matrix(a)
     with _open_for(dest, "w") as fp:
         fp.write(f"{a.shape[0]},{a.shape[1]}\n")
-        for row in a:
-            fp.write(",".join(repr(float(x)) for x in row))
+        for row in a:  # one row of Python floats at a time keeps the peak small
+            fp.write(",".join(map(repr, row.tolist())))
             fp.write("\n")
 
 
 def read_matrix_csv(src: Union[str, Path, IO[str]]) -> np.ndarray:
-    """Parse the canonical CSV format; inverse of write_matrix_csv."""
+    """Parse the canonical CSV format; inverse of write_matrix_csv.
+
+    The lines after the header go through numpy's C tokenizer: blank lines
+    are skipped, spaces around a value and CRLF line ends are accepted, and
+    spellings beyond plain decimals, such as `1_000` or hex, are rejected.
+    An open text stream is read from its current position, which must be
+    the start of the header line."""
     with _open_for(src, "r") as fp:
-        text = fp.read()
-    lines = text.splitlines()
-    if not lines:
+        try:
+            rows, cols = _csv_shape(fp.readline())
+            with warnings.catch_warnings():
+                # a header-only file is reported below by its row count
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fp, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError as exc:
+            if exc.object.startswith(_BINARY_MAGIC):
+                raise FormatError(_ENLM_NOT_CSV) from None
+            raise FormatError(f"not UTF-8 text ({exc.reason})") from None
+        except FormatError:
+            raise
+        except ValueError as exc:
+            raise FormatError(f"after the header: {exc}") from None
+    if body.shape[0] != rows:
+        raise FormatError(f"expected {rows} data lines, found {body.shape[0]}")
+    if body.shape[1] != cols:
+        raise FormatError(f"expected {cols} values per line, got {body.shape[1]}")
+    return as_matrix(body, "CSV matrix")
+
+
+def _csv_shape(line: str) -> tuple:
+    """(rows, cols) declared by the CSV header line "rows,cols"."""
+    if not line:
         raise FormatError("empty input, expected a rows,cols header")
-    header = lines[0].split(",")
+    if line.startswith("ENLM"):
+        raise FormatError(_ENLM_NOT_CSV)
+    line = line.rstrip("\r\n")
+    header = line.split(",")
     if len(header) != 2:
-        raise FormatError(f"header must be 'rows,cols', got {lines[0]!r}")
+        raise FormatError(f"header must be 'rows,cols', got {line!r}")
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
-        raise FormatError(f"header must hold two integers, got {lines[0]!r}") from None
+        raise FormatError(f"header must hold two integers, got {line!r}") from None
     if rows < 1 or cols < 1:
         raise FormatError(f"header declares empty shape {rows}x{cols}")
-    body = [line for line in lines[1:] if line != ""]
-    if len(body) != rows:
-        raise FormatError(f"expected {rows} data lines, found {len(body)}")
-    out = np.empty((rows, cols), dtype=np.float64)
-    for i, line in enumerate(body):
-        fields = line.split(",")
-        if len(fields) != cols:
-            raise FormatError(f"line {i + 2}: expected {cols} values, got {len(fields)}")
-        try:
-            out[i] = [float(f) for f in fields]
-        except ValueError as exc:
-            raise FormatError(f"line {i + 2}: {exc}") from None
-    return as_matrix(out, "CSV matrix")
+    return rows, cols
 
 
 def write_matrix_binary(a, dest: Union[str, Path, IO[bytes]]) -> None:

@@ -12,7 +12,13 @@ import pytest
 import enlca
 from enlca.cli import UsageError, build_parser, main
 from enlca.exact import shannon_entropy
-from enlca.matrices import RngSpec, gaussian_sample, read_matrix_csv, write_matrix_csv
+from enlca.matrices import (
+    RngSpec,
+    gaussian_sample,
+    read_matrix_csv,
+    write_matrix_binary,
+    write_matrix_csv,
+)
 from oracles import read_pgm, read_sweep_csv
 
 
@@ -296,6 +302,20 @@ class TestErrorPaths:
         bad.write_text("2,2\n1.0\n")
         code, _, err = run(capsys, "exact", "--q", str(bad), "--k", str(bad), "--v", str(bad))
         assert code == 1 and "bad.csv" in err
+
+    def test_binary_matrix_given_as_csv_names_file(self, tmp_path, capsys):
+        enlm = tmp_path / "m.enlm"
+        write_matrix_binary(np.full((2, 2), 1.5), enlm)
+        code, _, err = run(capsys, "enla", "--q", str(enlm), "--k", str(enlm), "--v", str(enlm))
+        assert code == 1
+        assert "m.enlm" in err and "ENLM binary matrix" in err
+
+    def test_undecodable_csv_names_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n1.0,\xff2.0\n")
+        code, _, err = run(capsys, "enla", "--q", str(bad), "--k", str(bad), "--v", str(bad))
+        assert code == 1
+        assert "bad.csv" in err and "not UTF-8" in err
 
     def test_shape_mismatch_is_numeric_failure(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

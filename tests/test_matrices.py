@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from enlca.exact import correlation_map
 from enlca.matrices import (
@@ -23,6 +24,13 @@ from enlca.matrices import (
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+# The same values with the edge cases drawn often: signed zeros, the smallest
+# subnormal, the smallest normal and the largest finite value.
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    finite_floats,
+)
 
 
 def small_matrices(max_dim=6):
@@ -151,6 +159,37 @@ class TestCsvRoundTrip:
         back = read_matrix_csv(io.StringIO(buf.getvalue()))
         assert np.array_equal(back, np.asarray(rows, dtype=np.float64))
 
+    @settings(max_examples=200)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                      elements=edge_floats))
+    def test_round_trip_keeps_bits_and_signs(self, a):
+        buf = io.StringIO()
+        write_matrix_csv(a, buf)
+        buf.seek(0)
+        back = read_matrix_csv(buf)
+        assert np.array_equal(back, a)
+        assert np.array_equal(np.signbit(back), np.signbit(a))
+
+    @pytest.mark.parametrize("text", [
+        "2,2\r\n1.0,2.0\r\n3.0,4.0\r\n",  # CRLF line ends
+        "2,2\n1.0,2.0\n3.0,4.0",  # no final newline
+        "2,2\n1.0,2.0\n\n\n3.0,4.0\n\n",  # blank lines are skipped
+        "2,2\n 1.0 , 2.0\n3.0,\t4.0 \n",  # spaces around values
+    ])
+    def test_accepted(self, text):
+        assert np.array_equal(read_matrix_csv(io.StringIO(text)), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_crlf_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\r\n1.5,-0.0\r\n")
+        back = read_matrix_csv(path)
+        assert np.array_equal(back, [[1.5, 0.0]]) and np.signbit(back[0, 1])
+
+    def test_reads_open_stream_from_header(self):
+        buf = io.StringIO("preamble\n1,2\n1.0,2.0\n")
+        buf.readline()
+        assert np.array_equal(read_matrix_csv(buf), [[1.0, 2.0]])
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -160,11 +199,41 @@ class TestCsvRoundTrip:
             "1,2\n1.0\n",
             "1,1\nnot-a-number\n",
             "0,3\n",
+            "2,2\n1.0,2.0\n   \n3.0,4.0\n",  # whitespace-only line
+            "2,2\n1.0,2.0,\n3.0,4.0,\n",  # trailing comma
+            "2,2\n1.0,2.0\n3.0\n",  # one row short
+            "2,2\n1.0,2.0\n3.0,4.0,5.0\n",  # one row long
+            "2,2\n1.0,2.0,9.0\n3.0,4.0,5.0\n",  # every row long
+            "2,2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n",  # one extra row
+            "1,2\n1_000,2.0\n",  # a spelling only Python's float() reads
+            "1,2\n0x10,2.0\n",  # hex
+            "1,1\n#1.0\n",  # no comment syntax
         ],
     )
     def test_malformed_rejected(self, text):
         with pytest.raises(FormatError):
             read_matrix_csv(io.StringIO(text))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["2,2\n", "2,2"])
+    def test_header_only_is_format_error_without_warning(self, text):
+        with pytest.raises(FormatError, match="expected 2 data lines, found 0"):
+            read_matrix_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("a", [np.full((2, 2), 1.5), np.zeros((1, 1))])
+    def test_binary_matrix_is_named(self, tmp_path, a):
+        # 1.5 holds bytes that are not UTF-8; zeros decode as UTF-8 text
+        path = tmp_path / "m.enlm"
+        write_matrix_binary(a, path)
+        with pytest.raises(FormatError, match="ENLM binary matrix"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("lines", [0, 5000])  # 5000 lines put the byte past the first read
+    def test_undecodable_bytes(self, tmp_path, lines):
+        path = tmp_path / "m.csv"
+        path.write_bytes(f"{lines + 1},1\n".encode() + b"1.0\n" * lines + b"\xff\n")
+        with pytest.raises(FormatError, match="not UTF-8"):
+            read_matrix_csv(path)
 
     def test_nan_payload_is_numeric_error(self):
         with pytest.raises(NumericError):
