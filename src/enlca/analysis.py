@@ -73,8 +73,7 @@ def flop_count(method: str, n: int, c: int, c_out: int, m: Optional[int] = None)
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    if min(n, c, c_out) < 1:
-        raise ValueError(f"dimensions must be positive, got n={n}, c={c}, c_out={c_out}")
+    _check_dimensions(n, c, c_out)
     if method == "nla":
         macs = n * n * (c + c_out)
         m = None
@@ -86,6 +85,12 @@ def flop_count(method: str, n: int, c: int, c_out: int, m: Optional[int] = None)
             raise ValueError(f"the enlca count needs a positive sample count m, got {m}")
         macs = 2 * m * n * c + 2 * m * n * c_out
     return FlopModel(method=method, n=n, c=c, c_out=c_out, m=m, macs=macs, flops=FLOPS_PER_MAC * macs)
+
+
+def _check_dimensions(n: int, c: int, c_out: int) -> None:
+    """The one size check of the cost model and the sweeps."""
+    if min(n, c, c_out) < 1:
+        raise ValueError(f"dimensions must be positive, got n={n}, c={c}, c_out={c_out}")
 
 
 def flop_table(n: int = 10_000, c: int = 64, c_out: int = 64) -> list[FlopModel]:
@@ -134,6 +139,7 @@ def approximation_error_sweep(
     """
     if n > 4096:
         raise ValueError(f"the exact oracle is only run up to n=4096, got {n}")
+    _check_dimensions(n, c, c_out)
     if not m_list:
         raise ValueError("m_list must be non-empty")
     if trials < 1:
@@ -219,8 +225,10 @@ def runtime_scaling(
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3 for a stable median, got {repeats}")
     sizes = [int(n) for n in n_list]
-    if sorted(sizes) != sizes or any(n < 1 for n in sizes):
-        raise ValueError(f"n_list must be ascending and positive, got {sizes}")
+    if sorted(sizes) != sizes:
+        raise ValueError(f"n_list must be ascending, got {sizes}")
+    for n in sizes:
+        _check_dimensions(n, c, c_out)
     points = []
     for i, n in enumerate(sizes):
         theta = gaussian_sample(rng.stream(3 * i + 1), c, n)

@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage problem (bad flags, unreadable or
 malformed files, out-of-range values) or a closed stdout (a reader that
 quit early, as in `enlca flops | head -1`; this exit prints nothing), 2
 numeric failure (shape mismatch, overflow). Flag pairings are checked
-before anything is computed, so a usage error prints no partial result.
+before anything is computed, and results and files are complete before
+the first print, so a failed call prints no partial result.
 
 The base seed is --seed, 0 by default. Stream layout per invocation:
 derived transform weights come from stream offset 1, the attention
@@ -36,7 +37,7 @@ from .analysis import (
     write_sweep_csv,
 )
 from .contrastive import ContrastiveConfig, contrastive_loss, reconstruction_loss, relevance_scores, total_loss
-from .enla import EnlaConfig, enla_forward, enlca_block, normalize_and_scale, random_block_params
+from .enla import EnlaConfig, block_inputs, enla_forward, enlca_block, random_block_params
 from .exact import correlation_map, exact_attention, shannon_entropy
 from .features import kernel_variance_empirical, phi, sample_projection
 from .matrices import (
@@ -104,13 +105,12 @@ def _block_params(args, base: RngSpec, **projection):
 
 
 def _resolve_inputs(args, base: RngSpec, paths, **projection):
-    """([q, k, v], config): q, k, v derived from --features, or else the
-    matrices at `paths` (--q, --k and, if taken, --v) used as given."""
+    """((q, k, v), config): q, k, v derived from --features as the block
+    derives them, or else the matrices at `paths` (--q, --k and, if taken,
+    --v) used as given."""
     if args.features is not None:
         x, params = _block_params(args, base, **projection)
-        config = params.config
-        q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, config.k_amp, config.epsilon)
-        return [q, k, params.w_psi.T @ x], config
+        return block_inputs(x, params), params.config
     flags = ("--q", "--k", "--v")[:len(paths)]
     missing = [flag for flag, path in zip(flags, paths) if path is None]
     if missing:
@@ -121,9 +121,9 @@ def _resolve_inputs(args, base: RngSpec, paths, **projection):
 def _cmd_exact(args) -> int:
     (q, k, v), _ = _resolve_inputs(args, RngSpec(args.seed), (args.q, args.k, args.v))
     result = exact_attention(q, k, v, keep_weights=args.weights_out is not None)
-    _emit_matrix(result.y, args.out)
     if args.weights_out is not None:
         write_matrix_csv(result.weights, args.weights_out)
+    _emit_matrix(result.y, args.out)
     return 0
 
 
@@ -179,8 +179,9 @@ def _cmd_variance_sweep(args) -> int:
 
 def _cmd_flops(args) -> int:
     if args.method is None:
+        rows = flop_table(n=args.n, c=args.c, c_out=args.cout)
         print(f"{'method':<14}{'MACs':>16}{'GFLOPs':>10}")
-        for row in flop_table(n=args.n, c=args.c, c_out=args.cout):
+        for row in rows:
             label = row.method if row.m is None else f"{row.method}-m{row.m}"
             print(f"{label:<14}{row.macs:>16,}{row.gflops:>10.2f}")
         return 0
@@ -199,11 +200,12 @@ def _cmd_contrastive(args) -> int:
     else:
         raise UsageError("give --t, or both --q and --k")
     cl = contrastive_loss(scores, cfg)
-    print(f"contrastive_loss {_fmt(cl)}")
+    lines = [f"contrastive_loss {_fmt(cl)}"]
     if args.sr is not None:
         rec = reconstruction_loss(_load_matrix(args.sr), _load_matrix(args.hr))
-        print(f"reconstruction_loss {_fmt(rec)}")
-        print(f"total_loss {_fmt(total_loss(rec, cl, args.lambda_cl))}")
+        lines += [f"reconstruction_loss {_fmt(rec)}",
+                  f"total_loss {_fmt(total_loss(rec, cl, args.lambda_cl))}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -215,25 +217,26 @@ def _cmd_corr_map(args) -> int:
         cmap = correlation_map(q, k, args.query_index)
     except IndexError as exc:
         raise UsageError(str(exc)) from None
-    print(f"entropy {_fmt(shannon_entropy(cmap))}")
+    entropy = shannon_entropy(cmap)
     if args.out is not None:
         export_correlation_pgm(cmap, args.height, args.width, args.out)
     if args.csv_out is not None:
         write_matrix_csv(cmap[None, :], args.csv_out)
+    print(f"entropy {_fmt(entropy)}")
     return 0
 
 
 def _cmd_bench(args) -> int:
     n_list = _parse_list(args.n_list, "--n-list")
     result = runtime_scaling(n_list, args.c, args.cout, args.m, args.repeats, RngSpec(args.seed))
+    if args.out is not None:
+        write_sweep_csv(result, args.out)
     for label in ("exact", "enla"):
         for n, seconds in zip(result.column("x"), result.column(label)):
             print(f"{label} n={int(n)} seconds={_fmt(seconds)}")
     for label in ("exact", "enla"):
         for n0, n1, ratio in consecutive_ratios(result, label):
             print(f"{label} ratio {int(n0)}->{int(n1)} {_fmt(ratio)}")
-    if args.out is not None:
-        write_sweep_csv(result, args.out)
     return 0
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
 from .features import _exp_features, _finite_or_zero, _half_sq_norms, phi, sample_projection  # noqa: F401
-from .matrices import RngSpec, ShapeError, as_matrix, check_settings, normalize_columns
+from .matrices import RngSpec, ShapeError, _validated_qkv, as_matrix, check_settings, normalize_columns
 
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
 # (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
@@ -35,6 +35,7 @@ __all__ = [
     "EnlaConfig",
     "EnlcaBlockParams",
     "NormalizerUnderflowWarning",
+    "block_inputs",
     "enla_forward",
     "enlca_block",
     "normalize_and_scale",
@@ -105,13 +106,7 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K), with S_K the final key
     shift.
     """
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    v = as_matrix(v, "v")
-    if q.shape != k.shape:
-        raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
-    if v.shape[1] != q.shape[1]:
-        raise ShapeError(f"v has {v.shape[1]} positions, q/k have {q.shape[1]}")
+    q, k, v = _validated_qkv(q, k, v)
     f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
     c_out, n = v.shape
     width = min(n, CHUNK)
@@ -158,10 +153,8 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
 
 
 def _shift_query(top, start, stop):
-    """Each query column's own max of F q; it cancels per output column.
-    A column whose projections all overflowed to -inf gets 0 features."""
-    top[top == -math.inf] = 0.0
-    return top
+    """Each query column's own max of F q; it cancels per output column."""
+    return _finite_or_zero(top)
 
 
 @dataclass(frozen=True)
@@ -204,17 +197,22 @@ class EnlcaBlockParams:
         return self.w_theta.shape[1]
 
 
-def enlca_block(x, params: EnlcaBlockParams) -> np.ndarray:
-    """One attention block with a residual connection: the input is
-    embedded, normalized and amplified, run through the randomized
-    forward against w_psi-transformed values, and added back onto x."""
+def block_inputs(x, params: EnlcaBlockParams):
+    """The block's (q, k, v) for an input x (c_in x N): x embedded by w_theta
+    and w_delta, normalized and amplified, and x transformed by w_psi."""
     x = as_matrix(x, "x")
     if x.shape[0] != params.c_in:
         raise ShapeError(f"x has {x.shape[0]} channels, block expects {params.c_in}")
     cfg = params.config
     q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, cfg.k_amp, cfg.epsilon)
-    v = params.w_psi.T @ x
-    return x + enla_forward(q, k, v, cfg)
+    return q, k, params.w_psi.T @ x
+
+
+def enlca_block(x, params: EnlcaBlockParams) -> np.ndarray:
+    """One attention block with a residual connection: the randomized
+    forward over block_inputs(x), added back onto x."""
+    x = as_matrix(x, "x")
+    return x + enla_forward(*block_inputs(x, params), params.config)
 
 
 def random_block_params(rng: RngSpec, c_in: int, c_embed: int, config: EnlaConfig) -> EnlcaBlockParams:

@@ -4,8 +4,8 @@ Every output position is the softmax-weighted sum of all value columns,
 with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that the linear-complexity path is checked against.
 
-Evaluation is chunked over query positions so the N x N weight matrix is
-never materialized unless explicitly requested.
+Evaluation is chunked over query positions, CHUNK at a time, so the
+N x N weight matrix is never materialized unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .matrices import ShapeError, as_matrix
+from .matrices import ShapeError, _validated_qkv, as_matrix
+
+# Query positions per chunk of weight rows: the transient is CHUNK x N.
+CHUNK = 256
 
 __all__ = [
     "AttentionOutput",
@@ -35,17 +38,13 @@ class AttentionOutput:
     weights: Optional[np.ndarray] = None
 
 
-def _validated_qkv(q, k, v):
+def _validated_qk(q, k):
+    """q and k with equal channel counts; their position counts may differ."""
     q = as_matrix(q, "q")
     k = as_matrix(k, "k")
-    v = as_matrix(v, "v")
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"q and k need equal channel counts, got {q.shape} vs {k.shape}")
-    if q.shape[1] != k.shape[1] or q.shape[1] != v.shape[1]:
-        raise ShapeError(
-            f"q, k, v need equal position counts, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    return q, k, v
+    return q, k
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -58,19 +57,26 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
 
 
-def exact_attention(q, k, v, keep_weights: bool = False, chunk_size: int = 256) -> AttentionOutput:
+def _weight_rows(q, k):
+    """Yield (start, stop, w) with w the exact weight rows of queries
+    start..stop-1 against all keys, CHUNK queries at a time."""
+    n = q.shape[1]
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        yield start, stop, _softmax_rows(q[:, start:stop].T @ k)
+
+
+def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
     """Full-precision attention output for q, k (c x N) and v (c_out x N).
 
-    Work and transient memory are O(chunk_size * N); weights are stored
-    only when keep_weights is True, which costs O(N^2) memory.
+    Transient memory is O(CHUNK * N); weights are stored only when
+    keep_weights is True, which costs O(N^2) memory.
     """
     q, k, v = _validated_qkv(q, k, v)
     n = q.shape[1]
     y = np.empty((v.shape[0], n), dtype=np.float64)
     weights = np.empty((n, n), dtype=np.float64) if keep_weights else None
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        w = _softmax_rows(q[:, start:stop].T @ k)
+    for start, stop, w in _weight_rows(q, k):
         y[:, start:stop] = v @ w.T
         if keep_weights:
             weights[start:stop] = w
@@ -81,10 +87,7 @@ def correlation_map(q, k, query_index: int) -> np.ndarray:
     """Softmax-normalized relevance of one query position against all
     positions: length-N vector. Reshaping to an h x w image is the
     caller's concern."""
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    if q.shape[0] != k.shape[0]:
-        raise ShapeError(f"q and k need equal channel counts, got {q.shape} vs {k.shape}")
+    q, k = _validated_qk(q, k)
     if not 0 <= query_index < q.shape[1]:
         raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
     logits = k.T @ q[:, query_index]
@@ -101,16 +104,11 @@ def shannon_entropy(p) -> float:
     return float(_row_entropies(p[None, :])[0])
 
 
-def attention_row_entropies(q, k, chunk_size: int = 256) -> np.ndarray:
+def attention_row_entropies(q, k) -> np.ndarray:
     """Per-query Shannon entropy of the exact attention weight rows,
     computed without holding the full weight matrix."""
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    if q.shape[0] != k.shape[0]:
-        raise ShapeError(f"q and k need equal channel counts, got {q.shape} vs {k.shape}")
-    n = q.shape[1]
-    out = np.empty(n, dtype=np.float64)
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        out[start:stop] = _row_entropies(_softmax_rows(q[:, start:stop].T @ k))
+    q, k = _validated_qk(q, k)
+    out = np.empty(q.shape[1], dtype=np.float64)
+    for start, stop, w in _weight_rows(q, k):
+        out[start:stop] = _row_entropies(w)
     return out

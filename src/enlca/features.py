@@ -94,15 +94,13 @@ def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int, orthogonal:
     if m < 1 or c < 1:
         raise ShapeError(f"projection shape must be positive, got ({m}, {c})")
     gen = rng.generator()
-    # gen starts on rng's own stream, the one sample_projection draws
-    fresh = None if offsets == range(1) else gen.bit_generator.state
+    fresh = gen.bit_generator.state
     for first in range(0, len(offsets), _TRIAL_BLOCK):
         block = offsets[first:first + _TRIAL_BLOCK]
         f = np.empty((len(block), m, c))
         for j, offset in enumerate(block):
-            if fresh is not None:
-                fresh["state"]["key"][1] = (rng.stream_id + offset) & _U64_MAX
-                gen.bit_generator.state = fresh
+            fresh["state"]["key"][1] = (rng.stream_id + offset) & _U64_MAX
+            gen.bit_generator.state = fresh
             gen.standard_normal(out=f[j])
         if orthogonal:
             _orthogonalize(f)
@@ -159,10 +157,11 @@ def _half_sq_norms(u: np.ndarray) -> np.ndarray:
         return 0.5 * np.einsum("ij,ij->j", u, u)
 
 
-def _finite_or_zero(shift: float) -> float:
-    """A shift of -inf means every exponent it covers is -inf; any finite
+def _finite_or_zero(shift):
+    """The shift, a scalar or one entry per column, with each -inf set to
+    0. A shift of -inf means every exponent it covers is -inf; any finite
     shift then gives the correct 0 features, where -inf would give NaN."""
-    return shift if math.isfinite(shift) else 0.0
+    return np.where(np.isfinite(shift), shift, 0.0)
 
 
 def _exp_features(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndarray, shift) -> None:

@@ -88,6 +88,19 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def _validated_qkv(q, k, v):
+    """The one (q, k, v) contract of the exact oracle and the randomized
+    forward: q and k are c x N of equal shape, v is c_out x N."""
+    q = as_matrix(q, "q")
+    k = as_matrix(k, "k")
+    v = as_matrix(v, "v")
+    if q.shape != k.shape:
+        raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
+    if v.shape[1] != q.shape[1]:
+        raise ShapeError(f"v has {v.shape[1]} positions, q/k have {q.shape[1]}")
+    return q, k, v
+
+
 def as_vector(data, name: str = "vector") -> np.ndarray:
     """Validate `data` as a finite float64 1-D array and return it."""
     v = np.asarray(data, dtype=np.float64)

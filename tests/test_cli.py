@@ -144,6 +144,15 @@ class TestBlockCommand:
         assert code == 0
         assert read_matrix_csv(out).shape == (12, 36)
 
+    def test_is_x_plus_derived_enla(self, matrices, tmp_path, capsys):
+        flags = ["--features", matrices["features"], "--c-embed", "6", "--m", "32",
+                 "--k-amp", "3", "--orthogonal", "--seed", "8"]
+        block_path, enla_path = tmp_path / "block.csv", tmp_path / "enla.csv"
+        assert run(capsys, "block", *flags, "--out", str(block_path))[0] == 0
+        assert run(capsys, "enla", *flags, "--out", str(enla_path))[0] == 0
+        x = read_matrix_csv(matrices["features"])
+        assert np.array_equal(read_matrix_csv(block_path), x + read_matrix_csv(enla_path))
+
     def test_requires_features(self, matrices, capsys):
         code, _, err = run(capsys, "block", "--q", matrices["q"], "--k", matrices["k"],
                            "--v", matrices["v"])
@@ -354,9 +363,15 @@ class TestErrorPaths:
         (["variance", "--k-amp", "0.5", "--trials", "10"], "k_amp must be >= 1, got 0.5"),
         (["variance", "--k-amp", "-1", "--trials", "10"], "k_amp must be >= 1, got -1.0"),
         (["variance-sweep", "--k-list", "nan", "--trials", "10"], "k_amp must be >= 1, got nan"),
+        (["flops", "--n", "0"], "dimensions must be positive, got n=0, c=64, c_out=64"),
+        (["approx-sweep", "--n", "0", "--m-list", "8"], "dimensions must be positive, got n=0, c=8"),
+        (["approx-sweep", "--n", "16", "--c", "0", "--m-list", "8"], "got n=16, c=0, c_out=8"),
+        (["approx-sweep", "--n", "16", "--cout", "0", "--m-list", "8"], "got n=16, c=8, c_out=0"),
+        (["bench", "--n-list", "16", "--c", "0"], "dimensions must be positive, got n=16, c=0"),
     ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp",
             "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
-            "variance-sweep --k-list nan"])
+            "variance-sweep --k-list nan", "flops --n", "approx-sweep --n", "approx-sweep --c",
+            "approx-sweep --cout", "bench --c"])
     def test_out_of_range_value_is_usage_error(self, matrices, tmp_path, capsys, argv, message):
         names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
                  "OUT": str(tmp_path / "out.csv")}
@@ -373,6 +388,24 @@ class TestErrorPaths:
                  "map.pgm": str(tmp_path / "map.pgm")}
         code, out, err = run(capsys, *[names.get(a, a) for a in argv])
         assert code == 1 and out == "" and err.startswith("error: ")
+        assert not (tmp_path / "map.pgm").exists()
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["corr-map", "--features", "X", "--height", "3", "--width", "5", "--out", "map.pgm"], 2,
+         "does not reshape to 3x5"),
+        (["contrastive", "--q", "Q", "--k", "K", "--n1", "0.1", "--n2", "0.3", "--sr", "Q", "--hr", "X"], 2,
+         "sr and hr need equal shapes"),
+        (["exact", "--q", "Q", "--k", "K", "--v", "Q", "--weights-out", "NODIR"], 1, "No such file"),
+        (["bench", "--n-list", "16", "--c", "2", "--cout", "2", "--m", "4", "--out", "NODIR"], 1,
+         "No such file"),
+    ], ids=["corr-map --out of the wrong size", "contrastive --sr/--hr mismatch",
+            "exact --weights-out unwritable", "bench --out unwritable"])
+    def test_failed_call_prints_nothing(self, matrices, tmp_path, capsys, argv, code, message):
+        names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
+                 "map.pgm": str(tmp_path / "map.pgm"), "NODIR": str(tmp_path / "missing" / "out.csv")}
+        got, out, err = run(capsys, *[names.get(a, a) for a in argv])
+        assert got == code and out == ""
+        assert err.startswith("error: ") and message in err
         assert not (tmp_path / "map.pgm").exists()
 
 

@@ -11,6 +11,7 @@ from enlca.enla import (
     EnlaConfig,
     EnlcaBlockParams,
     NormalizerUnderflowWarning,
+    block_inputs,
     enla_forward,
     enlca_block,
     normalize_and_scale,
@@ -388,3 +389,13 @@ class TestEnlcaBlock:
         params = random_block_params(RngSpec(43), 6, 3, EnlaConfig(rng=RngSpec(44)))
         with pytest.raises(ShapeError):
             enlca_block(np.zeros((5, 4)), params)
+        with pytest.raises(ShapeError):
+            block_inputs(np.zeros((5, 4)), params)
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_is_residual_forward_over_block_inputs(self, orthogonal):
+        x = gaussian_sample(RngSpec(45), 9, 2 * CHUNK + 5)
+        config = EnlaConfig(rng=RngSpec(46), m=16, orthogonal=orthogonal)
+        params = random_block_params(RngSpec(47), 9, 4, config)
+        expected = x + enla_forward(*block_inputs(x, params), params.config)
+        assert np.array_equal(enlca_block(x, params), expected)

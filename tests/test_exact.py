@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from enlca.enla import normalize_and_scale
+from enlca import exact
+from enlca.enla import EnlaConfig, enla_forward, normalize_and_scale
 from enlca.exact import (
     attention_row_entropies,
     correlation_map,
@@ -72,10 +73,12 @@ def test_key_shift_invariance():
     assert np.abs(exact_attention(q, k, v).y - shifted).max() < 1e-9
 
 
-def test_chunking_does_not_change_results():
+def test_chunking_does_not_change_results(monkeypatch):
     q, k, v = seeded_instance(19, c=5, c_out=4, n=37)
-    full = exact_attention(q, k, v, chunk_size=37).y
-    tiny = exact_attention(q, k, v, chunk_size=3).y
+    monkeypatch.setattr(exact, "CHUNK", 37)
+    full = exact_attention(q, k, v).y
+    monkeypatch.setattr(exact, "CHUNK", 3)
+    tiny = exact_attention(q, k, v).y
     assert np.abs(full - tiny).max() < 1e-12
 
 
@@ -89,6 +92,27 @@ def test_shape_validation():
         exact_attention(np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 4)))
     with pytest.raises(ShapeError):
         exact_attention(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 5)))
+
+
+# Malformed (q, k, v) triples; the oracle and the randomized forward share one contract.
+MALFORMED_QKV = {
+    "channel mismatch": ((3, 4), (2, 4), (3, 4)),
+    "q/k position mismatch": ((3, 4), (3, 5), (3, 4)),
+    "v position mismatch": ((3, 4), (3, 4), (3, 5)),
+    "v channels and positions": ((3, 4), (3, 4), (2, 5)),
+    "q not 2-D": ((4,), (3, 4), (3, 4)),
+    "v empty": ((3, 4), (3, 4), (3, 0)),
+}
+
+
+@pytest.mark.parametrize("shapes", MALFORMED_QKV.values(), ids=MALFORMED_QKV.keys())
+def test_oracle_and_forward_reject_alike(shapes):
+    q, k, v = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(ShapeError) as oracle:
+        exact_attention(q, k, v)
+    with pytest.raises(ShapeError) as forward:
+        enla_forward(q, k, v, EnlaConfig(rng=RngSpec(0), m=8))
+    assert str(oracle.value) == str(forward.value)
 
 
 class TestCorrelationMap:
