@@ -19,7 +19,7 @@ from typing import IO, Optional, Sequence, Union
 
 import numpy as np
 
-from .enla import EnlaConfig, enla_forward, normalize_and_scale
+from .enla import EnlaConfig, _prefix_forwards, enla_forward, normalize_and_scale
 from .exact import exact_attention
 from .features import kernel_variance_empirical, kernel_variance_theory
 from .matrices import NumericError, RngSpec, _open_for, check_settings, gaussian_sample
@@ -133,9 +133,12 @@ def approximation_error_sweep(
     """Median relative Frobenius error of the randomized forward against
     the exact oracle, per sample count.
 
-    The instance (q, k, v) is fixed by `rng` and shared across all m;
-    trial t of every m draws its projection from rng.stream(16 + t), so
-    sample counts are compared on common random numbers.
+    The instance (q, k, v) is fixed by `rng` and shared across all m.
+    Trial t draws one projection, with the largest m rows, from
+    rng.stream(16 + t), and each m uses its first m rows, so sample counts
+    are compared on common random numbers and each trial's features are
+    evaluated once. An iid draw fills rows in order, so the first m rows
+    are the projection a forward with that m draws from the same stream.
     """
     if n > 4096:
         raise ValueError(f"the exact oracle is only run up to n=4096, got {n}")
@@ -144,20 +147,22 @@ def approximation_error_sweep(
         raise ValueError("m_list must be non-empty")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    ms = sorted(set(int(m) for m in m_list))
     theta = gaussian_sample(rng.stream(1), c, n)
     delta = gaussian_sample(rng.stream(2), c, n)
     v = gaussian_sample(rng.stream(3), c_out, n)
     q, k = normalize_and_scale(theta, delta, k_amp)
+    check_settings(m=ms[0])
     reference = exact_attention(q, k, v).y
     ref_norm = float(np.linalg.norm(reference))
-    points = []
-    for m in sorted(set(int(m) for m in m_list)):
-        errors = np.empty(trials)
-        for t in range(trials):
-            config = EnlaConfig(rng=rng.stream(16 + t), m=m, k_amp=k_amp)
-            approx = enla_forward(q, k, v, config)
-            errors[t] = float(np.linalg.norm(approx - reference)) / ref_norm
-        points.append((float(m), float(np.median(errors))))
+    errors = np.empty((len(ms), trials))
+    for t in range(trials):
+        config = EnlaConfig(rng=rng.stream(16 + t), m=ms[-1], k_amp=k_amp)
+        trial = []
+        _prefix_forwards(q, k, v, config, ms, lambda approx: trial.append(
+            float(np.linalg.norm(approx - reference)) / ref_norm))
+        errors[:, t] = trial
+    points = [(float(m), float(np.median(row))) for m, row in zip(ms, errors)]
     return SweepTable(axis="m", metric_kind="rel_error", columns=("x", "value"), points=tuple(points))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import ShapeError, as_matrix, check_settings, normalize_columns
+from .matrices import ShapeError, _matrix_pair, as_matrix, check_settings, normalize_columns
 
 __all__ = [
     "ContrastiveConfig",
@@ -50,10 +50,7 @@ def relevance_scores(q, k, k_amp: float) -> np.ndarray:
     """N x N matrix of amplified cosines: entry (i, j) is k_amp times the
     cosine between query column i and key column j. Invariant to positive
     rescaling of any input column."""
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
-    if q.shape != k.shape:
-        raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
+    q, k = _matrix_pair(q, k, "q", "k")
     check_settings(k_amp=k_amp)
     return k_amp * (normalize_columns(q).T @ normalize_columns(k))
 
@@ -93,10 +90,7 @@ def _log_mean_exp(group: np.ndarray) -> np.ndarray:
 
 def reconstruction_loss(sr, hr) -> float:
     """Mean absolute elementwise difference between two images/feature maps."""
-    sr = as_matrix(sr, "sr")
-    hr = as_matrix(hr, "hr")
-    if sr.shape != hr.shape:
-        raise ShapeError(f"sr and hr need equal shapes, got {sr.shape} vs {hr.shape}")
+    sr, hr = _matrix_pair(sr, hr, "sr", "hr")
     return float(np.abs(hr - sr).mean())
 
 

@@ -6,7 +6,9 @@ estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
 exists and one GEMM yields both the numerator rows and the normalizer
 row. Both phi(K) and phi(Q) are streamed in column chunks through one
 reused m x CHUNK feature buffer, so the forward's extra memory is that
-buffer plus the (c_out + 1) x N output. The multiply-add count is
+buffer plus the (c_out + 1) x N output. The same loop evaluates several
+sample counts as row prefixes of one projection, for the
+approximation-error sweep. The multiply-add count is
 2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
 keeps the published convention, which excludes the normalizer.
 
@@ -25,7 +27,9 @@ import numpy as np
 
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
 from .features import _exp_features, _finite_or_zero, _half_sq_norms, phi, sample_projection  # noqa: F401
-from .matrices import RngSpec, ShapeError, _validated_qkv, as_matrix, check_settings, normalize_columns
+from .matrices import (
+    RngSpec, ShapeError, _matrix_pair, _validated_qkv, as_matrix, check_settings, normalize_columns,
+)
 
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
 # (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
@@ -73,12 +77,7 @@ def normalize_and_scale(theta_out, delta_out, k_amp: float, epsilon: float = 1e-
     sqrt(k_amp), so every surviving column has norm sqrt(k_amp) and
     q_i . k_j = k_amp * cos(angle) stays within [-k_amp, k_amp].
     """
-    theta_out = as_matrix(theta_out, "theta output")
-    delta_out = as_matrix(delta_out, "delta output")
-    if theta_out.shape != delta_out.shape:
-        raise ShapeError(
-            f"query/key maps need equal shapes, got {theta_out.shape} vs {delta_out.shape}"
-        )
+    theta_out, delta_out = _matrix_pair(theta_out, delta_out, "theta output", "delta output")
     check_settings(k_amp=k_amp)
     scale = np.sqrt(k_amp)
     q = scale * normalize_columns(theta_out, epsilon)
@@ -106,16 +105,43 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K), with S_K the final key
     shift.
     """
+    outputs = []
+    _prefix_forwards(q, k, v, config, [config.m], outputs.append)
+    return outputs[0]
+
+
+def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
+    """Call emit with enla_forward's output for each sample count in the
+    ascending list ms, in order, all from one projection of ms[-1] rows
+    drawn from config.rng: the output for m uses its first m rows. An iid
+    draw fills rows in order, so each output is the forward of config with
+    that m, up to rounding; the first is bit-identical to it.
+
+    The rows are processed in segments [m_{i-1}, m_i), each through the
+    key pass and then the query pass of enla_forward. Output i accumulates
+    in one (c_out + 1) x N block: when a segment raises the key shift or a
+    query column's shift, what the earlier segments made is rescaled by
+    exp(old - new), so output i is stabilized, floored and reported in the
+    units enla_forward(m_i) documents. The first segment writes the block
+    without a rescale and the last output is divided in place.
+
+    A callback and not a generator: a generator's frame is allocated per
+    call, and repeated 40 000-column forwards through one then read a
+    process peak two output blocks (9.8 MB) higher.
+    """
     q, k, v = _validated_qkv(q, k, v)
-    f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
+    f = sample_projection(config.rng, ms[-1], q.shape[0], config.orthogonal).f
     c_out, n = v.shape
     width = min(n, CHUNK)
-    features = np.empty((config.m, width))
+    features = np.empty((ms[-1], width))
     # [V_b; 1] per chunk: the ones row makes the last column of kv the key sum
     staged = np.empty((c_out + 1, width))
     staged[-1] = 1.0
-    kv = np.zeros((config.m, c_out + 1))
+    kv = np.zeros((ms[-1], c_out + 1))
     key_shift = -math.inf
+    # each query column's running max of F q, which later segments rescale
+    # by; one prefix has no later segment and allocates what it always did
+    query_shift = np.full(n, -math.inf) if len(ms) > 1 else None
 
     def shift_keys(top, start, stop):
         nonlocal key_shift, kv
@@ -126,35 +152,63 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
             key_shift = raised
         return half_sq + _finite_or_zero(key_shift)
 
-    for start in range(0, n, CHUNK):
-        stop = min(n, start + CHUNK)
-        block = features[:, :stop - start]
-        _exp_features(f, k, start, stop, block, shift_keys)
-        staged[:-1, :stop - start] = v[:, start:stop]
-        kv += block @ staged[:, :stop - start].T
+    def shift_queries(top, start, stop):
+        """Each query column's max of F q over the rows so far; it cancels
+        per output column."""
+        if query_shift is None:
+            return _finite_or_zero(top)
+        seen = query_shift[start:stop]
+        np.maximum(seen, top, out=seen)
+        return _finite_or_zero(seen)
 
-    out = np.empty((c_out + 1, n))
-    for start in range(0, n, CHUNK):
-        stop = min(n, start + CHUNK)
-        block = features[:, :stop - start]
-        _exp_features(f, q, start, stop, block, _shift_query)
-        np.matmul(kv.T, block, out=out[:, start:stop])
-    numerator, d = out[:-1], out[-1]
-    low = d < config.epsilon
-    if low.any():
-        warnings.warn(
-            f"{int(low.sum())} normalizer entries below epsilon={config.epsilon} were floored",
-            NormalizerUnderflowWarning,
-            stacklevel=2,
-        )
-        np.maximum(d, config.epsilon, out=d)
-    numerator /= d
-    return numerator
+    low = 0
+    for high in ms:
+        rows = f[low:high]
+        shift_before = key_shift
+        for start in range(0, n, CHUNK):
+            stop = min(n, start + CHUNK)
+            block = features[:high - low, :stop - start]
+            _exp_features(rows, k, start, stop, block, shift_keys)
+            staged[:-1, :stop - start] = v[:, start:stop]
+            kv[low:high] += block @ staged[:, :stop - start].T
+        key_rescale = math.exp(shift_before - key_shift) if key_shift > shift_before else 1.0
+        if low == 0:
+            # after the first key pass, where the forward always made it
+            acc = np.empty((c_out + 1, n))
+        for start in range(0, n, CHUNK):
+            stop = min(n, start + CHUNK)
+            block = features[:high - low, :stop - start]
+            if low == 0:
+                _exp_features(rows, q, start, stop, block, shift_queries)
+                np.matmul(kv[:high].T, block, out=acc[:, start:stop])
+            else:
+                before = query_shift[start:stop].copy()
+                _exp_features(rows, q, start, stop, block, shift_queries)
+                acc[:, start:stop] *= key_rescale * _rescale(before, query_shift[start:stop])
+                acc[:, start:stop] += kv[low:high].T @ block
+
+        out = acc if high == ms[-1] else acc.copy()
+        numerator, d = out[:-1], out[-1]
+        floored = d < config.epsilon
+        if floored.any():
+            warnings.warn(
+                f"{int(floored.sum())} normalizer entries below epsilon={config.epsilon} were floored",
+                NormalizerUnderflowWarning,
+                stacklevel=3,
+            )
+            np.maximum(d, config.epsilon, out=d)
+        numerator /= d
+        emit(numerator)
+        low = high
 
 
-def _shift_query(top, start, stop):
-    """Each query column's own max of F q; it cancels per output column."""
-    return _finite_or_zero(top)
+def _rescale(old, new):
+    """exp(old - new) per column for a running shift that went from old to
+    new; 1 where it did not rise, so a column still at -inf stays at 1 and
+    never meets exp(-inf + inf). A column that rises from -inf holds
+    zeros and gets 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(np.where(new > old, old - new, 0.0))
 
 
 @dataclass(frozen=True)
@@ -172,13 +226,8 @@ class EnlcaBlockParams:
     config: EnlaConfig
 
     def __post_init__(self):
-        w_theta = as_matrix(self.w_theta, "w_theta")
-        w_delta = as_matrix(self.w_delta, "w_delta")
+        w_theta, w_delta = _matrix_pair(self.w_theta, self.w_delta, "w_theta", "w_delta")
         w_psi = as_matrix(self.w_psi, "w_psi")
-        if w_theta.shape != w_delta.shape:
-            raise ShapeError(
-                f"w_theta and w_delta need equal shapes, got {w_theta.shape} vs {w_delta.shape}"
-            )
         c_in, c_embed = w_theta.shape
         if c_embed > c_in:
             raise ShapeError(f"embedding width {c_embed} exceeds input channels {c_in}")

@@ -4,8 +4,10 @@ Every output position is the softmax-weighted sum of all value columns,
 with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that the linear-complexity path is checked against.
 
-Evaluation is chunked over query positions, CHUNK at a time, so the
-N x N weight matrix is never materialized unless explicitly requested.
+Evaluation is chunked over query positions, CHUNK at a time, and each
+chunk's weight rows are formed and softmax-normalized in place in one
+reused CHUNK x N buffer, so the N x N weight matrix is never
+materialized unless explicitly requested.
 """
 
 from __future__ import annotations
@@ -48,8 +50,11 @@ def _validated_qk(q, k):
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax of each row, computed in place; returns `logits`."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:
@@ -59,11 +64,15 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
 
 def _weight_rows(q, k):
     """Yield (start, stop, w) with w the exact weight rows of queries
-    start..stop-1 against all keys, CHUNK queries at a time."""
+    start..stop-1 against all keys, CHUNK queries at a time. Every w is a
+    view of one reused CHUNK x N buffer, valid until the next step."""
     n = q.shape[1]
+    buffer = np.empty((min(n, CHUNK), k.shape[1]))
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        yield start, stop, _softmax_rows(q[:, start:stop].T @ k)
+        w = buffer[:stop - start]
+        np.matmul(q[:, start:stop].T, k, out=w)
+        yield start, stop, _softmax_rows(w)
 
 
 def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:

@@ -88,14 +88,21 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def _matrix_pair(a, b, name_a: str, name_b: str):
+    """a and b validated by as_matrix under their names, with the one
+    equal-shape rule for a pair of operands."""
+    a = as_matrix(a, name_a)
+    b = as_matrix(b, name_b)
+    if a.shape != b.shape:
+        raise ShapeError(f"{name_a} and {name_b} need equal shapes, got {a.shape} vs {b.shape}")
+    return a, b
+
+
 def _validated_qkv(q, k, v):
     """The one (q, k, v) contract of the exact oracle and the randomized
     forward: q and k are c x N of equal shape, v is c_out x N."""
-    q = as_matrix(q, "q")
-    k = as_matrix(k, "k")
+    q, k = _matrix_pair(q, k, "q", "k")
     v = as_matrix(v, "v")
-    if q.shape != k.shape:
-        raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
     if v.shape[1] != q.shape[1]:
         raise ShapeError(f"v has {v.shape[1]} positions, q/k have {q.shape[1]}")
     return q, k, v
@@ -198,27 +205,76 @@ def read_matrix_csv(src: Union[str, Path, IO[str]]) -> np.ndarray:
     are skipped, spaces around a value and CRLF line ends are accepted, and
     spellings beyond plain decimals, such as `1_000` or hex, are rejected.
     An open text stream is read from its current position, which must be
-    the start of the header line."""
+    the start of the header line. A malformed line is reported by its line
+    number in the file, counting the header and blank lines."""
     with _open_for(src, "r") as fp:
         try:
             rows, cols = _csv_shape(fp.readline())
-            with warnings.catch_warnings():
-                # a header-only file is reported below by its row count
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                body = np.loadtxt(fp, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            body_start = _position(fp)
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below by its row count
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    body = _parse_rows(fp)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as exc:
+                raise FormatError(_first_bad_line(fp, body_start, cols, exc)) from None
         except UnicodeDecodeError as exc:
             if exc.object.startswith(_BINARY_MAGIC):
                 raise FormatError(_ENLM_NOT_CSV) from None
             raise FormatError(f"not UTF-8 text ({exc.reason})") from None
-        except FormatError:
-            raise
-        except ValueError as exc:
-            raise FormatError(f"after the header: {exc}") from None
     if body.shape[0] != rows:
         raise FormatError(f"expected {rows} data lines, found {body.shape[0]}")
     if body.shape[1] != cols:
         raise FormatError(f"expected {cols} values per line, got {body.shape[1]}")
     return as_matrix(body, "CSV matrix")
+
+
+def _position(fp):
+    """fp.tell(), or None for a stream that cannot tell: a pipe, or a file
+    that the caller is iterating."""
+    try:
+        return fp.tell()
+    except OSError:
+        return None
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """The CSV data lines as a 2-D float64 array, by numpy's C tokenizer."""
+    return np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+
+
+def _first_bad_line(fp, body_start, cols: int, exc: ValueError) -> str:
+    """Where the data lines, which numpy rejected, first break the format:
+    the line number in the file and the count or the value at fault. Only
+    runs after a failed read. A source without a position to seek back to
+    gets numpy's reason without its row numbers, which skip blank lines."""
+    if body_start is not None:
+        fp.seek(body_start)
+        for number, line in enumerate(fp, start=2):
+            fields = line.rstrip("\r\n").split(",")
+            if fields == [""]:
+                continue  # a blank line, skipped as the tokenizer skips it
+            if len(fields) != cols:
+                return f"line {number}: expected {cols} values, got {len(fields)}"
+            if _parses(line):
+                continue
+            for column, field in enumerate(fields, start=1):
+                if not _parses(field):
+                    return f"line {number}, value {column}: cannot read {field.strip()!r} as a number"
+    return f"after the header: {str(exc).split(' at row ')[0]}"
+
+
+def _parses(text: str) -> bool:
+    """Whether text is not blank and the tokenizer reads it."""
+    if not text.strip():
+        return False
+    try:
+        _parse_rows([text])
+    except ValueError:
+        return False
+    return True
 
 
 def _csv_shape(line: str) -> tuple:

@@ -312,6 +312,13 @@ class TestErrorPaths:
         code, _, err = run(capsys, "exact", "--q", str(bad), "--k", str(bad), "--v", str(bad))
         assert code == 1 and "bad.csv" in err
 
+    def test_malformed_csv_names_file_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("3,2\n1.0,2.0\n\n3.0\n5.0,6.0\n")
+        code, _, err = run(capsys, "exact", "--q", str(bad), "--k", str(bad), "--v", str(bad))
+        assert code == 1
+        assert err.strip() == f"error: malformed CSV '{bad}': line 4: expected 2 values, got 1"
+
     def test_binary_matrix_given_as_csv_names_file(self, tmp_path, capsys):
         enlm = tmp_path / "m.enlm"
         write_matrix_binary(np.full((2, 2), 1.5), enlm)

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from enlca.enla import (
     EnlaConfig,
     EnlcaBlockParams,
     NormalizerUnderflowWarning,
+    _prefix_forwards,
     block_inputs,
     enla_forward,
     enlca_block,
@@ -284,6 +287,114 @@ class TestChunkLoop:
         with pytest.warns(NormalizerUnderflowWarning, match="^1 normalizer entries"):
             out = enla_forward(q, k, v, config)
         assert np.array_equal(out[:, 0], np.zeros(3)) and np.isfinite(out).all()
+
+
+def prefix_outputs(q, k, v, config, ms):
+    """The outputs of _prefix_forwards for ms, each with the messages of
+    the warnings raised before it."""
+    outputs = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+
+        def emit(out):
+            outputs.append((out, [str(w.message) for w in caught]))
+            caught.clear()
+
+        _prefix_forwards(q, k, v, config, ms, emit)
+    return outputs
+
+
+def forward_with_warnings(q, k, v, config):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = enla_forward(q, k, v, config)
+    return out, [str(w.message) for w in caught]
+
+
+class TestPrefixForwards:
+    """Every sample count as a row prefix of one projection, against
+    enla_forward at that count: the first prefix bit for bit, the later
+    ones to rounding, with the same floored normalizers."""
+
+    @pytest.mark.parametrize("ms, seed", [([1, 2, 3], 81), ([16, 32, 64, 128], 95)])
+    def test_matches_forward_at_each_m(self, ms, seed):
+        n = 2 * CHUNK + 3
+        q, k, v = seeded_qkv(seed, c=4, c_out=3, n=n, k_amp=2.0)
+        k = k * np.linspace(0.1, 1.1, n)
+        rng = RngSpec(seed + 100)
+        f = sample_projection(rng, ms[-1], 4).f
+        # keys in ascending order of their largest first-segment exponent,
+        # so every later chunk raises the key shift; on this seed every
+        # later segment raises it again
+        exponent = f @ k - 0.5 * (k * k).sum(axis=0)
+        order = np.argsort(exponent[:ms[0]].max(axis=0))
+        k, v, exponent = k[:, order], v[:, order], exponent[:, order]
+        chunk_shifts = [exponent[:ms[0], s:s + CHUNK].max() for s in range(0, n, CHUNK)]
+        prefix_shifts = [exponent[:m].max() for m in ms]
+        assert all(a < b for a, b in zip(chunk_shifts, chunk_shifts[1:]))
+        assert all(a < b for a, b in zip(prefix_shifts, prefix_shifts[1:]))
+        # an epsilon inside the normalizer range floors some prefixes in part
+        config = EnlaConfig(rng=rng, m=ms[-1], k_amp=2.0, epsilon=500.0)
+        outputs = prefix_outputs(q, k, v, config, ms)
+        assert len(outputs) == len(ms)
+        floored = 0
+        for i, (m, (out, messages)) in enumerate(zip(ms, outputs)):
+            expected, expected_messages = forward_with_warnings(q, k, v, replace(config, m=m))
+            assert messages == expected_messages
+            floored += len(messages)
+            if i == 0:
+                assert np.array_equal(out, expected)
+            else:
+                assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert floored >= 2
+
+    def test_every_key_norm_overflows(self):
+        # the key shift stays -inf through both segments: no rescale may
+        # meet exp(-inf + inf), and both prefixes floor every normalizer
+        q, _, v = seeded_qkv(72, c=4, c_out=3, n=20)
+        k = np.full((4, 20), 1e155)
+        outputs = prefix_outputs(q, k, v, EnlaConfig(rng=RngSpec(73), m=16), [8, 16])
+        for out, messages in outputs:
+            assert np.array_equal(out, np.zeros_like(v))
+            assert len(messages) == 1 and messages[0].startswith("20 normalizer entries")
+
+    def test_first_chunk_key_norms_overflow(self):
+        n = CHUNK + 5
+        q, k, v = seeded_qkv(74, c=4, c_out=3, n=n)
+        k[:, :CHUNK] = 1e155
+        config = EnlaConfig(rng=RngSpec(75), m=16, k_amp=1.0)
+        outputs = prefix_outputs(q, k, v, config, [8, 16])
+        for m, (out, messages) in zip([8, 16], outputs):
+            expected, expected_messages = forward_with_warnings(q, k, v, replace(config, m=m))
+            assert messages == expected_messages
+            assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_query_shift_rising_from_minus_inf(self):
+        # f_0 . q_0 overflows to -inf while f_1 . q_0 is finite and
+        # hugely negative: column 0 is floored in the first prefix, and its
+        # zero accumulator must not meet 0 * exp(1e307) = NaN in the second
+        q, k, v = seeded_qkv(80, c=4, c_out=3, n=6)
+        config = EnlaConfig(rng=RngSpec(60), m=2, k_amp=1.0)
+        f = sample_projection(config.rng, 2, 4).f
+        q[:, 0] = -1e308 * f[0] / np.abs(f[0]).max()
+        with np.errstate(over="ignore"):
+            top = f @ q[:, 0]
+        assert top[0] == -np.inf and -1.8e308 < top[1] < -1e307
+        (first, first_messages), (second, second_messages) = prefix_outputs(q, k, v, config, [1, 2])
+        assert first_messages == ["1 normalizer entries below epsilon=1e-12 were floored"]
+        assert np.array_equal(first[:, 0], np.zeros(3))
+        assert second_messages == []
+        expected = enla_forward(q, k, v, config)
+        assert np.isfinite(second).all()
+        assert np.abs(second - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_projection_overflow_names_global_column(self, side):
+        bad = CHUNK + 5
+        q, k, v = seeded_qkv(76, c=4, c_out=3, n=CHUNK + 8)
+        (q if side == "q" else k)[:, bad] = 1e308
+        with pytest.raises(NumericError, match=f"column {bad}$"):
+            prefix_outputs(q, k, v, EnlaConfig(rng=RngSpec(77), m=64), [16, 64])
 
 
 class TestInPlaceSafety:

@@ -42,6 +42,14 @@ class TestSampleProjection:
         spec = RngSpec(21)
         assert np.array_equal(sample_projection(spec, 5, 4).f, gaussian_sample(spec, 5, 4))
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    @pytest.mark.parametrize("m", [1, 5, 6, 40])
+    def test_iid_projection_is_row_prefix_of_larger_draw(self, seed, m):
+        # the approximation-error sweep evaluates every sample count as a
+        # row prefix of one draw; c = 6 puts m at 1, c - 1, c and M = 40
+        spec = RngSpec(seed, 3)
+        assert np.array_equal(sample_projection(spec, m, 6).f, sample_projection(spec, 40, 6).f[:m])
+
     def test_orthogonal_rows_m_below_c(self):
         proj = sample_projection(RngSpec(1), 4, 8, orthogonal=True)
         gram = proj.f @ proj.f.T

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from enlca.exact import correlation_map
+from enlca.contrastive import reconstruction_loss, relevance_scores
+from enlca.enla import EnlaConfig, EnlcaBlockParams, normalize_and_scale
+from enlca.exact import correlation_map, exact_attention
 from enlca.matrices import (
     FormatError,
     NumericError,
@@ -55,6 +57,23 @@ class TestAsMatrix:
     def test_rejects_inf(self):
         with pytest.raises(NumericError):
             as_matrix([[float("inf")], [0.0]])
+
+
+class TestEqualShapePairs:
+    """Every operand pair that must match in shape says so in one form."""
+
+    @pytest.mark.parametrize("call, names", [
+        (lambda a, b: exact_attention(a, b, np.zeros((1, 3))), "q and k"),
+        (lambda a, b: relevance_scores(a, b, 1.0), "q and k"),
+        (lambda a, b: normalize_and_scale(a, b, 1.0), "theta output and delta output"),
+        (reconstruction_loss, "sr and hr"),
+        (lambda a, b: EnlcaBlockParams(a, b, np.eye(2), EnlaConfig(rng=RngSpec(0))),
+         "w_theta and w_delta"),
+    ])
+    def test_message(self, call, names):
+        with pytest.raises(ShapeError) as caught:
+            call(np.ones((2, 3)), np.ones((1, 3)))
+        assert str(caught.value) == f"{names} need equal shapes, got (2, 3) vs (1, 3)"
 
 
 def softmax(values):
@@ -234,6 +253,53 @@ class TestCsvRoundTrip:
         path.write_bytes(f"{lines + 1},1\n".encode() + b"1.0\n" * lines + b"\xff\n")
         with pytest.raises(FormatError, match="not UTF-8"):
             read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3,2\n1,2\n3\n5,6\n", "line 3: expected 2 values, got 1"),
+            ("3,2\n1,\n3,4\n5,6\n", "line 2, value 2: cannot read '' as a number"),
+            ("3,2\n1,2\n\n3\n5,6\n", "line 4: expected 2 values, got 1"),  # blank line counted
+            ("3,2\n\r\n1,2\n5,x\n5,6\n", "line 4, value 2: cannot read 'x' as a number"),
+            ("2,2\n1.0,2.0\n   \n3.0,4.0\n", "line 3: expected 2 values, got 1"),
+            ("1,2\n1_000,2.0\n", "line 2, value 1: cannot read '1_000' as a number"),
+            ("2,3\n1,2,3\n4,5,6,7\n", "line 3: expected 3 values, got 4"),
+        ],
+    )
+    def test_malformed_line_is_named_by_file_line(self, text, message):
+        with pytest.raises(FormatError) as caught:
+            read_matrix_csv(io.StringIO(text))
+        assert str(caught.value) == message
+
+    def test_malformed_line_of_file_is_named(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"3,2\r\n1,2\r\n\r\n3\r\n5,6\r\n")
+        with pytest.raises(FormatError, match="^line 4: expected 2 values, got 1$"):
+            read_matrix_csv(path)
+
+    def test_unseekable_stream_gets_no_row_numbers(self):
+        class Unseekable(io.StringIO):
+            def tell(self):
+                raise io.UnsupportedOperation("underlying stream is not seekable")
+
+        with pytest.raises(FormatError) as caught:
+            read_matrix_csv(Unseekable("3,2\n1,2\n\n3\n5,6\n"))
+        message = str(caught.value)
+        assert "row" not in message and "usecols" not in message and "changed from 2 to 1" in message
+
+    def test_reads_file_the_caller_iterates(self, tmp_path):
+        # a text file that next() has advanced cannot tell its position
+        path = tmp_path / "m.csv"
+        path.write_text("preamble\n2,1\n1.0\n\n2.0\n")
+        with open(path) as fp:
+            next(fp)
+            assert np.array_equal(read_matrix_csv(fp), [[1.0], [2.0]])
+        path.write_text("preamble\n2,1\n1.0\n\nx\n")
+        # no position to seek back to, so no line number either
+        reason = "^after the header: could not convert string 'x' to float64$"
+        with open(path) as fp, pytest.raises(FormatError, match=reason):
+            next(fp)
+            read_matrix_csv(fp)
 
     def test_nan_payload_is_numeric_error(self):
         with pytest.raises(NumericError):
