@@ -73,24 +73,18 @@ def flop_count(method: str, n: int, c: int, c_out: int, m: Optional[int] = None)
     """
     if method not in _METHODS:
         raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-    _check_dimensions(n, c, c_out)
+    check_settings(n=n, c=c, c_out=c_out, m=m)
     if method == "nla":
         macs = n * n * (c + c_out)
         m = None
     elif method == "conv3x3":
         macs = 9 * n * c * c_out
         m = None
+    elif m is None:
+        raise ValueError("the enlca count needs a sample count m")
     else:
-        if m is None or m < 1:
-            raise ValueError(f"the enlca count needs a positive sample count m, got {m}")
         macs = 2 * m * n * c + 2 * m * n * c_out
     return FlopModel(method=method, n=n, c=c, c_out=c_out, m=m, macs=macs, flops=FLOPS_PER_MAC * macs)
-
-
-def _check_dimensions(n: int, c: int, c_out: int) -> None:
-    """The one size check of the cost model and the sweeps."""
-    if min(n, c, c_out) < 1:
-        raise ValueError(f"dimensions must be positive, got n={n}, c={c}, c_out={c_out}")
 
 
 def flop_table(n: int = 10_000, c: int = 64, c_out: int = 64) -> list[FlopModel]:
@@ -142,17 +136,14 @@ def approximation_error_sweep(
     """
     if n > 4096:
         raise ValueError(f"the exact oracle is only run up to n=4096, got {n}")
-    _check_dimensions(n, c, c_out)
     if not m_list:
         raise ValueError("m_list must be non-empty")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     ms = sorted(set(int(m) for m in m_list))
+    check_settings(n=n, c=c, c_out=c_out, m=ms[0], trials=trials)
     theta = gaussian_sample(rng.stream(1), c, n)
     delta = gaussian_sample(rng.stream(2), c, n)
     v = gaussian_sample(rng.stream(3), c_out, n)
     q, k = normalize_and_scale(theta, delta, k_amp)
-    check_settings(m=ms[0])
     reference = exact_attention(q, k, v).y
     ref_norm = float(np.linalg.norm(reference))
     errors = np.empty((len(ms), trials))
@@ -168,9 +159,7 @@ def approximation_error_sweep(
 
 def _aligned_vector(c: int, k_amp: float) -> np.ndarray:
     """The c-vector sqrt(k_amp) e_1: a unit direction amplified by k_amp."""
-    if c < 1:
-        raise ValueError(f"dimension c must be >= 1, got {c}")
-    check_settings(k_amp=k_amp)
+    check_settings(c=c, k_amp=k_amp)
     u = np.zeros(c)
     u[0] = np.sqrt(k_amp)
     return u
@@ -232,8 +221,7 @@ def runtime_scaling(
     sizes = [int(n) for n in n_list]
     if sorted(sizes) != sizes:
         raise ValueError(f"n_list must be ascending, got {sizes}")
-    for n in sizes:
-        _check_dimensions(n, c, c_out)
+    check_settings(n=min(sizes, default=None), c=c, c_out=c_out)
     points = []
     for i, n in enumerate(sizes):
         theta = gaussian_sample(rng.stream(3 * i + 1), c, n)

@@ -45,7 +45,6 @@ from .matrices import (
     NumericError,
     RngSpec,
     ShapeError,
-    check_settings,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -141,7 +140,6 @@ def _cmd_block(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    check_settings(m=args.m)
     base = RngSpec(args.seed)
     u = _load_matrix(args.input)
     projection = sample_projection(base.stream(2), args.m, u.shape[0], args.orthogonal)
@@ -152,7 +150,6 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    check_settings(m=args.m)
     base = RngSpec(args.seed)
     u = _aligned_vector(args.c, args.k_amp)
     report = kernel_variance_empirical(u, u, args.m, args.trials, base.stream(2), args.orthogonal)

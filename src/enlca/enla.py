@@ -58,6 +58,8 @@ class EnlaConfig:
 
     The projection is drawn once per forward call from `rng`; callers that
     want a fresh projection (per epoch, per trial) pass a new stream.
+    k_amp does nothing in `enla_forward`, which takes q and k already
+    amplified; only `block_inputs` reads it, to amplify what it derives.
     """
 
     rng: RngSpec
@@ -267,8 +269,7 @@ def enlca_block(x, params: EnlcaBlockParams) -> np.ndarray:
 def random_block_params(rng: RngSpec, c_in: int, c_embed: int, config: EnlaConfig) -> EnlcaBlockParams:
     """Gaussian block weights scaled by 1/sqrt(c_in), drawn sequentially
     (theta, delta, psi) from one stream."""
-    if not 1 <= c_embed <= c_in:
-        raise ShapeError(f"need 1 <= c_embed <= c_in, got c_embed={c_embed}, c_in={c_in}")
+    check_settings(c_in=c_in, c_embed=c_embed)
     gen = rng.generator()
     scale = 1.0 / np.sqrt(c_in)
     return EnlcaBlockParams(

@@ -91,8 +91,7 @@ def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int, orthogonal:
     Philox gets key (seed, stream_id + o mod 2^64) and a zero counter
     through the public state setter: the draw of a fresh generator on that
     stream, at a tenth of the cost of building one."""
-    if m < 1 or c < 1:
-        raise ShapeError(f"projection shape must be positive, got ({m}, {c})")
+    check_settings(m=m, c=c)
     gen = rng.generator()
     fresh = gen.bit_generator.state
     for first in range(0, len(offsets), _TRIAL_BLOCK):
@@ -242,8 +241,7 @@ def kernel_estimates(
     because np.exp may round it differently.
     """
     q, k = _kernel_operands(q_i, k_j)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_settings(trials=trials)
     z = q + k
     log_const = -0.5 * (float(q @ q) + float(k @ k))
     out = np.empty(trials, dtype=np.float64)

@@ -57,13 +57,16 @@ class FormatError(ValueError):
     """Serialized matrix data could not be parsed."""
 
 
-def check_settings(*, m=None, k_amp=None, epsilon=None) -> None:
-    """The one range check of the attention settings, shared by the
-    library and the CLI: sample count m >= 1, amplification k_amp >= 1 and
-    floor epsilon > 0. A setting left at None is not checked. Raises
-    ValueError naming the setting and the offending value."""
-    if m is not None and not m >= 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+def check_settings(*, k_amp=None, epsilon=None, **counts) -> None:
+    """The one range check of the settings a caller requests, shared by
+    the library and the CLI: each count or size passed by name (m, n, c,
+    c_out, c_in, c_embed, trials, rows, cols, height, width) >= 1, then
+    amplification k_amp >= 1 and floor epsilon > 0. A setting left at
+    None is not checked. Raises ValueError naming the first setting out
+    of range and its value."""
+    for name, value in counts.items():
+        if value is not None and not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if k_amp is not None and not k_amp >= 1.0:
         raise ValueError(f"k_amp must be >= 1, got {k_amp}")
     if epsilon is not None and not epsilon > 0.0:
@@ -149,8 +152,7 @@ class RngSpec:
 
 def gaussian_sample(rng: RngSpec, rows: int, cols: int) -> np.ndarray:
     """rows x cols matrix of iid standard normals from the given stream."""
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"sample shape must be positive, got ({rows}, {cols})")
+    check_settings(rows=rows, cols=cols)
     return rng.generator().standard_normal((rows, cols))
 
 

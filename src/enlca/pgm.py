@@ -12,7 +12,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .matrices import ShapeError, _open_for, as_vector
+from .matrices import ShapeError, _open_for, as_vector, check_settings
 
 __all__ = ["export_correlation_pgm"]
 
@@ -20,10 +20,9 @@ __all__ = ["export_correlation_pgm"]
 def export_correlation_pgm(map_values, height: int, width: int, dest: Union[str, Path, IO[bytes]]) -> None:
     """Write a length-(height*width) map as an 8-bit grayscale P5 image."""
     values = as_vector(map_values, "correlation map")
-    if height < 1 or width < 1 or height * width != values.size:
-        raise ShapeError(
-            f"map of length {values.size} does not reshape to {height}x{width}"
-        )
+    check_settings(height=height, width=width)
+    if height * width != values.size:
+        raise ShapeError(f"map of length {values.size} does not reshape to {height}x{width}")
     lo = float(values.min())
     hi = float(values.max())
     if hi > lo:

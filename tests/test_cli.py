@@ -370,21 +370,30 @@ class TestErrorPaths:
         (["variance", "--k-amp", "0.5", "--trials", "10"], "k_amp must be >= 1, got 0.5"),
         (["variance", "--k-amp", "-1", "--trials", "10"], "k_amp must be >= 1, got -1.0"),
         (["variance-sweep", "--k-list", "nan", "--trials", "10"], "k_amp must be >= 1, got nan"),
-        (["flops", "--n", "0"], "dimensions must be positive, got n=0, c=64, c_out=64"),
-        (["approx-sweep", "--n", "0", "--m-list", "8"], "dimensions must be positive, got n=0, c=8"),
-        (["approx-sweep", "--n", "16", "--c", "0", "--m-list", "8"], "got n=16, c=0, c_out=8"),
-        (["approx-sweep", "--n", "16", "--cout", "0", "--m-list", "8"], "got n=16, c=8, c_out=0"),
-        (["bench", "--n-list", "16", "--c", "0"], "dimensions must be positive, got n=16, c=0"),
+        (["flops", "--n", "0"], "n must be >= 1, got 0"),
+        (["flops", "--method", "nla", "--m", "0"], "m must be >= 1, got 0"),
+        (["approx-sweep", "--n", "0", "--m-list", "8"], "n must be >= 1, got 0"),
+        (["approx-sweep", "--n", "16", "--c", "0", "--m-list", "8"], "c must be >= 1, got 0"),
+        (["approx-sweep", "--n", "16", "--cout", "0", "--m-list", "8"], "c_out must be >= 1, got 0"),
+        (["bench", "--n-list", "16", "--c", "0"], "c must be >= 1, got 0"),
+        (["block", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
+        (["enla", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
+        (["exact", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
+        (["corr-map", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
+        (["corr-map", "--features", "X", "--height", "-6", "--width", "-6", "--out", "OUT"],
+         "height must be >= 1, got -6"),
     ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp",
             "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
-            "variance-sweep --k-list nan", "flops --n", "approx-sweep --n", "approx-sweep --c",
-            "approx-sweep --cout", "bench --c"])
+            "variance-sweep --k-list nan", "flops --n", "flops --method nla --m", "approx-sweep --n",
+            "approx-sweep --c", "approx-sweep --cout", "bench --c", "block --c-embed",
+            "enla --c-embed", "exact --c-embed", "corr-map --c-embed", "corr-map --height"])
     def test_out_of_range_value_is_usage_error(self, matrices, tmp_path, capsys, argv, message):
         names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
                  "OUT": str(tmp_path / "out.csv")}
         code, out, err = run(capsys, *[names.get(a, a) for a in argv])
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["contrastive", "--q", "Q", "--k", "K", "--n1", "0.1", "--n2", "0.3", "--sr", "Q"],
@@ -405,8 +414,11 @@ class TestErrorPaths:
         (["exact", "--q", "Q", "--k", "K", "--v", "Q", "--weights-out", "NODIR"], 1, "No such file"),
         (["bench", "--n-list", "16", "--c", "2", "--cout", "2", "--m", "4", "--out", "NODIR"], 1,
          "No such file"),
+        (["block", "--features", "X", "--c-embed", "13"], 2, "embedding width 13 exceeds input channels 12"),
+        (["enla", "--features", "X", "--c-embed", "13"], 2, "embedding width 13 exceeds input channels 12"),
     ], ids=["corr-map --out of the wrong size", "contrastive --sr/--hr mismatch",
-            "exact --weights-out unwritable", "bench --out unwritable"])
+            "exact --weights-out unwritable", "bench --out unwritable", "block --c-embed above c_in",
+            "enla --c-embed above c_in"])
     def test_failed_call_prints_nothing(self, matrices, tmp_path, capsys, argv, code, message):
         names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
                  "map.pgm": str(tmp_path / "map.pgm"), "NODIR": str(tmp_path / "missing" / "out.csv")}

@@ -84,8 +84,10 @@ class TestSampleProjection:
         assert abs(mean_sq_norm - c) / c < 0.02
 
     def test_bad_shape(self):
-        with pytest.raises(ShapeError):
+        # a requested count, not an operand's shape: ValueError, so the CLI exits 1
+        with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$") as caught:
             sample_projection(RngSpec(0), 0, 4)
+        assert not isinstance(caught.value, ShapeError)
 
 
 class TestPhi:

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from enlca.analysis import _aligned_vector, approximation_error_sweep, flop_count, runtime_scaling
 from enlca.contrastive import reconstruction_loss, relevance_scores
-from enlca.enla import EnlaConfig, EnlcaBlockParams, normalize_and_scale
+from enlca.enla import EnlaConfig, EnlcaBlockParams, normalize_and_scale, random_block_params
 from enlca.exact import correlation_map, exact_attention
+from enlca.features import kernel_estimates, sample_projection
 from enlca.matrices import (
     FormatError,
     NumericError,
@@ -23,6 +25,7 @@ from enlca.matrices import (
     write_matrix_binary,
     write_matrix_csv,
 )
+from enlca.pgm import export_correlation_pgm
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -128,8 +131,49 @@ class TestGaussianSample:
         assert abs(draws.var() - 1.0) < 0.01
 
     def test_bad_shape(self):
-        with pytest.raises(ShapeError):
+        # a requested size, not an operand's shape: ValueError, so the CLI exits 1
+        with pytest.raises(ValueError, match=r"^rows must be >= 1, got 0$") as caught:
             gaussian_sample(RngSpec(0), 0, 3)
+        assert not isinstance(caught.value, ShapeError)
+
+
+class TestCheckSettings:
+    """Every count or size a caller requests has one check, check_settings:
+    a ValueError naming the setting, never a ShapeError. The m of
+    sample_projection and the rows of gaussian_sample are pinned by their
+    own test_bad_shape."""
+
+    @pytest.mark.parametrize("name,call", [
+        ("c", lambda: sample_projection(RngSpec(0), 4, 0)),
+        ("trials", lambda: kernel_estimates([1.0], [1.0], 4, 0, RngSpec(0))),
+        ("m", lambda: kernel_estimates([1.0], [1.0], 0, 4, RngSpec(0))),
+        ("cols", lambda: gaussian_sample(RngSpec(0), 3, 0)),
+        ("n", lambda: flop_count("nla", 0, 8, 8)),
+        ("c", lambda: flop_count("conv3x3", 10, 0, 8)),
+        ("c_out", lambda: flop_count("nla", 10, 8, 0)),
+        ("m", lambda: flop_count("enlca", 10, 8, 8, 0)),
+        ("c", lambda: _aligned_vector(0, 1.0)),
+        ("n", lambda: approximation_error_sweep(0, 4, 4, [4], 1.0, 2, RngSpec(0))),
+        ("c", lambda: approximation_error_sweep(16, 0, 4, [4], 1.0, 2, RngSpec(0))),
+        ("c_out", lambda: approximation_error_sweep(16, 4, 0, [4], 1.0, 2, RngSpec(0))),
+        ("m", lambda: approximation_error_sweep(16, 4, 4, [0, 4], 1.0, 2, RngSpec(0))),
+        ("trials", lambda: approximation_error_sweep(16, 4, 4, [4], 1.0, 0, RngSpec(0))),
+        ("n", lambda: runtime_scaling([0, 16], 4, 4, 8, 3)),
+        ("c_in", lambda: random_block_params(RngSpec(0), 0, 1, EnlaConfig(rng=RngSpec(1)))),
+        ("c_embed", lambda: random_block_params(RngSpec(0), 4, 0, EnlaConfig(rng=RngSpec(1)))),
+        ("height", lambda: export_correlation_pgm(np.ones(4), 0, 4, io.BytesIO())),
+        ("width", lambda: export_correlation_pgm(np.ones(4), 4, 0, io.BytesIO())),
+    ], ids=["sample_projection c", "kernel_estimates trials", "kernel_estimates m",
+            "gaussian_sample cols", "flop_count n", "flop_count c", "flop_count c_out", "flop_count m", "_aligned_vector c",
+            "approximation_error_sweep n", "approximation_error_sweep c",
+            "approximation_error_sweep c_out", "approximation_error_sweep m",
+            "approximation_error_sweep trials", "runtime_scaling n", "random_block_params c_in",
+            "random_block_params c_embed", "export_correlation_pgm height",
+            "export_correlation_pgm width"])
+    def test_zero_count_names_the_setting(self, name, call):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$") as caught:
+            call()
+        assert not isinstance(caught.value, ShapeError)
 
 
 class TestRngSpec:
