@@ -45,6 +45,7 @@ from .matrices import (
     NumericError,
     RngSpec,
     ShapeError,
+    check_settings,
     read_matrix_csv,
     write_matrix_csv,
 )
@@ -175,6 +176,9 @@ def _cmd_variance_sweep(args) -> int:
 
 
 def _cmd_flops(args) -> int:
+    if args.m is not None and args.method != "enlca":
+        check_settings(m=args.m)  # a count below 1 is named as such first
+        raise UsageError("--m needs --method enlca")
     if args.method is None:
         rows = flop_table(n=args.n, c=args.c, c_out=args.cout)
         print(f"{'method':<14}{'MACs':>16}{'GFLOPs':>10}")
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10_000, help="spatial size (default 100x100)")
     p.add_argument("--c", type=int, default=64)
     p.add_argument("--cout", type=int, default=64)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--m", type=int, default=None, help="sample count (only with --method enlca)")
     p.set_defaults(func=_cmd_flops)
 
     p = sub.add_parser("contrastive", help="contrastive separation loss")

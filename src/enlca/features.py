@@ -14,8 +14,11 @@ differs between them only in the shift it subtracts.
 Projections come from one private sampler, `_projection_blocks`, which
 serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
 trials of `kernel_estimates`. It re-keys one Philox to each projection's
-stream and orthogonalizes a block with stacked QR; every projection is
-bit-identical to one drawn alone by a fresh generator on its stream.
+stream; every draw is bit-identical to one drawn alone by a fresh
+generator on its stream. One helper, `_orthogonal_rows`, owns the
+orthogonal construction: it reads F_orth z off the R factor of a single
+Householder QR of [B^T | z] per block B of rows, so the trials never form
+Q or F_orth, and `sample_projection` forms F_orth as the case z = I_c.
 """
 
 from __future__ import annotations
@@ -41,8 +44,9 @@ __all__ = [
 
 _REL_GAP_FLOOR = 1e-30
 
-# Monte-Carlo trials per block: one stacked QR and one vectorized estimator
-# pass each. Larger blocks are no faster and hold more memory.
+# Monte-Carlo trials per block: one stacked R-factor QR per block of c
+# rows (orthogonal only) and one vectorized estimator pass each. Larger
+# blocks are no faster and hold more memory.
 _TRIAL_BLOCK = 32
 
 
@@ -79,14 +83,17 @@ def sample_projection(rng: RngSpec, m: int, c: int, orthogonal: bool = False) ->
     marginally N(0, I_c), so estimators built on the projection stay
     unbiased while their variance drops. The directions are the Q factor
     of the block's transpose with its signs fixed so that diag(R) > 0,
-    which makes them the Gram-Schmidt directions of the block's rows.
+    which makes them the Gram-Schmidt directions of the block's rows;
+    `_orthogonal_rows` reads them off the R factor of [B^T | I_c].
     """
-    f = next(_projection_blocks(rng, range(1), m, c, orthogonal))[0]
-    return ProjectionMatrix(f=f, orthogonal=orthogonal)
+    f = next(_projection_blocks(rng, range(1), m, c))
+    if orthogonal:
+        f = _orthogonal_rows(f, np.eye(c))
+    return ProjectionMatrix(f=f[0], orthogonal=orthogonal)
 
 
-def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int, orthogonal: bool):
-    """Yield the m x c projections of rng.stream(o) for o in offsets, as
+def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int):
+    """Yield the raw m x c draws of rng.stream(o) for o in offsets, as
     (count, m, c) stacks of up to _TRIAL_BLOCK. For each projection the one
     Philox gets key (seed, stream_id + o mod 2^64) and a zero counter
     through the public state setter: the draw of a fresh generator on that
@@ -101,27 +108,39 @@ def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int, orthogonal:
             fresh["state"]["key"][1] = (rng.stream_id + offset) & _U64_MAX
             gen.bit_generator.state = fresh
             gen.standard_normal(out=f[j])
-        if orthogonal:
-            _orthogonalize(f)
         yield f
 
 
-def _orthogonalize(f: np.ndarray) -> None:
-    """Orthogonalize, in place, every block of up to c rows of each
-    projection in a (count, m, c) stack, with one stacked QR per block
-    index: the directions are Q * sign(diag R) of the block's transpose,
-    scaled by the block's original row norms."""
-    c = f.shape[2]
-    for start in range(0, f.shape[1], c):
+def _orthogonal_rows(f: np.ndarray, rhs: np.ndarray, first_trial: int | None = None) -> np.ndarray:
+    """F_orth @ rhs for every raw draw F in a (count, m, c) stack, where
+    F_orth orthogonalizes each block B of up to c rows: its rows are the
+    directions Q * sign(diag R) of B^T = Q R, scaled by B's row norms.
+
+    rhs is a c-vector or a c x p matrix; the result is (count, m) or
+    (count, m, p). Q is never formed: one Householder QR (LAPACK geqrf) of
+    the c x (b + p) matrix [B^T | rhs] leaves Q[:, :b]^T rhs in R[:b, b:],
+    because its first b reflectors see only B^T. numpy's raw mode returns
+    R transposed: R[i, j] is h[..., j, i]. A row with |R[i, i]| < 1e-150
+    is linearly dependent on the rows before it and raises NumericError
+    naming the projection row and, given first_trial, the trial of the
+    draw (the stack's first draw is trial first_trial).
+    """
+    count, m, c = f.shape
+    z = np.broadcast_to(rhs.reshape(c, -1), (count, c, rhs.size // c))
+    out = np.empty((count, m, z.shape[2]))
+    for start in range(0, m, c):
         block = f[:, start:start + c]
-        q_factor, r_factor = np.linalg.qr(block.transpose(0, 2, 1))
-        diag = np.diagonal(r_factor, axis1=1, axis2=2)
-        degenerate = np.flatnonzero(np.abs(diag) < 1e-150)
+        b = block.shape[1]
+        h, _ = np.linalg.qr(np.concatenate((block.transpose(0, 2, 1), z), axis=2), mode="raw")
+        diag = np.diagonal(h, axis1=1, axis2=2)[:, :b]
+        degenerate = np.argwhere(np.abs(diag) < 1e-150)
         if degenerate.size:
-            row = int(degenerate[0]) % diag.shape[1]
-            raise NumericError(f"degenerate Gaussian block: row {row} is linearly dependent")
-        norms = np.sign(diag) * np.linalg.norm(block, axis=2)
-        block[...] = q_factor.transpose(0, 2, 1) * norms[:, :, None]
+            draw, row = (int(i) for i in degenerate[0])
+            where = "" if first_trial is None else f" at trial {first_trial + draw}"
+            raise NumericError(f"degenerate Gaussian block: row {start + row} is linearly dependent{where}")
+        scale = np.sign(diag) * np.sqrt(np.einsum("tij,tij->ti", block, block))
+        out[:, start:start + b] = h[:, b:, :b].transpose(0, 2, 1) * scale[:, :, None]
+    return out.reshape(f.shape[:2] + rhs.shape[1:])
 
 
 def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
@@ -234,11 +253,14 @@ def kernel_estimates(
     exp(f_l . z) for z = q + k, which is evaluated max-shifted.
 
     Trials run _TRIAL_BLOCK at a time: one re-keyed Philox draws the
-    block, one stacked QR per block of c rows orthogonalizes it and one
-    vectorized pass forms F z, its row maxima and the shifted means. Each
-    estimate is bit-identical to drawing and evaluating its trial alone;
-    only the prefactor exp(max + log_const) stays a per-trial math.exp,
-    because np.exp may round it differently.
+    block and one vectorized pass forms F z, its row maxima and the
+    shifted means. With orthogonal=True, F_orth z is read off the R factor
+    of one stacked QR of [B^T | z] per block B of c rows, so neither Q nor
+    F_orth is formed; it matches sample_projection's F_orth times z to
+    rounding, not bitwise. Each estimate is bit-identical to its trial
+    evaluated alone, kernel_estimates(q, k, m, 1, rng.stream(t),
+    orthogonal)[0]; only the prefactor exp(max + log_const) stays a
+    per-trial math.exp, because np.exp may round it differently.
     """
     q, k = _kernel_operands(q_i, k_j)
     check_settings(trials=trials)
@@ -246,8 +268,8 @@ def kernel_estimates(
     log_const = -0.5 * (float(q @ q) + float(k @ k))
     out = np.empty(trials, dtype=np.float64)
     t = 0
-    for f in _projection_blocks(rng, range(1, 1 + trials), m, q.size, orthogonal):
-        g = np.matmul(f, z)
+    for f in _projection_blocks(rng, range(1, 1 + trials), m, q.size):
+        g = _orthogonal_rows(f, z, t) if orthogonal else np.matmul(f, z)
         s = g.max(axis=1)
         means = np.exp(g - s[:, None]).mean(axis=1)
         for top, mean in zip(s.tolist(), means.tolist()):

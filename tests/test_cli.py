@@ -64,6 +64,12 @@ class TestFlopsCommand:
         assert lines[1].split() == ["nla", "12,800,000,000", "25.60"]
         assert lines[-1].split() == ["enlca-m256", "655,360,000", "1.31"]
 
+    @pytest.mark.parametrize("method", [[], ["--method", "nla"], ["--method", "conv3x3"]],
+                             ids=["table", "nla", "conv3x3"])
+    def test_m_needs_method_enlca(self, capsys, method):
+        code, out, err = run(capsys, "flops", *method, "--m", "8")
+        assert (code, out, err) == (1, "", "error: --m needs --method enlca\n")
+
     def test_missing_m_is_usage_error(self, capsys):
         code, _, err = run(capsys, "flops", "--method", "enlca", "--n", "100",
                            "--c", "8", "--cout", "8")
@@ -372,6 +378,8 @@ class TestErrorPaths:
         (["variance-sweep", "--k-list", "nan", "--trials", "10"], "k_amp must be >= 1, got nan"),
         (["flops", "--n", "0"], "n must be >= 1, got 0"),
         (["flops", "--method", "nla", "--m", "0"], "m must be >= 1, got 0"),
+        (["flops", "--m", "0"], "m must be >= 1, got 0"),
+        (["flops", "--m", "-5"], "m must be >= 1, got -5"),
         (["approx-sweep", "--n", "0", "--m-list", "8"], "n must be >= 1, got 0"),
         (["approx-sweep", "--n", "16", "--c", "0", "--m-list", "8"], "c must be >= 1, got 0"),
         (["approx-sweep", "--n", "16", "--cout", "0", "--m-list", "8"], "c_out must be >= 1, got 0"),
@@ -384,7 +392,8 @@ class TestErrorPaths:
          "height must be >= 1, got -6"),
     ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp",
             "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
-            "variance-sweep --k-list nan", "flops --n", "flops --method nla --m", "approx-sweep --n",
+            "variance-sweep --k-list nan", "flops --n", "flops --method nla --m", "flops --m 0",
+            "flops --m negative", "approx-sweep --n",
             "approx-sweep --c", "approx-sweep --cout", "bench --c", "block --c-embed",
             "enla --c-embed", "exact --c-embed", "corr-map --c-embed", "corr-map --height"])
     def test_out_of_range_value_is_usage_error(self, matrices, tmp_path, capsys, argv, message):
@@ -398,7 +407,11 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ["contrastive", "--q", "Q", "--k", "K", "--n1", "0.1", "--n2", "0.3", "--sr", "Q"],
         ["corr-map", "--features", "X", "--out", "map.pgm"],
-    ], ids=["contrastive --sr", "corr-map --out"])
+        ["flops", "--m", "8"],
+        ["flops", "--method", "nla", "--m", "8"],
+        ["flops", "--method", "conv3x3", "--m", "8"],
+    ], ids=["contrastive --sr", "corr-map --out", "flops --m", "flops --method nla --m",
+            "flops --method conv3x3 --m"])
     def test_unpaired_flag_prints_nothing(self, matrices, tmp_path, capsys, argv):
         names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
                  "map.pgm": str(tmp_path / "map.pgm")}

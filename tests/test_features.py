@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from enlca.features import (
     _TRIAL_BLOCK,
     ProjectionMatrix,
+    _orthogonal_rows,
     _projection_blocks,
     kernel_estimates,
     kernel_exact,
@@ -266,9 +267,12 @@ class TestTrialBlocks:
         q, k = self.operands()
         rng = RngSpec(69, 41)
         est = kernel_estimates(q, k, m=m, trials=trials, rng=rng, orthogonal=True)
-        per_trial = [projection_estimate(sample_projection(rng.stream(1 + t), m, 8, True).f, q, k)
-                     for t in range(trials)]
-        assert np.array_equal(est, per_trial)
+        alone = [kernel_estimates(q, k, m, 1, rng.stream(t), True)[0] for t in range(trials)]
+        assert np.array_equal(est, alone)
+        # the formed-F route rounds differently from the R-factor read
+        formed = [projection_estimate(sample_projection(rng.stream(1 + t), m, 8, True).f, q, k)
+                  for t in range(trials)]
+        assert np.abs(est - formed).max() <= 1e-12 * np.abs(formed).max()
         reference = [projection_estimate(block_gram_schmidt(philox_gaussian(69, 42 + t, m, 8), 8), q, k)
                      for t in range(trials)]
         assert np.abs(est - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -278,14 +282,20 @@ class TestTrialBlocks:
         q, k = self.operands()
         trials = 2 * B + 3
         est = kernel_estimates(q, k, m=16, trials=trials, rng=RngSpec(70, WRAPPING_ID), orthogonal=orthogonal)
+        alone = [kernel_estimates(q, k, 16, 1, RngSpec(70, (WRAPPING_ID + t) % 2**64), orthogonal)[0]
+                 for t in range(trials)]
+        assert np.array_equal(est, alone)
         per_trial = [projection_estimate(sample_projection(RngSpec(70, (WRAPPING_ID + 1 + t) % 2**64),
                                                            16, 8, orthogonal).f, q, k)
                      for t in range(trials)]
-        assert np.array_equal(est, per_trial)
+        if orthogonal:
+            assert np.abs(est - per_trial).max() <= 1e-12 * np.abs(per_trial).max()
+        else:
+            assert np.array_equal(est, per_trial)
 
     def test_rekeyed_draw_matches_fresh_generator(self):
         offsets = range(1, 2 * B + 3)
-        draws = np.concatenate(list(_projection_blocks(RngSpec(71, WRAPPING_ID), offsets, 4, 3, False)))
+        draws = np.concatenate(list(_projection_blocks(RngSpec(71, WRAPPING_ID), offsets, 4, 3)))
         for draw, offset in zip(draws, offsets):
             stream_id = (WRAPPING_ID + offset) % 2**64
             assert np.array_equal(draw, RngSpec(71, stream_id).generator().standard_normal((4, 3)))
@@ -304,8 +314,9 @@ class TestTrialBlocks:
             kernel_estimates(big, big, 4, 2 * B + 3, RngSpec(0), orthogonal)
 
     def test_degenerate_block_raises(self, monkeypatch):
-        # a zero row in trial B + 1, inside the second block, leaves that
-        # trial's stacked-QR block rank-deficient
+        # zeroing projection row `row` of draw number `draw` (counted from
+        # 0 per generator) leaves that row's block of c rows rank-deficient
+        target = {"draw": B + 1, "row": 2}
         real_generator = RngSpec.generator
 
         class ZeroRowGenerator:
@@ -314,14 +325,52 @@ class TestTrialBlocks:
 
             def standard_normal(self, out):
                 self.gen.standard_normal(out=out)
-                if self.draws == B + 1:
-                    out[2] = 0.0
+                if self.draws == target["draw"]:
+                    out[target["row"]] = 0.0
                 self.draws += 1
 
         monkeypatch.setattr(RngSpec, "generator", lambda spec: ZeroRowGenerator(real_generator(spec)))
-        with pytest.raises(NumericError, match="degenerate Gaussian block: row 2"):
+        # trial B + 1 sits inside the second block of trials
+        with pytest.raises(NumericError, match=f"^degenerate Gaussian block: row 2 is linearly dependent "
+                                               f"at trial {B + 1}$"):
             kernel_estimates(np.ones(4), np.ones(4), 3, 2 * B + 3, RngSpec(0), orthogonal=True)
         kernel_estimates(np.ones(4), np.ones(4), 3, B + 1, RngSpec(0), orthogonal=True)
+        # m > c: row 20 of m = 24 is row 4 of its block of c = 8; the
+        # message names the projection row
+        target["row"] = 20
+        with pytest.raises(NumericError, match=f"^degenerate Gaussian block: row 20 is linearly dependent "
+                                               f"at trial {B + 1}$"):
+            kernel_estimates(np.ones(8), np.ones(8), 24, 2 * B + 3, RngSpec(0), orthogonal=True)
+        target["draw"] = 0
+        with pytest.raises(NumericError, match="^degenerate Gaussian block: row 20 is linearly dependent$"):
+            sample_projection(RngSpec(0), 24, 8, orthogonal=True)
+        assert not sample_projection(RngSpec(0), 24, 8).f[20].any()
+
+
+class TestOrthogonalRows:
+    """_orthogonal_rows reads F_orth @ rhs off the R factor of one QR; the
+    identity rhs gives F_orth itself, which sample_projection returns."""
+
+    @pytest.mark.parametrize("count", [1, 33])
+    @pytest.mark.parametrize("m, c", [(5, 8), (8, 8), (130, 8), (1, 1)])
+    def test_product_matches_formed_projection(self, m, c, count):
+        # m < c, m = c, m > c with a partial last block, and the 1 x 1 case
+        f = np.stack([philox_gaussian(32, t, m, c) for t in range(count)])
+        draws = f.copy()
+        formed = _orthogonal_rows(f, np.eye(c))
+        for rhs in (philox_gaussian(33, 0, c, 1)[:, 0], philox_gaussian(33, 1, c, 3)):
+            product = _orthogonal_rows(f, rhs)
+            expected = formed @ rhs
+            assert product.shape == expected.shape
+            assert np.abs(product - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(f, draws)
+        for draw, projection in zip(draws, formed):
+            reference = block_gram_schmidt(draw, c)
+            assert np.abs(projection - reference).max() <= 1e-12 * np.abs(reference).max()
+            for start in range(0, m, c):
+                block = projection[start:start + c]
+                directions = block / np.linalg.norm(block, axis=1)[:, None]
+                assert np.abs(directions @ directions.T - np.eye(len(block))).max() <= 1e-12
 
 
 class TestVarianceEmpirical:
