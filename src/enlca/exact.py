@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .matrices import ShapeError, _validated_qkv, as_matrix
+from .matrices import NumericError, ShapeError, _validated_qkv, as_matrix
 
 # Query positions per chunk of weight rows: the transient is CHUNK x N.
 CHUNK = 256
@@ -49,17 +49,24 @@ def _validated_qk(q, k):
     return q, k
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax of each row, computed in place; returns `logits`."""
-    logits -= logits.max(axis=1, keepdims=True)
+def _softmax_rows(logits: np.ndarray, first_column: int) -> np.ndarray:
+    """Softmax of each row, computed in place; returns `logits`. Row i holds
+    query column first_column + i; a row whose max is not finite (a logit
+    overflowed or is NaN) has no softmax and raises NumericError naming it."""
+    top = logits.max(axis=1, keepdims=True)
+    bad = np.flatnonzero(~np.isfinite(top))
+    if bad.size:
+        raise NumericError(f"attention logits overflowed at query column {first_column + int(bad[0])}")
+    with np.errstate(over="ignore"):  # a logit far below the max goes to -inf: weight 0
+        logits -= top
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=1, keepdims=True)
     return logits
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:
-    """Entropy in nats of each row of a non-negative matrix; zero entries contribute 0."""
-    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+    """Entropy in nats of each row of a non-negative matrix; zero entries contribute 0, one-hot rows +0."""
+    return 0.0 - (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
 
 
 def _weight_rows(q, k):
@@ -71,8 +78,9 @@ def _weight_rows(q, k):
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         w = buffer[:stop - start]
-        np.matmul(q[:, start:stop].T, k, out=w)
-        yield start, stop, _softmax_rows(w)
+        with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
+            np.matmul(q[:, start:stop].T, k, out=w)
+        yield start, stop, _softmax_rows(w, start)
 
 
 def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
@@ -99,8 +107,9 @@ def correlation_map(q, k, query_index: int) -> np.ndarray:
     q, k = _validated_qk(q, k)
     if not 0 <= query_index < q.shape[1]:
         raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
-    logits = k.T @ q[:, query_index]
-    return _softmax_rows(logits[None, :])[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
+        logits = k.T @ q[:, query_index]
+    return _softmax_rows(logits[None, :], query_index)[0]
 
 
 def shannon_entropy(p) -> float:

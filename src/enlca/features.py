@@ -234,7 +234,7 @@ def kernel_variance_theory(q_i, k_j, m: int) -> float:
     with np.errstate(over="ignore"):
         k2 = np.exp(2.0 * float(q @ k))
         growth = np.expm1(float(z @ z))
-    return float(k2 * growth) / m
+        return float(k2 * growth) / m
 
 
 def kernel_estimates(
@@ -308,13 +308,16 @@ def kernel_variance_empirical(
 
     With orthogonal=True the empirical side measures the orthogonalized
     construction while `theoretical` stays the iid reference it is
-    compared against.
+    compared against. A closed form beyond float range raises
+    NumericError before any trial is drawn.
     """
     if trials < 2:
         raise ValueError(f"variance needs trials >= 2, got {trials}")
+    theoretical = kernel_variance_theory(q_i, k_j, m)
+    if not math.isfinite(theoretical):
+        raise NumericError("closed-form variance overflowed")
     estimates = kernel_estimates(q_i, k_j, m, trials, rng, orthogonal)
     empirical = float(estimates.var(ddof=1))
-    theoretical = kernel_variance_theory(q_i, k_j, m)
     rel_gap = abs(empirical - theoretical) / max(theoretical, _REL_GAP_FLOOR)
     return VarianceReport(
         theoretical=theoretical,

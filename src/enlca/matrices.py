@@ -12,7 +12,7 @@ numpy's ziggurat transform on that stream.
 
 from __future__ import annotations
 
-import struct
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,18 +31,11 @@ __all__ = [
     "check_settings",
     "gaussian_sample",
     "normalize_columns",
-    "read_matrix_binary",
     "read_matrix_csv",
-    "write_matrix_binary",
     "write_matrix_csv",
 ]
 
 _U64_MAX = 2**64 - 1
-
-_BINARY_MAGIC = b"ENLM"
-_BINARY_HEADER = struct.Struct("<4sIII")
-_BINARY_F64 = 0
-_ENLM_NOT_CSV = "input is an ENLM binary matrix, not CSV"
 
 
 class ShapeError(ValueError):
@@ -61,9 +54,9 @@ def check_settings(*, k_amp=None, epsilon=None, **counts) -> None:
     """The one range check of the settings a caller requests, shared by
     the library and the CLI: each count or size passed by name (m, n, c,
     c_out, c_in, c_embed, trials, rows, cols, height, width) >= 1, then
-    amplification k_amp >= 1 and floor epsilon > 0. A setting left at
-    None is not checked. Raises ValueError naming the first setting out
-    of range and its value."""
+    amplification k_amp >= 1 and floor epsilon > 0, both finite. A setting
+    left at None is not checked. Raises ValueError naming the first
+    setting out of range and its value."""
     for name, value in counts.items():
         if value is not None and not value >= 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -71,6 +64,9 @@ def check_settings(*, k_amp=None, epsilon=None, **counts) -> None:
         raise ValueError(f"k_amp must be >= 1, got {k_amp}")
     if epsilon is not None and not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    for name, value in (("k_amp", k_amp), ("epsilon", epsilon)):
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -166,15 +162,11 @@ def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Interchange formats.
+# Interchange format.
 #
 # CSV: line 1 is "rows,cols"; each following line holds one row of
 # comma-separated decimal reals. Values are written with Python's repr,
 # which is shortest-round-trip, so re-parsing restores bit-identical f64.
-#
-# Binary: 16-byte header (magic b"ENLM", u32 rows, u32 cols, u32 dtype)
-# followed by the row-major little-endian payload. dtype is always 0, f64,
-# so the format is lossless.
 # ---------------------------------------------------------------------------
 
 
@@ -223,8 +215,6 @@ def read_matrix_csv(src: Union[str, Path, IO[str]]) -> np.ndarray:
             except ValueError as exc:
                 raise FormatError(_first_bad_line(fp, body_start, cols, exc)) from None
         except UnicodeDecodeError as exc:
-            if exc.object.startswith(_BINARY_MAGIC):
-                raise FormatError(_ENLM_NOT_CSV) from None
             raise FormatError(f"not UTF-8 text ({exc.reason})") from None
     if body.shape[0] != rows:
         raise FormatError(f"expected {rows} data lines, found {body.shape[0]}")
@@ -283,8 +273,6 @@ def _csv_shape(line: str) -> tuple:
     """(rows, cols) declared by the CSV header line "rows,cols"."""
     if not line:
         raise FormatError("empty input, expected a rows,cols header")
-    if line.startswith("ENLM"):
-        raise FormatError(_ENLM_NOT_CSV)
     line = line.rstrip("\r\n")
     header = line.split(",")
     if len(header) != 2:
@@ -296,33 +284,3 @@ def _csv_shape(line: str) -> tuple:
     if rows < 1 or cols < 1:
         raise FormatError(f"header declares empty shape {rows}x{cols}")
     return rows, cols
-
-
-def write_matrix_binary(a, dest: Union[str, Path, IO[bytes]]) -> None:
-    """Write the lossless f64 binary format."""
-    a = as_matrix(a)
-    if a.shape[0] > 0xFFFFFFFF or a.shape[1] > 0xFFFFFFFF:
-        raise FormatError(f"shape {a.shape} exceeds the u32 header range")
-    payload = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    with _open_for(dest, "wb") as fp:
-        fp.write(_BINARY_HEADER.pack(_BINARY_MAGIC, a.shape[0], a.shape[1], _BINARY_F64))
-        fp.write(payload)
-
-
-def read_matrix_binary(src: Union[str, Path, IO[bytes]]) -> np.ndarray:
-    """Parse the binary format; always yields float64."""
-    with _open_for(src, "rb") as fp:
-        blob = fp.read()
-    if len(blob) < _BINARY_HEADER.size:
-        raise FormatError(f"truncated header: {len(blob)} bytes")
-    magic, rows, cols, code = _BINARY_HEADER.unpack_from(blob)
-    if magic != _BINARY_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
-    if code != _BINARY_F64:
-        raise FormatError(f"unknown dtype code {code}")
-    expected = rows * cols * 8
-    payload = blob[_BINARY_HEADER.size:]
-    if len(payload) != expected:
-        raise FormatError(f"payload holds {len(payload)} bytes, expected {expected}")
-    a = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
-    return as_matrix(a, "binary matrix")

@@ -16,7 +16,6 @@ from enlca.matrices import (
     RngSpec,
     gaussian_sample,
     read_matrix_csv,
-    write_matrix_binary,
     write_matrix_csv,
 )
 from oracles import read_pgm, read_sweep_csv
@@ -188,6 +187,11 @@ class TestVarianceCommand:
         empirical = float(lines[1].split()[1])
         assert theory > 0 and empirical > 0
 
+    def test_overflowing_theory_is_numeric_failure(self, capsys):
+        code, out, err = run(capsys, "variance", "--k-amp", "150", "--m", "4", "--trials", "20")
+        assert code == 2 and out == ""
+        assert err == "error: closed-form variance overflowed\n"
+
 
 class TestApproxSweepCommand:
     def test_writes_sweep_csv(self, tmp_path, capsys):
@@ -280,6 +284,23 @@ class TestCorrMapCommand:
         cmap = read_matrix_csv(out)[0]
         assert abs(shannon_entropy(cmap) - float(stdout.split()[1])) < 1e-9
 
+    def test_one_hot_map_has_entropy_zero(self, tmp_path, capsys):
+        q, k = tmp_path / "q.csv", tmp_path / "k.csv"
+        write_matrix_csv([[30.0, 0.0]], q)
+        write_matrix_csv([[30.0, -30.0]], k)  # logits 900 and -900: a one-hot map
+        code, out, _ = run(capsys, "corr-map", "--q", str(q), "--k", str(k))
+        assert code == 0 and out == "entropy 0\n"
+
+    @pytest.mark.parametrize("command", ["exact", "corr-map"])
+    def test_overflowing_logits_are_numeric_failure(self, tmp_path, capsys, command):
+        q, k = tmp_path / "q.csv", tmp_path / "k.csv"
+        write_matrix_csv([[1e300, 1.0]], q)
+        write_matrix_csv([[1e300, -1e300]], k)
+        inputs = ["--q", str(q), "--k", str(k)] + (["--v", str(q)] if command == "exact" else [])
+        code, out, err = run(capsys, command, *inputs)
+        assert code == 2 and out == ""
+        assert err == "error: attention logits overflowed at query column 0\n"
+
     def test_pgm_needs_shape(self, matrices, tmp_path, capsys):
         code, _, err = run(capsys, "corr-map", "--features", matrices["features"],
                            "--out", str(tmp_path / "m.pgm"))
@@ -325,13 +346,6 @@ class TestErrorPaths:
         assert code == 1
         assert err.strip() == f"error: malformed CSV '{bad}': line 4: expected 2 values, got 1"
 
-    def test_binary_matrix_given_as_csv_names_file(self, tmp_path, capsys):
-        enlm = tmp_path / "m.enlm"
-        write_matrix_binary(np.full((2, 2), 1.5), enlm)
-        code, _, err = run(capsys, "enla", "--q", str(enlm), "--k", str(enlm), "--v", str(enlm))
-        assert code == 1
-        assert "m.enlm" in err and "ENLM binary matrix" in err
-
     def test_undecodable_csv_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,2\n1.0,\xff2.0\n")
@@ -376,6 +390,10 @@ class TestErrorPaths:
         (["variance", "--k-amp", "0.5", "--trials", "10"], "k_amp must be >= 1, got 0.5"),
         (["variance", "--k-amp", "-1", "--trials", "10"], "k_amp must be >= 1, got -1.0"),
         (["variance-sweep", "--k-list", "nan", "--trials", "10"], "k_amp must be >= 1, got nan"),
+        (["variance", "--k-amp", "inf", "--trials", "10"], "k_amp must be finite, got inf"),
+        (["variance-sweep", "--k-list", "1,inf", "--trials", "10"], "k_amp must be finite, got inf"),
+        (["enla", "--features", "X", "--epsilon", "inf"], "epsilon must be finite, got inf"),
+        (["corr-map", "--features", "X", "--k-amp", "inf"], "k_amp must be finite, got inf"),
         (["flops", "--n", "0"], "n must be >= 1, got 0"),
         (["flops", "--method", "nla", "--m", "0"], "m must be >= 1, got 0"),
         (["flops", "--m", "0"], "m must be >= 1, got 0"),
@@ -392,7 +410,8 @@ class TestErrorPaths:
          "height must be >= 1, got -6"),
     ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp",
             "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
-            "variance-sweep --k-list nan", "flops --n", "flops --method nla --m", "flops --m 0",
+            "variance-sweep --k-list nan", "variance --k-amp inf", "variance-sweep --k-list inf",
+            "enla --epsilon inf", "corr-map --k-amp inf", "flops --n", "flops --method nla --m", "flops --m 0",
             "flops --m negative", "approx-sweep --n",
             "approx-sweep --c", "approx-sweep --cout", "bench --c", "block --c-embed",
             "enla --c-embed", "exact --c-embed", "corr-map --c-embed", "corr-map --height"])

@@ -9,7 +9,7 @@ from enlca.exact import (
     exact_attention,
     shannon_entropy,
 )
-from enlca.matrices import RngSpec, ShapeError, gaussian_sample
+from enlca.matrices import NumericError, RngSpec, ShapeError, gaussian_sample
 
 from oracles import columns, naive_attention
 
@@ -144,10 +144,62 @@ class TestEntropy:
         assert abs(shannon_entropy(np.full(8, 0.125)) - np.log(8)) < 1e-12
 
     def test_point_mass_is_zero(self):
-        assert shannon_entropy([0.0, 1.0, 0.0]) == 0.0
+        for p in ([1.0], [0.0, 1.0, 0.0]):
+            assert shannon_entropy(p) == 0.0
+            assert np.copysign(1.0, shannon_entropy(p)) == 1.0  # +0, not -0
+
+    def test_one_hot_rows_are_positive_zero(self):
+        # logits 900 apart: every weight row is exactly one-hot
+        entropies = attention_row_entropies([[30.0, -30.0]], [[30.0, -30.0]])
+        assert np.array_equal(np.copysign(1.0, entropies), [1.0, 1.0])
 
     def test_row_entropies_match_weights(self):
         q, k, v = seeded_instance(37, c=4, c_out=2, n=15)
         weights = exact_attention(q, k, v, keep_weights=True).weights
         expected = np.array([shannon_entropy(row) for row in weights])
         assert np.abs(attention_row_entropies(q, k) - expected).max() < 1e-12
+
+
+class TestOverflowingLogits:
+    """A weight row whose largest logit is not finite has no softmax: the
+    oracle names its query column instead of returning NaN."""
+
+    # query column 1 meets the keys at +inf and -inf; column 0 stays finite
+    Q = np.array([[1.0, 1e300]])
+    K = np.array([[1e300, -1e300]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda q, k: exact_attention(q, k, np.ones((1, 2))),
+        lambda q, k: exact_attention(q, k, np.ones((1, 2)), keep_weights=True),
+        lambda q, k: correlation_map(q, k, 1),
+        lambda q, k: attention_row_entropies(q, k),
+    ], ids=["exact_attention", "exact_attention weights", "correlation_map", "attention_row_entropies"])
+    def test_names_query_column(self, call):
+        with pytest.raises(NumericError, match="^attention logits overflowed at query column 1$"):
+            call(self.Q, self.K)
+
+    @pytest.mark.filterwarnings("error")
+    def test_all_negative_infinite_row(self):
+        with pytest.raises(NumericError, match="query column 0"):
+            correlation_map([[-1e300]], [[1e300, 2e300]], 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_names_column_of_later_chunk(self, monkeypatch):
+        monkeypatch.setattr(exact, "CHUNK", 2)
+        q = np.array([[1.0, 2.0, 0.5, 1e300, 1.0]])
+        k = np.array([[1.0, 1e300, 0.0, 2.0, 1.0]])
+        with pytest.raises(NumericError, match="query column 3$"):
+            exact_attention(q, k, np.ones((2, 5)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e150, 1.3e154])
+    def test_huge_finite_logits_match_oracle(self, scale):
+        # logits near +-scale^2; at 1.3e154 they sit near the float limit and
+        # their difference from the row max overflows to -inf, a zero weight
+        q = np.array([[scale, -scale, 0.5 * scale], [1.0, 2.0, -1.0]])
+        k = np.array([[scale, -0.5 * scale, -scale], [0.5, -1.0, 3.0]])
+        v = np.array([[1.0, -2.0, 3.0], [0.25, 0.5, -0.75]])
+        with np.errstate(over="ignore"):  # the oracle subtracts numpy scalars
+            expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
+        assert np.abs(exact_attention(q, k, v).y - expected).max() < 1e-12

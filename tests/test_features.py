@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enlca import features
 from enlca.features import (
     _TRIAL_BLOCK,
     ProjectionMatrix,
@@ -202,6 +203,12 @@ class TestVarianceTheory:
             for k in (1, 2, 4, 6, 8)
         ]
         assert all(lo < hi for lo, hi in zip(values, values[1:]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_inf_without_warning(self):
+        # K^2 = e^300 and the growth e^600 are finite; only their product overflows
+        u = unit_vector(4, math.sqrt(150))
+        assert kernel_variance_theory(u, u, 4) == math.inf
 
 
 class TestKernelEstimates:
@@ -401,3 +408,10 @@ class TestVarianceEmpirical:
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
             kernel_variance_empirical(np.ones(3), np.ones(3), 4, 1, RngSpec(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_theory_raises_before_trials(self, monkeypatch):
+        monkeypatch.setattr(features, "kernel_estimates", lambda *args: pytest.fail("drew trials"))
+        u = unit_vector(4, math.sqrt(150))
+        with pytest.raises(NumericError, match="^closed-form variance overflowed$"):
+            kernel_variance_empirical(u, u, m=4, trials=20, rng=RngSpec(0))

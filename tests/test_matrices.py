@@ -20,9 +20,7 @@ from enlca.matrices import (
     as_matrix,
     gaussian_sample,
     normalize_columns,
-    read_matrix_binary,
     read_matrix_csv,
-    write_matrix_binary,
     write_matrix_csv,
 )
 from enlca.pgm import export_correlation_pgm
@@ -176,6 +174,21 @@ class TestCheckSettings:
         assert not isinstance(caught.value, ShapeError)
 
 
+    @pytest.mark.parametrize("name,call", [
+        ("k_amp", lambda: normalize_and_scale(np.ones((2, 2)), np.ones((2, 2)), math.inf)),
+        ("epsilon", lambda: normalize_and_scale(np.ones((2, 2)), np.ones((2, 2)), 1.0, math.inf)),
+        ("k_amp", lambda: relevance_scores(np.ones((2, 2)), np.ones((2, 2)), math.inf)),
+        ("k_amp", lambda: EnlaConfig(rng=RngSpec(0), k_amp=math.inf)),
+        ("epsilon", lambda: EnlaConfig(rng=RngSpec(0), epsilon=math.inf)),
+        ("epsilon", lambda: normalize_columns(np.ones((2, 2)), math.inf)),
+        ("k_amp", lambda: _aligned_vector(4, math.inf)),
+    ], ids=["normalize_and_scale k_amp", "normalize_and_scale epsilon", "relevance_scores k_amp",
+            "EnlaConfig k_amp", "EnlaConfig epsilon", "normalize_columns epsilon", "_aligned_vector k_amp"])
+    def test_infinite_setting_names_the_setting(self, name, call):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
+            call()
+
+
 class TestRngSpec:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
@@ -283,14 +296,6 @@ class TestCsvRoundTrip:
         with pytest.raises(FormatError, match="expected 2 data lines, found 0"):
             read_matrix_csv(io.StringIO(text))
 
-    @pytest.mark.parametrize("a", [np.full((2, 2), 1.5), np.zeros((1, 1))])
-    def test_binary_matrix_is_named(self, tmp_path, a):
-        # 1.5 holds bytes that are not UTF-8; zeros decode as UTF-8 text
-        path = tmp_path / "m.enlm"
-        write_matrix_binary(a, path)
-        with pytest.raises(FormatError, match="ENLM binary matrix"):
-            read_matrix_csv(path)
-
     @pytest.mark.parametrize("lines", [0, 5000])  # 5000 lines put the byte past the first read
     def test_undecodable_bytes(self, tmp_path, lines):
         path = tmp_path / "m.csv"
@@ -348,38 +353,3 @@ class TestCsvRoundTrip:
     def test_nan_payload_is_numeric_error(self):
         with pytest.raises(NumericError):
             read_matrix_csv(io.StringIO("1,2\nnan,1.0\n"))
-
-
-class TestBinaryRoundTrip:
-    def test_f64_bitwise(self, tmp_path):
-        gen = np.random.Generator(np.random.Philox(key=11))
-        a = gen.standard_normal((5, 7)) * 1e30
-        path = tmp_path / "m.bin"
-        write_matrix_binary(a, path)
-        assert np.array_equal(read_matrix_binary(path), a)
-
-    def test_f32_code_is_rejected(self):
-        import struct
-
-        # dtype code 1 (f32) is no longer part of the format
-        header = struct.pack("<4sIII", b"ENLM", 1, 1, 1) + b"\0" * 4
-        with pytest.raises(FormatError, match="dtype code 1"):
-            read_matrix_binary(io.BytesIO(header))
-
-    def test_bad_magic(self):
-        with pytest.raises(FormatError):
-            read_matrix_binary(io.BytesIO(b"XXXX" + b"\0" * 12))
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "t.bin"
-        write_matrix_binary(np.ones((2, 2)), path)
-        blob = path.read_bytes()[:-4]
-        with pytest.raises(FormatError):
-            read_matrix_binary(io.BytesIO(blob))
-
-    def test_unknown_dtype_code(self):
-        import struct
-
-        header = struct.pack("<4sIII", b"ENLM", 1, 1, 9) + b"\0" * 8
-        with pytest.raises(FormatError):
-            read_matrix_binary(io.BytesIO(header))
