@@ -147,7 +147,7 @@ def approximation_error_sweep(
     ref_norm = float(np.linalg.norm(reference))
     errors = np.empty((len(ms), trials))
     for t in range(trials):
-        config = EnlaConfig(rng=rng.stream(16 + t), m=ms[-1], k_amp=k_amp)
+        config = EnlaConfig(rng=rng.stream(16 + t), m=ms[-1])
         trial = []
         _prefix_forwards(q, k, v, config, ms, lambda approx: trial.append(
             float(np.linalg.norm(approx - reference)) / ref_norm))
@@ -222,7 +222,7 @@ def runtime_scaling(
         delta = gaussian_sample(rng.stream(3 * i + 2), c, n)
         v = gaussian_sample(rng.stream(3 * i + 3), c_out, n)
         q, k = normalize_and_scale(theta, delta, 1.0)
-        config = EnlaConfig(rng=rng.stream(10_000 + i), m=m, k_amp=1.0)
+        config = EnlaConfig(rng=rng.stream(10_000 + i), m=m)
         exact_times = []
         enla_times = []
         for _ in range(repeats):

@@ -8,8 +8,9 @@ the Monte-Carlo helpers here.
 
 All exponentials are max-shifted before evaluation; phi reports the shift
 so exact values can be recovered, and ratio-style consumers can ignore it.
-phi and the attention forward share one kernel, `_exp_features`, which
-differs between them only in the shift it subtracts.
+phi and the attention forward share one kernel, `_projected`, which forms
+F u in the caller's buffer; each caller subtracts its own shift from it
+and runs exp in place.
 
 Projections come from one private sampler, `_projection_blocks`, which
 serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
@@ -157,15 +158,10 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
         raise ShapeError(f"phi input has {u.shape[0]} channels, projection expects {f.c}")
     values = np.empty((f.m, u.shape[1]))
     half_sq = _half_sq_norms(u)
-    log_shift = -math.inf
-
-    def shift(top, start, stop):
-        nonlocal log_shift
-        log_shift = float(np.max(top - half_sq))
-        # the 1/sqrt(m) scale rides along with the shift
-        return half_sq + (_finite_or_zero(log_shift) + 0.5 * math.log(f.m))
-
-    _exp_features(f.f, u, 0, u.shape[1], values, shift)
+    log_shift = float(np.max(_projected(f.f, u, 0, u.shape[1], values) - half_sq))
+    # the 1/sqrt(m) scale rides along with the shift
+    values -= half_sq + (_finite_or_zero(log_shift) + 0.5 * math.log(f.m))
+    np.exp(values, out=values)
     return PhiFeatures(values=values, log_shift=log_shift)
 
 
@@ -182,14 +178,11 @@ def _finite_or_zero(shift):
     return np.where(np.isfinite(shift), shift, 0.0)
 
 
-def _exp_features(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndarray, shift) -> None:
-    """The feature kernel: exp(F u_j - s_j) for columns start..stop-1 of a
-    validated c x N matrix u, written in place into out (m x (stop - start)).
-
-    `shift(top, start, stop)` receives the column maxima of F u over the
-    slice and returns s, a scalar or one entry per column. F u is formed in
-    `out`, s is subtracted in place and exp runs in place, so the kernel
-    allocates nothing of size m x N. A projection that overflows (a column
+def _projected(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Form F u_j for columns start..stop-1 of a validated c x N matrix u
+    in out (m x (stop - start)) and return the column maxima. The caller
+    subtracts its shift from out and runs exp in place, so the features
+    allocate nothing of size m x N. A projection that overflows (a column
     maximum of +inf or NaN) cannot be repaired by any shift and raises
     NumericError naming the column of u.
     """
@@ -199,8 +192,7 @@ def _exp_features(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.n
         if not (top < math.inf).all():
             col = start + int(np.flatnonzero(~(top < math.inf))[0])
             raise NumericError(f"phi overflowed after stabilization at column {col}")
-        out -= shift(top, start, stop)
-    np.exp(out, out=out)
+    return top
 
 
 def _kernel_operands(q_i, k_j) -> tuple[np.ndarray, np.ndarray]:
@@ -226,15 +218,19 @@ def kernel_exact(q_i, k_j) -> float:
 
 def kernel_variance_theory(q_i, k_j, m: int) -> float:
     """Closed-form variance of the m-sample iid feature estimator of
-    exp(q . k): K^2 * (exp(|q + k|^2) - 1) / m. May return inf when the
-    closed form itself exceeds float range."""
+    exp(q . k): K^2 * (exp(|q + k|^2) - 1) / m. A product whose factors
+    leave float range (K^2 underflowing while the growth overflows) is
+    taken in log space; inf is returned only when the closed form itself
+    exceeds float range."""
     q, k = _kernel_operands(q_i, k_j)
     check_settings(m=m)
     z = q + k
-    with np.errstate(over="ignore"):
-        k2 = np.exp(2.0 * float(q @ k))
-        growth = np.expm1(float(z @ z))
-        return float(k2 * growth) / m
+    with np.errstate(over="ignore", invalid="ignore"):
+        two_qk, sq = 2.0 * float(q @ k), float(z @ z)
+        value = float(np.exp(two_qk) * np.expm1(sq))
+        if not math.isfinite(value):
+            value = float(np.exp(two_qk + sq + np.log(-np.expm1(-sq))))
+    return value / m
 
 
 def kernel_estimates(

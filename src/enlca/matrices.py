@@ -154,11 +154,17 @@ def gaussian_sample(rng: RngSpec, rows: int, cols: int) -> np.ndarray:
 
 def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
     """Scale each column to unit norm; columns with norm below `epsilon`
-    are divided by `epsilon` instead (so zero columns stay zero)."""
+    are divided by `epsilon` instead (so zero columns stay zero). A column
+    whose sum of squares overflows is first divided by its max |entry|."""
     a = as_matrix(a)
     check_settings(epsilon=epsilon)
-    norms = np.maximum(np.sqrt((a * a).sum(axis=0)), epsilon)
-    return a / norms[None, :]
+    with np.errstate(over="ignore"):
+        sq = (a * a).sum(axis=0)
+    out = a / np.maximum(np.sqrt(sq), epsilon)
+    big = np.isinf(sq)
+    scaled = a[:, big] / np.abs(a[:, big]).max(axis=0)
+    out[:, big] = scaled / np.sqrt((scaled * scaled).sum(axis=0))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,19 @@ class TestEnlaCommand:
         assert code == 0
         assert read_matrix_csv(out).shape == (12, 36)
 
+    def test_derived_features_past_square_range(self, matrices, tmp_path, capsys):
+        # q and k keep only the directions of the embedded map, so scaling
+        # it by 1e200, whose squares overflow, scales the output alike
+        big = tmp_path / "big.csv"
+        write_matrix_csv(1e200 * read_matrix_csv(matrices["features"]), big)
+        outputs = []
+        for name, features in (("y", matrices["features"]), ("y_big", str(big))):
+            out = tmp_path / f"{name}.csv"
+            assert run(capsys, "enla", "--features", features, "--c-embed", "6", "--m", "32",
+                       "--k-amp", "1", "--out", str(out))[0] == 0
+            outputs.append(read_matrix_csv(out))
+        assert np.allclose(outputs[1], 1e200 * outputs[0], rtol=1e-9, atol=0)
+
 
 class TestBlockCommand:
     def test_shape_preserved(self, matrices, tmp_path, capsys):

@@ -44,6 +44,12 @@ class TestRelevanceScores:
         t = relevance_scores(q, k, k_amp)
         assert np.abs(t).max() <= k_amp + 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    def test_squares_past_float_range(self):
+        # a column of norm 5e200 is the same direction as one of norm 5
+        q = np.array([[3e200, 3.0], [4e200, 4.0]])
+        assert np.allclose(relevance_scores(q, q, 6.0), 6.0, rtol=1e-15, atol=0)
+
     def test_ties_equation_chain_together(self):
         # Relevance of the normalized/amplified features equals their
         # plain inner products: both express k_amp * cosine.

@@ -62,6 +62,13 @@ class TestNormalizeAndScale:
         q, _ = normalize_and_scale(theta, theta, 6.0, epsilon=1e-12)
         assert np.array_equal(q[:, 0], np.zeros(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_squares_past_float_range(self):
+        theta = np.array([[3e200, 3.0], [4e200, 4.0]])
+        q, k = normalize_and_scale(theta, theta, 4.0)
+        assert np.allclose(q, [[1.2, 1.2], [1.6, 1.6]], rtol=1e-15, atol=0)
+        assert np.array_equal(q, k)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             normalize_and_scale(np.zeros((2, 3)), np.zeros((2, 4)), 2.0)

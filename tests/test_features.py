@@ -150,6 +150,15 @@ class TestPhi:
         assert np.allclose(out.values[:, 0] * math.exp(out.log_shift),
                            np.exp(proj.f @ u[:, 0] - 1.5) / math.sqrt(2), rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_square_norm_overflowing_gives_zeros(self):
+        # every exponent F u - |u|^2 / 2 is -inf, so the shift is -inf and
+        # the features are 0, not NaN
+        proj = ProjectionMatrix(f=1e-160 * np.eye(3), orthogonal=False)
+        out = phi(proj, np.full((3, 4), 1e160))
+        assert np.array_equal(out.values, np.zeros((3, 4)))
+        assert out.log_shift == -math.inf
+
     def test_monte_carlo_unbiasedness_at_e(self):
         # mean of phi(q) . phi(k) over independent projections approaches
         # exp(q . k) = e for aligned unit vectors.
@@ -209,6 +218,16 @@ class TestVarianceTheory:
         # K^2 = e^300 and the growth e^600 are finite; only their product overflows
         u = unit_vector(4, math.sqrt(150))
         assert kernel_variance_theory(u, u, 4) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q, k, log_value", [
+        # exp(2 q.k) = e^-800 underflows to 0 while expm1(900) overflows
+        ([20.0, 0.0], [-20.0, 30.0], 100.0),
+        # exp(2 q.k) = e^-200 is finite while expm1(800) overflows
+        ([10.0, 0.0], [-10.0, math.sqrt(800.0)], 600.0),
+    ])
+    def test_finite_product_of_out_of_range_factors(self, q, k, log_value):
+        assert kernel_variance_theory(q, k, 4) == pytest.approx(math.exp(log_value) / 4, rel=1e-12)
 
 
 class TestKernelEstimates:
@@ -408,6 +427,15 @@ class TestVarianceEmpirical:
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
             kernel_variance_empirical(np.ones(3), np.ones(3), 4, 1, RngSpec(0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_theory_with_out_of_range_factors(self):
+        # the closed form e^100 / 4 fits in float range though exp(2 q.k)
+        # underflows and expm1(|q + k|^2) overflows
+        q, k = np.array([20.0, 0.0]), np.array([-20.0, 30.0])
+        report = kernel_variance_empirical(q, k, m=4, trials=2, rng=RngSpec(0))
+        assert report.theoretical == pytest.approx(math.exp(100) / 4, rel=1e-12)
+        assert math.isfinite(report.empirical)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_theory_raises_before_trials(self, monkeypatch):

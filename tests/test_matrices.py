@@ -211,6 +211,16 @@ class TestColumnNormalization:
         out = normalize_columns(a, epsilon=1e-12)
         assert np.array_equal(out[:, 0], [0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_squares_past_float_range(self):
+        # the squares of 3e200 and 4e200 overflow though the norm 5e200
+        # does not; the last column's norm is itself past float range
+        a = np.array([[3e200, 3.0, 1.5e308], [4e200, 4.0, 1.5e308]])
+        out = normalize_columns(a)
+        expected = [[0.6, 0.6, math.sqrt(0.5)], [0.8, 0.8, math.sqrt(0.5)]]
+        assert np.allclose(out, expected, rtol=1e-15, atol=0)
+        assert np.array_equal(out[:, 1], [0.6, 0.8])
+
 
 class TestCsvRoundTrip:
     def test_bitwise_round_trip(self, tmp_path):
