@@ -3,7 +3,8 @@
 Inputs and outputs use the canonical matrix CSV format. Query/key/value
 may be given explicitly (used as-is) or derived from a single feature map
 with seeded random transforms plus unit-normalization and amplification,
-mirroring how the block consumes one input.
+mirroring how the block consumes one input; each input mode refuses the
+flags of the other. Flags are spelled in full: no prefix stands for one.
 
 Exit codes: 0 success, 1 usage problem (bad flags, unreadable or
 malformed files, out-of-range values) or a closed stdout (a reader that
@@ -59,6 +60,9 @@ class UsageError(Exception):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # subparsers too: --k is not read as --k-amp
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -90,36 +94,47 @@ def _parse_list(raw: str, flag: str, kind=int) -> list:
     return values
 
 
-def _enla_config(args, base: RngSpec, **projection) -> EnlaConfig:
-    """Forward settings from the derivation flags plus, where the subcommand
-    has them, --m/--orthogonal; the projection stream is offset 2."""
-    return EnlaConfig(rng=base.stream(2), k_amp=args.k_amp, epsilon=args.epsilon, **projection)
+def _refuse(args, mode: str, flags) -> None:
+    """UsageError naming the first of `flags` given on the command line
+    although `mode` has no use for it; each of them defaults to None."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} does not apply with {mode}")
 
 
-def _block_params(args, base: RngSpec, **projection):
-    """The --features map and block weights drawn from stream offset 1."""
+def _k_amp(args) -> float:
+    """--k-amp, 6 by default: its parser default is None, so modes can refuse it."""
+    return 6.0 if args.k_amp is None else args.k_amp
+
+
+def _block_params(args, base: RngSpec, **settings):
+    """The --features map and block weights drawn from stream offset 1;
+    `settings` are the forward flags the subcommand takes."""
     x = _load_matrix(args.features)
     c_embed = args.c_embed if args.c_embed is not None else min(64, x.shape[0])
-    config = _enla_config(args, base, **projection)
+    config = EnlaConfig(rng=base.stream(2), k_amp=_k_amp(args), **settings)
     return x, random_block_params(base.stream(1), x.shape[0], c_embed, config)
 
 
-def _resolve_inputs(args, base: RngSpec, paths, **projection):
+def _resolve_inputs(args, base: RngSpec, names, **settings):
     """((q, k, v), config): q, k, v derived from --features as the block
-    derives them, or else the matrices at `paths` (--q, --k and, if taken,
-    --v) used as given."""
+    derives them, or else the matrices given by the flags `names` (q, k
+    and, if taken, v) used as given. Each mode refuses the other's flags."""
+    flags = [f"--{name}" for name in names]
     if args.features is not None:
-        x, params = _block_params(args, base, **projection)
+        _refuse(args, "--features", flags)
+        x, params = _block_params(args, base, **settings)
         return block_inputs(x, params), params.config
-    flags = ("--q", "--k", "--v")[:len(paths)]
+    _refuse(args, f"explicit {'/'.join(flags)}", ("--c-embed", "--k-amp"))
+    paths = [getattr(args, name) for name in names]
     missing = [flag for flag, path in zip(flags, paths) if path is None]
     if missing:
         raise UsageError(f"give --features or all of {'/'.join(flags)} (missing {', '.join(missing)})")
-    return [_load_matrix(path) for path in paths], _enla_config(args, base, **projection)
+    return [_load_matrix(path) for path in paths], EnlaConfig(rng=base.stream(2), **settings)
 
 
 def _cmd_exact(args) -> int:
-    (q, k, v), _ = _resolve_inputs(args, RngSpec(args.seed), (args.q, args.k, args.v))
+    (q, k, v), _ = _resolve_inputs(args, RngSpec(args.seed), "qkv")
     result = exact_attention(q, k, v, keep_weights=args.weights_out is not None)
     if args.weights_out is not None:
         write_matrix_csv(result.weights, args.weights_out)
@@ -128,14 +143,15 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_enla(args) -> int:
-    (q, k, v), config = _resolve_inputs(args, RngSpec(args.seed), (args.q, args.k, args.v),
-                                        m=args.m, orthogonal=args.orthogonal)
+    (q, k, v), config = _resolve_inputs(args, RngSpec(args.seed), "qkv", m=args.m,
+                                        orthogonal=args.orthogonal, epsilon=args.epsilon)
     _emit_matrix(enla_forward(q, k, v, config), args.out)
     return 0
 
 
 def _cmd_block(args) -> int:
-    x, params = _block_params(args, RngSpec(args.seed), m=args.m, orthogonal=args.orthogonal)
+    x, params = _block_params(args, RngSpec(args.seed), m=args.m, orthogonal=args.orthogonal,
+                              epsilon=args.epsilon)
     _emit_matrix(enlca_block(x, params), args.out)
     return 0
 
@@ -193,27 +209,32 @@ def _cmd_flops(args) -> int:
 def _cmd_contrastive(args) -> int:
     if (args.sr is None) != (args.hr is None):
         raise UsageError("--sr and --hr come together")
+    if args.lambda_cl is not None and args.sr is None:
+        raise UsageError("--lambda-cl needs --sr and --hr")
     cfg = ContrastiveConfig(n1=args.n1, n2=args.n2, b=args.b)
     if args.t is not None:
+        _refuse(args, "--t", ("--q", "--k", "--k-amp"))
         scores = _load_matrix(args.t)
     elif args.q is not None and args.k is not None:
-        scores = relevance_scores(_load_matrix(args.q), _load_matrix(args.k), args.k_amp)
+        scores = relevance_scores(_load_matrix(args.q), _load_matrix(args.k), _k_amp(args))
     else:
         raise UsageError("give --t, or both --q and --k")
     cl = contrastive_loss(scores, cfg)
     lines = [f"contrastive_loss {_fmt(cl)}"]
     if args.sr is not None:
         rec = reconstruction_loss(_load_matrix(args.sr), _load_matrix(args.hr))
+        lambda_cl = 1e-3 if args.lambda_cl is None else args.lambda_cl
         lines += [f"reconstruction_loss {_fmt(rec)}",
-                  f"total_loss {_fmt(total_loss(rec, cl, args.lambda_cl))}"]
+                  f"total_loss {_fmt(total_loss(rec, cl, lambda_cl))}"]
     print("\n".join(lines))
     return 0
 
 
 def _cmd_corr_map(args) -> int:
-    if args.out is not None and (args.height is None or args.width is None):
-        raise UsageError("--out needs --height and --width to shape the image")
-    (q, k, *_), _ = _resolve_inputs(args, RngSpec(args.seed), (args.q, args.k))
+    image = (args.out, args.height, args.width)
+    if None in image and image != (None, None, None):
+        raise UsageError("--out, --height and --width come together")
+    (q, k, *_), _ = _resolve_inputs(args, RngSpec(args.seed), "qk")
     try:
         cmap = correlation_map(q, k, args.query_index)
     except IndexError as exc:
@@ -256,10 +277,8 @@ def _add_derivation_flags(parser, required: bool = False) -> None:
                         help="single feature map CSV; q/k/v are derived")
     parser.add_argument("--c-embed", type=int, default=None, dest="c_embed",
                         help="embedding width for derived q/k (default min(64, c_in))")
-    parser.add_argument("--k-amp", type=float, default=6.0, dest="k_amp",
-                        help="amplification factor for derived features")
-    parser.add_argument("--epsilon", type=float, default=1e-12,
-                        help="normalizer / column-norm floor")
+    parser.add_argument("--k-amp", type=float, default=None, dest="k_amp",
+                        help="amplification factor for derived features (default 6)")
 
 
 def _add_inputs(parser, *names) -> None:
@@ -284,15 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, "q", "k", "v")
     _add_derivation_flags(p)
     _add_projection_flags(p)
+    p.add_argument("--epsilon", type=float, default=1e-12, help="attention normalizer floor")
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_enla)
 
-    # Flags are spelled in full here: an abbreviated --k would be read as --k-amp.
-    p = sub.add_parser("block", help="residual attention block over one feature map",
-                       allow_abbrev=False)
+    p = sub.add_parser("block", help="residual attention block over one feature map")
     _add_derivation_flags(p, required=True)
     _add_projection_flags(p)
+    p.add_argument("--epsilon", type=float, default=1e-12, help="attention normalizer floor")
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_block)
@@ -345,14 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_flops)
 
     p = sub.add_parser("contrastive", help="contrastive separation loss")
-    p.add_argument("--t", help="relevance matrix CSV (skips q/k)")
+    p.add_argument("--t", help="relevance matrix CSV (instead of --q/--k)")
     p.add_argument("--q", help="query matrix CSV")
     p.add_argument("--k", help="key matrix CSV")
-    p.add_argument("--k-amp", type=float, default=6.0, dest="k_amp")
+    p.add_argument("--k-amp", type=float, default=None, dest="k_amp",
+                   help="q/k cosine amplification (default 6)")
     p.add_argument("--n1", type=float, default=0.02)
     p.add_argument("--n2", type=float, default=0.08)
     p.add_argument("--b", type=float, default=1.0)
-    p.add_argument("--lambda-cl", type=float, default=1e-3, dest="lambda_cl")
+    p.add_argument("--lambda-cl", type=float, default=None, dest="lambda_cl",
+                   help="contrastive weight in the total loss (default 0.001)")
     p.add_argument("--sr", help="restored image CSV (with --hr prints the total loss)")
     p.add_argument("--hr", help="reference image CSV")
     p.set_defaults(func=_cmd_contrastive)
@@ -364,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-index", type=int, default=0, dest="query_index")
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--width", type=int, default=None)
-    p.add_argument("--out", help="PGM image path (needs --height/--width)")
+    p.add_argument("--out", help="PGM image path (with --height/--width)")
     p.add_argument("--csv-out", dest="csv_out", help="also write the raw map as a 1 x N CSV")
     p.set_defaults(func=_cmd_corr_map)
 

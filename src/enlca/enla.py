@@ -60,6 +60,7 @@ class EnlaConfig:
     want a fresh projection (per epoch, per trial) pass a new stream.
     k_amp does nothing in `enla_forward`, which takes q and k already
     amplified; only `block_inputs` reads it, to amplify what it derives.
+    epsilon is only the forward's normalizer floor, in stabilized units.
     """
 
     rng: RngSpec
@@ -72,19 +73,17 @@ class EnlaConfig:
         check_settings(m=self.m, k_amp=self.k_amp, epsilon=self.epsilon)
 
 
-def normalize_and_scale(theta_out, delta_out, k_amp: float, epsilon: float = 1e-12):
+def normalize_and_scale(theta_out, delta_out, k_amp: float):
     """Turn raw query/key feature maps into amplified unit features.
 
-    Each column is divided by its own norm (epsilon-floored) and scaled by
+    Each column is divided by its own norm (floored at 1e-12) and scaled by
     sqrt(k_amp), so every surviving column has norm sqrt(k_amp) and
     q_i . k_j = k_amp * cos(angle) stays within [-k_amp, k_amp].
     """
     theta_out, delta_out = _matrix_pair(theta_out, delta_out, "theta output", "delta output")
     check_settings(k_amp=k_amp)
     scale = np.sqrt(k_amp)
-    q = scale * normalize_columns(theta_out, epsilon)
-    k = scale * normalize_columns(delta_out, epsilon)
-    return q, k
+    return scale * normalize_columns(theta_out), scale * normalize_columns(delta_out)
 
 
 def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
@@ -237,10 +236,6 @@ class EnlcaBlockParams:
     def c_in(self) -> int:
         return self.w_theta.shape[0]
 
-    @property
-    def c_embed(self) -> int:
-        return self.w_theta.shape[1]
-
 
 def block_inputs(x, params: EnlcaBlockParams):
     """The block's (q, k, v) for an input x (c_in x N): x embedded by w_theta
@@ -248,8 +243,7 @@ def block_inputs(x, params: EnlcaBlockParams):
     x = as_matrix(x, "x")
     if x.shape[0] != params.c_in:
         raise ShapeError(f"x has {x.shape[0]} channels, block expects {params.c_in}")
-    cfg = params.config
-    q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, cfg.k_amp, cfg.epsilon)
+    q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, params.config.k_amp)
     return q, k, params.w_psi.T @ x
 
 

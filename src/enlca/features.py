@@ -206,7 +206,8 @@ def _kernel_operands(q_i, k_j) -> tuple[np.ndarray, np.ndarray]:
 def kernel_exact(q_i, k_j) -> float:
     """exp(q . k), the exponential (softmax) kernel."""
     q, k = _kernel_operands(q_i, k_j)
-    inner = float(q @ k)
+    with np.errstate(over="ignore"):  # an inf inner product is named below
+        inner = float(q @ k)
     try:
         value = math.exp(inner)
     except OverflowError:
@@ -218,19 +219,18 @@ def kernel_exact(q_i, k_j) -> float:
 
 def kernel_variance_theory(q_i, k_j, m: int) -> float:
     """Closed-form variance of the m-sample iid feature estimator of
-    exp(q . k): K^2 * (exp(|q + k|^2) - 1) / m. A product whose factors
-    leave float range (K^2 underflowing while the growth overflows) is
-    taken in log space; inf is returned only when the closed form itself
-    exceeds float range."""
+    exp(q . k), K^2 (exp(|z|^2) - 1) / m with z = q + k, as exp(2 q.k +
+    |z|^2 + log(1 - exp(-|z|^2))) / m: factors beyond float range cancel.
+    With q, k divided by s = max(1, max|q|, max|k|), each exponent is s^2
+    times a bracket of inner products, and a bracket of 0 stays 0."""
     q, k = _kernel_operands(q_i, k_j)
     check_settings(m=m)
-    z = q + k
-    with np.errstate(over="ignore", invalid="ignore"):
-        two_qk, sq = 2.0 * float(q @ k), float(z @ z)
-        value = float(np.exp(two_qk) * np.expm1(sq))
-        if not math.isfinite(value):
-            value = float(np.exp(two_qk + sq + np.log(-np.expm1(-sq))))
-    return value / m
+    s = max(1.0, float(np.abs(q).max()), float(np.abs(k).max()))
+    q, k = q / s, k / s
+    sq = float((q + k) @ (q + k))
+    growth, exponent = (s * s * b if b else 0.0 for b in (sq, 2.0 * float(q @ k) + sq))
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(np.exp(exponent + np.log(-np.expm1(-growth)))) / m
 
 
 def kernel_estimates(
@@ -261,7 +261,8 @@ def kernel_estimates(
     q, k = _kernel_operands(q_i, k_j)
     check_settings(trials=trials)
     z = q + k
-    log_const = -0.5 * (float(q @ q) + float(k @ k))
+    with np.errstate(over="ignore"):  # |q|^2 = inf gives -inf: estimates of 0
+        log_const = -0.5 * (float(q @ q) + float(k @ k))
     out = np.empty(trials, dtype=np.float64)
     t = 0
     for f in _projection_blocks(rng, range(1, 1 + trials), m, q.size):

@@ -152,15 +152,14 @@ def gaussian_sample(rng: RngSpec, rows: int, cols: int) -> np.ndarray:
     return rng.generator().standard_normal((rows, cols))
 
 
-def normalize_columns(a, epsilon: float = 1e-12) -> np.ndarray:
-    """Scale each column to unit norm; columns with norm below `epsilon`
-    are divided by `epsilon` instead (so zero columns stay zero). A column
-    whose sum of squares overflows is first divided by its max |entry|."""
+def normalize_columns(a) -> np.ndarray:
+    """Scale each column to unit norm; columns with norm below 1e-12 are
+    divided by 1e-12 instead (so zero columns stay zero). A column whose
+    sum of squares overflows is first divided by its max |entry|."""
     a = as_matrix(a)
-    check_settings(epsilon=epsilon)
     with np.errstate(over="ignore"):
         sq = (a * a).sum(axis=0)
-    out = a / np.maximum(np.sqrt(sq), epsilon)
+    out = a / np.maximum(np.sqrt(sq), 1e-12)
     big = np.isinf(sq)
     scaled = a[:, big] / np.abs(a[:, big]).max(axis=0)
     out[:, big] = scaled / np.sqrt((scaled * scaled).sum(axis=0))

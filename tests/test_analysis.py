@@ -86,6 +86,10 @@ class TestApproximationErrorSweep:
         with pytest.raises(ValueError):
             approximation_error_sweep(5000, 4, 4, [8], 1.0, 2, RngSpec(0))
 
+    def test_empty_m_list_rejected(self):
+        with pytest.raises(ValueError, match="^m_list must be non-empty$"):
+            approximation_error_sweep(16, 4, 4, [], 1.0, 2, RngSpec(0))
+
 
 class TestVarianceSweep:
     def test_theory_strictly_increases_over_amplification(self):
@@ -130,6 +134,10 @@ class TestRuntimeScaling:
     def test_repeats_guard(self):
         with pytest.raises(ValueError):
             runtime_scaling([64], 4, 4, 8, repeats=2)
+
+    def test_ascending_required(self):
+        with pytest.raises(ValueError, match=r"^n_list must be ascending, got \[64, 32\]$"):
+            runtime_scaling([64, 32], 4, 4, 8, repeats=3)
 
 
 class TestSweepCsv:

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import re
@@ -397,7 +398,7 @@ class TestErrorPaths:
         (["corr-map", "--features", "X", "--query-index", "999"], "query_index 999 out of range"),
         (["variance", "--c", "0", "--trials", "10"], "c must be >= 1"),
         (["variance-sweep", "--c", "0", "--trials", "10"], "c must be >= 1"),
-        (["corr-map", "--q", "Q", "--k", "K", "--k-amp", "0.5"], "k_amp must be >= 1"),
+        (["corr-map", "--features", "X", "--k-amp", "0.5"], "k_amp must be >= 1"),
         (["phi", "--input", "Q", "--out", "OUT", "--m", "0"], "m must be >= 1, got 0"),
         (["variance", "--m", "0", "--trials", "10"], "m must be >= 1, got 0"),
         (["variance", "--k-amp", "0.5", "--trials", "10"], "k_amp must be >= 1, got 0.5"),
@@ -414,6 +415,7 @@ class TestErrorPaths:
         (["approx-sweep", "--n", "0", "--m-list", "8"], "n must be >= 1, got 0"),
         (["approx-sweep", "--n", "16", "--c", "0", "--m-list", "8"], "c must be >= 1, got 0"),
         (["approx-sweep", "--n", "16", "--cout", "0", "--m-list", "8"], "c_out must be >= 1, got 0"),
+        (["approx-sweep", "--n", "16", "--m-list", ","], "--m-list must name at least one value"),
         (["bench", "--n-list", "16", "--c", "0"], "c must be >= 1, got 0"),
         (["block", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
         (["enla", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
@@ -421,12 +423,13 @@ class TestErrorPaths:
         (["corr-map", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
         (["corr-map", "--features", "X", "--height", "-6", "--width", "-6", "--out", "OUT"],
          "height must be >= 1, got -6"),
-    ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --q --k-amp",
+    ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --k-amp below 1",
             "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
             "variance-sweep --k-list nan", "variance --k-amp inf", "variance-sweep --k-list inf",
             "enla --epsilon inf", "corr-map --k-amp inf", "flops --n", "flops --method nla --m", "flops --m 0",
             "flops --m negative", "approx-sweep --n",
-            "approx-sweep --c", "approx-sweep --cout", "bench --c", "block --c-embed",
+            "approx-sweep --c", "approx-sweep --cout", "approx-sweep --m-list empty", "bench --c",
+            "block --c-embed",
             "enla --c-embed", "exact --c-embed", "corr-map --c-embed", "corr-map --height"])
     def test_out_of_range_value_is_usage_error(self, matrices, tmp_path, capsys, argv, message):
         names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
@@ -438,18 +441,43 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv", [
         ["contrastive", "--q", "Q", "--k", "K", "--n1", "0.1", "--n2", "0.3", "--sr", "Q"],
+        ["contrastive", "--q", "Q", "--k", "K", "--n1", "0.1", "--n2", "0.3", "--lambda-cl", "0.5"],
         ["corr-map", "--features", "X", "--out", "map.pgm"],
+        ["corr-map", "--features", "X", "--height", "6", "--width", "6"],
         ["flops", "--m", "8"],
         ["flops", "--method", "nla", "--m", "8"],
         ["flops", "--method", "conv3x3", "--m", "8"],
-    ], ids=["contrastive --sr", "corr-map --out", "flops --m", "flops --method nla --m",
-            "flops --method conv3x3 --m"])
+    ], ids=["contrastive --sr", "contrastive --lambda-cl", "corr-map --out", "corr-map --height --width",
+            "flops --m", "flops --method nla --m", "flops --method conv3x3 --m"])
     def test_unpaired_flag_prints_nothing(self, matrices, tmp_path, capsys, argv):
         names = {"Q": matrices["q"], "K": matrices["k"], "X": matrices["features"],
                  "map.pgm": str(tmp_path / "map.pgm")}
         code, out, err = run(capsys, *[names.get(a, a) for a in argv])
         assert code == 1 and out == "" and err.startswith("error: ")
         assert not (tmp_path / "map.pgm").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["exact", "--q", "Q", "--k", "K", "--v", "V", "--k-amp", "2"],
+         "--k-amp does not apply with explicit --q/--k/--v"),
+        (["enla", "--q", "Q", "--k", "K", "--v", "V", "--k-amp", "6"],
+         "--k-amp does not apply with explicit --q/--k/--v"),
+        (["corr-map", "--q", "Q", "--k", "K", "--c-embed", "3"],
+         "--c-embed does not apply with explicit --q/--k"),
+        (["enla", "--features", "X", "--q", "Q"], "--q does not apply with --features"),
+        (["exact", "--features", "X", "--v", "V"], "--v does not apply with --features"),
+        (["corr-map", "--features", "X", "--k", "K"], "--k does not apply with --features"),
+        (["contrastive", "--t", "T", "--q", "Q", "--k", "K"], "--q does not apply with --t"),
+        (["contrastive", "--t", "T", "--k-amp", "2"], "--k-amp does not apply with --t"),
+        (["exact", "--q", "Q", "--k", "K"], "give --features or all of --q/--k/--v (missing --v)"),
+        (["contrastive", "--q", "Q"], "give --t, or both --q and --k"),
+    ], ids=["exact --k-amp", "enla --k-amp", "corr-map --c-embed", "enla --features --q",
+            "exact --features --v", "corr-map --features --k", "contrastive --t --q", "contrastive --t --k-amp",
+            "exact missing --v", "contrastive missing --k"])
+    def test_input_mode_takes_only_its_flags(self, matrices, capsys, argv, message):
+        names = {"Q": matrices["q"], "K": matrices["k"], "V": matrices["v"], "X": matrices["features"],
+                 "T": matrices["v"]}
+        code, out, err = run(capsys, *[names.get(a, a) for a in argv])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv,code,message", [
         (["corr-map", "--features", "X", "--height", "3", "--width", "5", "--out", "map.pgm"], 2,
@@ -486,6 +514,12 @@ REMOVED_FLAGS = [
     ("block", ["--q", "Q"]),
     ("block", ["--k", "K"]),
     ("block", ["--v", "V"]),
+    ("exact", ["--epsilon", "1e-9"]),
+    ("corr-map", ["--epsilon", "1e-9"]),
+    # a prefix of a longer flag is no flag
+    ("approx-sweep", ["--k", "2"]),
+    ("variance", ["--k", "2"]),
+    ("variance-sweep", ["--k", "2"]),
 ]
 
 
@@ -499,11 +533,21 @@ def test_removed_flag_is_usage_error(matrices, tmp_path, capsys, command, extra)
         "phi": ["--input", q, "--out", str(tmp_path / "phi.csv")],
         "variance": ["--trials", "10"],
         "block": ["--features", x],
+        "approx-sweep": ["--n", "16", "--m-list", "8"],
+        "variance-sweep": ["--trials", "10"],
     }[command]
     extra = [{"Q": q, "K": k, "V": v}.get(a, a) for a in extra]
     code, out, err = run(capsys, command, *valid, *extra)
     assert code == 1 and out == ""
     assert f"unrecognized arguments: {extra[0]}" in err
+
+
+def test_no_parser_takes_abbreviations():
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert parser.allow_abbrev is False
+    for name, subparser in subparsers.choices.items():
+        assert subparser.allow_abbrev is False, name
 
 
 class TestSeed:

@@ -137,6 +137,10 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError):
             ContrastiveConfig(n2=1.0)
 
+    def test_config_margin_must_be_finite(self):
+        with pytest.raises(ValueError, match="^b must be finite, got inf$"):
+            ContrastiveConfig(b=float("inf"))
+
 
 class TestReconstructionLoss:
     def test_identical_inputs(self):

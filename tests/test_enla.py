@@ -59,7 +59,7 @@ class TestNormalizeAndScale:
     def test_zero_column_stays_zero(self):
         theta = np.zeros((3, 2))
         theta[:, 1] = [1.0, 2.0, 2.0]
-        q, _ = normalize_and_scale(theta, theta, 6.0, epsilon=1e-12)
+        q, _ = normalize_and_scale(theta, theta, 6.0)
         assert np.array_equal(q[:, 0], np.zeros(3))
 
     @pytest.mark.filterwarnings("error")
@@ -482,8 +482,7 @@ class TestEnlcaBlock:
         x = gaussian_sample(RngSpec(37), 16, 36)
         config = EnlaConfig(rng=RngSpec(38), m=2048, k_amp=1.0)
         params = random_block_params(RngSpec(39), c_in=16, c_embed=4, config=config)
-        q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x,
-                                   config.k_amp, config.epsilon)
+        q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, config.k_amp)
         reference = x + exact_attention(q, k, params.w_psi.T @ x).y
         out = enlca_block(x, params)
         rel = np.linalg.norm(out - reference) / np.linalg.norm(reference)
@@ -502,6 +501,24 @@ class TestEnlcaBlock:
                 w_psi=np.zeros((4, 4)),
                 config=EnlaConfig(rng=RngSpec(0)),
             )
+
+    def test_value_weights_must_be_square(self):
+        with pytest.raises(ShapeError, match=r"^w_psi must be 4x4, got \(4, 3\)$"):
+            EnlcaBlockParams(
+                w_theta=np.zeros((4, 2)),
+                w_delta=np.zeros((4, 2)),
+                w_psi=np.zeros((4, 3)),
+                config=EnlaConfig(rng=RngSpec(0)),
+            )
+
+    def test_inputs_ignore_the_normalizer_floor(self):
+        # epsilon floors the forward's normalizer, in stabilized units; the
+        # columns of q and k keep norm sqrt(k_amp) whatever it is
+        x = gaussian_sample(RngSpec(48), 12, 36)
+        params = random_block_params(RngSpec(49), 12, 6, EnlaConfig(rng=RngSpec(50), k_amp=6.0, epsilon=50.0))
+        q, k, _ = block_inputs(x, params)
+        for side in (q, k):
+            assert np.abs(np.linalg.norm(side, axis=0) - np.sqrt(6.0)).max() < 1e-12
 
     def test_channel_mismatch_rejected(self):
         params = random_block_params(RngSpec(43), 6, 3, EnlaConfig(rng=RngSpec(44)))

@@ -138,6 +138,15 @@ class TestCorrelationMap:
         with pytest.raises(IndexError):
             correlation_map(np.zeros((2, 3)), np.zeros((2, 3)), 3)
 
+    @pytest.mark.parametrize("call", [
+        lambda q, k: correlation_map(q, k, 0),
+        attention_row_entropies,
+    ], ids=["correlation_map", "attention_row_entropies"])
+    def test_channel_mismatch(self, call):
+        message = r"^q and k need equal channel counts, got \(2, 3\) vs \(3, 5\)$"
+        with pytest.raises(ShapeError, match=message):
+            call(np.zeros((2, 3)), np.zeros((3, 5)))
+
 
 class TestEntropy:
     def test_uniform_is_log_n(self):
@@ -147,6 +156,16 @@ class TestEntropy:
         for p in ([1.0], [0.0, 1.0, 0.0]):
             assert shannon_entropy(p) == 0.0
             assert np.copysign(1.0, shannon_entropy(p)) == 1.0  # +0, not -0
+
+    @pytest.mark.parametrize("p, error, message", [
+        ([], ShapeError, "entropy expects a non-empty 1-D vector"),
+        ([[0.5, 0.5]], ShapeError, "entropy expects a non-empty 1-D vector"),
+        ([1.5, -0.5], ValueError, "entropy expects non-negative finite probabilities"),
+        ([0.5, float("nan")], ValueError, "entropy expects non-negative finite probabilities"),
+    ], ids=["empty", "2-D", "negative", "nan"])
+    def test_rejects_non_distribution(self, p, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            shannon_entropy(p)
 
     def test_one_hot_rows_are_positive_zero(self):
         # logits 900 apart: every weight row is exactly one-hot

@@ -184,6 +184,12 @@ class TestKernelExact:
         with pytest.raises(NumericError):
             kernel_exact(big, big)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_inner_product_rejected_without_warning(self):
+        big = [1e155, 1e155]
+        with pytest.raises(NumericError, match=r"^kernel overflowed: exp\(inf\)$"):
+            kernel_exact(big, big)
+
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             kernel_exact([1.0], [1.0, 2.0])
@@ -225,9 +231,23 @@ class TestVarianceTheory:
         ([20.0, 0.0], [-20.0, 30.0], 100.0),
         # exp(2 q.k) = e^-200 is finite while expm1(800) overflows
         ([10.0, 0.0], [-10.0, math.sqrt(800.0)], 600.0),
+        # exp(2 q.k) = e^-850 underflows to 0 while the product e^-481 is a float
+        ([math.sqrt(425.0), 0.0], [-math.sqrt(425.0), math.sqrt(369.0)], -481.0),
     ])
     def test_finite_product_of_out_of_range_factors(self, q, k, log_value):
-        assert kernel_variance_theory(q, k, 4) == pytest.approx(math.exp(log_value) / 4, rel=1e-12)
+        assert kernel_variance_theory(q, k, 4) == pytest.approx(math.exp(log_value) / 4, rel=1e-12, abs=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q, k, expected", [
+        # q.k = -2e400 and |q + k|^2 = 1e400: the closed form is exp(-1e400) = 0
+        ([1e200, 0.0], [-1e200, 1e200], 0.0),
+        # q.k = -2e400 and |q + k|^2 = 2e400: K^2 exp(|q + k|^2) is exactly 1
+        ([1e200, 0.0, 0.0], [-1e200, 1e200, 1e200], 0.25),
+        # q + k = 0: no variance, though s^2 = inf
+        ([1e200, 0.0], [-1e200, 0.0], 0.0),
+    ], ids=["underflow", "unit", "opposite"])
+    def test_inner_products_past_float_range(self, q, k, expected):
+        assert kernel_variance_theory(q, k, 4) == expected
 
 
 class TestKernelEstimates:
@@ -250,6 +270,14 @@ class TestKernelEstimates:
         for trials in BLOCK_TRIALS:
             est = kernel_estimates(q, k, m=m, trials=trials, rng=RngSpec(68, 40))
             assert np.array_equal(est, stream_estimates(q, k, m, trials, seed=68, stream_id=40))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_infinite_square_norm_gives_zeros(self, orthogonal):
+        # |q|^2 = |k|^2 = inf: the prefactor exp(-(|q|^2 + |k|^2) / 2) is 0
+        q = [1e155, 0.0]
+        est = kernel_estimates(q, q, 4, 3, RngSpec(0), orthogonal)
+        assert np.array_equal(est, np.zeros(3))
 
     def test_strict_positivity(self):
         q = gaussian_sample(RngSpec(64), 6, 1)[:, 0]

@@ -60,6 +60,17 @@ class TestAsMatrix:
             as_matrix([[float("inf")], [0.0]])
 
 
+class TestAsVector:
+    @pytest.mark.parametrize("data, error, message", [
+        ([[1.0, 2.0]], ShapeError, "q must be 1-D, got ndim=2"),
+        ([], ShapeError, "q must be non-empty"),
+        ([1.0, math.inf], NumericError, "q has a non-finite entry"),
+    ], ids=["2-D", "empty", "inf"])
+    def test_rejects(self, data, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            kernel_estimates(data, [1.0, 2.0], 4, 1, RngSpec(0))
+
+
 class TestEqualShapePairs:
     """Every operand pair that must match in shape says so in one form."""
 
@@ -176,14 +187,12 @@ class TestCheckSettings:
 
     @pytest.mark.parametrize("name,call", [
         ("k_amp", lambda: normalize_and_scale(np.ones((2, 2)), np.ones((2, 2)), math.inf)),
-        ("epsilon", lambda: normalize_and_scale(np.ones((2, 2)), np.ones((2, 2)), 1.0, math.inf)),
         ("k_amp", lambda: relevance_scores(np.ones((2, 2)), np.ones((2, 2)), math.inf)),
         ("k_amp", lambda: EnlaConfig(rng=RngSpec(0), k_amp=math.inf)),
         ("epsilon", lambda: EnlaConfig(rng=RngSpec(0), epsilon=math.inf)),
-        ("epsilon", lambda: normalize_columns(np.ones((2, 2)), math.inf)),
         ("k_amp", lambda: _aligned_vector(4, math.inf)),
-    ], ids=["normalize_and_scale k_amp", "normalize_and_scale epsilon", "relevance_scores k_amp",
-            "EnlaConfig k_amp", "EnlaConfig epsilon", "normalize_columns epsilon", "_aligned_vector k_amp"])
+    ], ids=["normalize_and_scale k_amp", "relevance_scores k_amp",
+            "EnlaConfig k_amp", "EnlaConfig epsilon", "_aligned_vector k_amp"])
     def test_infinite_setting_names_the_setting(self, name, call):
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
             call()
@@ -208,7 +217,7 @@ class TestColumnNormalization:
 
     def test_zero_column_stays_zero(self):
         a = np.array([[0.0, 1.0], [0.0, 2.0]])
-        out = normalize_columns(a, epsilon=1e-12)
+        out = normalize_columns(a)
         assert np.array_equal(out[:, 0], [0.0, 0.0])
 
     @pytest.mark.filterwarnings("error")
@@ -294,6 +303,7 @@ class TestCsvRoundTrip:
             "1,2\n1_000,2.0\n",  # a spelling only Python's float() reads
             "1,2\n0x10,2.0\n",  # hex
             "1,1\n#1.0\n",  # no comment syntax
+            "x,2\n1.0,2.0\n",  # a header that is not two integers
         ],
     )
     def test_malformed_rejected(self, text):
