@@ -15,7 +15,8 @@ the first print, so a failed call prints no partial result.
 
 The base seed is --seed, 0 by default. Stream layout per invocation:
 derived transform weights come from stream offset 1, the attention
-projection from offset 2.
+projection from offset 2. `exact` and `corr-map` with explicit inputs
+draw nothing and refuse --seed.
 """
 
 from __future__ import annotations
@@ -107,34 +108,44 @@ def _k_amp(args) -> float:
     return 6.0 if args.k_amp is None else args.k_amp
 
 
-def _block_params(args, base: RngSpec, **settings):
+def _base(args) -> RngSpec:
+    """The base stream of --seed, 0 by default: its parser default is None,
+    so modes that draw nothing can refuse it."""
+    return RngSpec(0 if args.seed is None else args.seed)
+
+
+def _block_params(args, **settings):
     """The --features map and block weights drawn from stream offset 1;
     `settings` are the forward flags the subcommand takes."""
+    base = _base(args)
     x = _load_matrix(args.features)
     c_embed = args.c_embed if args.c_embed is not None else min(64, x.shape[0])
     config = EnlaConfig(rng=base.stream(2), k_amp=_k_amp(args), **settings)
     return x, random_block_params(base.stream(1), x.shape[0], c_embed, config)
 
 
-def _resolve_inputs(args, base: RngSpec, names, **settings):
+def _resolve_inputs(args, names, **settings):
     """((q, k, v), config): q, k, v derived from --features as the block
     derives them, or else the matrices given by the flags `names` (q, k
-    and, if taken, v) used as given. Each mode refuses the other's flags."""
+    and, if taken, v) used as given. Each mode refuses the other's flags.
+    A subcommand without forward `settings` gets no config from explicit
+    inputs, which draw nothing there, and so refuses --seed."""
     flags = [f"--{name}" for name in names]
     if args.features is not None:
         _refuse(args, "--features", flags)
-        x, params = _block_params(args, base, **settings)
+        x, params = _block_params(args, **settings)
         return block_inputs(x, params), params.config
-    _refuse(args, f"explicit {'/'.join(flags)}", ("--c-embed", "--k-amp"))
+    _refuse(args, f"explicit {'/'.join(flags)}", ("--c-embed", "--k-amp") + (() if settings else ("--seed",)))
     paths = [getattr(args, name) for name in names]
     missing = [flag for flag, path in zip(flags, paths) if path is None]
     if missing:
         raise UsageError(f"give --features or all of {'/'.join(flags)} (missing {', '.join(missing)})")
-    return [_load_matrix(path) for path in paths], EnlaConfig(rng=base.stream(2), **settings)
+    config = EnlaConfig(rng=_base(args).stream(2), **settings) if settings else None
+    return [_load_matrix(path) for path in paths], config
 
 
 def _cmd_exact(args) -> int:
-    (q, k, v), _ = _resolve_inputs(args, RngSpec(args.seed), "qkv")
+    (q, k, v), _ = _resolve_inputs(args, "qkv")
     result = exact_attention(q, k, v, keep_weights=args.weights_out is not None)
     if args.weights_out is not None:
         write_matrix_csv(result.weights, args.weights_out)
@@ -143,23 +154,21 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_enla(args) -> int:
-    (q, k, v), config = _resolve_inputs(args, RngSpec(args.seed), "qkv", m=args.m,
-                                        orthogonal=args.orthogonal, epsilon=args.epsilon)
+    (q, k, v), config = _resolve_inputs(args, "qkv", m=args.m, orthogonal=args.orthogonal,
+                                        epsilon=args.epsilon)
     _emit_matrix(enla_forward(q, k, v, config), args.out)
     return 0
 
 
 def _cmd_block(args) -> int:
-    x, params = _block_params(args, RngSpec(args.seed), m=args.m, orthogonal=args.orthogonal,
-                              epsilon=args.epsilon)
+    x, params = _block_params(args, m=args.m, orthogonal=args.orthogonal, epsilon=args.epsilon)
     _emit_matrix(enlca_block(x, params), args.out)
     return 0
 
 
 def _cmd_phi(args) -> int:
-    base = RngSpec(args.seed)
     u = _load_matrix(args.input)
-    projection = sample_projection(base.stream(2), args.m, u.shape[0], args.orthogonal)
+    projection = sample_projection(_base(args).stream(2), args.m, u.shape[0], args.orthogonal)
     features = phi(projection, u)
     write_matrix_csv(features.values, args.out)
     print(f"log_shift {_fmt(features.log_shift)}")
@@ -167,9 +176,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_variance(args) -> int:
-    base = RngSpec(args.seed)
     u = _aligned_vector(args.c, args.k_amp)
-    report = kernel_variance_empirical(u, u, args.m, args.trials, base.stream(2), args.orthogonal)
+    report = kernel_variance_empirical(u, u, args.m, args.trials, _base(args).stream(2), args.orthogonal)
     print(f"theory {_fmt(report.theoretical)}")
     print(f"empirical {_fmt(report.empirical)}")
     print(f"rel_gap {_fmt(report.rel_gap)}")
@@ -179,14 +187,14 @@ def _cmd_variance(args) -> int:
 def _cmd_approx_sweep(args) -> int:
     m_list = _parse_list(args.m_list, "--m-list")
     result = approximation_error_sweep(args.n, args.c, args.cout, m_list, args.k_amp, args.trials,
-                                       RngSpec(args.seed))
+                                       _base(args))
     write_sweep_csv(result, sys.stdout if args.out is None else args.out)
     return 0
 
 
 def _cmd_variance_sweep(args) -> int:
     k_list = _parse_list(args.k_list, "--k-list", float)
-    result = variance_sweep_k(k_list, args.c, args.m, args.trials, RngSpec(args.seed))
+    result = variance_sweep_k(k_list, args.c, args.m, args.trials, _base(args))
     write_sweep_csv(result, sys.stdout if args.out is None else args.out)
     return 0
 
@@ -234,7 +242,7 @@ def _cmd_corr_map(args) -> int:
     image = (args.out, args.height, args.width)
     if None in image and image != (None, None, None):
         raise UsageError("--out, --height and --width come together")
-    (q, k, *_), _ = _resolve_inputs(args, RngSpec(args.seed), "qk")
+    (q, k, *_), _ = _resolve_inputs(args, "qk")
     try:
         cmap = correlation_map(q, k, args.query_index)
     except IndexError as exc:
@@ -250,7 +258,7 @@ def _cmd_corr_map(args) -> int:
 
 def _cmd_bench(args) -> int:
     n_list = _parse_list(args.n_list, "--n-list")
-    result = runtime_scaling(n_list, args.c, args.cout, args.m, args.repeats, RngSpec(args.seed))
+    result = runtime_scaling(n_list, args.c, args.cout, args.m, args.repeats, _base(args))
     if args.out is not None:
         write_sweep_csv(result, args.out)
     for label in ("exact", "enla"):
@@ -263,7 +271,7 @@ def _cmd_bench(args) -> int:
 
 
 def _add_seed(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    parser.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
 
 
 def _add_projection_flags(parser) -> None:

@@ -12,6 +12,13 @@ projection, for the approximation-error sweep. The multiply-add count is
 2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
 keeps the published convention, which excludes the normalizer.
 
+The stabilizer shifts cancel in the output ratio, so they go where they
+are cheap: a chunk whose column maxima of F u lie in [0, U] runs exp on
+its raw projection, its keys carrying their shift as one weight each in
+the staged [V; 1] rows and its queries carrying theirs in the normalizer
+floor threshold. Only the other chunks pay a shift pass over the
+m x CHUNK block. The normalizer's units and floor are the same either way.
+
 Query/key columns are unit-normalized and scaled by sqrt(k_amp) before
 entering the forward; k_amp > 1 sharpens the attention distribution at the
 price of exponentially larger estimator variance.
@@ -34,6 +41,22 @@ from .matrices import (
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
 # (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
 CHUNK = 2048
+
+# log of half of float64's largest value: every bound below keeps what it
+# bounds under half of that, so the rounding of exp and of sums cannot
+# carry it past
+_LOG_HALF_MAX = math.log(np.finfo(np.float64).max / 2)
+
+# U, the top of the range [0, U] of column maxima of F u inside which a
+# chunk's feature block is not shifted (a query pass may lower it, see
+# _query_bound). Raw features then stay at most e^U, so exp cannot
+# overflow. A key weight exp(-|k_j|^2 / 2 - S) is at least its key's
+# largest feature over e^U, so a weight times a value turns subnormal
+# e^U sooner than the shifted feature times that value would: half of
+# the log range, 354.5, leaves both sides the same room. The bottom
+# bound 0 keeps every key weight at most 1 and every floor threshold at
+# least epsilon.
+_UNSHIFTED_MAX = 0.5 * _LOG_HALF_MAX
 
 __all__ = [
     "EnlaConfig",
@@ -92,19 +115,28 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     The keys are streamed first, CHUNK columns at a time, through one
     m x CHUNK feature buffer: each chunk's features are reduced into
     kv = phi(K) [V^T | 1] (m x (c_out + 1)) at once. Keys share one
-    shift, the running max of the real exponent F k - |k|^2 / 2; when a
+    shift S, the running max of the real exponent F k - |k|^2 / 2; when a
     chunk raises it, kv is rescaled by exp(old - new). The queries then go
-    through the same buffer, each column shifted by its own max of F q,
-    and each (c_out + 1)-row output block is written in place. Both kinds
-    of shift cancel in the output ratio, so one column of extreme norm
-    cannot push the features of the others out of float range.
+    through the same buffer, and each (c_out + 1)-row output block is
+    written in place. Every shift cancels in the output ratio, so one
+    column of extreme norm cannot push the features of the others out of
+    float range.
+
+    No shift touches the feature block of a chunk whose column maxima of
+    F u all lie in [0, U] (see _UNSHIFTED_MAX): exp runs on the raw
+    projection. Such a key chunk multiplies its staged [V_b; 1] rows by
+    one weight per key, exp(-|k_j|^2 / 2 - S). Such a query chunk leaves
+    its (c_out + 1)-row block in raw units and compares each normalizer
+    with epsilon * exp(max_l f_l . q_j) instead of epsilon. Any other
+    chunk is shifted in its block: keys by |k_j|^2 / 2 + S, each query
+    column by its own max of F q.
 
     Normalizer entries below config.epsilon are floored and reported
     through a NormalizerUnderflowWarning rather than an error; that
     includes exact zeros from features that underflowed. The normalizer
-    is in stabilized units: the exact one times
-    m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K), with S_K the final key
-    shift.
+    is in stabilized units, whichever way its chunk went: the exact one
+    times m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K), with S_K the final
+    key shift.
     """
     outputs = []
     _prefix_forwards(q, k, v, config, [config.m], outputs.append)
@@ -120,12 +152,16 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
 
     The rows are processed in segments [m_{i-1}, m_i), each through the
     key pass and then the query pass of enla_forward. Output i accumulates
-    in one (c_out + 1) x N block: when a segment raises the key shift or a
-    query column's shift, what the earlier segments made is rescaled by
-    exp(old - new), so output i is stabilized, floored and reported in the
-    units enla_forward(m_i) documents. The first segment writes the block
-    and each later one rescales it and adds its own product; the last
-    output is divided in place.
+    in one (c_out + 1) x N block. A query chunk keeps the raw exp(F q) of
+    enla_forward for as long as every segment finds its columns in range;
+    it then owes no rescale but a key one. Once a segment finds a column
+    out of range, the chunk is shifted in that segment and every later
+    one, and what the earlier segments made is rescaled by exp(old - new)
+    per column, the old shift being 0 for a chunk that was unshifted. When
+    a segment raises the key shift, all of it is rescaled too. Output i is
+    floored and divided chunk by chunk, in the units enla_forward(m_i)
+    documents: the first segment writes the block, each later one rescales
+    it and adds its own product, and the last output is divided in place.
 
     A callback and not a generator: a generator's frame is allocated per
     call, and repeated 40 000-column forwards through one then read a
@@ -133,6 +169,7 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     """
     q, k, v = _validated_qkv(q, k, v)
     f = sample_projection(config.rng, ms[-1], q.shape[0], config.orthogonal).f
+    epsilon = config.epsilon
     c_out, n = v.shape
     width = min(n, CHUNK)
     # 64-byte aligned wherever malloc puts it: AVX-512 loads of its rows then
@@ -140,70 +177,118 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     raw = np.empty(ms[-1] * width + 7)
     first = (-raw.ctypes.data % 64) // 8
     features = raw[first:first + ms[-1] * width].reshape(ms[-1], width)
-    # [V_b; 1] per chunk: the ones row makes the last column of kv the key sum
+    # [V_b w_b; w_b] per key chunk, with w_b its key weights, or ones for a
+    # shifted chunk: the last row makes the last column of kv the key sum
     staged = np.empty((c_out + 1, width))
-    staged[-1] = 1.0
     kv = np.zeros((ms[-1], c_out + 1))
     key_shift = -math.inf
-    # each query column's running max of F q over the rows so far; it
-    # cancels per output column, and later segments rescale by it
+    # each query column's running max of F q over the rows so far, and
+    # whether its chunk carries that max as a shift; later segments rescale
     query_shift = np.full(n, -math.inf)
+    shifted = [False] * -(-n // CHUNK)
     acc = np.empty((c_out + 1, n))
 
     low = 0
     for high in ms:
         rows = f[low:high]
         shift_before = key_shift
-        for start in range(0, n, CHUNK):
-            stop = min(n, start + CHUNK)
-            block = features[:high - low, :stop - start]
-            half_sq = _half_sq_norms(k[:, start:stop])
-            top = _projected(rows, k, start, stop, block)
-            raised = max(key_shift, float(np.max(top - half_sq)))
-            if raised > key_shift:
-                kv *= math.exp(key_shift - raised)
-                key_shift = raised
-            block -= half_sq + _finite_or_zero(key_shift)
-            np.exp(block, out=block)
-            staged[:-1, :stop - start] = v[:, start:stop]
-            kv[low:high] += block @ staged[:, :stop - start].T
-        key_rescale = math.exp(shift_before - key_shift) if key_shift > shift_before else 1.0
-        for start in range(0, n, CHUNK):
-            stop = min(n, start + CHUNK)
-            block = features[:high - low, :stop - start]
-            seen = query_shift[start:stop]
-            top = np.maximum(seen, _projected(rows, q, start, stop, block))
-            block -= _finite_or_zero(top)
-            np.exp(block, out=block)
-            if low == 0:
-                np.matmul(kv[:high].T, block, out=acc[:, start:stop])
-            else:
-                acc[:, start:stop] *= key_rescale * _rescale(seen, top)
-                acc[:, start:stop] += kv[low:high].T @ block
-            seen[:] = top
+        last = high == ms[-1]
+        out = acc if last else np.empty_like(acc)
+        floored = 0
+        with np.errstate(over="ignore", invalid="ignore"):  # one per segment: the helpers take none
+            for start in range(0, n, CHUNK):
+                stop = min(n, start + CHUNK)
+                block = features[:high - low, :stop - start]
+                stage = staged[:, :stop - start]
+                half_sq = _half_sq_norms(k[:, start:stop])
+                top = _projected(rows, k, start, stop, block)
+                raised = max(key_shift, float(np.max(top - half_sq)))
+                if raised > key_shift:
+                    kv *= math.exp(key_shift - raised)
+                    key_shift = raised
+                shift = key_shift if key_shift > -math.inf else 0.0
+                if 0.0 <= top.min() and top.max() <= _UNSHIFTED_MAX:
+                    # S >= max F k_j - |k_j|^2 / 2, so exp(-|k_j|^2 / 2 - S) <= 1
+                    np.exp(block, out=block)
+                    np.subtract(-shift, half_sq, out=stage[-1])
+                    np.exp(stage[-1], out=stage[-1])
+                    np.multiply(v[:, start:stop], stage[-1], out=stage[:-1])
+                else:
+                    _exp_shifted(block, half_sq + shift)
+                    stage[:-1] = v[:, start:stop]
+                    stage[-1] = 1.0
+                kv[low:high] += block @ stage.T
 
-        out = acc if high == ms[-1] else acc.copy()
-        numerator, d = out[:-1], out[-1]
-        floored = d < config.epsilon
-        if floored.any():
+            key_rescale = math.exp(shift_before - key_shift) if key_shift > shift_before else 1.0
+            bound = _query_bound(kv[:high], epsilon)
+            for chunk, start in enumerate(range(0, n, CHUNK)):
+                stop = min(n, start + CHUNK)
+                block = features[:high - low, :stop - start]
+                seen = query_shift[start:stop]
+                top = np.maximum(seen, _projected(rows, q, start, stop, block))
+                peak = float(top.max())
+                was_shifted = shifted[chunk]
+                shifted[chunk] = was_shifted or not (peak <= bound and top.min() >= 0.0)
+                if shifted[chunk]:
+                    _exp_shifted(block, _finite_or_zero(top))
+                else:
+                    np.exp(block, out=block)
+                cols = acc[:, start:stop]
+                if low == 0:
+                    np.matmul(kv[:high].T, block, out=cols)
+                else:
+                    rescale = key_rescale
+                    if shifted[chunk]:
+                        rescale = rescale * _rescale(seen if was_shifted else 0.0, top)
+                    cols *= rescale
+                    cols += kv[low:high].T @ block
+                seen[:] = top
+                if not last:
+                    out[:, start:stop] = cols
+                    cols = out[:, start:stop]
+                # an unshifted chunk's thresholds are epsilon * exp(top) in raw
+                # units; twice the largest covers the rounding of both exps
+                d = cols[-1]
+                limit = epsilon if shifted[chunk] else 2.0 * epsilon * math.exp(peak)
+                if d.min() < limit:
+                    threshold = epsilon if shifted[chunk] else epsilon * np.exp(top)
+                    floored += int(np.count_nonzero(d < threshold))
+                    np.maximum(d, threshold, out=d)
+                cols[:-1] /= d
+        if floored:
             warnings.warn(
-                f"{int(floored.sum())} normalizer entries below epsilon={config.epsilon} were floored",
+                f"{floored} normalizer entries below epsilon={epsilon} were floored",
                 NormalizerUnderflowWarning,
                 stacklevel=3,
             )
-            np.maximum(d, config.epsilon, out=d)
-        numerator /= d
-        emit(numerator)
+        emit(out[:-1])
         low = high
+
+
+def _exp_shifted(block, shift) -> None:
+    """exp(block - shift) in place: the pass over the m x CHUNK block that
+    only a chunk outside the unshifted range takes."""
+    block -= shift
+    np.exp(block, out=block)
+
+
+def _query_bound(kv, epsilon: float) -> float:
+    """U for one query pass over the kv rows made so far: below it each
+    output entry, a sum of len(kv) terms kv[l] exp(f_l . q), and each floor
+    threshold epsilon * exp(max F q) stay under half of float64's largest
+    value. -inf, so that every chunk is shifted, when kv overflowed."""
+    largest = len(kv) * float(np.abs(kv).max())
+    if not largest < math.inf:
+        return -math.inf
+    return min(_UNSHIFTED_MAX, _LOG_HALF_MAX - math.log(max(largest, epsilon)))
 
 
 def _rescale(old, new):
     """exp(old - new) per column for a running shift that went from old to
     new; 1 where it did not rise, so a column still at -inf stays at 1 and
     never meets exp(-inf + inf). A column that rises from -inf holds
-    zeros and gets 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(np.where(new > old, old - new, 0.0))
+    zeros and gets 0. Runs under the forward's np.errstate."""
+    return np.exp(np.where(new > old, old - new, 0.0))
 
 
 @dataclass(frozen=True)

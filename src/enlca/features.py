@@ -9,8 +9,10 @@ the Monte-Carlo helpers here.
 All exponentials are max-shifted before evaluation; phi reports the shift
 so exact values can be recovered, and ratio-style consumers can ignore it.
 phi and the attention forward share one kernel, `_projected`, which forms
-F u in the caller's buffer; each caller subtracts its own shift from it
-and runs exp in place.
+F u in the caller's buffer and returns its column maxima; each caller
+runs exp in place. phi subtracts its shift in the buffer first; the
+forward does so only where the column maxima leave no room, and
+otherwise applies its shifts outside the buffer (see enla).
 
 Projections come from one private sampler, `_projection_blocks`, which
 serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
@@ -157,8 +159,9 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     if u.shape[0] != f.c:
         raise ShapeError(f"phi input has {u.shape[0]} channels, projection expects {f.c}")
     values = np.empty((f.m, u.shape[1]))
-    half_sq = _half_sq_norms(u)
-    log_shift = float(np.max(_projected(f.f, u, 0, u.shape[1], values) - half_sq))
+    with np.errstate(over="ignore", invalid="ignore"):  # the helpers take none
+        half_sq = _half_sq_norms(u)
+        log_shift = float(np.max(_projected(f.f, u, 0, u.shape[1], values) - half_sq))
     # the 1/sqrt(m) scale rides along with the shift
     values -= half_sq + (_finite_or_zero(log_shift) + 0.5 * math.log(f.m))
     np.exp(values, out=values)
@@ -166,9 +169,9 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
 
 
 def _half_sq_norms(u: np.ndarray) -> np.ndarray:
-    """|u_j|^2 / 2 per column; an overflow gives inf, whose features are 0."""
-    with np.errstate(over="ignore"):
-        return 0.5 * np.einsum("ij,ij->j", u, u)
+    """|u_j|^2 / 2 per column; an overflow gives inf, whose features are 0.
+    The caller holds np.errstate(over="ignore")."""
+    return 0.5 * np.einsum("ij,ij->j", u, u)
 
 
 def _finite_or_zero(shift):
@@ -184,14 +187,15 @@ def _projected(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndar
     subtracts its shift from out and runs exp in place, so the features
     allocate nothing of size m x N. A projection that overflows (a column
     maximum of +inf or NaN) cannot be repaired by any shift and raises
-    NumericError naming the column of u.
+    NumericError naming the column of u. The caller holds
+    np.errstate(over="ignore", invalid="ignore"), once per pass and not
+    once per chunk.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(f, u[:, start:stop], out=out)
-        top = out.max(axis=0)
-        if not (top < math.inf).all():
-            col = start + int(np.flatnonzero(~(top < math.inf))[0])
-            raise NumericError(f"phi overflowed after stabilization at column {col}")
+    np.matmul(f, u[:, start:stop], out=out)
+    top = out.max(axis=0)
+    if not (top < math.inf).all():
+        col = start + int(np.flatnonzero(~(top < math.inf))[0])
+        raise NumericError(f"phi overflowed after stabilization at column {col}")
     return top
 
 

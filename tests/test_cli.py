@@ -463,6 +463,9 @@ class TestErrorPaths:
          "--k-amp does not apply with explicit --q/--k/--v"),
         (["corr-map", "--q", "Q", "--k", "K", "--c-embed", "3"],
          "--c-embed does not apply with explicit --q/--k"),
+        (["exact", "--q", "Q", "--k", "K", "--v", "V", "--seed", "5"],
+         "--seed does not apply with explicit --q/--k/--v"),
+        (["corr-map", "--q", "Q", "--k", "K", "--seed", "5"], "--seed does not apply with explicit --q/--k"),
         (["enla", "--features", "X", "--q", "Q"], "--q does not apply with --features"),
         (["exact", "--features", "X", "--v", "V"], "--v does not apply with --features"),
         (["corr-map", "--features", "X", "--k", "K"], "--k does not apply with --features"),
@@ -470,7 +473,8 @@ class TestErrorPaths:
         (["contrastive", "--t", "T", "--k-amp", "2"], "--k-amp does not apply with --t"),
         (["exact", "--q", "Q", "--k", "K"], "give --features or all of --q/--k/--v (missing --v)"),
         (["contrastive", "--q", "Q"], "give --t, or both --q and --k"),
-    ], ids=["exact --k-amp", "enla --k-amp", "corr-map --c-embed", "enla --features --q",
+    ], ids=["exact --k-amp", "enla --k-amp", "corr-map --c-embed", "exact --seed", "corr-map --seed",
+            "enla --features --q",
             "exact --features --v", "corr-map --features --k", "contrastive --t --q", "contrastive --t --k-amp",
             "exact missing --v", "contrastive missing --k"])
     def test_input_mode_takes_only_its_flags(self, matrices, capsys, argv, message):

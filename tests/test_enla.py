@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enlca import enla
 from enlca.analysis import approximation_error_sweep
 from enlca.enla import (
     CHUNK,
     EnlaConfig,
     EnlcaBlockParams,
     NormalizerUnderflowWarning,
+    _UNSHIFTED_MAX,
     _prefix_forwards,
     block_inputs,
     enla_forward,
@@ -22,7 +25,7 @@ from enlca.enla import (
 )
 from enlca.exact import attention_row_entropies, exact_attention
 from enlca.features import phi, sample_projection
-from enlca.matrices import NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample
+from enlca.matrices import NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample, normalize_columns
 from oracles import two_path_forward
 
 
@@ -402,6 +405,154 @@ class TestPrefixForwards:
         (q if side == "q" else k)[:, bad] = 1e308
         with pytest.raises(NumericError, match=f"column {bad}$"):
             prefix_outputs(q, k, v, EnlaConfig(rng=RngSpec(77), m=64), [16, 64])
+
+
+
+class TestShiftBoundaries:
+    """Chunks whose column maxima of F u sit at either end of the range
+    [0, enla._UNSHIFTED_MAX] in which a chunk skips its shift pass, extreme
+    values and extreme floors, against the two-path reference: outputs to
+    1e-12 and the floor count of the reference normalizer in the
+    forward's stabilized units."""
+
+    @staticmethod
+    def reference(f, q, k, v, epsilon):
+        """The two-path output floored as the forward floors it, and how
+        many positions that floors. In stabilized units the normalizer is
+        the exact one times m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K),
+        with S_K the max over all keys of F k - |k|^2 / 2."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            output, normalizer = two_path_forward(f, q, k, v)
+            key_shift = (f @ k - 0.5 * (k * k).sum(axis=0)).max()
+            stabilized = np.exp(np.log(normalizer) + math.log(f.shape[0]) + 0.5 * (q * q).sum(axis=0)
+                                - (f @ q).max(axis=0) - key_shift)
+        floored = stabilized < epsilon
+        return output * np.where(floored, stabilized / epsilon, 1.0), int(floored.sum())
+
+    def check(self, out, messages, f, q, k, v, epsilon):
+        expected, floored = self.reference(f, q, k, v, epsilon)
+        assert np.isfinite(expected).all()
+        assert messages == ([f"{floored} normalizer entries below epsilon={epsilon} were floored"]
+                            if floored else [])
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def check_forward(self, q, k, v, config):
+        f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
+        self.check(*forward_with_warnings(q, k, v, config), f, q, k, v, config.epsilon)
+        return f
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_column_max_just_below_zero(self, side, orthogonal):
+        # m = c makes F invertible: u = F^-1 (-1e-6, ..., -1e-6) has every
+        # projection just below 0, in a chunk whose other columns are in range
+        q, k, v = seeded_qkv(110, c=16, c_out=3, n=CHUNK + 5)
+        config = EnlaConfig(rng=RngSpec(111), m=16, orthogonal=orthogonal)
+        f = sample_projection(config.rng, 16, 16, orthogonal).f
+        u = np.linalg.solve(f, np.full(16, -1e-6))
+        assert -2e-6 < (f @ u).max() < 0
+        (q if side == "q" else k)[:, 3] = u
+        self.check_forward(q, k, v, config)
+
+    def test_key_projections_far_below_zero(self):
+        # every key is F^-1 (-708, ..., -708): its weight
+        # exp(-|k|^2 / 2 - S) would be e^708, past float range once
+        # multiplied by a value above 2.3; identical keys mix uniformly
+        q, _, v = seeded_qkv(120, c=16, c_out=3, n=40)
+        config = EnlaConfig(rng=RngSpec(121), m=16)
+        f = sample_projection(config.rng, 16, 16).f
+        k = np.repeat(np.linalg.solve(f, np.full(16, -708.0))[:, None], 40, axis=1)
+        out = enla_forward(q, k, 10.0 * v, config)
+        expected = np.repeat(10.0 * v.mean(axis=1, keepdims=True), 40, axis=1)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_column_max_at_upper_bound(self, side, offset):
+        # a column along the longest projection row, scaled so that its
+        # largest projection sits just below or just above the bound; at
+        # c = 256 its real exponent is still about 145, inside float range
+        q, k, v = seeded_qkv(112, c=256, c_out=3, n=CHUNK + 5)
+        config = EnlaConfig(rng=RngSpec(113), m=16)
+        f = sample_projection(config.rng, 16, 256).f
+        norms = np.linalg.norm(f, axis=1)
+        row = int(np.argmax(norms))
+        u = f[row] * (_UNSHIFTED_MAX * (1 + offset) / norms[row] ** 2)
+        assert ((f @ u).max() > _UNSHIFTED_MAX) == (offset > 0)
+        (q if side == "q" else k)[:, 3] = u
+        self.check_forward(q, k, v, config)
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_column_leaves_range_in_later_segment(self, side):
+        # the column's projections stay in [0, U] on the first 16 rows and
+        # pass U on the next 16: its chunk skips the shift in the first
+        # segment and needs it in the second
+        ms = [16, 32]
+        q, k, v = seeded_qkv(114, c=256, c_out=3, n=CHUNK + 5)
+        config = EnlaConfig(rng=RngSpec(115), m=32)
+        f = sample_projection(config.rng, 32, 256).f
+        norms = np.linalg.norm(f[16:], axis=1)
+        row = 16 + int(np.argmax(norms))
+        u = f[row] * (_UNSHIFTED_MAX * (1 + 1e-9) / norms[row - 16] ** 2)
+        assert 0 <= (f[:16] @ u).max() < _UNSHIFTED_MAX < (f[16:] @ u).max()
+        (q if side == "q" else k)[:, 3] = u
+        for m, (out, messages) in zip(ms, prefix_outputs(q, k, v, config, ms)):
+            self.check(out, messages, f[:m], q, k, v, config.epsilon)
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_values_near_float_max(self, orthogonal):
+        # values of about 1e300 leave the sums little headroom, and the
+        # first 8 queries lie along the 8 longest projection rows, where
+        # exp(F q) alone reaches 1e9; the output is linear in v, so the
+        # reference runs on v / 1e300
+        q, k, v = seeded_qkv(116, c=32, c_out=3, n=2 * CHUNK + 3, k_amp=8.0)
+        v = 1e300 * np.abs(v)
+        config = EnlaConfig(rng=RngSpec(117), m=64, orthogonal=orthogonal)
+        f = sample_projection(config.rng, 64, 32, orthogonal).f
+        longest = np.argsort(np.linalg.norm(f, axis=1))[-8:]
+        q[:, :8] = np.sqrt(8.0) * normalize_columns(f[longest].T)
+        assert (f @ q).max() > 20
+        out, messages = forward_with_warnings(q, k, v, config)
+        self.check(out / 1e300, messages, f, q, k, v / 1e300, config.epsilon)
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    @pytest.mark.parametrize("epsilon", [1e-300, 1e6])
+    def test_extreme_epsilon(self, epsilon, orthogonal):
+        q, k, v = seeded_qkv(118, c=16, c_out=3, n=2 * CHUNK + 3, k_amp=6.0)
+        self.check_forward(q, k, v, EnlaConfig(rng=RngSpec(119), m=64, orthogonal=orthogonal,
+                                               epsilon=epsilon))
+
+
+class TestUnshiftedPath:
+    """Unit columns amplified by a moderate k_amp at m >= 16 have every
+    column max of F u in [0, U], so no chunk may take the shifted path."""
+
+    @pytest.fixture
+    def no_shift(self, monkeypatch):
+        def refuse(block, shift):
+            raise AssertionError("a chunk took the shifted path")
+        monkeypatch.setattr(enla, "_exp_shifted", refuse)
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    @pytest.mark.parametrize("k_amp", [1.0, 6.0])
+    @pytest.mark.parametrize("m", [32, 128])
+    def test_forward(self, no_shift, m, k_amp, orthogonal):
+        q, k, v = seeded_qkv(122, c=16, c_out=3, n=2 * CHUNK + 3, k_amp=k_amp)
+        config = EnlaConfig(rng=RngSpec(123), m=m, orthogonal=orthogonal)
+        f = sample_projection(config.rng, m, 16, orthogonal).f
+        reference, _ = two_path_forward(f, q, k, v)
+        out = enla_forward(q, k, v, config)
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("k_amp", [1.0, 6.0])
+    def test_prefix_forwards(self, no_shift, k_amp):
+        q, k, v = seeded_qkv(124, c=16, c_out=3, n=2 * CHUNK + 3, k_amp=k_amp)
+        config = EnlaConfig(rng=RngSpec(125), m=128)
+        f = sample_projection(config.rng, 128, 16).f
+        for m, (out, messages) in zip([32, 64, 128], prefix_outputs(q, k, v, config, [32, 64, 128])):
+            reference, _ = two_path_forward(f[:m], q, k, v)
+            assert messages == []
+            assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestInPlaceSafety:
