@@ -439,7 +439,6 @@ class TestShiftBoundaries:
     def check_forward(self, q, k, v, config):
         f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
         self.check(*forward_with_warnings(q, k, v, config), f, q, k, v, config.epsilon)
-        return f
 
     @pytest.mark.parametrize("orthogonal", [False, True])
     @pytest.mark.parametrize("side", ["q", "k"])
