@@ -4,10 +4,15 @@ Every output position is the softmax-weighted sum of all value columns,
 with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that the linear-complexity path is checked against.
 
-Evaluation is chunked over query positions, CHUNK at a time, and each
-chunk's weight rows are formed and softmax-normalized in place in one
-reused CHUNK x N buffer, so the N x N weight matrix is never
-materialized unless explicitly requested.
+Evaluation runs over blocks of query positions, and each block's weight
+rows are formed and softmax-normalized in place in one reused rows x N
+buffer, so the N x N weight matrix is never materialized unless
+explicitly requested. A small-channel oracle (c + c_out <= 16, such as
+the approximation sweep's c = c_out = 8) takes blocks as tall as fit in
+512 KiB, so that their passes run from L2: 32 rows at N = 2048. Wider
+oracles, and long ones where fewer than 16 rows would fit, keep blocks of
+MAX_ROWS = 256 rows: there the GEMMs, which repack all of k and v for
+every block, carry more of the cost, and shorter blocks measured slower.
 """
 
 from __future__ import annotations
@@ -19,8 +24,12 @@ import numpy as np
 
 from .matrices import NumericError, ShapeError, _validated_qkv, as_matrix
 
-# Query positions per chunk of weight rows: the transient is CHUNK x N.
-CHUNK = 256
+# Block height, the rows of the rows x N weight transient (see the module
+# docstring); the values come from a grid of heights timed over N and c.
+MAX_ROWS = 256
+_BLOCK_BYTES = 512 * 1024
+_MIN_ROWS = 16
+_MAX_SHRINK_CHANNELS = 16  # largest c + c_out whose blocks shrink
 
 __all__ = [
     "AttentionOutput",
@@ -69,14 +78,24 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
     return 0.0 - (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
 
 
-def _weight_rows(q, k):
+def _block_rows(n: int, c: int, c_out: int) -> int:
+    """Query rows per block against n keys, for c-channel q and k and a
+    c_out-row v (0 when no value GEMM follows)."""
+    rows = min(MAX_ROWS, _BLOCK_BYTES // (8 * n))
+    shrinks = c + c_out <= _MAX_SHRINK_CHANNELS and rows >= _MIN_ROWS
+    return rows if shrinks else MAX_ROWS
+
+
+def _weight_rows(q, k, c_out: int):
     """Yield (start, stop, w) with w the exact weight rows of queries
-    start..stop-1 against all keys, CHUNK queries at a time. Every w is a
-    view of one reused CHUNK x N buffer, valid until the next step."""
+    start..stop-1 against all keys, one block of _block_rows queries at a
+    time. Every w is a view of one reused buffer, valid until the next
+    step."""
     n = q.shape[1]
-    buffer = np.empty((min(n, CHUNK), k.shape[1]))
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
+    rows = _block_rows(k.shape[1], q.shape[0], c_out)
+    buffer = np.empty((min(n, rows), k.shape[1]))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         w = buffer[:stop - start]
         with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
             np.matmul(q[:, start:stop].T, k, out=w)
@@ -86,14 +105,14 @@ def _weight_rows(q, k):
 def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
     """Full-precision attention output for q, k (c x N) and v (c_out x N).
 
-    Transient memory is O(CHUNK * N); weights are stored only when
-    keep_weights is True, which costs O(N^2) memory.
+    Transient memory is one block of at most MAX_ROWS x N; weights are
+    stored only when keep_weights is True, which costs O(N^2) memory.
     """
     q, k, v = _validated_qkv(q, k, v)
     n = q.shape[1]
     y = np.empty((v.shape[0], n), dtype=np.float64)
     weights = np.empty((n, n), dtype=np.float64) if keep_weights else None
-    for start, stop, w in _weight_rows(q, k):
+    for start, stop, w in _weight_rows(q, k, v.shape[0]):
         y[:, start:stop] = v @ w.T
         if keep_weights:
             weights[start:stop] = w
@@ -127,6 +146,6 @@ def attention_row_entropies(q, k) -> np.ndarray:
     computed without holding the full weight matrix."""
     q, k = _validated_qk(q, k)
     out = np.empty(q.shape[1], dtype=np.float64)
-    for start, stop, w in _weight_rows(q, k):
+    for start, stop, w in _weight_rows(q, k, 0):
         out[start:stop] = _row_entropies(w)
     return out

@@ -38,13 +38,18 @@ def naive_attention(q_cols, k_cols, v_cols):
 def two_path_forward(f, q, k, v):
     """Random-feature attention for projection rows f (m x c), q, k (c x N)
     and v (c_out x N), unstabilized, with the numerator and the normalizer
-    computed on separate paths. Returns (output, normalizer)."""
+    computed on separate paths. Returns (output, normalizer).
+
+    The output leaves out each query's factor exp(-|q|^2 / 2), which
+    cancels in its column, so a query whose exponents all underflow still
+    has an output; the normalizer keeps it."""
     scale = 1.0 / math.sqrt(f.shape[0])
     pq = scale * np.exp(f @ q - 0.5 * (q * q).sum(axis=0))
     pk = scale * np.exp(f @ k - 0.5 * (k * k).sum(axis=0))
-    numerator = (v @ pk.T) @ pq
+    eq = scale * np.exp(f @ q)
+    numerator = (v @ pk.T) @ eq
     normalizer = pk.sum(axis=1) @ pq
-    return numerator / normalizer, normalizer
+    return numerator / (pk.sum(axis=1) @ eq), normalizer
 
 
 def philox_gaussian(seed, stream_id, rows, cols):

@@ -23,7 +23,7 @@ from enlca.enla import (
     normalize_and_scale,
     random_block_params,
 )
-from enlca.exact import attention_row_entropies, exact_attention
+from enlca.exact import _block_rows, attention_row_entropies, exact_attention
 from enlca.features import phi, sample_projection
 from enlca.matrices import NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample, normalize_columns
 from oracles import two_path_forward
@@ -193,6 +193,18 @@ class TestTwoPathReference:
         out = enla_forward(q, k, v, config)
         assert out.shape == reference.shape
         assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_query_column_whose_exponents_all_underflow(self):
+        # at norm 42, max_l f_l . q - |q|^2 / 2 is about -789: every
+        # exp(f_l . q - |q|^2 / 2) underflows, yet the column has an output
+        q, k, v = seeded_qkv(1, c=16, c_out=3, n=40)
+        q[:, 0] *= 42.0 / np.linalg.norm(q[:, 0])
+        config = EnlaConfig(rng=RngSpec(1), m=64)
+        f = sample_projection(config.rng, 64, 16).f
+        assert (f @ q[:, 0] - 0.5 * q[:, 0] @ q[:, 0]).max() < -746
+        reference, _ = two_path_forward(f, q, k, v)
+        out = enla_forward(q, k, v, config)
+        assert (np.abs(out - reference).max(axis=0) <= 1e-12 * np.abs(reference).max(axis=0)).all()
 
     def test_floor_count_matches_reference_normalizer(self):
         # an epsilon halfway between two reference normalizers splits the
@@ -603,6 +615,21 @@ def test_forward_peak_memory_is_one_feature_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (m * CHUNK + (2 * c + 1) * n)
+
+
+def test_oracle_peak_memory_is_one_block():
+    # at the approximation sweep's shape the oracle's weights stream
+    # through one block of _block_rows x N, so the peak is that block plus
+    # O((c + c_out) N): the c_out x N output and numpy's 64 KB ufunc buffer
+    n, c = 2048, 8
+    q, k, v = seeded_qkv(69, c=c, c_out=c, n=n)
+    tracemalloc.start()
+    try:
+        exact_attention(q, k, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (_block_rows(n, c, c) * n + 2 * (c + c) * n)
 
 
 class TestEnlcaBlock:

@@ -75,11 +75,47 @@ def test_key_shift_invariance():
 
 def test_chunking_does_not_change_results(monkeypatch):
     q, k, v = seeded_instance(19, c=5, c_out=4, n=37)
-    monkeypatch.setattr(exact, "CHUNK", 37)
+    monkeypatch.setattr(exact, "MAX_ROWS", 37)
     full = exact_attention(q, k, v).y
-    monkeypatch.setattr(exact, "CHUNK", 3)
+    monkeypatch.setattr(exact, "MAX_ROWS", 3)
     tiny = exact_attention(q, k, v).y
     assert np.abs(full - tiny).max() < 1e-12
+
+
+class TestBlocks:
+    """Blocks as tall as fit in 512 KiB for c + c_out <= 16, if that is at
+    least 16 rows, else 256 rows. The height follows N: at c = 8 a block
+    holds all of N <= 256 positions, and N = 257 is split 255 + 2."""
+
+    @pytest.mark.parametrize("n, c, c_out, rows", [
+        (256, 8, 8, 256),
+        (257, 8, 8, 255),
+        (515, 8, 8, 127),
+        (2048, 8, 8, 32),      # the approximation sweep's oracle
+        (4096, 8, 8, 16),
+        (10_000, 8, 8, 256),   # 6 rows would fit
+        (1024, 16, 16, 256),   # wider channels keep 256 rows
+        (1100, 16, 0, 59),     # entropies: no value GEMM
+        (260, 64, 64, 256),
+        (10_000, 16, 16, 256),
+    ])
+    def test_height(self, n, c, c_out, rows):
+        assert exact._block_rows(n, c, c_out) == rows
+
+    @pytest.mark.parametrize("c, n", [(8, 1), (8, 255), (8, 256), (8, 257), (8, 515), (64, 260)])
+    def test_against_scalar_oracle(self, c, n):
+        q, k, v = seeded_instance(41, c=c, c_out=c, n=n)
+        expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
+        assert np.abs(exact_attention(q, k, v).y - expected).max() < 1e-12
+
+    def test_kept_weights_across_blocks(self):
+        # at N = 1100 the oracle keeps 256-row blocks while the entropies,
+        # with no value GEMM, take 59-row blocks
+        q, k, v = seeded_instance(43, c=16, c_out=16, n=1100)
+        weights = exact_attention(q, k, v, keep_weights=True).weights
+        assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
+        expected = np.array([shannon_entropy(row) for row in weights])
+        assert np.abs(attention_row_entropies(q, k) - expected).max() < 1e-12
 
 
 def test_repeat_calls_are_bitwise_identical():
@@ -205,7 +241,7 @@ class TestOverflowingLogits:
 
     @pytest.mark.filterwarnings("error")
     def test_names_column_of_later_chunk(self, monkeypatch):
-        monkeypatch.setattr(exact, "CHUNK", 2)
+        monkeypatch.setattr(exact, "MAX_ROWS", 2)
         q = np.array([[1.0, 2.0, 0.5, 1e300, 1.0]])
         k = np.array([[1.0, 1e300, 0.0, 2.0, 1.0]])
         with pytest.raises(NumericError, match="query column 3$"):
