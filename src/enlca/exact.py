@@ -4,24 +4,42 @@ Every output position is the softmax-weighted sum of all value columns,
 with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that the linear-complexity path is checked against.
 
-Evaluation runs over blocks of query positions, and each block's weight
-rows are formed and softmax-normalized in place in one reused rows x N
+Evaluation runs over blocks of query positions in one reused rows x N
 buffer, so the N x N weight matrix is never materialized unless
-explicitly requested. A small-channel oracle (c + c_out <= 16, such as
-the approximation sweep's c = c_out = 8) takes blocks as tall as fit in
-512 KiB, so that their passes run from L2: 32 rows at N = 2048. Wider
-oracles, and long ones where fewer than 16 rows would fit, keep blocks of
-MAX_ROWS = 256 rows: there the GEMMs, which repack all of k and v for
-every block, carry more of the cost, and shorter blocks measured slower.
+explicitly requested. A block takes three passes: the logit GEMM, exp in
+place and one GEMM with the staged [v; 1] rows, whose last row is each
+query's normalizer. The weights stay unnormalized; the c_out x N output
+is divided by that row once, at the end.
+
+The shift that keeps exp in range is fixed before the logit GEMM: the
+logits are formed against the key-relative copy k - k_0, which moves each
+row by the constant q_i . k_0, so each row's key-0 weight is exactly
+exp(0) = 1. When max|q_i| max|k_j - k_0| is at most
+min(U, log(MAX / 2) - log(N max(1, max|v|))), with U and log(MAX / 2) the
+forward's enla._UNSHIFTED_MAX and enla._LOG_HALF_MAX, every weight lies in
+[e^-U, e^U] and no sum of N weighted values can overflow. Any other input
+(a product that is not finite or above that bound) takes the row max: the
+raw logits go through _softmax_rows, which names a query column whose logits
+overflowed and normalizes each row before the value GEMM, so values near
+the float limit cannot overflow the sums either.
+
+A small-channel oracle (c + c_out <= 16, such as the approximation
+sweep's c = c_out = 8) takes blocks as tall as fit in 512 KiB, so that
+their passes run from L2: 32 rows at N = 2048. Wider oracles, and long
+ones where fewer than 16 rows would fit, keep blocks of MAX_ROWS = 256
+rows: there the GEMMs, which repack all of k and v for every block, carry
+more of the cost, and shorter blocks measured slower.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .enla import _LOG_HALF_MAX, _UNSHIFTED_MAX
 from .matrices import NumericError, ShapeError, _validated_qkv, as_matrix
 
 # Block height, the rows of the rows x N weight transient (see the module
@@ -74,49 +92,78 @@ def _softmax_rows(logits: np.ndarray, first_column: int) -> np.ndarray:
 
 
 def _row_entropies(p: np.ndarray) -> np.ndarray:
-    """Entropy in nats of each row of a non-negative matrix; zero entries contribute 0, one-hot rows +0."""
-    return 0.0 - (p * np.log(np.where(p > 0, p, 1.0))).sum(axis=1)
+    """Entropy in nats of each row of a non-negative matrix, formed in p's
+    place (p is overwritten); zero entries contribute 0, one-hot rows +0."""
+    # the one scratch block: log p, with a zero entry's log taken at the
+    # smallest subnormal, finite, so that its term p log p is 0 and not NaN
+    log = np.maximum(p, np.finfo(np.float64).smallest_subnormal)
+    np.log(log, out=log)
+    p *= log
+    return 0.0 - p.sum(axis=1)
 
 
 def _block_rows(n: int, c: int, c_out: int) -> int:
     """Query rows per block against n keys, for c-channel q and k and a
-    c_out-row v (0 when no value GEMM follows)."""
+    c_out-row v (0 for the entropies, which stage only the row of ones)."""
     rows = min(MAX_ROWS, _BLOCK_BYTES // (8 * n))
     shrinks = c + c_out <= _MAX_SHRINK_CHANNELS and rows >= _MIN_ROWS
     return rows if shrinks else MAX_ROWS
 
 
-def _weight_rows(q, k, c_out: int):
-    """Yield (start, stop, w) with w the exact weight rows of queries
-    start..stop-1 against all keys, one block of _block_rows queries at a
-    time. Every w is a view of one reused buffer, valid until the next
-    step."""
+def _logit_keys(q, k, staged):
+    """The keys of the logit GEMM and whether its logits go to exp with no
+    row max: k - k_0 when max|q_i| max|k_j - k_0| is within the module
+    docstring's bound, with staged's N columns and max|staged| >= 1 (its
+    row of ones) in place of N and max(1, max|v|); else k itself."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge q or k: an inf or NaN reach, so row max
+        relative = k - k[:, :1]
+        reach = np.sqrt((q * q).sum(axis=0).max() * (relative * relative).sum(axis=0).max())
+    largest = staged.shape[1] * float(np.abs(staged).max())
+    if reach <= min(_UNSHIFTED_MAX, _LOG_HALF_MAX - math.log(largest)):
+        return relative, True
+    return k, False
+
+
+def _weight_rows(q, k, staged):
+    """Yield (start, stop, w, s) for each block of _block_rows queries: w
+    holds the weight rows of queries start..stop-1 against all keys,
+    unnormalized, and s = staged @ w.T, so that with staged's last row all
+    ones s[-1] holds their normalizers. Every w is a view of one reused
+    buffer, valid until the next step."""
+    keys, unshifted = _logit_keys(q, k, staged)
     n = q.shape[1]
-    rows = _block_rows(k.shape[1], q.shape[0], c_out)
+    rows = _block_rows(k.shape[1], q.shape[0], staged.shape[0] - 1)
     buffer = np.empty((min(n, rows), k.shape[1]))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         w = buffer[:stop - start]
         with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
-            np.matmul(q[:, start:stop].T, k, out=w)
-        yield start, stop, _softmax_rows(w, start)
+            np.matmul(q[:, start:stop].T, keys, out=w)
+        if unshifted:
+            np.exp(w, out=w)
+        else:
+            _softmax_rows(w, start)
+        yield start, stop, w, staged @ w.T
 
 
 def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
     """Full-precision attention output for q, k (c x N) and v (c_out x N).
 
-    Transient memory is one block of at most MAX_ROWS x N; weights are
+    Transient memory is one block of at most MAX_ROWS x N, the c x N
+    key-relative copy and the (c_out + 1) x N staged values; weights are
     stored only when keep_weights is True, which costs O(N^2) memory.
     """
     q, k, v = _validated_qkv(q, k, v)
     n = q.shape[1]
-    y = np.empty((v.shape[0], n), dtype=np.float64)
+    staged = np.vstack((v, np.ones((1, n))))
+    out = np.empty_like(staged)
     weights = np.empty((n, n), dtype=np.float64) if keep_weights else None
-    for start, stop, w in _weight_rows(q, k, v.shape[0]):
-        y[:, start:stop] = v @ w.T
+    for start, stop, w, s in _weight_rows(q, k, staged):
+        out[:, start:stop] = s
         if keep_weights:
-            weights[start:stop] = w
-    return AttentionOutput(y=y, weights=weights)
+            np.divide(w, s[-1, :, None], out=weights[start:stop])
+    out[:-1] /= out[-1]
+    return AttentionOutput(y=out[:-1], weights=weights)
 
 
 def correlation_map(q, k, query_index: int) -> np.ndarray:
@@ -133,7 +180,7 @@ def correlation_map(q, k, query_index: int) -> np.ndarray:
 
 def shannon_entropy(p) -> float:
     """Entropy in nats of a probability vector; zero entries contribute 0."""
-    p = np.asarray(p, dtype=np.float64)
+    p = np.array(p, dtype=np.float64)  # a copy: _row_entropies overwrites it
     if p.ndim != 1 or p.size < 1:
         raise ShapeError("entropy expects a non-empty 1-D vector")
     if (p < 0).any() or not np.isfinite(p).all():
@@ -146,6 +193,7 @@ def attention_row_entropies(q, k) -> np.ndarray:
     computed without holding the full weight matrix."""
     q, k = _validated_qk(q, k)
     out = np.empty(q.shape[1], dtype=np.float64)
-    for start, stop, w in _weight_rows(q, k, 0):
+    for start, stop, w, s in _weight_rows(q, k, np.ones((1, k.shape[1]))):
+        w /= s.T
         out[start:stop] = _row_entropies(w)
     return out

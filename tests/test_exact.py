@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enlca import exact
-from enlca.enla import EnlaConfig, enla_forward, normalize_and_scale
+from enlca.enla import _UNSHIFTED_MAX, EnlaConfig, enla_forward, normalize_and_scale
 from enlca.exact import (
     attention_row_entropies,
     correlation_map,
@@ -116,6 +116,110 @@ class TestBlocks:
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
         expected = np.array([shannon_entropy(row) for row in weights])
         assert np.abs(attention_row_entropies(q, k) - expected).max() < 1e-12
+
+
+class TestRegimes:
+    """The oracle forms its logits against key 0 and skips the row max when
+    max|q_i| max|k_j - k_0| <= min(U, log(MAX / 2) - log(N max(1, max|v|))),
+    with U = enla._UNSHIFTED_MAX; any other input takes the row-max shift
+    of _softmax_rows."""
+
+    @staticmethod
+    def run(monkeypatch, q, k, v):
+        """exact_attention with kept weights, and whether any block took the row-max shift."""
+        shifted = []
+        softmax_rows = exact._softmax_rows
+
+        def spy(logits, first_column):
+            shifted.append(first_column)
+            return softmax_rows(logits, first_column)
+
+        monkeypatch.setattr(exact, "_softmax_rows", spy)
+        return exact_attention(q, k, v, keep_weights=True), bool(shifted)
+
+    @staticmethod
+    def assert_matches_oracle(out, q, k, v):
+        expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
+        assert np.abs(out.y - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-12
+
+    @staticmethod
+    def at_reach(seed, reach, c=3, n=8):
+        """q, k with max|q_i| max|k_j - k_0| = reach, key 0 off the origin."""
+        base = RngSpec(seed)
+        q = gaussian_sample(base.stream(1), c, n)
+        relative = gaussian_sample(base.stream(2), c, n)
+        relative[:, 0] = 0.0
+        q /= np.linalg.norm(q, axis=0).max()
+        relative *= reach / np.linalg.norm(relative, axis=0).max()
+        return q, relative + np.array([[0.5], [-0.25], [0.75]])[:c]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("offset, shifted", [(-1e-9, False), (1e-9, True)], ids=["below", "above"])
+    def test_reach_at_the_limit(self, monkeypatch, offset, shifted):
+        q, k = self.at_reach(51, _UNSHIFTED_MAX * (1 + offset))
+        v = gaussian_sample(RngSpec(52), 2, 8)
+        out, took_shift = self.run(monkeypatch, q, k, v)
+        assert took_shift == shifted
+        self.assert_matches_oracle(out, q, k, v)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, reach", [(1.0, 20.0), (1e300, 20.0), (1e307, 0.5)])
+    def test_value_term(self, monkeypatch, scale, reach):
+        # values in [scale, 4 scale] at N = 64: near 1e300 they leave the
+        # sums log(MAX / 2) - log(64 * 4e300) ~ 13 of headroom, less than
+        # reach 20; near 1e307 even 64 unnormalized weights within e^-1 of
+        # the row max would overflow the sum, so the rows are normalized
+        q, k = self.at_reach(53, reach, n=64)
+        v = scale * (1.0 + np.abs(gaussian_sample(RngSpec(54), 2, 64)))
+        out, took_shift = self.run(monkeypatch, q, k, v)
+        assert took_shift == (scale > 1.0)
+        self.assert_matches_oracle(out, q, k, v)
+
+    @pytest.mark.filterwarnings("error")
+    def test_query_anti_aligned_with_key_0(self, monkeypatch):
+        # query 0 points along -u and every k_j - k_0 leans along +u, so its
+        # key-relative logits lie in [-350, -175] except key 0's 0: weights
+        # near e^-350 that must neither underflow nor lose digits
+        u = np.array([0.6, 0.8, 0.0])
+        directions = gaussian_sample(RngSpec(55), 3, 16)
+        directions /= np.linalg.norm(directions, axis=0)
+        directions += 3.0 * u[:, None]
+        directions /= np.linalg.norm(directions, axis=0)
+        assert (u @ directions).min() >= 0.5
+        k = np.array([[0.5], [-0.25], [0.75]]) + directions
+        k[:, 0] = [0.5, -0.25, 0.75]
+        q = gaussian_sample(RngSpec(56), 3, 16)
+        q *= 350.0 / np.linalg.norm(q, axis=0)
+        q[:, 0] = -350.0 * u
+        v = gaussian_sample(RngSpec(57), 2, 16)
+        out, took_shift = self.run(monkeypatch, q, k, v)
+        assert not took_shift
+        self.assert_matches_oracle(out, q, k, v)
+        # the scalar oracle's weights: its attention over the identity's columns
+        expected = np.array(naive_attention(columns(q), columns(k), columns(np.eye(16))))[0]
+        assert out.weights[0, 0] == expected[0] and expected[1:].max() < 1e-75
+        assert np.abs(out.weights[0] / expected - 1.0).max() < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k_amp", [1.0, 6.0])
+    def test_sweep_shape_takes_no_row_max(self, monkeypatch, k_amp):
+        def refuse(logits, first_column):
+            raise AssertionError("a block took the row-max shift")
+
+        monkeypatch.setattr(exact, "_softmax_rows", refuse)
+        base = RngSpec(58)
+        q, k = normalize_and_scale(gaussian_sample(base.stream(1), 8, 2048),
+                                   gaussian_sample(base.stream(2), 8, 2048), k_amp)
+        v = gaussian_sample(base.stream(3), 8, 2048)
+        # the textbook softmax on a few query rows, across block edges
+        sample = [0, 31, 32, 1000, 2047]
+        logits = q[:, sample].T @ k
+        weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        assert np.abs(exact_attention(q, k, v).y[:, sample] - v @ weights.T).max() < 1e-12
+        entropies = -(weights * np.log(weights)).sum(axis=1)
+        assert np.abs(attention_row_entropies(q, k)[sample] - entropies).max() < 1e-12
 
 
 def test_repeat_calls_are_bitwise_identical():
