@@ -59,7 +59,8 @@ def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
     """Mean over rows of -log(top-group mean exp / window mean exp) + b.
 
     Both groups hold exactly P = floor(n1 * N) entries; the window starts
-    at 0-based rank floor(n2 * N) of the descending sort. The loss is not
+    at 0-based rank floor(n2 * N) of the descending sort, and ends by rank
+    N, since ContrastiveConfig keeps n1 + n2 <= 1. The loss is not
     clamped, so values below b (or below zero) are legal and indicate the
     top group already dominates. Each group's log-mean-exp is shifted by
     the group's largest entry, so the loss stays finite however large the
@@ -71,11 +72,6 @@ def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
     start = int(np.floor(cfg.n2 * n))
     if p < 1:
         raise ShapeError(f"top group is empty: floor(n1*N) = 0 for N={n}, n1={cfg.n1}")
-    if start + p > n:
-        raise ShapeError(
-            f"irrelevant window overruns: N={n}, n1={cfg.n1}, n2={cfg.n2} "
-            f"needs ranks up to {start + p}"
-        )
     ordered = np.sort(t, axis=1)[:, ::-1]
     per_row = _log_mean_exp(ordered[:, start:start + p]) - _log_mean_exp(ordered[:, :p]) + cfg.b
     return float(per_row.mean())

@@ -13,8 +13,10 @@ projection, for the approximation-error sweep. The multiply-add count is
 keeps the published convention, which excludes the normalizer.
 
 The stabilizer shifts cancel in the output ratio, so they go where they
-are cheap: a chunk whose column maxima of F u lie in [0, U] runs exp on
-its raw projection, its keys carrying their shift as one weight each in
+are cheap: each value row enters below 1 by an exact power of two, so the
+headroom (matrices._headroom, the oracle's rule too) is fixed before the
+loop, and a chunk whose column maxima of F u lie in [0, headroom] runs exp
+on its raw projection, its keys carrying their shift as one weight each in
 the staged [V; 1] rows and its queries carrying theirs in the normalizer
 floor threshold. Only the other chunks pay a shift pass over the
 m x CHUNK block. The normalizer's units and floor are the same either way.
@@ -35,28 +37,13 @@ import numpy as np
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
 from .features import _finite_or_zero, _half_sq_norms, _projected, phi, sample_projection  # noqa: F401
 from .matrices import (
-    RngSpec, ShapeError, _matrix_pair, _validated_qkv, as_matrix, check_settings, normalize_columns,
+    RngSpec, ShapeError, _headroom, _matrix_pair, _unit_exponent, _validated_qkv, as_matrix, check_settings,
+    normalize_columns,
 )
 
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
 # (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
 CHUNK = 2048
-
-# log of half of float64's largest value: every bound below keeps what it
-# bounds under half of that, so the rounding of exp and of sums cannot
-# carry it past
-_LOG_HALF_MAX = math.log(np.finfo(np.float64).max / 2)
-
-# U, the top of the range [0, U] of column maxima of F u inside which a
-# chunk's feature block is not shifted (a query pass may lower it, see
-# _query_bound). Raw features then stay at most e^U, so exp cannot
-# overflow. A key weight exp(-|k_j|^2 / 2 - S) is at least its key's
-# largest feature over e^U, so a weight times a value turns subnormal
-# e^U sooner than the shifted feature times that value would: half of
-# the log range, 354.5, leaves both sides the same room. The bottom
-# bound 0 keeps every key weight at most 1 and every floor threshold at
-# least epsilon.
-_UNSHIFTED_MAX = 0.5 * _LOG_HALF_MAX
 
 __all__ = [
     "EnlaConfig",
@@ -122,14 +109,18 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     column of extreme norm cannot push the features of the others out of
     float range.
 
-    No shift touches the feature block of a chunk whose column maxima of
-    F u all lie in [0, U] (see _UNSHIFTED_MAX): exp runs on the raw
-    projection. Such a key chunk multiplies its staged [V_b; 1] rows by
-    one weight per key, exp(-|k_j|^2 / 2 - S). Such a query chunk leaves
-    its (c_out + 1)-row block in raw units and compares each normalizer
-    with epsilon * exp(max_l f_l . q_j) instead of epsilon. Any other
-    chunk is shifted in its block: keys by |k_j|^2 / 2 + S, each query
-    column by its own max of F q.
+    Each value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1),
+    and its output row is scaled back by 2^e_r after the divide, so every
+    kv entry is at most N. No shift touches the feature block of a chunk
+    whose column maxima of F u all lie in [0, B], with
+    B = min(U, log(MAX / 2) - log(max(mN, epsilon))): exp runs on the raw
+    projection (the bottom 0 keeps each key weight at most 1 and each
+    floor threshold at least epsilon). Such a key chunk multiplies its
+    staged [V_b; 1] rows by one weight per key, exp(-|k_j|^2 / 2 - S).
+    Such a query chunk leaves its (c_out + 1)-row block in raw units and
+    compares each normalizer with epsilon * exp(max_l f_l . q_j) instead of
+    epsilon. Any other chunk is shifted in its block: keys by
+    |k_j|^2 / 2 + S, each query column by its own max of F q.
 
     Normalizer entries below config.epsilon are floored and reported
     through a NormalizerUnderflowWarning rather than an error; that
@@ -158,10 +149,12 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     out of range, the chunk is shifted in that segment and every later
     one, and what the earlier segments made is rescaled by exp(old - new)
     per column, the old shift being 0 for a chunk that was unshifted. When
-    a segment raises the key shift, all of it is rescaled too. Output i is
-    floored and divided chunk by chunk, in the units enla_forward(m_i)
-    documents: the first segment writes the block, each later one rescales
-    it and adds its own product, and the last output is divided in place.
+    a segment raises the key shift, all of it is rescaled too. Every
+    segment tests its chunks against enla_forward's B at m = ms[-1].
+    Output i is floored and divided chunk by chunk, in the units
+    enla_forward(m_i) documents: the first segment writes the block, each
+    later one rescales it and adds its own product, and the last output is
+    divided in place.
 
     A callback and not a generator: a generator's frame is allocated per
     call, and repeated 40 000-column forwards through one then read a
@@ -171,13 +164,15 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     f = sample_projection(config.rng, ms[-1], q.shape[0], config.orthogonal).f
     epsilon = config.epsilon
     c_out, n = v.shape
+    e = _unit_exponent(v)
+    bound = _headroom(max(ms[-1] * n, epsilon))
     width = min(n, CHUNK)
     # 64-byte aligned wherever malloc puts it: AVX-512 loads of its rows then
     # never split a cache line (3 % faster feature passes on an AMD EPYC)
     raw = np.empty(ms[-1] * width + 7)
     first = (-raw.ctypes.data % 64) // 8
     features = raw[first:first + ms[-1] * width].reshape(ms[-1], width)
-    # [V_b w_b; w_b] per key chunk, with w_b its key weights, or ones for a
+    # [2^-e V_b w_b; w_b] per key chunk, w_b its key weights or ones for a
     # shifted chunk: the last row makes the last column of kv the key sum
     staged = np.empty((c_out + 1, width))
     kv = np.zeros((ms[-1], c_out + 1))
@@ -207,20 +202,19 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                     kv *= math.exp(key_shift - raised)
                     key_shift = raised
                 shift = key_shift if key_shift > -math.inf else 0.0
-                if 0.0 <= top.min() and top.max() <= _UNSHIFTED_MAX:
+                np.ldexp(v[:, start:stop], -e, out=stage[:-1])
+                if 0.0 <= top.min() and top.max() <= bound:
                     # S >= max F k_j - |k_j|^2 / 2, so exp(-|k_j|^2 / 2 - S) <= 1
                     np.exp(block, out=block)
                     np.subtract(-shift, half_sq, out=stage[-1])
                     np.exp(stage[-1], out=stage[-1])
-                    np.multiply(v[:, start:stop], stage[-1], out=stage[:-1])
+                    stage[:-1] *= stage[-1]
                 else:
                     _exp_shifted(block, half_sq + shift)
-                    stage[:-1] = v[:, start:stop]
                     stage[-1] = 1.0
                 kv[low:high] += block @ stage.T
 
             key_rescale = math.exp(shift_before - key_shift) if key_shift > shift_before else 1.0
-            bound = _query_bound(kv[:high], epsilon)
             for chunk, start in enumerate(range(0, n, CHUNK)):
                 stop = min(n, start + CHUNK)
                 block = features[:high - low, :stop - start]
@@ -255,6 +249,7 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                     floored += int(np.count_nonzero(d < threshold))
                     np.maximum(d, threshold, out=d)
                 cols[:-1] /= d
+                np.ldexp(cols[:-1], e, out=cols[:-1])
         if floored:
             warnings.warn(
                 f"{floored} normalizer entries below epsilon={epsilon} were floored",
@@ -270,17 +265,6 @@ def _exp_shifted(block, shift) -> None:
     only a chunk outside the unshifted range takes."""
     block -= shift
     np.exp(block, out=block)
-
-
-def _query_bound(kv, epsilon: float) -> float:
-    """U for one query pass over the kv rows made so far: below it each
-    output entry, a sum of len(kv) terms kv[l] exp(f_l . q), and each floor
-    threshold epsilon * exp(max F q) stay under half of float64's largest
-    value. -inf, so that every chunk is shifted, when kv overflowed."""
-    largest = len(kv) * float(np.abs(kv).max())
-    if not largest < math.inf:
-        return -math.inf
-    return min(_UNSHIFTED_MAX, _LOG_HALF_MAX - math.log(max(largest, epsilon)))
 
 
 def _rescale(old, new):

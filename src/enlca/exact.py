@@ -2,26 +2,27 @@
 
 Every output position is the softmax-weighted sum of all value columns,
 with weights exp(q_i . k_j) normalized per query. This is the slow,
-trustworthy baseline that the linear-complexity path is checked against.
+trustworthy baseline that enla is checked against, so it imports nothing
+from enla.
 
 Evaluation runs over blocks of query positions in one reused rows x N
 buffer, so the N x N weight matrix is never materialized unless
 explicitly requested. A block takes three passes: the logit GEMM, exp in
-place and one GEMM with the staged [v; 1] rows, whose last row is each
-query's normalizer. The weights stay unnormalized; the c_out x N output
-is divided by that row once, at the end.
+place and one GEMM with the staged [2^-e v; 1] rows, whose last row is
+each query's normalizer. The weights stay unnormalized; the c_out x N
+output is divided by that row once, at the end.
 
-The shift that keeps exp in range is fixed before the logit GEMM: the
-logits are formed against the key-relative copy k - k_0, which moves each
-row by the constant q_i . k_0, so each row's key-0 weight is exactly
-exp(0) = 1. When max|q_i| max|k_j - k_0| is at most
-min(U, log(MAX / 2) - log(N max(1, max|v|))), with U and log(MAX / 2) the
-forward's enla._UNSHIFTED_MAX and enla._LOG_HALF_MAX, every weight lies in
+The forward's float-range rule (matrices._headroom) holds here too: each
+value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1), and its
+output row is scaled back by 2^e_r after the divide, so the headroom of N
+weights, min(U, log(MAX / 2) - log(N)), and the shift are fixed before the
+logit GEMM: the logits are formed against k - k_0, which moves each row by
+the constant q_i . k_0, so each row's key-0 weight is exactly exp(0) = 1.
+When max|q_i| max|k_j - k_0| is within the headroom, every weight lies in
 [e^-U, e^U] and no sum of N weighted values can overflow. Any other input
-(a product that is not finite or above that bound) takes the row max: the
-raw logits go through _softmax_rows, which names a query column whose logits
-overflowed and normalizes each row before the value GEMM, so values near
-the float limit cannot overflow the sums either.
+(a product that is not finite or above that bound) takes the row max of
+_softmax_rows, which names a query column whose logits overflowed, and
+every weight is at most 1. Either way the staged row of ones normalizes.
 
 A small-channel oracle (c + c_out <= 16, such as the approximation
 sweep's c = c_out = 8) takes blocks as tall as fit in 512 KiB, so that
@@ -33,14 +34,12 @@ more of the cost, and shorter blocks measured slower.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .enla import _LOG_HALF_MAX, _UNSHIFTED_MAX
-from .matrices import NumericError, ShapeError, _validated_qkv, as_matrix
+from .matrices import NumericError, ShapeError, _headroom, _unit_exponent, _validated_qkv, as_matrix
 
 # Block height, the rows of the rows x N weight transient (see the module
 # docstring); the values come from a grid of heights timed over N and c.
@@ -77,9 +76,11 @@ def _validated_qk(q, k):
 
 
 def _softmax_rows(logits: np.ndarray, first_column: int) -> np.ndarray:
-    """Softmax of each row, computed in place; returns `logits`. Row i holds
-    query column first_column + i; a row whose max is not finite (a logit
-    overflowed or is NaN) has no softmax and raises NumericError naming it."""
+    """The softmax of each row up to its normalizer, exp(logit - row max),
+    computed in place; returns `logits`, whose rows each hold a weight of 1.
+    Row i holds query column first_column + i; a row whose max is not
+    finite (a logit overflowed or is NaN) has no softmax and raises
+    NumericError naming it."""
     top = logits.max(axis=1, keepdims=True)
     bad = np.flatnonzero(~np.isfinite(top))
     if bad.size:
@@ -87,7 +88,6 @@ def _softmax_rows(logits: np.ndarray, first_column: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # a logit far below the max goes to -inf: weight 0
         logits -= top
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
     return logits
 
 
@@ -110,16 +110,14 @@ def _block_rows(n: int, c: int, c_out: int) -> int:
     return rows if shrinks else MAX_ROWS
 
 
-def _logit_keys(q, k, staged):
+def _logit_keys(q, k):
     """The keys of the logit GEMM and whether its logits go to exp with no
-    row max: k - k_0 when max|q_i| max|k_j - k_0| is within the module
-    docstring's bound, with staged's N columns and max|staged| >= 1 (its
-    row of ones) in place of N and max(1, max|v|); else k itself."""
+    row max: k - k_0 when max|q_i| max|k_j - k_0| is within the headroom
+    of a sum of N weights (see the module docstring); else k itself."""
     with np.errstate(over="ignore", invalid="ignore"):  # a huge q or k: an inf or NaN reach, so row max
         relative = k - k[:, :1]
         reach = np.sqrt((q * q).sum(axis=0).max() * (relative * relative).sum(axis=0).max())
-    largest = staged.shape[1] * float(np.abs(staged).max())
-    if reach <= min(_UNSHIFTED_MAX, _LOG_HALF_MAX - math.log(largest)):
+    if reach <= _headroom(k.shape[1]):
         return relative, True
     return k, False
 
@@ -130,7 +128,7 @@ def _weight_rows(q, k, staged):
     unnormalized, and s = staged @ w.T, so that with staged's last row all
     ones s[-1] holds their normalizers. Every w is a view of one reused
     buffer, valid until the next step."""
-    keys, unshifted = _logit_keys(q, k, staged)
+    keys, unshifted = _logit_keys(q, k)
     n = q.shape[1]
     rows = _block_rows(k.shape[1], q.shape[0], staged.shape[0] - 1)
     buffer = np.empty((min(n, rows), k.shape[1]))
@@ -154,8 +152,11 @@ def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
     stored only when keep_weights is True, which costs O(N^2) memory.
     """
     q, k, v = _validated_qkv(q, k, v)
-    n = q.shape[1]
-    staged = np.vstack((v, np.ones((1, n))))
+    c_out, n = v.shape
+    e = _unit_exponent(v)
+    staged = np.empty((c_out + 1, n))
+    np.ldexp(v, -e, out=staged[:-1])
+    staged[-1] = 1.0
     out = np.empty_like(staged)
     weights = np.empty((n, n), dtype=np.float64) if keep_weights else None
     for start, stop, w, s in _weight_rows(q, k, staged):
@@ -163,6 +164,7 @@ def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
         if keep_weights:
             np.divide(w, s[-1, :, None], out=weights[start:stop])
     out[:-1] /= out[-1]
+    np.ldexp(out[:-1], e, out=out[:-1])
     return AttentionOutput(y=out[:-1], weights=weights)
 
 
@@ -175,7 +177,8 @@ def correlation_map(q, k, query_index: int) -> np.ndarray:
         raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
     with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
         logits = k.T @ q[:, query_index]
-    return _softmax_rows(logits[None, :], query_index)[0]
+    weights = _softmax_rows(logits[None, :], query_index)[0]
+    return weights / weights.sum()
 
 
 def shannon_entropy(p) -> float:

@@ -37,6 +37,28 @@ __all__ = [
 
 _U64_MAX = 2**64 - 1
 
+# The float-range rule of both attention paths, whose value rows enter at
+# unit scale (_unit_exponent): every bound keeps what it bounds under half of
+# float64's largest value, so the rounding of exp and of sums cannot carry
+# it past. U, the largest exponent that goes to exp unshifted, is half of
+# that log range, 354.5: a key weight exp(-|k_j|^2 / 2 - S) of the forward
+# is at least its key's largest feature over e^U, so a weight times a value
+# and a shifted feature times it keep the same room above the subnormals.
+_LOG_HALF_MAX = math.log(np.finfo(np.float64).max / 2)
+_UNSHIFTED_MAX = 0.5 * _LOG_HALF_MAX
+
+
+def _headroom(terms: float) -> float:
+    """min(U, log(MAX / 2) - log(terms)): `terms` terms, each at most exp of
+    it, sum below half of float64's largest value."""
+    return min(_UNSHIFTED_MAX, _LOG_HALF_MAX - math.log(terms))
+
+
+def _unit_exponent(v: np.ndarray) -> np.ndarray:
+    """e_r per row r of v, as a column, with max|v_r| 2^-e_r in [0.5, 1) (0 for a zero
+    row): scaling is exact, and each attention output row reads one value row."""
+    return np.frexp(np.maximum(v.max(axis=1), -v.min(axis=1)))[1][:, None]
+
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""

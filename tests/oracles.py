@@ -15,13 +15,13 @@ from enlca.matrices import FormatError
 
 
 def naive_attention(q_cols, k_cols, v_cols):
-    """q_cols/k_cols/v_cols are lists of column vectors (length N each).
-    Returns the output columns, one per query."""
-    n = len(q_cols)
+    """q_cols holds query column vectors; k_cols/v_cols hold the key and
+    value column vectors, one per position. Returns the output columns,
+    one per query."""
     out = []
-    for i in range(n):
+    for i in range(len(q_cols)):
         logits = []
-        for j in range(n):
+        for j in range(len(k_cols)):
             logits.append(sum(qa * ka for qa, ka in zip(q_cols[i], k_cols[j])))
         top = max(logits)
         exps = [math.exp(x - top) for x in logits]

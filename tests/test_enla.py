@@ -15,7 +15,6 @@ from enlca.enla import (
     EnlaConfig,
     EnlcaBlockParams,
     NormalizerUnderflowWarning,
-    _UNSHIFTED_MAX,
     _prefix_forwards,
     block_inputs,
     enla_forward,
@@ -25,7 +24,9 @@ from enlca.enla import (
 )
 from enlca.exact import _block_rows, attention_row_entropies, exact_attention
 from enlca.features import phi, sample_projection
-from enlca.matrices import NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample, normalize_columns
+from enlca.matrices import (
+    _UNSHIFTED_MAX, NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample, normalize_columns,
+)
 from oracles import two_path_forward
 
 
@@ -422,7 +423,7 @@ class TestPrefixForwards:
 
 class TestShiftBoundaries:
     """Chunks whose column maxima of F u sit at either end of the range
-    [0, enla._UNSHIFTED_MAX] in which a chunk skips its shift pass, extreme
+    [0, matrices._UNSHIFTED_MAX] in which a chunk skips its shift pass, extreme
     values and extreme floors, against the two-path reference: outputs to
     1e-12 and the floor count of the reference normalizer in the
     forward's stabilized units."""
@@ -532,6 +533,70 @@ class TestShiftBoundaries:
         q, k, v = seeded_qkv(118, c=16, c_out=3, n=2 * CHUNK + 3, k_amp=6.0)
         self.check_forward(q, k, v, EnlaConfig(rng=RngSpec(119), m=64, orthogonal=orthogonal,
                                                epsilon=epsilon))
+
+
+class TestValueScale:
+    """Each value row enters the forward scaled by an exact power of two
+    2^-e_r, max|v_r| 2^-e_r in [0.5, 1), and is scaled back after the
+    divide: values at either end of float range give finite outputs, those
+    of the values scaled into range to rounding, with no RuntimeWarning."""
+
+    @staticmethod
+    def reference(config, q, k, v, scale):
+        """The two-path output on v / scale, times scale."""
+        f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
+        return scale * two_path_forward(f, q, k, v / scale)[0]
+
+    @staticmethod
+    def assert_close(out, expected):
+        assert np.isfinite(out).all()
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.filterwarnings("error")
+    def test_two_values_at_float_max_in_one_row(self):
+        q, k, v = seeded_qkv(1, c=4, c_out=3, n=64)
+        v[0, :2] = 1.7e308
+        config = EnlaConfig(rng=RngSpec(1).stream(4), m=16)
+        out = enla_forward(q, k, v, config)
+        assert np.isfinite(out).all()
+        self.assert_close(out[:1], self.reference(config, q, k, v[:1], 1e308))
+        assert np.isfinite(exact_attention(q, k, v).y).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale, k_amp", [(1e307, 1.0), (1e307, 12.0), (1e-307, 12.0)])
+    def test_extreme_values_match_scaled_values(self, scale, k_amp):
+        # at k_amp 12 the key weights reach e^-30: a weight times 2^-e, or
+        # the normalizer times 2^-e, would leave the normal range
+        q, k, v = seeded_qkv(7, c=16, c_out=3, n=2 * CHUNK + 3, k_amp=k_amp)
+        v = scale * (1.0 + np.abs(v))
+        config = EnlaConfig(rng=RngSpec(7).stream(4), m=64)
+        self.assert_close(enla_forward(q, k, v, config), self.reference(config, q, k, v, scale))
+
+    @pytest.mark.filterwarnings("error")
+    def test_prefix_forwards_near_float_max(self):
+        q, k, v = seeded_qkv(7, c=16, c_out=3, n=2 * CHUNK + 3)
+        v = 1e307 * (1.0 + np.abs(v))
+        config = EnlaConfig(rng=RngSpec(7).stream(4), m=64)
+        for m, (out, messages) in zip([16, 64], prefix_outputs(q, k, v, config, [16, 64])):
+            assert messages == []
+            self.assert_close(out, self.reference(replace(config, m=m), q, k, v, 1e307))
+
+    @pytest.mark.filterwarnings("error")
+    def test_each_row_keeps_its_own_scale(self):
+        # a row of about 1e-100 next to one of about 1e300: one power of two
+        # for both would take the small row below the subnormals
+        q, k, v = seeded_qkv(7, c=16, c_out=2, n=2 * CHUNK + 3, k_amp=6.0)
+        v = (1.0 + np.abs(v)) * np.array([[1e300], [1e-100]])
+        config = EnlaConfig(rng=RngSpec(8), m=64)
+        for both, alone in ((enla_forward(q, k, v, config), enla_forward(q, k, v[1:], config)),
+                            (exact_attention(q, k, v).y, exact_attention(q, k, v[1:]).y)):
+            self.assert_close(both[1:], alone)
+
+    @pytest.mark.filterwarnings("error")
+    def test_constant_values_at_float_max(self):
+        q, k, _ = seeded_qkv(8, c=4, c_out=2, n=8)
+        out = enla_forward(q, k, np.full((2, 8), 1.5e308), EnlaConfig(rng=RngSpec(9), m=16))
+        assert np.abs(out / 1.5e308 - 1.0).max() <= 1e-12
 
 
 class TestUnshiftedPath:

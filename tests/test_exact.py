@@ -1,15 +1,18 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from enlca import exact
-from enlca.enla import _UNSHIFTED_MAX, EnlaConfig, enla_forward, normalize_and_scale
+from enlca.enla import EnlaConfig, enla_forward, normalize_and_scale
 from enlca.exact import (
     attention_row_entropies,
     correlation_map,
     exact_attention,
     shannon_entropy,
 )
-from enlca.matrices import NumericError, RngSpec, ShapeError, gaussian_sample
+from enlca.matrices import _UNSHIFTED_MAX, NumericError, RngSpec, ShapeError, gaussian_sample
 
 from oracles import columns, naive_attention
 
@@ -41,6 +44,13 @@ def test_against_scalar_oracle():
     expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
     out = exact_attention(q, k, v)
     assert np.abs(out.y - expected).max() < 1e-12
+
+
+def test_scalar_oracle_on_sampled_queries():
+    # a few query columns attend over every key, as in the full call
+    q, k, v = seeded_instance(8, n=9)
+    full = naive_attention(columns(q), columns(k), columns(v))
+    assert naive_attention(columns(q)[:3], columns(k), columns(v)) == full[:3]
 
 
 def test_rows_are_stochastic():
@@ -119,10 +129,11 @@ class TestBlocks:
 
 
 class TestRegimes:
-    """The oracle forms its logits against key 0 and skips the row max when
-    max|q_i| max|k_j - k_0| <= min(U, log(MAX / 2) - log(N max(1, max|v|))),
-    with U = enla._UNSHIFTED_MAX; any other input takes the row-max shift
-    of _softmax_rows."""
+    """The oracle scales each row of v below 1 by an exact power of two,
+    forms its logits against key 0 and skips the row max when
+    max|q_i| max|k_j - k_0| <= min(U, log(MAX / 2) - log(N)), the headroom
+    of N weights, with U = matrices._UNSHIFTED_MAX; any other input takes
+    the row-max shift of _softmax_rows."""
 
     @staticmethod
     def run(monkeypatch, q, k, v):
@@ -166,15 +177,28 @@ class TestRegimes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale, reach", [(1.0, 20.0), (1e300, 20.0), (1e307, 0.5)])
     def test_value_term(self, monkeypatch, scale, reach):
-        # values in [scale, 4 scale] at N = 64: near 1e300 they leave the
-        # sums log(MAX / 2) - log(64 * 4e300) ~ 13 of headroom, less than
-        # reach 20; near 1e307 even 64 unnormalized weights within e^-1 of
-        # the row max would overflow the sum, so the rows are normalized
+        # values in [scale, 4 scale] at N = 64: they enter at unit scale, so
+        # the headroom is U whatever their size, and even near 1e307, where
+        # 64 unscaled weights within e^-1 of the row max would overflow the
+        # sum, no row max is taken
         q, k = self.at_reach(53, reach, n=64)
         v = scale * (1.0 + np.abs(gaussian_sample(RngSpec(54), 2, 64)))
         out, took_shift = self.run(monkeypatch, q, k, v)
-        assert took_shift == (scale > 1.0)
+        assert not took_shift
         self.assert_matches_oracle(out, q, k, v)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-307, 1.5e308])
+    def test_values_at_either_end_of_float_range(self, monkeypatch, scale):
+        # the output is scaled back after the divide: normalizers up to
+        # 64 e^20 scaled by 2^-e, which reaches 2^1019 here, would overflow
+        q, k = self.at_reach(59, 20.0, n=64)
+        v = 1.0 + np.abs(gaussian_sample(RngSpec(60), 2, 64))
+        v /= v.max()
+        out, took_shift = self.run(monkeypatch, q, k, scale * v)
+        assert not took_shift
+        expected = exact_attention(q, k, v).y
+        assert np.abs(out.y / scale - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.filterwarnings("error")
     def test_query_anti_aligned_with_key_0(self, monkeypatch):
@@ -220,6 +244,19 @@ class TestRegimes:
         assert np.abs(exact_attention(q, k, v).y[:, sample] - v @ weights.T).max() < 1e-12
         entropies = -(weights * np.log(weights)).sum(axis=1)
         assert np.abs(attention_row_entropies(q, k)[sample] - entropies).max() < 1e-12
+
+
+def test_oracle_imports_nothing_from_the_forward():
+    # the oracle checks enla, so it may not share its code
+    tree = ast.parse(Path(exact.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported |= {module} | {f"{module}.{alias.name}".replace("..", ".") for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {".enla", "enlca.enla"} & imported
 
 
 def test_repeat_calls_are_bitwise_identical():

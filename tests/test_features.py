@@ -279,6 +279,18 @@ class TestKernelEstimates:
         est = kernel_estimates(q, q, 4, 3, RngSpec(0), orthogonal)
         assert np.array_equal(est, np.zeros(3))
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_prefactor_overflow_names_trial(self):
+        # q = k = 32 u, u along trial 0's longest projection row: the
+        # prefactor's exponent max F z - (|q|^2 + |k|^2) / 2 = 64 |f| - 1024
+        # is finite but past exp's range, so math.exp raises OverflowError
+        rng = RngSpec(3)
+        f = sample_projection(rng.stream(1), 16, 1024).f
+        longest = f[np.argmax(np.linalg.norm(f, axis=1))]
+        q = 32.0 * longest / np.linalg.norm(longest)
+        with pytest.raises(NumericError, match="^kernel estimate overflowed at trial 0$"):
+            kernel_estimates(q, q, 16, 2, rng)
+
     def test_strict_positivity(self):
         q = gaussian_sample(RngSpec(64), 6, 1)[:, 0]
         k = -q  # estimates a kernel value below 1
