@@ -79,6 +79,8 @@ def _load_matrix(path: str) -> np.ndarray:
         raise UsageError(f"cannot read '{path}': {exc.strerror or exc}") from None
     except FormatError as exc:
         raise FormatError(f"malformed CSV '{path}': {exc}") from None
+    except NumericError as exc:
+        raise NumericError(f"'{path}': {exc}") from None
 
 
 def _emit_matrix(a: np.ndarray, out: Optional[str]) -> None:
@@ -154,14 +156,13 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_enla(args) -> int:
-    (q, k, v), config = _resolve_inputs(args, "qkv", m=args.m, orthogonal=args.orthogonal,
-                                        epsilon=args.epsilon)
+    (q, k, v), config = _resolve_inputs(args, "qkv", m=args.m, orthogonal=args.orthogonal)
     _emit_matrix(enla_forward(q, k, v, config), args.out)
     return 0
 
 
 def _cmd_block(args) -> int:
-    x, params = _block_params(args, m=args.m, orthogonal=args.orthogonal, epsilon=args.epsilon)
+    x, params = _block_params(args, m=args.m, orthogonal=args.orthogonal)
     _emit_matrix(enlca_block(x, params), args.out)
     return 0
 
@@ -311,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, "q", "k", "v")
     _add_derivation_flags(p)
     _add_projection_flags(p)
-    p.add_argument("--epsilon", type=float, default=1e-12, help="attention normalizer floor")
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_enla)
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("block", help="residual attention block over one feature map")
     _add_derivation_flags(p, required=True)
     _add_projection_flags(p)
-    p.add_argument("--epsilon", type=float, default=1e-12, help="attention normalizer floor")
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_block)

@@ -74,7 +74,9 @@ def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
         raise ShapeError(f"top group is empty: floor(n1*N) = 0 for N={n}, n1={cfg.n1}")
     ordered = np.sort(t, axis=1)[:, ::-1]
     per_row = _log_mean_exp(ordered[:, start:start + p]) - _log_mean_exp(ordered[:, :p]) + cfg.b
-    return float(per_row.mean())
+    # taken at unit scale, exactly by a power of two, so its sum cannot overflow
+    e = np.frexp(np.abs(per_row).max())[1]
+    return float(np.ldexp(np.ldexp(per_row, -e).mean(), e))
 
 
 def _log_mean_exp(group: np.ndarray) -> np.ndarray:

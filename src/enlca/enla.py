@@ -44,6 +44,7 @@ from .matrices import (
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
 # (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
 CHUNK = 2048
+EPSILON = 1e-12  # the forward's normalizer floor, in its stabilized units
 
 __all__ = [
     "EnlaConfig",
@@ -58,8 +59,7 @@ __all__ = [
 
 
 class NormalizerUnderflowWarning(RuntimeWarning):
-    """Raised (as a warning) when attention normalizer entries underflow
-    below the configured epsilon and get floored."""
+    """Warned when attention normalizer entries fall below EPSILON and are floored."""
 
 
 @dataclass(frozen=True)
@@ -70,17 +70,15 @@ class EnlaConfig:
     want a fresh projection (per epoch, per trial) pass a new stream.
     k_amp does nothing in `enla_forward`, which takes q and k already
     amplified; only `block_inputs` reads it, to amplify what it derives.
-    epsilon is only the forward's normalizer floor, in stabilized units.
     """
 
     rng: RngSpec
     m: int = 128
     k_amp: float = 6.0
     orthogonal: bool = False
-    epsilon: float = 1e-12
 
     def __post_init__(self):
-        check_settings(m=self.m, k_amp=self.k_amp, epsilon=self.epsilon)
+        check_settings(m=self.m, k_amp=self.k_amp)
 
 
 def normalize_and_scale(theta_out, delta_out, k_amp: float):
@@ -113,16 +111,17 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     and its output row is scaled back by 2^e_r after the divide, so every
     kv entry is at most N. No shift touches the feature block of a chunk
     whose column maxima of F u all lie in [0, B], with
-    B = min(U, log(MAX / 2) - log(max(mN, epsilon))): exp runs on the raw
-    projection (the bottom 0 keeps each key weight at most 1 and each
-    floor threshold at least epsilon). Such a key chunk multiplies its
-    staged [V_b; 1] rows by one weight per key, exp(-|k_j|^2 / 2 - S).
-    Such a query chunk leaves its (c_out + 1)-row block in raw units and
-    compares each normalizer with epsilon * exp(max_l f_l . q_j) instead of
-    epsilon. Any other chunk is shifted in its block: keys by
-    |k_j|^2 / 2 + S, each query column by its own max of F q.
+    B = min(U, log(MAX / 2) - log(mN)): exp runs on the raw projection
+    (the bottom 0 keeps each key weight at most 1 and each floor threshold
+    at least EPSILON). Such a key chunk multiplies its staged [V_b; 1] rows
+    by one weight per key, exp(-|k_j|^2 / 2 - S). Such a query chunk leaves
+    its (c_out + 1)-row block in raw units and compares each normalizer with
+    EPSILON * exp(max_l f_l . q_j) instead of EPSILON. Any other chunk is
+    shifted in its block: each key by |k_j|^2 / 2 + S, formed as
+    t_j + (S - (t_j - |k_j|^2 / 2)) with t_j = max_l f_l . k_j, since the sum
+    cancels once |k_j|^2 / 2 dwarfs t_j; each query column by its max of F q.
 
-    Normalizer entries below config.epsilon are floored and reported
+    Normalizer entries below EPSILON = 1e-12 are floored and reported
     through a NormalizerUnderflowWarning rather than an error; that
     includes exact zeros from features that underflowed. The normalizer
     is in stabilized units, whichever way its chunk went: the exact one
@@ -162,10 +161,9 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     """
     q, k, v = _validated_qkv(q, k, v)
     f = sample_projection(config.rng, ms[-1], q.shape[0], config.orthogonal).f
-    epsilon = config.epsilon
     c_out, n = v.shape
     e = _unit_exponent(v)
-    bound = _headroom(max(ms[-1] * n, epsilon))
+    bound = _headroom(ms[-1] * n)
     width = min(n, CHUNK)
     # 64-byte aligned wherever malloc puts it: AVX-512 loads of its rows then
     # never split a cache line (3 % faster feature passes on an AMD EPYC)
@@ -197,7 +195,8 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                 stage = staged[:, :stop - start]
                 half_sq = _half_sq_norms(k[:, start:stop])
                 top = _projected(rows, k, start, stop, block)
-                raised = max(key_shift, float(np.max(top - half_sq)))
+                gap = top - half_sq
+                raised = max(key_shift, float(np.max(gap)))
                 if raised > key_shift:
                     kv *= math.exp(key_shift - raised)
                     key_shift = raised
@@ -210,7 +209,8 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                     np.exp(stage[-1], out=stage[-1])
                     stage[:-1] *= stage[-1]
                 else:
-                    _exp_shifted(block, half_sq + shift)
+                    # S >= gap, so every exponent stays <= 0 after rounding
+                    _exp_shifted(block, _finite_or_zero(top) + (shift - gap))
                     stage[-1] = 1.0
                 kv[low:high] += block @ stage.T
 
@@ -240,19 +240,19 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                 if not last:
                     out[:, start:stop] = cols
                     cols = out[:, start:stop]
-                # an unshifted chunk's thresholds are epsilon * exp(top) in raw
+                # an unshifted chunk's thresholds are EPSILON * exp(top) in raw
                 # units; twice the largest covers the rounding of both exps
                 d = cols[-1]
-                limit = epsilon if shifted[chunk] else 2.0 * epsilon * math.exp(peak)
+                limit = EPSILON if shifted[chunk] else 2.0 * EPSILON * math.exp(peak)
                 if d.min() < limit:
-                    threshold = epsilon if shifted[chunk] else epsilon * np.exp(top)
+                    threshold = EPSILON if shifted[chunk] else EPSILON * np.exp(top)
                     floored += int(np.count_nonzero(d < threshold))
                     np.maximum(d, threshold, out=d)
                 cols[:-1] /= d
                 np.ldexp(cols[:-1], e, out=cols[:-1])
         if floored:
             warnings.warn(
-                f"{floored} normalizer entries below epsilon={epsilon} were floored",
+                f"{floored} normalizer entries below epsilon={EPSILON} were floored",
                 NormalizerUnderflowWarning,
                 stacklevel=3,
             )

@@ -72,23 +72,20 @@ class FormatError(ValueError):
     """Serialized matrix data could not be parsed."""
 
 
-def check_settings(*, k_amp=None, epsilon=None, **counts) -> None:
+def check_settings(*, k_amp=None, **counts) -> None:
     """The one range check of the settings a caller requests, shared by
     the library and the CLI: each count or size passed by name (m, n, c,
     c_out, c_in, c_embed, trials, rows, cols, height, width) >= 1, then
-    amplification k_amp >= 1 and floor epsilon > 0, both finite. A setting
-    left at None is not checked. Raises ValueError naming the first
-    setting out of range and its value."""
+    amplification k_amp >= 1 and finite. A setting left at None is not
+    checked. Raises ValueError naming the first setting out of range and
+    its value."""
     for name, value in counts.items():
         if value is not None and not value >= 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if k_amp is not None and not k_amp >= 1.0:
         raise ValueError(f"k_amp must be >= 1, got {k_amp}")
-    if epsilon is not None and not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    for name, value in (("k_amp", k_amp), ("epsilon", epsilon)):
-        if value == math.inf:
-            raise ValueError(f"{name} must be finite, got {value}")
+    if k_amp == math.inf:
+        raise ValueError(f"k_amp must be finite, got {k_amp}")
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:

@@ -52,6 +52,19 @@ def two_path_forward(f, q, k, v):
     return numerator / (pk.sum(axis=1) @ eq), normalizer
 
 
+def stabilized_normalizer(f, q, k):
+    """The forward's normalizer per query in its stabilized units: the
+    two-path normalizer times m exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K),
+    with S_K the max over keys of F k - |k|^2 / 2. Evaluated as
+    kappa . exp(F q_j - max_l f_l . q_j), kappa_l = sum_i exp(f_l . k_i -
+    |k_i|^2 / 2 - S_K), so it stays in range at norms where the two-path
+    normalizer underflows."""
+    exponent = f @ k - 0.5 * (k * k).sum(axis=0)
+    kappa = np.exp(exponent - exponent.max()).sum(axis=1)
+    fq = f @ q
+    return kappa @ np.exp(fq - fq.max(axis=0))
+
+
 def philox_gaussian(seed, stream_id, rows, cols):
     """rows x cols standard normals from the Philox stream keyed by
     (seed, stream_id mod 2^64), drawn in one call."""

@@ -374,11 +374,13 @@ class TestErrorPaths:
         code, _, err = run(capsys, "exact", "--q", str(a), "--k", str(b), "--v", str(a))
         assert code == 2 and "error:" in err
 
-    def test_non_finite_csv_is_numeric_failure(self, tmp_path, capsys):
+    def test_non_finite_csv_is_numeric_failure(self, matrices, tmp_path, capsys):
+        # the message names which of the three files is at fault
         bad = tmp_path / "nan.csv"
         bad.write_text("1,2\nnan,1.0\n")
-        code, _, err = run(capsys, "exact", "--q", str(bad), "--k", str(bad), "--v", str(bad))
+        code, _, err = run(capsys, "exact", "--q", matrices["q"], "--k", str(bad), "--v", matrices["v"])
         assert code == 2
+        assert err.strip() == f"error: '{bad}': CSV matrix has a non-finite entry at (0, 0)"
 
     def test_closed_stdout_exits_quietly(self):
         # a reader that quits early: the pipe's read end is closed before
@@ -406,7 +408,6 @@ class TestErrorPaths:
         (["variance-sweep", "--k-list", "nan", "--trials", "10"], "k_amp must be >= 1, got nan"),
         (["variance", "--k-amp", "inf", "--trials", "10"], "k_amp must be finite, got inf"),
         (["variance-sweep", "--k-list", "1,inf", "--trials", "10"], "k_amp must be finite, got inf"),
-        (["enla", "--features", "X", "--epsilon", "inf"], "epsilon must be finite, got inf"),
         (["corr-map", "--features", "X", "--k-amp", "inf"], "k_amp must be finite, got inf"),
         (["flops", "--n", "0"], "n must be >= 1, got 0"),
         (["flops", "--method", "nla", "--m", "0"], "m must be >= 1, got 0"),
@@ -426,7 +427,7 @@ class TestErrorPaths:
     ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --k-amp below 1",
             "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
             "variance-sweep --k-list nan", "variance --k-amp inf", "variance-sweep --k-list inf",
-            "enla --epsilon inf", "corr-map --k-amp inf", "flops --n", "flops --method nla --m", "flops --m 0",
+            "corr-map --k-amp inf", "flops --n", "flops --method nla --m", "flops --m 0",
             "flops --m negative", "approx-sweep --n",
             "approx-sweep --c", "approx-sweep --cout", "approx-sweep --m-list empty", "bench --c",
             "block --c-embed",
@@ -520,6 +521,9 @@ REMOVED_FLAGS = [
     ("block", ["--v", "V"]),
     ("exact", ["--epsilon", "1e-9"]),
     ("corr-map", ["--epsilon", "1e-9"]),
+    # the normalizer floor is a constant of the forward
+    ("enla", ["--epsilon", "1e-9"]),
+    ("block", ["--epsilon", "1e-9"]),
     # a prefix of a longer flag is no flag
     ("approx-sweep", ["--k", "2"]),
     ("variance", ["--k", "2"]),
@@ -533,6 +537,7 @@ def test_removed_flag_is_usage_error(matrices, tmp_path, capsys, command, extra)
     q, k, v, x = matrices["q"], matrices["k"], matrices["v"], matrices["features"]
     valid = {
         "exact": ["--q", q, "--k", k, "--v", v],
+        "enla": ["--q", q, "--k", k, "--v", v],
         "corr-map": ["--q", q, "--k", k],
         "phi": ["--input", q, "--out", str(tmp_path / "phi.csv")],
         "variance": ["--trials", "10"],

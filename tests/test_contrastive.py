@@ -100,6 +100,11 @@ class TestContrastiveLoss:
         cfg = ContrastiveConfig()
         assert abs(contrastive_loss(t + 800.0, cfg) - contrastive_loss(t, cfg)) < 1e-9
 
+    def test_mean_of_losses_near_float_max(self):
+        # five losses of -1e308 sum past float range; their mean does not
+        t = np.array([[1e308, 0.0, 0.0, 0.0, -1e308]] * 5)
+        assert contrastive_loss(t, ContrastiveConfig(n1=0.2, n2=0.3)) == -1e308
+
     def test_row_permutation_invariance_is_exact(self):
         t = relevance_scores(
             gaussian_sample(RngSpec(13), 6, 25), gaussian_sample(RngSpec(14), 6, 25), 6.0

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -12,6 +11,7 @@ from enlca import enla
 from enlca.analysis import approximation_error_sweep
 from enlca.enla import (
     CHUNK,
+    EPSILON,
     EnlaConfig,
     EnlcaBlockParams,
     NormalizerUnderflowWarning,
@@ -27,7 +27,7 @@ from enlca.features import phi, sample_projection
 from enlca.matrices import (
     _UNSHIFTED_MAX, NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample, normalize_columns,
 )
-from oracles import two_path_forward
+from oracles import stabilized_normalizer, two_path_forward
 
 
 def seeded_qkv(seed, c, c_out, n, k_amp=1.0):
@@ -37,6 +37,25 @@ def seeded_qkv(seed, c, c_out, n, k_amp=1.0):
     v = gaussian_sample(base.stream(3), c_out, n)
     q, k = normalize_and_scale(theta, delta, k_amp)
     return q, k, v
+
+
+def forward_and_reference(c, c_out, n, m, orthogonal, k_amp=6.0):
+    """Inputs, config, the two-path reference output and the reference
+    normalizer in the forward's stabilized units, where EPSILON applies.
+    At (4, 3, 20, 16, False, k_amp=900) two of those normalizers, 10^-14.3
+    and 10^-12.5, lie below EPSILON, and the next is 10^-10.3."""
+    q, k, v = seeded_qkv(50 + n + m, c, c_out, n, k_amp)
+    config = EnlaConfig(rng=RngSpec(51), m=m, k_amp=k_amp, orthogonal=orthogonal)
+    f = sample_projection(config.rng, m, c, orthogonal).f
+    reference, _ = two_path_forward(f, q, k, v)
+    return q, k, v, config, reference, stabilized_normalizer(f, q, k)
+
+
+def forward_with_warnings(q, k, v, config):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = enla_forward(q, k, v, config)
+    return out, [str(w.message) for w in caught]
 
 
 class TestNormalizeAndScale:
@@ -141,12 +160,6 @@ class TestEnlaForward:
         flat = attention_row_entropies(q1, k1)
         assert (sharp <= flat + 1e-12).all()
 
-    def test_normalizer_floor_warns(self):
-        q, k, v = seeded_qkv(25, c=4, c_out=3, n=8)
-        config = EnlaConfig(rng=RngSpec(26), m=16, k_amp=1.0, epsilon=1e3)
-        with pytest.warns(NormalizerUnderflowWarning):
-            enla_forward(q, k, v, config)
-
     def test_shape_validation(self):
         config = EnlaConfig(rng=RngSpec(0))
         with pytest.raises(ShapeError):
@@ -159,28 +172,14 @@ class TestEnlaForward:
             EnlaConfig(rng=RngSpec(0), m=0)
         with pytest.raises(ValueError):
             EnlaConfig(rng=RngSpec(0), k_amp=0.5)
-        with pytest.raises(ValueError):
-            EnlaConfig(rng=RngSpec(0), epsilon=0.0)
+        # the normalizer floor is the constant EPSILON, not a setting
+        with pytest.raises(TypeError):
+            EnlaConfig(rng=RngSpec(0), epsilon=1e-12)
 
 
 class TestTwoPathReference:
     """The single-GEMM forward against the unstabilized reference that
     computes the numerator and the normalizer separately."""
-
-    @staticmethod
-    def forward_and_reference(c, c_out, n, m, orthogonal, k_amp=6.0, epsilon=1e-12):
-        """Inputs, config and the reference output; the reference normalizer
-        comes back in the forward's stabilized units, where epsilon
-        applies: the exact one times m * exp(|q_j|^2 / 2 - max_l f_l . q_j
-        - S_K), with S_K the max over all keys of F k - |k|^2 / 2."""
-        q, k, v = seeded_qkv(50 + n + m, c, c_out, n, k_amp)
-        config = EnlaConfig(rng=RngSpec(51), m=m, k_amp=k_amp, orthogonal=orthogonal,
-                            epsilon=epsilon)
-        f = sample_projection(config.rng, m, c, orthogonal).f
-        reference, normalizer = two_path_forward(f, q, k, v)
-        key_shift = (f @ k - 0.5 * (k * k).sum(axis=0)).max()
-        stabilized = normalizer * m * np.exp(0.5 * (q * q).sum(axis=0) - (f @ q).max(axis=0) - key_shift)
-        return q, k, v, config, reference, stabilized
 
     @pytest.mark.parametrize("orthogonal", [False, True])
     @pytest.mark.parametrize("c, c_out, n, m", [
@@ -190,7 +189,7 @@ class TestTwoPathReference:
         (5, 1, 30, 16),    # c_out = 1
     ])
     def test_matches_reference(self, c, c_out, n, m, orthogonal):
-        q, k, v, config, reference, _ = self.forward_and_reference(c, c_out, n, m, orthogonal)
+        q, k, v, config, reference, _ = forward_and_reference(c, c_out, n, m, orthogonal)
         out = enla_forward(q, k, v, config)
         assert out.shape == reference.shape
         assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -208,20 +207,16 @@ class TestTwoPathReference:
         assert (np.abs(out - reference).max(axis=0) <= 1e-12 * np.abs(reference).max(axis=0)).all()
 
     def test_floor_count_matches_reference_normalizer(self):
-        # an epsilon halfway between two reference normalizers splits the
-        # positions unambiguously; the forward must floor exactly those
-        _, _, _, _, _, normalizer = self.forward_and_reference(4, 3, 20, 16, False, k_amp=1.0)
-        ordered = np.sort(normalizer)
-        gap = int(np.argmax(np.diff(ordered[5:15]))) + 5
-        epsilon = float(0.5 * (ordered[gap] + ordered[gap + 1]))
-        q, k, v, config, _, _ = self.forward_and_reference(4, 3, 20, 16, False, k_amp=1.0,
-                                                           epsilon=epsilon)
-        floored = int((normalizer < epsilon).sum())
-        with pytest.warns(NormalizerUnderflowWarning) as caught:
-            enla_forward(q, k, v, config)
-        assert str(caught[0].message) == (
-            f"{floored} normalizer entries below epsilon={epsilon} were floored"
-        )
+        # two reference normalizers lie below EPSILON and the next 50 times
+        # above it: the forward must floor exactly those two, each output
+        # scaled by its normalizer over EPSILON
+        q, k, v, config, reference, normalizer = forward_and_reference(4, 3, 20, 16, False, k_amp=900.0)
+        floored = normalizer < EPSILON
+        assert floored.sum() == 2 and np.sort(normalizer)[2] > 50 * EPSILON
+        out, messages = forward_with_warnings(q, k, v, config)
+        assert messages == ["2 normalizer entries below epsilon=1e-12 were floored"]
+        expected = reference * np.where(floored, normalizer / EPSILON, 1.0)
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 class TestAdversarialNorms:
@@ -311,6 +306,31 @@ class TestChunkLoop:
             out = enla_forward(q, k, v, config)
         assert np.array_equal(out[:, 0], np.zeros(3)) and np.isfinite(out).all()
 
+    def test_key_projections_all_underflow(self):
+        # every f_l . k_0 overflows to -inf and |k_0|^2 / 2 to inf: key 0
+        # gets weight 0, and the other keys mix as if it were absent
+        q, k, v = seeded_qkv(78, c=4, c_out=3, n=6)
+        config = EnlaConfig(rng=RngSpec(79), m=1, k_amp=1.0)
+        f = sample_projection(config.rng, 1, 4).f
+        k[:, 0] = -1e308 * np.sign(f[0])
+        out, messages = forward_with_warnings(q, k, v, config)
+        expected, _ = two_path_forward(f, q, k[:, 1:], v[:, 1:])
+        assert messages == []
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_key_norms_far_above_projections(self):
+        # at norm 1e30, |k_j|^2 / 2 = 5e59 dwarfs F k_j, and |k_j|^2 / 2 + S
+        # cancels to about 0, which would leave exponents near 1e30 in a
+        # shifted key chunk. The forward must floor and report, not return
+        # NaN: a floored output is a convex mix of v scaled down
+        base = RngSpec(2)
+        theta, delta, v = (gaussian_sample(base.stream(i), 4, 9) for i in (1, 2, 3))
+        q, k = normalize_and_scale(theta, delta, 1e60)
+        out, messages = forward_with_warnings(q, k, v, EnlaConfig(rng=base.stream(5), m=8))
+        assert messages == ["9 normalizer entries below epsilon=1e-12 were floored"]
+        assert (np.abs(out) <= np.abs(v).max(axis=1, keepdims=True)).all()
+        assert np.isfinite(exact_attention(q, k, v).y).all()
+
 
 def prefix_outputs(q, k, v, config, ms):
     """The outputs of _prefix_forwards for ms, each with the messages of
@@ -325,13 +345,6 @@ def prefix_outputs(q, k, v, config, ms):
 
         _prefix_forwards(q, k, v, config, ms, emit)
     return outputs
-
-
-def forward_with_warnings(q, k, v, config):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = enla_forward(q, k, v, config)
-    return out, [str(w.message) for w in caught]
 
 
 class TestPrefixForwards:
@@ -356,20 +369,29 @@ class TestPrefixForwards:
         prefix_shifts = [exponent[:m].max() for m in ms]
         assert all(a < b for a, b in zip(chunk_shifts, chunk_shifts[1:]))
         assert all(a < b for a, b in zip(prefix_shifts, prefix_shifts[1:]))
-        # an epsilon inside the normalizer range floors some prefixes in part
-        config = EnlaConfig(rng=rng, m=ms[-1], k_amp=2.0, epsilon=500.0)
+        self.check(q, k, v, EnlaConfig(rng=rng, m=ms[-1], k_amp=2.0), ms)
+
+    def test_floors_match_forward_at_each_m(self):
+        # the prefixes floor 3, 0, 4 and 2 of the 20 normalizers
+        q, k, v, config, _, _ = forward_and_reference(4, 3, 20, 16, False, k_amp=900.0)
+        messages = self.check(q, k, v, config, [2, 4, 8, 16])
+        assert messages == [[f"{count} normalizer entries below epsilon=1e-12 were floored"] if count else []
+                            for count in (3, 0, 4, 2)]
+
+    @staticmethod
+    def check(q, k, v, config, ms):
+        """Each prefix output against enla_forward at its m, the first bit
+        for bit, and its warnings against that forward's; returns them."""
         outputs = prefix_outputs(q, k, v, config, ms)
         assert len(outputs) == len(ms)
-        floored = 0
         for i, (m, (out, messages)) in enumerate(zip(ms, outputs)):
             expected, expected_messages = forward_with_warnings(q, k, v, replace(config, m=m))
             assert messages == expected_messages
-            floored += len(messages)
             if i == 0:
                 assert np.array_equal(out, expected)
             else:
                 assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
-        assert floored >= 2
+        return [messages for _, messages in outputs]
 
     def test_every_key_norm_overflows(self):
         # the key shift stays -inf through both segments: no rescale may
@@ -423,35 +445,31 @@ class TestPrefixForwards:
 
 class TestShiftBoundaries:
     """Chunks whose column maxima of F u sit at either end of the range
-    [0, matrices._UNSHIFTED_MAX] in which a chunk skips its shift pass, extreme
-    values and extreme floors, against the two-path reference: outputs to
-    1e-12 and the floor count of the reference normalizer in the
-    forward's stabilized units."""
+    [0, matrices._UNSHIFTED_MAX] in which a chunk skips its shift pass, and
+    extreme values, against the two-path reference: outputs to 1e-12 and
+    the floor count of the reference normalizer in the forward's
+    stabilized units."""
 
     @staticmethod
-    def reference(f, q, k, v, epsilon):
+    def reference(f, q, k, v):
         """The two-path output floored as the forward floors it, and how
-        many positions that floors. In stabilized units the normalizer is
-        the exact one times m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K),
-        with S_K the max over all keys of F k - |k|^2 / 2."""
+        many positions that floors."""
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            output, normalizer = two_path_forward(f, q, k, v)
-            key_shift = (f @ k - 0.5 * (k * k).sum(axis=0)).max()
-            stabilized = np.exp(np.log(normalizer) + math.log(f.shape[0]) + 0.5 * (q * q).sum(axis=0)
-                                - (f @ q).max(axis=0) - key_shift)
-        floored = stabilized < epsilon
-        return output * np.where(floored, stabilized / epsilon, 1.0), int(floored.sum())
+            output, _ = two_path_forward(f, q, k, v)
+        stabilized = stabilized_normalizer(f, q, k)
+        floored = stabilized < EPSILON
+        return output * np.where(floored, stabilized / EPSILON, 1.0), int(floored.sum())
 
-    def check(self, out, messages, f, q, k, v, epsilon):
-        expected, floored = self.reference(f, q, k, v, epsilon)
+    def check(self, out, messages, f, q, k, v):
+        expected, floored = self.reference(f, q, k, v)
         assert np.isfinite(expected).all()
-        assert messages == ([f"{floored} normalizer entries below epsilon={epsilon} were floored"]
+        assert messages == ([f"{floored} normalizer entries below epsilon={EPSILON} were floored"]
                             if floored else [])
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def check_forward(self, q, k, v, config):
         f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
-        self.check(*forward_with_warnings(q, k, v, config), f, q, k, v, config.epsilon)
+        self.check(*forward_with_warnings(q, k, v, config), f, q, k, v)
 
     @pytest.mark.parametrize("orthogonal", [False, True])
     @pytest.mark.parametrize("side", ["q", "k"])
@@ -509,7 +527,7 @@ class TestShiftBoundaries:
         assert 0 <= (f[:16] @ u).max() < _UNSHIFTED_MAX < (f[16:] @ u).max()
         (q if side == "q" else k)[:, 3] = u
         for m, (out, messages) in zip(ms, prefix_outputs(q, k, v, config, ms)):
-            self.check(out, messages, f[:m], q, k, v, config.epsilon)
+            self.check(out, messages, f[:m], q, k, v)
 
     @pytest.mark.parametrize("orthogonal", [False, True])
     def test_values_near_float_max(self, orthogonal):
@@ -525,14 +543,7 @@ class TestShiftBoundaries:
         q[:, :8] = np.sqrt(8.0) * normalize_columns(f[longest].T)
         assert (f @ q).max() > 20
         out, messages = forward_with_warnings(q, k, v, config)
-        self.check(out / 1e300, messages, f, q, k, v / 1e300, config.epsilon)
-
-    @pytest.mark.parametrize("orthogonal", [False, True])
-    @pytest.mark.parametrize("epsilon", [1e-300, 1e6])
-    def test_extreme_epsilon(self, epsilon, orthogonal):
-        q, k, v = seeded_qkv(118, c=16, c_out=3, n=2 * CHUNK + 3, k_amp=6.0)
-        self.check_forward(q, k, v, EnlaConfig(rng=RngSpec(119), m=64, orthogonal=orthogonal,
-                                               epsilon=epsilon))
+        self.check(out / 1e300, messages, f, q, k, v / 1e300)
 
 
 class TestValueScale:
@@ -649,12 +660,12 @@ class TestInPlaceSafety:
         assert [u.tobytes(), projection.f.tobytes()] == before
 
     def test_forward_leaves_inputs_untouched(self):
-        q, k, v = seeded_qkv(62, c=5, c_out=3, n=19, k_amp=6.0)
+        # an input whose normalizers are floored also exercises the
+        # in-place normalizer floor
+        q, k, v, config, _, _ = forward_and_reference(4, 3, 20, 16, False, k_amp=900.0)
         before = self.snapshot(q, k, v)
-        # a huge epsilon also exercises the in-place normalizer floor
         with pytest.warns(NormalizerUnderflowWarning):
-            enla_forward(q, k, v, EnlaConfig(rng=RngSpec(63), m=16, epsilon=1e6))
-        enla_forward(q, k, v, EnlaConfig(rng=RngSpec(63), m=16))
+            enla_forward(q, k, v, config)
         assert [q.tobytes(), k.tobytes(), v.tobytes()] == before
 
     def test_block_leaves_inputs_untouched(self):
@@ -752,15 +763,6 @@ class TestEnlcaBlock:
                 w_psi=np.zeros((4, 3)),
                 config=EnlaConfig(rng=RngSpec(0)),
             )
-
-    def test_inputs_ignore_the_normalizer_floor(self):
-        # epsilon floors the forward's normalizer, in stabilized units; the
-        # columns of q and k keep norm sqrt(k_amp) whatever it is
-        x = gaussian_sample(RngSpec(48), 12, 36)
-        params = random_block_params(RngSpec(49), 12, 6, EnlaConfig(rng=RngSpec(50), k_amp=6.0, epsilon=50.0))
-        q, k, _ = block_inputs(x, params)
-        for side in (q, k):
-            assert np.abs(np.linalg.norm(side, axis=0) - np.sqrt(6.0)).max() < 1e-12
 
     def test_channel_mismatch_rejected(self):
         params = random_block_params(RngSpec(43), 6, 3, EnlaConfig(rng=RngSpec(44)))

@@ -189,10 +189,9 @@ class TestCheckSettings:
         ("k_amp", lambda: normalize_and_scale(np.ones((2, 2)), np.ones((2, 2)), math.inf)),
         ("k_amp", lambda: relevance_scores(np.ones((2, 2)), np.ones((2, 2)), math.inf)),
         ("k_amp", lambda: EnlaConfig(rng=RngSpec(0), k_amp=math.inf)),
-        ("epsilon", lambda: EnlaConfig(rng=RngSpec(0), epsilon=math.inf)),
         ("k_amp", lambda: _aligned_vector(4, math.inf)),
     ], ids=["normalize_and_scale k_amp", "relevance_scores k_amp",
-            "EnlaConfig k_amp", "EnlaConfig epsilon", "_aligned_vector k_amp"])
+            "EnlaConfig k_amp", "_aligned_vector k_amp"])
     def test_infinite_setting_names_the_setting(self, name, call):
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
             call()
