@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import ShapeError, _matrix_pair, as_matrix, check_settings, normalize_columns
+from .matrices import NumericError, ShapeError, _matrix_pair, as_matrix, check_settings, normalize_columns
 
 __all__ = [
     "ContrastiveConfig",
@@ -63,8 +63,9 @@ def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
     N, since ContrastiveConfig keeps n1 + n2 <= 1. The loss is not
     clamped, so values below b (or below zero) are legal and indicate the
     top group already dominates. Each group's log-mean-exp is shifted by
-    the group's largest entry, so the loss stays finite however large the
-    scores are.
+    the group's largest entry, so it stays finite however large the scores
+    are; a row whose two groups lie past float range apart raises
+    NumericError naming the row.
     """
     t = as_matrix(t, "relevance matrix")
     n = t.shape[1]
@@ -73,10 +74,17 @@ def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
     if p < 1:
         raise ShapeError(f"top group is empty: floor(n1*N) = 0 for N={n}, n1={cfg.n1}")
     ordered = np.sort(t, axis=1)[:, ::-1]
-    per_row = _log_mean_exp(ordered[:, start:start + p]) - _log_mean_exp(ordered[:, :p]) + cfg.b
-    # taken at unit scale, exactly by a power of two, so its sum cannot overflow
-    e = np.frexp(np.abs(per_row).max())[1]
-    return float(np.ldexp(np.ldexp(per_row, -e).mean(), e))
+    with np.errstate(over="ignore"):  # a row past float range is named below
+        per_row = _log_mean_exp(ordered[:, start:start + p]) - _log_mean_exp(ordered[:, :p]) + cfg.b
+    if not np.isfinite(per_row).all():
+        raise NumericError(f"contrastive loss overflowed at row {int(np.argmin(np.isfinite(per_row)))}")
+    return _unit_scale_mean(per_row)
+
+
+def _unit_scale_mean(x: np.ndarray) -> float:
+    """The mean of finite x at unit scale, exact by a power of two: no overflow."""
+    e = np.frexp(np.abs(x).max())[1]
+    return float(np.ldexp(np.ldexp(x, -e).mean(), e))
 
 
 def _log_mean_exp(group: np.ndarray) -> np.ndarray:
@@ -87,9 +95,14 @@ def _log_mean_exp(group: np.ndarray) -> np.ndarray:
 
 
 def reconstruction_loss(sr, hr) -> float:
-    """Mean absolute elementwise difference between two images/feature maps."""
+    """Mean absolute elementwise difference between two images/feature maps,
+    taken from the halved maps (exact above the subnormals), so that no
+    difference overflows. A mean past float range raises NumericError."""
     sr, hr = _matrix_pair(sr, hr, "sr", "hr")
-    return float(np.abs(hr - sr).mean())
+    loss = 2.0 * _unit_scale_mean(np.abs(0.5 * hr - 0.5 * sr))
+    if np.isinf(loss):
+        raise NumericError("reconstruction loss overflowed")
+    return loss
 
 
 def total_loss(rec: float, cl: float, lambda_cl: float) -> float:

@@ -6,24 +6,15 @@ estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
 exists and one GEMM yields both the numerator rows and the normalizer
 row. Both phi(K) and phi(Q) are streamed in column chunks through one
 reused m x CHUNK feature buffer, so the forward's extra memory is that
-buffer, the (c_out + 1) x N output and one shift per query column. The
-same loop evaluates several sample counts as row prefixes of one
-projection, for the approximation-error sweep. The multiply-add count is
+buffer, the (c_out + 1) x N output and one shift per query column; the
+stabilizer shifts go where they are cheap (see enla_forward). The same
+loop evaluates several sample counts as row prefixes of one projection,
+for the approximation-error sweep. The multiply-add count is
 2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
 keeps the published convention, which excludes the normalizer.
 
-The stabilizer shifts cancel in the output ratio, so they go where they
-are cheap: each value row enters below 1 by an exact power of two, so the
-headroom (matrices._headroom, the oracle's rule too) is fixed before the
-loop, and a chunk whose column maxima of F u lie in [0, headroom] runs exp
-on its raw projection, its keys carrying their shift as one weight each in
-the staged [V; 1] rows and its queries carrying theirs in the normalizer
-floor threshold. Only the other chunks pay a shift pass over the
-m x CHUNK block. The normalizer's units and floor are the same either way.
-
-Query/key columns are unit-normalized and scaled by sqrt(k_amp) before
-entering the forward; k_amp > 1 sharpens the attention distribution at the
-price of exponentially larger estimator variance.
+Query/key columns enter unit-normalized and scaled by sqrt(k_amp); k_amp > 1
+sharpens the attention at the price of exponentially larger variance.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from .matrices import (
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
 # (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
 CHUNK = 2048
-EPSILON = 1e-12  # the forward's normalizer floor, in its stabilized units
+EPSILON = np.finfo(np.float64).tiny  # the normalizer floor: float64's smallest normal
 
 __all__ = [
     "EnlaConfig",
@@ -59,7 +50,9 @@ __all__ = [
 
 
 class NormalizerUnderflowWarning(RuntimeWarning):
-    """Warned when attention normalizer entries fall below EPSILON and are floored."""
+    """Warned when float64 has lost attention normalizer entries, each below
+    its smallest normal EPSILON and floored to it. Unit columns amplified by
+    up to k_amp 1e5 lose none on the test instances; at 1e6 some do."""
 
 
 @dataclass(frozen=True)
@@ -109,24 +102,20 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
 
     Each value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1),
     and its output row is scaled back by 2^e_r after the divide, so every
-    kv entry is at most N. No shift touches the feature block of a chunk
-    whose column maxima of F u all lie in [0, B], with
-    B = min(U, log(MAX / 2) - log(mN)): exp runs on the raw projection
-    (the bottom 0 keeps each key weight at most 1 and each floor threshold
-    at least EPSILON). Such a key chunk multiplies its staged [V_b; 1] rows
-    by one weight per key, exp(-|k_j|^2 / 2 - S). Such a query chunk leaves
-    its (c_out + 1)-row block in raw units and compares each normalizer with
-    EPSILON * exp(max_l f_l . q_j) instead of EPSILON. Any other chunk is
+    kv entry is at most N. A chunk whose column maxima of F u all lie in
+    [0, B], B = min(U, log(MAX / 2) - log(mN)), runs exp on its raw
+    projection; the bottom 0 keeps each key weight at most 1 and each raw
+    normalizer at least its shifted value. Such a key chunk weights its
+    staged [V_b; 1] rows by exp(-|k_j|^2 / 2 - S) per key, and such a query
+    chunk leaves its (c_out + 1)-row block in raw units. Any other chunk is
     shifted in its block: each key by |k_j|^2 / 2 + S, formed as
     t_j + (S - (t_j - |k_j|^2 / 2)) with t_j = max_l f_l . k_j, since the sum
     cancels once |k_j|^2 / 2 dwarfs t_j; each query column by its max of F q.
 
-    Normalizer entries below EPSILON = 1e-12 are floored and reported
-    through a NormalizerUnderflowWarning rather than an error; that
-    includes exact zeros from features that underflowed. The normalizer
-    is in stabilized units, whichever way its chunk went: the exact one
-    times m * exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K), with S_K the final
-    key shift.
+    A normalizer entry below EPSILON, float64's smallest normal, in the
+    units its chunk computed, is one float64 has lost: it is floored and
+    reported through a NormalizerUnderflowWarning, not an error. That
+    includes exact zeros from features that underflowed.
     """
     outputs = []
     _prefix_forwards(q, k, v, config, [config.m], outputs.append)
@@ -150,10 +139,9 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     per column, the old shift being 0 for a chunk that was unshifted. When
     a segment raises the key shift, all of it is rescaled too. Every
     segment tests its chunks against enla_forward's B at m = ms[-1].
-    Output i is floored and divided chunk by chunk, in the units
-    enla_forward(m_i) documents: the first segment writes the block, each
-    later one rescales it and adds its own product, and the last output is
-    divided in place.
+    Output i is floored and divided chunk by chunk as in enla_forward(m_i):
+    the first segment writes the block, each later one rescales it and adds
+    its own product, and the last output is divided in place.
 
     A callback and not a generator: a generator's frame is allocated per
     call, and repeated 40 000-column forwards through one then read a
@@ -220,9 +208,8 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                 block = features[:high - low, :stop - start]
                 seen = query_shift[start:stop]
                 top = np.maximum(seen, _projected(rows, q, start, stop, block))
-                peak = float(top.max())
                 was_shifted = shifted[chunk]
-                shifted[chunk] = was_shifted or not (peak <= bound and top.min() >= 0.0)
+                shifted[chunk] = was_shifted or not (top.max() <= bound and top.min() >= 0.0)
                 if shifted[chunk]:
                     _exp_shifted(block, _finite_or_zero(top))
                 else:
@@ -240,29 +227,21 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                 if not last:
                     out[:, start:stop] = cols
                     cols = out[:, start:stop]
-                # an unshifted chunk's thresholds are EPSILON * exp(top) in raw
-                # units; twice the largest covers the rounding of both exps
                 d = cols[-1]
-                limit = EPSILON if shifted[chunk] else 2.0 * EPSILON * math.exp(peak)
-                if d.min() < limit:
-                    threshold = EPSILON if shifted[chunk] else EPSILON * np.exp(top)
-                    floored += int(np.count_nonzero(d < threshold))
-                    np.maximum(d, threshold, out=d)
+                if d.min() < EPSILON:
+                    floored += int(np.count_nonzero(d < EPSILON))
+                    np.maximum(d, EPSILON, out=d)
                 cols[:-1] /= d
                 np.ldexp(cols[:-1], e, out=cols[:-1])
         if floored:
-            warnings.warn(
-                f"{floored} normalizer entries below epsilon={EPSILON} were floored",
-                NormalizerUnderflowWarning,
-                stacklevel=3,
-            )
+            warnings.warn(f"{floored} normalizer entries below float64's smallest normal were floored",
+                          NormalizerUnderflowWarning, stacklevel=3)
         emit(out[:-1])
         low = high
 
 
 def _exp_shifted(block, shift) -> None:
-    """exp(block - shift) in place: the pass over the m x CHUNK block that
-    only a chunk outside the unshifted range takes."""
+    """exp(block - shift) in place: the shift pass of a chunk out of range."""
     block -= shift
     np.exp(block, out=block)
 

@@ -6,8 +6,6 @@ has the closed form K^2(q,k) * (exp(|q+k|^2) - 1) / m. Both facts, plus the
 variance reduction from orthogonalized projection rows, are exercised by
 the Monte-Carlo helpers here.
 
-All exponentials are max-shifted before evaluation; phi reports the shift
-so exact values can be recovered, and ratio-style consumers can ignore it.
 phi and the attention forward share one kernel, `_projected`, which forms
 F u in the caller's buffer and returns its column maxima; each caller
 runs exp in place. phi subtracts its shift in the buffer first; the
@@ -151,19 +149,26 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
 
     A single shift, the max of the real exponent F u - |u|^2 / 2 over the
     whole matrix, is subtracted inside the exponential so the call cannot
-    overflow; the exact feature matrix is values * exp(log_shift). Any
-    consumer that divides one phi product by another (the attention
-    forward) can use `values` directly because the shifts cancel.
+    overflow; the exact feature matrix is values * exp(log_shift), and a
+    ratio of phi products can use `values` as they are. Where |u_j|^2 / 2
+    exceeds max(1, |max F u_j|) by 2^26, |u_j|^2 / 2 + shift would keep
+    under half of the bits of F u_j; that column's exponent is then formed
+    as the forward forms a shifted key's, with the 1/sqrt(m) scale apart.
     """
     u = as_matrix(u_cols, "phi input")
     if u.shape[0] != f.c:
         raise ShapeError(f"phi input has {u.shape[0]} channels, projection expects {f.c}")
     values = np.empty((f.m, u.shape[1]))
+    log_scale = 0.5 * math.log(f.m)
     with np.errstate(over="ignore", invalid="ignore"):  # the helpers take none
         half_sq = _half_sq_norms(u)
-        log_shift = float(np.max(_projected(f.f, u, 0, u.shape[1], values) - half_sq))
-    # the 1/sqrt(m) scale rides along with the shift
-    values -= half_sq + (_finite_or_zero(log_shift) + 0.5 * math.log(f.m))
+        top = _projected(f.f, u, 0, u.shape[1], values)
+        log_shift = float(np.max(top - half_sq))
+        shift = _finite_or_zero(log_shift)
+        dwarfed = half_sq > 2.0**26 * np.maximum(np.abs(top), 1.0)
+        careful = _finite_or_zero(top) + (shift - (top - half_sq))
+        values -= np.where(dwarfed, careful, half_sq + (shift + log_scale))
+    values[:, dwarfed] -= log_scale
     np.exp(values, out=values)
     return PhiFeatures(values=values, log_shift=log_shift)
 
@@ -254,19 +259,21 @@ def kernel_estimates(
 
     Trials run _TRIAL_BLOCK at a time: one re-keyed Philox draws the
     block and one vectorized pass forms F z, its row maxima and the
-    shifted means. With orthogonal=True, F_orth z is read off the R factor
-    of one stacked QR of [B^T | z] per block B of c rows, so neither Q nor
-    F_orth is formed; it matches sample_projection's F_orth times z to
-    rounding, not bitwise. Each estimate is bit-identical to its trial
+    shifted means. With orthogonal=True, _orthogonal_rows gives F_orth z,
+    which matches sample_projection's F_orth times z to rounding, not
+    bitwise. Each estimate is bit-identical to its trial
     evaluated alone, kernel_estimates(q, k, m, 1, rng.stream(t),
     orthogonal)[0]; only the prefactor exp(max + log_const) stays a
-    per-trial math.exp, because np.exp may round it differently.
+    per-trial math.exp, because np.exp may round it differently. A q or k
+    whose squared norm is past float range gives estimates of 0 unsampled.
     """
     q, k = _kernel_operands(q_i, k_j)
-    check_settings(trials=trials)
-    z = q + k
-    with np.errstate(over="ignore"):  # |q|^2 = inf gives -inf: estimates of 0
+    check_settings(trials=trials, m=m)
+    with np.errstate(over="ignore"):
         log_const = -0.5 * (float(q @ q) + float(k @ k))
+    if log_const == -math.inf:  # F z could overflow; every estimate rounds to 0
+        return np.zeros(trials)
+    z = q + k
     out = np.empty(trials, dtype=np.float64)
     t = 0
     for f in _projection_blocks(rng, range(1, 1 + trials), m, q.size):

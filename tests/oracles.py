@@ -6,6 +6,7 @@ plain numpy evaluated literally as the formula reads, so these stay
 independent of the optimized code paths they check.
 """
 
+import decimal
 import math
 from pathlib import Path
 
@@ -52,17 +53,43 @@ def two_path_forward(f, q, k, v):
     return numerator / (pk.sum(axis=1) @ eq), normalizer
 
 
-def stabilized_normalizer(f, q, k):
-    """The forward's normalizer per query in its stabilized units: the
-    two-path normalizer times m exp(|q_j|^2 / 2 - max_l f_l . q_j - S_K),
-    with S_K the max over keys of F k - |k|^2 / 2. Evaluated as
-    kappa . exp(F q_j - max_l f_l . q_j), kappa_l = sum_i exp(f_l . k_i -
-    |k_i|^2 / 2 - S_K), so it stays in range at norms where the two-path
-    normalizer underflows."""
-    exponent = f @ k - 0.5 * (k * k).sum(axis=0)
-    kappa = np.exp(exponent - exponent.max()).sum(axis=1)
-    fq = f @ q
-    return kappa @ np.exp(fq - fq.max(axis=0))
+def decimal_forward(f, q, k, v, digits=60):
+    """The random-feature attention output for projection rows f (m x c),
+    q, k (c x N) and v (c_out x N), evaluated in `digits`-digit decimal
+    arithmetic from the exact values of the float64 inputs. Each weight
+    sum_l exp(a_lj + b_li), a = F q - |q|^2 / 2 and b = F k - |k|^2 / 2, is
+    taken in log space: a is shifted by each query's max and b by its
+    overall max, which cancel in the ratio. So the largest terms are 1 and
+    no term overflows; a term underflows only below 10^(-10^18)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        rows = [[decimal.Decimal(x) for x in row] for row in f.tolist()]
+
+        def exponents(u):
+            """a or b as a list of m rows, one entry per column of u."""
+            out = [[] for _ in rows]
+            for col in columns(u):
+                col = [decimal.Decimal(x) for x in col]
+                half_sq = sum(x * x for x in col) / 2
+                for row, a in zip(rows, out):
+                    a.append(sum(r * x for r, x in zip(row, col)) - half_sq)
+            return out
+
+        b = exponents(k)
+        b_top = max(max(row) for row in b)
+        key_terms = [[(x - b_top).exp() for x in row] for row in b]
+        values = [[decimal.Decimal(x) for x in col] for col in columns(v)]
+        outputs = []
+        for a in zip(*exponents(q)):
+            a_top = max(a)
+            query_terms = [(x - a_top).exp() for x in a]
+            weights = [sum(t * row[i] for t, row in zip(query_terms, key_terms))
+                       for i in range(len(values))]
+            total = sum(weights)
+            outputs.append([float(sum(w * col[r] for w, col in zip(weights, values)) / total)
+                            for r in range(len(values[0]))])
+    return np.array(outputs).T
 
 
 def philox_gaussian(seed, stream_id, rows, cols):

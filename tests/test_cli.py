@@ -268,6 +268,20 @@ class TestContrastiveCommand:
         code, _, err = run(capsys, "contrastive", "--t", str(t))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("t, hr, message", [
+        # with n1 = n2 = 0.5 the two groups of a row lie 2e308 apart
+        ([[1e308, -1e308]], [[0.0, 0.0]], "contrastive loss overflowed at row 0"),
+        # the mean absolute difference from sr = [[1e308, 1e308]] is 2e308
+        ([[0.0, 0.0]], [[-1e308, -1e308]], "reconstruction loss overflowed"),
+    ])
+    def test_loss_past_float_range_is_numeric_failure(self, tmp_path, capsys, t, hr, message):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("t", "sr", "hr")}
+        for name, a in (("t", t), ("sr", [[1e308, 1e308]]), ("hr", hr)):
+            write_matrix_csv(np.array(a), paths[name])
+        code, out, err = run(capsys, "contrastive", "--t", str(paths["t"]), "--n1", "0.5", "--n2", "0.5",
+                             "--sr", str(paths["sr"]), "--hr", str(paths["hr"]))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestCorrMapCommand:
     def test_amplification_reduces_entropy(self, matrices, capsys):

@@ -11,7 +11,7 @@ from enlca.contrastive import (
     total_loss,
 )
 from enlca.enla import normalize_and_scale
-from enlca.matrices import RngSpec, ShapeError, gaussian_sample
+from enlca.matrices import NumericError, RngSpec, ShapeError, gaussian_sample
 
 from oracles import naive_contrastive, naive_mean_abs_diff
 
@@ -105,6 +105,12 @@ class TestContrastiveLoss:
         t = np.array([[1e308, 0.0, 0.0, 0.0, -1e308]] * 5)
         assert contrastive_loss(t, ContrastiveConfig(n1=0.2, n2=0.3)) == -1e308
 
+    def test_row_loss_past_float_range_names_row(self):
+        # the window mean exp is about e^-1e308 and the top one e^1e308
+        t = np.array([[0.0, 0.0], [1e308, -1e308]])
+        with pytest.raises(NumericError, match="^contrastive loss overflowed at row 1$"):
+            contrastive_loss(t, ContrastiveConfig(n1=0.5, n2=0.5))
+
     def test_row_permutation_invariance_is_exact(self):
         t = relevance_scores(
             gaussian_sample(RngSpec(13), 6, 25), gaussian_sample(RngSpec(14), 6, 25), 6.0
@@ -160,6 +166,17 @@ class TestReconstructionLoss:
         a = gaussian_sample(RngSpec(18), 5, 9)
         b = gaussian_sample(RngSpec(19), 5, 9)
         assert abs(reconstruction_loss(a, b) - naive_mean_abs_diff(a.tolist(), b.tolist())) < 1e-12
+
+    def test_mean_near_float_max(self):
+        # the two differences sum past float range; their mean does not
+        assert reconstruction_loss([[1e308, 1e308]], [[0.0, 0.0]]) == 1e308
+
+    def test_differences_past_float_range_with_mean_in_range(self):
+        assert reconstruction_loss([[1e308, 0.0]], [[-1e308, 0.0]]) == 1e308
+
+    def test_mean_past_float_range_raises(self):
+        with pytest.raises(NumericError, match="^reconstruction loss overflowed$"):
+            reconstruction_loss([[1e308, 1e308]], [[-1e308, -1e308]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

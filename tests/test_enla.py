@@ -11,7 +11,6 @@ from enlca import enla
 from enlca.analysis import approximation_error_sweep
 from enlca.enla import (
     CHUNK,
-    EPSILON,
     EnlaConfig,
     EnlcaBlockParams,
     NormalizerUnderflowWarning,
@@ -27,7 +26,7 @@ from enlca.features import phi, sample_projection
 from enlca.matrices import (
     _UNSHIFTED_MAX, NumericError, RngSpec, ShapeError, as_matrix, gaussian_sample, normalize_columns,
 )
-from oracles import stabilized_normalizer, two_path_forward
+from oracles import decimal_forward, two_path_forward
 
 
 def seeded_qkv(seed, c, c_out, n, k_amp=1.0):
@@ -40,15 +39,33 @@ def seeded_qkv(seed, c, c_out, n, k_amp=1.0):
 
 
 def forward_and_reference(c, c_out, n, m, orthogonal, k_amp=6.0):
-    """Inputs, config, the two-path reference output and the reference
-    normalizer in the forward's stabilized units, where EPSILON applies.
-    At (4, 3, 20, 16, False, k_amp=900) two of those normalizers, 10^-14.3
-    and 10^-12.5, lie below EPSILON, and the next is 10^-10.3."""
+    """Inputs, config and the two-path reference output."""
     q, k, v = seeded_qkv(50 + n + m, c, c_out, n, k_amp)
     config = EnlaConfig(rng=RngSpec(51), m=m, k_amp=k_amp, orthogonal=orthogonal)
     f = sample_projection(config.rng, m, c, orthogonal).f
     reference, _ = two_path_forward(f, q, k, v)
-    return q, k, v, config, reference, stabilized_normalizer(f, q, k)
+    return q, k, v, config, reference
+
+
+def four_by_nine(k_amp):
+    """A 4 x 9 instance at m = 8 whose normalizers float64 holds up to
+    k_amp 1e5; at k_amp 1e6 it loses one of them."""
+    base = RngSpec(2)
+    theta, delta, v = (gaussian_sample(base.stream(i), 4, 9) for i in (1, 2, 3))
+    q, k = normalize_and_scale(theta, delta, k_amp)
+    return q, k, v, EnlaConfig(rng=RngSpec(0), m=8, k_amp=k_amp)
+
+
+def decimal_error(out, config, q, k, v):
+    """The largest difference of out from the 60-digit decimal reference,
+    over the reference's largest entry and in units of eps * E, with E the
+    largest |f_l . u - |u|^2 / 2| over the columns u of q and k: the size of
+    the exponents whose rounding the forward cannot avoid. Per output
+    column."""
+    f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
+    reference = decimal_forward(f, q, k, v)
+    scale = max(float(np.abs(f @ u - 0.5 * (u * u).sum(axis=0)).max()) for u in (q, k))
+    return np.abs(out - reference).max(axis=0) / (np.abs(reference).max() * np.finfo(np.float64).eps * scale)
 
 
 def forward_with_warnings(q, k, v, config):
@@ -189,7 +206,7 @@ class TestTwoPathReference:
         (5, 1, 30, 16),    # c_out = 1
     ])
     def test_matches_reference(self, c, c_out, n, m, orthogonal):
-        q, k, v, config, reference, _ = forward_and_reference(c, c_out, n, m, orthogonal)
+        q, k, v, config, reference = forward_and_reference(c, c_out, n, m, orthogonal)
         out = enla_forward(q, k, v, config)
         assert out.shape == reference.shape
         assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
@@ -207,16 +224,44 @@ class TestTwoPathReference:
         assert (np.abs(out - reference).max(axis=0) <= 1e-12 * np.abs(reference).max(axis=0)).all()
 
     def test_floor_count_matches_reference_normalizer(self):
-        # two reference normalizers lie below EPSILON and the next 50 times
-        # above it: the forward must floor exactly those two, each output
-        # scaled by its normalizer over EPSILON
-        q, k, v, config, reference, normalizer = forward_and_reference(4, 3, 20, 16, False, k_amp=900.0)
-        floored = normalizer < EPSILON
-        assert floored.sum() == 2 and np.sort(normalizer)[2] > 50 * EPSILON
+        # float64 loses one normalizer of the 4 x 9 instance at k_amp 1e6:
+        # the forward floors that one only, and that column alone leaves the
+        # decimal reference; the floored output is a convex mix of v scaled down
+        q, k, v, config = four_by_nine(1e6)
         out, messages = forward_with_warnings(q, k, v, config)
-        assert messages == ["2 normalizer entries below epsilon=1e-12 were floored"]
-        expected = reference * np.where(floored, normalizer / EPSILON, 1.0)
-        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert messages == ["1 normalizer entries below float64's smallest normal were floored"]
+        assert (decimal_error(out, config, q, k, v) > 100).sum() == 1
+        assert (np.abs(out) <= np.abs(v).max(axis=1, keepdims=True)).all()
+
+
+class TestDecimalReference:
+    """The forward against a 60-digit decimal evaluation of the same
+    estimator with the same projection: within 100 eps E, with E the
+    largest |f_l . u - |u|^2 / 2| over q and k, and with no warning, at
+    every amplification whose normalizers float64 holds."""
+
+    @staticmethod
+    def check(q, k, v, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = enla_forward(q, k, v, config)
+        assert decimal_error(out, config, q, k, v).max() <= 100
+
+    @pytest.mark.parametrize("k_amp", [100.0, 900.0, 1e4, 1e5])
+    def test_four_by_nine(self, k_amp):
+        self.check(*four_by_nine(k_amp))
+
+    def test_twenty_columns_at_k_amp_900(self):
+        q, k, v, config, _ = forward_and_reference(4, 3, 20, 16, False, k_amp=900.0)
+        self.check(q, k, v, config)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8), st.integers(1, 3), st.booleans(),
+           st.floats(0.0, 5.0), st.integers(0, 2**32))
+    def test_tiny_instances(self, c, n, m, c_out, orthogonal, log_k_amp, seed):
+        k_amp = 10.0 ** log_k_amp
+        q, k, v = seeded_qkv(seed, c, c_out, n, k_amp)
+        self.check(q, k, v, EnlaConfig(rng=RngSpec(seed, 4), m=m, k_amp=k_amp, orthogonal=orthogonal))
 
 
 class TestAdversarialNorms:
@@ -327,7 +372,7 @@ class TestChunkLoop:
         theta, delta, v = (gaussian_sample(base.stream(i), 4, 9) for i in (1, 2, 3))
         q, k = normalize_and_scale(theta, delta, 1e60)
         out, messages = forward_with_warnings(q, k, v, EnlaConfig(rng=base.stream(5), m=8))
-        assert messages == ["9 normalizer entries below epsilon=1e-12 were floored"]
+        assert messages == ["9 normalizer entries below float64's smallest normal were floored"]
         assert (np.abs(out) <= np.abs(v).max(axis=1, keepdims=True)).all()
         assert np.isfinite(exact_attention(q, k, v).y).all()
 
@@ -372,11 +417,11 @@ class TestPrefixForwards:
         self.check(q, k, v, EnlaConfig(rng=rng, m=ms[-1], k_amp=2.0), ms)
 
     def test_floors_match_forward_at_each_m(self):
-        # the prefixes floor 3, 0, 4 and 2 of the 20 normalizers
-        q, k, v, config, _, _ = forward_and_reference(4, 3, 20, 16, False, k_amp=900.0)
-        messages = self.check(q, k, v, config, [2, 4, 8, 16])
-        assert messages == [[f"{count} normalizer entries below epsilon=1e-12 were floored"] if count else []
-                            for count in (3, 0, 4, 2)]
+        # the prefixes floor 0, 1, 3 and 1 of the 9 normalizers
+        q, k, v, config = four_by_nine(1e6)
+        messages = self.check(q, k, v, config, [2, 3, 6, 8])
+        assert messages == [[f"{count} normalizer entries below float64's smallest normal were floored"]
+                            if count else [] for count in (0, 1, 3, 1)]
 
     @staticmethod
     def check(q, k, v, config, ms):
@@ -426,7 +471,7 @@ class TestPrefixForwards:
             top = f @ q[:, 0]
         assert top[0] == -np.inf and -1.8e308 < top[1] < -1e307
         (first, first_messages), (second, second_messages) = prefix_outputs(q, k, v, config, [1, 2])
-        assert first_messages == ["1 normalizer entries below epsilon=1e-12 were floored"]
+        assert first_messages == ["1 normalizer entries below float64's smallest normal were floored"]
         assert np.array_equal(first[:, 0], np.zeros(3))
         assert second_messages == []
         expected = enla_forward(q, k, v, config)
@@ -447,24 +492,12 @@ class TestShiftBoundaries:
     """Chunks whose column maxima of F u sit at either end of the range
     [0, matrices._UNSHIFTED_MAX] in which a chunk skips its shift pass, and
     extreme values, against the two-path reference: outputs to 1e-12 and
-    the floor count of the reference normalizer in the forward's
-    stabilized units."""
-
-    @staticmethod
-    def reference(f, q, k, v):
-        """The two-path output floored as the forward floors it, and how
-        many positions that floors."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            output, _ = two_path_forward(f, q, k, v)
-        stabilized = stabilized_normalizer(f, q, k)
-        floored = stabilized < EPSILON
-        return output * np.where(floored, stabilized / EPSILON, 1.0), int(floored.sum())
+    no normalizer floored."""
 
     def check(self, out, messages, f, q, k, v):
-        expected, floored = self.reference(f, q, k, v)
+        expected, _ = two_path_forward(f, q, k, v)
         assert np.isfinite(expected).all()
-        assert messages == ([f"{floored} normalizer entries below epsilon={EPSILON} were floored"]
-                            if floored else [])
+        assert messages == []
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def check_forward(self, q, k, v, config):
@@ -660,9 +693,9 @@ class TestInPlaceSafety:
         assert [u.tobytes(), projection.f.tobytes()] == before
 
     def test_forward_leaves_inputs_untouched(self):
-        # an input whose normalizers are floored also exercises the
-        # in-place normalizer floor
-        q, k, v, config, _, _ = forward_and_reference(4, 3, 20, 16, False, k_amp=900.0)
+        # an input with a floored normalizer also exercises the in-place
+        # normalizer floor
+        q, k, v, config = four_by_nine(1e6)
         before = self.snapshot(q, k, v)
         with pytest.warns(NormalizerUnderflowWarning):
             enla_forward(q, k, v, config)

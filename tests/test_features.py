@@ -159,6 +159,18 @@ class TestPhi:
         assert np.array_equal(out.values, np.zeros((3, 4)))
         assert out.log_shift == -math.inf
 
+    @pytest.mark.filterwarnings("error")
+    def test_square_norms_dwarfing_projections(self):
+        # at norms near 7e101, |u|^2 / 2 (about 2e203, ulp 3e187) dwarfs F u
+        # (about 1e102), and |u|^2 / 2 + shift loses F u entirely. Every
+        # feature is at most m^-1/2 to rounding, and the one whose exponent
+        # is the shift meets it; the others lie about e^-1e101 below it
+        u = np.array([[-1.4494799372835445e101, 6.639994605103111e101],
+                      [8.46080732347379e101, -9.77811600421972e101]])
+        out = phi(sample_projection(RngSpec(5), 2, 2), u)
+        expected = np.array([[0.0, 0.0], [1.0 / math.sqrt(2), 0.0]])
+        assert np.abs(out.values - expected).max() <= 4 * np.finfo(np.float64).eps
+
     def test_monte_carlo_unbiasedness_at_e(self):
         # mean of phi(q) . phi(k) over independent projections approaches
         # exp(q . k) = e for aligned unit vectors.
@@ -280,6 +292,13 @@ class TestKernelEstimates:
         assert np.array_equal(est, np.zeros(3))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("orthogonal, m", [(False, 2), (True, 3)])
+    def test_infinite_square_norm_past_matmul_range_gives_zeros(self, orthogonal, m):
+        # F (q + k) would overflow here, and the orthogonal QR with it
+        est = kernel_estimates([3.49e307, -9.45e307], [0.0, 0.0], m, 2, RngSpec(0), orthogonal)
+        assert np.array_equal(est, np.zeros(2))
+
+    @pytest.mark.filterwarnings("error")
     def test_finite_prefactor_overflow_names_trial(self):
         # q = k = 32 u, u along trial 0's longest projection row: the
         # prefactor's exponent max F z - (|q|^2 + |k|^2) / 2 = 64 |f| - 1024
@@ -375,9 +394,14 @@ class TestTrialBlocks:
 
     @pytest.mark.parametrize("orthogonal", [False, True])
     def test_overflow_names_trial_zero(self, orthogonal):
-        big = np.full(4, 1e308)
-        with np.errstate(all="ignore"), pytest.raises(NumericError, match="overflowed at trial 0$"):
-            kernel_estimates(big, big, 4, 2 * B + 3, RngSpec(0), orthogonal)
+        # q = k = 32 u, u along the longest row of trial 0's projection:
+        # that estimate is past float range, and the first block stops there
+        rng = RngSpec(3)
+        f = sample_projection(rng.stream(1), 16, 1024, orthogonal).f
+        longest = f[np.argmax(np.linalg.norm(f, axis=1))]
+        q = 32.0 * longest / np.linalg.norm(longest)
+        with pytest.raises(NumericError, match="overflowed at trial 0$"):
+            kernel_estimates(q, q, 16, 2 * B + 3, rng, orthogonal)
 
     def test_degenerate_block_raises(self, monkeypatch):
         # zeroing projection row `row` of draw number `draw` (counted from
