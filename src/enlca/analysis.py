@@ -10,6 +10,7 @@ scales with the input size.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -205,35 +206,39 @@ def runtime_scaling(
     repeats: int,
     rng: RngSpec = RngSpec(0),
 ) -> SweepTable:
-    """Median wall-clock seconds of each forward per input size.
+    """Fastest wall-clock seconds of each forward per input size.
 
-    Timed sections run back to back on one thread of control; nothing
-    else competes for the interpreter while a section is measured.
+    Every repeat times each size in turn, the exact oracle and then the
+    forward, and the minimum over repeats is kept: a phase of load from
+    other processes then slows one repeat of every size, not every repeat
+    of one, and the minimum is the run it disturbed least. Timed sections
+    run back to back on one thread of control.
     """
     if repeats < 3:
-        raise ValueError(f"repeats must be >= 3 for a stable median, got {repeats}")
+        raise ValueError(f"repeats must be >= 3 for a stable minimum, got {repeats}")
     sizes = [int(n) for n in n_list]
     if sorted(sizes) != sizes:
         raise ValueError(f"n_list must be ascending, got {sizes}")
     check_settings(n=min(sizes, default=None), c=c, c_out=c_out)
-    points = []
+    cases = []
     for i, n in enumerate(sizes):
         theta = gaussian_sample(rng.stream(3 * i + 1), c, n)
         delta = gaussian_sample(rng.stream(3 * i + 2), c, n)
         v = gaussian_sample(rng.stream(3 * i + 3), c_out, n)
         q, k = normalize_and_scale(theta, delta, 1.0)
-        config = EnlaConfig(rng=rng.stream(10_000 + i), m=m)
-        exact_times = []
-        enla_times = []
-        for _ in range(repeats):
+        cases.append((q, k, v, EnlaConfig(rng=rng.stream(10_000 + i), m=m)))
+    exact_times = [math.inf] * len(sizes)
+    enla_times = [math.inf] * len(sizes)
+    for _ in range(repeats):
+        for i, (q, k, v, config) in enumerate(cases):
             start = time.perf_counter()
             exact_attention(q, k, v)
-            exact_times.append(time.perf_counter() - start)
+            exact_times[i] = min(exact_times[i], time.perf_counter() - start)
             start = time.perf_counter()
             enla_forward(q, k, v, config)
-            enla_times.append(time.perf_counter() - start)
-        points.append((float(n), float(np.median(exact_times)), float(np.median(enla_times))))
-    return SweepTable(axis="n", metric_kind="seconds", columns=("x", "exact", "enla"), points=tuple(points))
+            enla_times[i] = min(enla_times[i], time.perf_counter() - start)
+    points = tuple((float(n), exact_times[i], enla_times[i]) for i, n in enumerate(sizes))
+    return SweepTable(axis="n", metric_kind="seconds", columns=("x", "exact", "enla"), points=points)
 
 
 def consecutive_ratios(table: SweepTable, column: str) -> list[tuple[float, float, float]]:

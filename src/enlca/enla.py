@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
-from .features import _finite_or_zero, _half_sq_norms, _projected, phi, sample_projection  # noqa: F401
+from .features import _exp_features, _half_sq_norms, _projected, phi, sample_projection  # noqa: F401
 from .matrices import (
     RngSpec, ShapeError, _headroom, _matrix_pair, _unit_exponent, _validated_qkv, as_matrix, check_settings,
     normalize_columns,
@@ -105,12 +105,11 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     kv entry is at most N. A chunk whose column maxima of F u all lie in
     [0, B], B = min(U, log(MAX / 2) - log(mN)), runs exp on its raw
     projection; the bottom 0 keeps each key weight at most 1 and each raw
-    normalizer at least its shifted value. Such a key chunk weights its
-    staged [V_b; 1] rows by exp(-|k_j|^2 / 2 - S) per key, and such a query
-    chunk leaves its (c_out + 1)-row block in raw units. Any other chunk is
-    shifted in its block: each key by |k_j|^2 / 2 + S, formed as
-    t_j + (S - (t_j - |k_j|^2 / 2)) with t_j = max_l f_l . k_j, since the sum
-    cancels once |k_j|^2 / 2 dwarfs t_j; each query column by its max of F q.
+    normalizer at least its shifted value, and such a query chunk leaves
+    its (c_out + 1)-row block in raw units. Any other chunk is shifted in
+    its block by its column maxima of F u (`features._exp_features`). Each
+    key weights its staged [V_b; 1] column by the rest of its shift,
+    exp((lead_j - |k_j|^2 / 2) - S), lead_j being what its block took out.
 
     A normalizer entry below EPSILON, float64's smallest normal, in the
     units its chunk computed, is one float64 has lost: it is floored and
@@ -158,8 +157,8 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     raw = np.empty(ms[-1] * width + 7)
     first = (-raw.ctypes.data % 64) // 8
     features = raw[first:first + ms[-1] * width].reshape(ms[-1], width)
-    # [2^-e V_b w_b; w_b] per key chunk, w_b its key weights or ones for a
-    # shifted chunk: the last row makes the last column of kv the key sum
+    # [2^-e V_b w_b; w_b] per key chunk, w_b its key weights: the last row
+    # makes the last column of kv the key sum
     staged = np.empty((c_out + 1, width))
     kv = np.zeros((ms[-1], c_out + 1))
     key_shift = -math.inf
@@ -183,23 +182,18 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                 stage = staged[:, :stop - start]
                 half_sq = _half_sq_norms(k[:, start:stop])
                 top = _projected(rows, k, start, stop, block)
-                gap = top - half_sq
-                raised = max(key_shift, float(np.max(gap)))
+                raised = max(key_shift, float(np.max(top - half_sq)))
                 if raised > key_shift:
                     kv *= math.exp(key_shift - raised)
                     key_shift = raised
                 shift = key_shift if key_shift > -math.inf else 0.0
+                lead = _exp_features(block, top, 0.0 <= top.min() and top.max() <= bound)
                 np.ldexp(v[:, start:stop], -e, out=stage[:-1])
-                if 0.0 <= top.min() and top.max() <= bound:
-                    # S >= max F k_j - |k_j|^2 / 2, so exp(-|k_j|^2 / 2 - S) <= 1
-                    np.exp(block, out=block)
-                    np.subtract(-shift, half_sq, out=stage[-1])
-                    np.exp(stage[-1], out=stage[-1])
-                    stage[:-1] *= stage[-1]
-                else:
-                    # S >= gap, so every exponent stays <= 0 after rounding
-                    _exp_shifted(block, _finite_or_zero(top) + (shift - gap))
-                    stage[-1] = 1.0
+                # the rest of each key's shift, exp((lead - |k|^2 / 2) - S) <= 1
+                np.subtract(lead, half_sq, out=stage[-1])
+                stage[-1] -= shift
+                np.exp(stage[-1], out=stage[-1])
+                stage[:-1] *= stage[-1]
                 kv[low:high] += block @ stage.T
 
             key_rescale = math.exp(shift_before - key_shift) if key_shift > shift_before else 1.0
@@ -210,10 +204,7 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                 top = np.maximum(seen, _projected(rows, q, start, stop, block))
                 was_shifted = shifted[chunk]
                 shifted[chunk] = was_shifted or not (top.max() <= bound and top.min() >= 0.0)
-                if shifted[chunk]:
-                    _exp_shifted(block, _finite_or_zero(top))
-                else:
-                    np.exp(block, out=block)
+                _exp_features(block, top, not shifted[chunk])
                 cols = acc[:, start:stop]
                 if low == 0:
                     np.matmul(kv[:high].T, block, out=cols)
@@ -238,12 +229,6 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                           NormalizerUnderflowWarning, stacklevel=3)
         emit(out[:-1])
         low = high
-
-
-def _exp_shifted(block, shift) -> None:
-    """exp(block - shift) in place: the shift pass of a chunk out of range."""
-    block -= shift
-    np.exp(block, out=block)
 
 
 def _rescale(old, new):
@@ -291,15 +276,19 @@ def block_inputs(x, params: EnlcaBlockParams):
     x = as_matrix(x, "x")
     if x.shape[0] != params.c_in:
         raise ShapeError(f"x has {x.shape[0]} channels, block expects {params.c_in}")
-    q, k = normalize_and_scale(params.w_theta.T @ x, params.w_delta.T @ x, params.config.k_amp)
-    return q, k, params.w_psi.T @ x
+    with np.errstate(over="ignore"):  # as_matrix names an entry that overflowed
+        theta, delta, v = (w.T @ x for w in (params.w_theta, params.w_delta, params.w_psi))
+    q, k = normalize_and_scale(theta, delta, params.config.k_amp)
+    return q, k, as_matrix(v, "value output")
 
 
 def enlca_block(x, params: EnlcaBlockParams) -> np.ndarray:
     """One attention block with a residual connection: the randomized
     forward over block_inputs(x), added back onto x."""
     x = as_matrix(x, "x")
-    return x + enla_forward(*block_inputs(x, params), params.config)
+    y = enla_forward(*block_inputs(x, params), params.config)
+    with np.errstate(over="ignore"):  # as_matrix names an entry that overflowed
+        return as_matrix(x + y, "block output")
 
 
 def random_block_params(rng: RngSpec, c_in: int, c_embed: int, config: EnlaConfig) -> EnlcaBlockParams:

@@ -182,12 +182,17 @@ def correlation_map(q, k, query_index: int) -> np.ndarray:
 
 
 def shannon_entropy(p) -> float:
-    """Entropy in nats of a probability vector; zero entries contribute 0."""
+    """Entropy in nats of a probability vector; zero entries contribute 0.
+    Entries must lie in [0, 1] and their sum within N eps of 1, the
+    rounding a vector normalized by its own sum can carry."""
     p = np.array(p, dtype=np.float64)  # a copy: _row_entropies overwrites it
     if p.ndim != 1 or p.size < 1:
         raise ShapeError("entropy expects a non-empty 1-D vector")
     if (p < 0).any() or not np.isfinite(p).all():
         raise ValueError("entropy expects non-negative finite probabilities")
+    # no entry above 1 first, so that the sum cannot overflow
+    if (p > 1).any() or abs(p.sum() - 1.0) > p.size * np.finfo(np.float64).eps:
+        raise ValueError("entropy expects probabilities of at most 1 that sum to 1")
     return float(_row_entropies(p[None, :])[0])
 
 

@@ -6,11 +6,9 @@ has the closed form K^2(q,k) * (exp(|q+k|^2) - 1) / m. Both facts, plus the
 variance reduction from orthogonalized projection rows, are exercised by
 the Monte-Carlo helpers here.
 
-phi and the attention forward share one kernel, `_projected`, which forms
-F u in the caller's buffer and returns its column maxima; each caller
-runs exp in place. phi subtracts its shift in the buffer first; the
-forward does so only where the column maxima leave no room, and
-otherwise applies its shifts outside the buffer (see enla).
+phi and the attention forward share two kernels: `_projected` forms F u
+in the caller's buffer and returns its column maxima, and `_exp_features`
+runs exp on it in place, raw or in the one shifted form.
 
 Projections come from one private sampler, `_projection_blocks`, which
 serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
@@ -147,29 +145,23 @@ def _orthogonal_rows(f: np.ndarray, rhs: np.ndarray, first_trial: int | None = N
 def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     """Apply the positive feature map to every column of u_cols (c x N).
 
-    A single shift, the max of the real exponent F u - |u|^2 / 2 over the
-    whole matrix, is subtracted inside the exponential so the call cannot
-    overflow; the exact feature matrix is values * exp(log_shift), and a
-    ratio of phi products can use `values` as they are. Where |u_j|^2 / 2
-    exceeds max(1, |max F u_j|) by 2^26, |u_j|^2 / 2 + shift would keep
-    under half of the bits of F u_j; that column's exponent is then formed
-    as the forward forms a shifted key's, with the 1/sqrt(m) scale apart.
+    A single shift S, the max of the real exponent F u - |u|^2 / 2 over
+    the whole matrix, is taken out so the call cannot overflow; the exact
+    feature matrix is values * exp(log_shift), and a ratio of phi products
+    can use `values` as they are. Each column is shifted by its maximum
+    and then weighted by the rest of its shift, with the 1/sqrt(m) scale,
+    as `_exp_features` describes.
     """
     u = as_matrix(u_cols, "phi input")
     if u.shape[0] != f.c:
         raise ShapeError(f"phi input has {u.shape[0]} channels, projection expects {f.c}")
     values = np.empty((f.m, u.shape[1]))
-    log_scale = 0.5 * math.log(f.m)
     with np.errstate(over="ignore", invalid="ignore"):  # the helpers take none
         half_sq = _half_sq_norms(u)
         top = _projected(f.f, u, 0, u.shape[1], values)
         log_shift = float(np.max(top - half_sq))
-        shift = _finite_or_zero(log_shift)
-        dwarfed = half_sq > 2.0**26 * np.maximum(np.abs(top), 1.0)
-        careful = _finite_or_zero(top) + (shift - (top - half_sq))
-        values -= np.where(dwarfed, careful, half_sq + (shift + log_scale))
-    values[:, dwarfed] -= log_scale
-    np.exp(values, out=values)
+        lead = _exp_features(values, top, raw=False)
+        values *= np.exp((lead - half_sq - _finite_or_zero(log_shift)) - 0.5 * math.log(f.m))
     return PhiFeatures(values=values, log_shift=log_shift)
 
 
@@ -189,12 +181,11 @@ def _finite_or_zero(shift):
 def _projected(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
     """Form F u_j for columns start..stop-1 of a validated c x N matrix u
     in out (m x (stop - start)) and return the column maxima. The caller
-    subtracts its shift from out and runs exp in place, so the features
-    allocate nothing of size m x N. A projection that overflows (a column
-    maximum of +inf or NaN) cannot be repaired by any shift and raises
-    NumericError naming the column of u. The caller holds
-    np.errstate(over="ignore", invalid="ignore"), once per pass and not
-    once per chunk.
+    runs `_exp_features` on out, so the features allocate nothing of size
+    m x N. A projection that overflows (a column maximum of +inf or NaN)
+    cannot be repaired by any shift and raises NumericError naming the
+    column of u. The caller holds np.errstate(over="ignore",
+    invalid="ignore"), once per pass and not once per chunk.
     """
     np.matmul(f, u[:, start:stop], out=out)
     top = out.max(axis=0)
@@ -202,6 +193,24 @@ def _projected(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndar
         col = start + int(np.flatnonzero(~(top < math.inf))[0])
         raise NumericError(f"phi overflowed after stabilization at column {col}")
     return top
+
+
+def _exp_features(block: np.ndarray, top: np.ndarray, raw: bool):
+    """exp in place on a projected block F u with column maxima top; return
+    the lead taken out of each column: 0 for a raw block, else its maximum
+    (-inf read as 0), which leaves every entry at most 1.
+
+    The one shifted form: a column whose real exponent F u_j - |u_j|^2 / 2
+    shares a shift S >= its max is then weighted by
+    exp((lead_j - |u_j|^2 / 2) - S) <= 1. F u_j - lead_j keeps the bits of
+    F u_j that |u_j|^2 / 2 + S, as one subtrahend, loses once |u_j|^2 / 2
+    dwarfs it.
+    """
+    lead = 0.0 if raw else _finite_or_zero(top)
+    if not raw:
+        block -= lead
+    np.exp(block, out=block)
+    return lead
 
 
 def _kernel_operands(q_i, k_j) -> tuple[np.ndarray, np.ndarray]:

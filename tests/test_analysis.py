@@ -1,9 +1,11 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from enlca import analysis
 from enlca.analysis import (
     approximation_error_sweep,
     consecutive_ratios,
@@ -132,8 +134,27 @@ class TestRuntimeScaling:
         assert small.column("enla")[0] < large.column("enla")[0]
 
     def test_repeats_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^repeats must be >= 3 for a stable minimum, got 2$"):
             runtime_scaling([64], 4, 4, 8, repeats=2)
+
+    def test_interleaves_sizes_and_keeps_minimum(self, monkeypatch):
+        # every repeat times each size in turn, and each size reports its
+        # fastest repeat: a slow repeat (exact at n=16 takes 5, then 1, 2)
+        # does not reach the table, where a median would report 2
+        calls, clock = [], [0.0]
+        durations = iter([5.0, 1.0, 4.0, 2.0, 1.0, 3.0, 9.0, 2.0, 2.0, 1.0, 4.0, 7.0])
+
+        def timed(kind):
+            def call(q, k, v, config=None):
+                calls.append((kind, q.shape[1]))
+                clock[0] += next(durations)
+            return call
+        monkeypatch.setattr(analysis, "exact_attention", timed("exact"))
+        monkeypatch.setattr(analysis, "enla_forward", timed("enla"))
+        monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        result = runtime_scaling([16, 32], 4, 4, 8, repeats=3)
+        assert calls == [("exact", 16), ("enla", 16), ("exact", 32), ("enla", 32)] * 3
+        assert result.points == ((16.0, 1.0, 1.0), (32.0, 4.0, 2.0))
 
     def test_ascending_required(self):
         with pytest.raises(ValueError, match=r"^n_list must be ascending, got \[64, 32\]$"):

@@ -172,6 +172,15 @@ class TestBlockCommand:
         x = read_matrix_csv(matrices["features"])
         assert np.array_equal(read_matrix_csv(block_path), x + read_matrix_csv(enla_path))
 
+    @pytest.mark.filterwarnings("error")
+    def test_residual_overflow_is_named(self, tmp_path, capsys):
+        x = tmp_path / "x.csv"
+        x.write_text("1,2\n1e308,1e308\n")
+        code, out, err = run(capsys, "block", "--features", str(x), "--m", "4", "--k-amp", "1",
+                             "--seed", "19")
+        assert code == 2 and out == ""
+        assert err == "error: block output has a non-finite entry at (0, 0)\n"
+
     def test_requires_features(self, matrices, capsys):
         code, _, err = run(capsys, "block", "--q", matrices["q"], "--k", matrices["k"],
                            "--v", matrices["v"])
@@ -592,16 +601,23 @@ class TestSeed:
         assert plain_path.read_bytes() == env_path.read_bytes()
 
 
-def test_readme_commands_parse():
-    """Every `enlca ...` line in README's shell blocks, backslash
-    continuations joined, parses with the CLI's own parser."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    commands = [
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_commands():
+    """Every `enlca ...` line in README's shell blocks as argv, backslash
+    continuations joined."""
+    return [
         shlex.split(line, comments=True)
-        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        for block in re.findall(r"```sh\n(.*?)```", README, flags=re.S)
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("enlca ")
     ]
+
+
+def test_readme_commands_parse():
+    """Every README command parses with the CLI's own parser."""
+    commands = readme_commands()
     assert {"flops", "approx-sweep", "variance-sweep", "bench", "corr-map"} <= {a[1] for a in commands}
     parser = build_parser()
     for argv in commands:
@@ -609,3 +625,21 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except UsageError as exc:
             pytest.fail(f"{shlex.join(argv)}: {exc}")
+
+
+@pytest.mark.parametrize("k_amp, quoted", [
+    (["--k-amp", "1"], r"writes median errors (.*?)\s+for m"),
+    ([], r"the same call\s+writes (.*?):"),
+], ids=["k-amp-1", "default-k-amp"])
+def test_readme_approx_sweep_medians(tmp_path, k_amp, quoted):
+    """README's `approx-sweep ... --out sweep.csv` line, at --k-amp 1 and at
+    the default, writes the medians README quotes, to the digits quoted."""
+    argv = next(a for a in readme_commands() if a[1] == "approx-sweep" and a[-1] == "sweep.csv")
+    assert argv[-4:-2] == ["--k-amp", "1"]
+    out = tmp_path / "sweep.csv"
+    assert main(argv[1:-4] + k_amp + ["--out", str(out)]) == 0
+    values = [row[1] for row in read_sweep_csv(out)[1]]
+    medians = re.findall(r"\d+\.\d+", re.search(quoted, README, flags=re.S).group(1))
+    assert len(medians) == len(values) == 4
+    for value, median in zip(values, medians):
+        assert abs(value - float(median)) <= 0.5 * 10.0 ** -len(median.split(".")[1]), (value, median)

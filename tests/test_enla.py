@@ -649,9 +649,12 @@ class TestUnshiftedPath:
 
     @pytest.fixture
     def no_shift(self, monkeypatch):
-        def refuse(block, shift):
-            raise AssertionError("a chunk took the shifted path")
-        monkeypatch.setattr(enla, "_exp_shifted", refuse)
+        exp_features = enla._exp_features
+
+        def raw_only(block, top, raw):
+            assert raw, "a chunk took the shifted path"
+            return exp_features(block, top, raw)
+        monkeypatch.setattr(enla, "_exp_features", raw_only)
 
     @pytest.mark.parametrize("orthogonal", [False, True])
     @pytest.mark.parametrize("k_amp", [1.0, 6.0])
@@ -773,6 +776,30 @@ class TestEnlcaBlock:
         out = enlca_block(x, params)
         rel = np.linalg.norm(out - reference) / np.linalg.norm(reference)
         assert rel < 0.05
+
+    @pytest.mark.filterwarnings("error")
+    def test_residual_overflow_is_named(self):
+        # the forward is finite, x + forward is not
+        params = random_block_params(RngSpec(0), 1, 1, EnlaConfig(rng=RngSpec(0), m=4, k_amp=1.0))
+        with pytest.raises(NumericError, match=r"^block output has a non-finite entry at \(0, 0\)$"):
+            enlca_block(np.array([[1e308, 1e308]]), params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_embedding_overflow_is_named(self):
+        # w_delta is -1.77 here, so the delta embedding of 1.5e308 overflows
+        params = random_block_params(RngSpec(0), 1, 1, EnlaConfig(rng=RngSpec(0), m=4, k_amp=1.0))
+        with pytest.raises(NumericError, match=r"^delta output has a non-finite entry at \(0, 0\)$"):
+            block_inputs(np.array([[1.5e308, 1.0]]), params)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", ["theta", "value"])
+    def test_other_embedding_overflow_is_named(self, name):
+        # only the embedding whose weight is 4 overflows at 1.5e308
+        w = {key: np.array([[4.0 if key == name else 0.5]]) for key in ("theta", "delta", "value")}
+        params = EnlcaBlockParams(w_theta=w["theta"], w_delta=w["delta"], w_psi=w["value"],
+                                  config=EnlaConfig(rng=RngSpec(0), m=4, k_amp=1.0))
+        with pytest.raises(NumericError, match=rf"^{name} output has a non-finite entry at \(0, 0\)$"):
+            block_inputs(np.array([[1.5e308, 1.0]]), params)
 
     def test_output_shape_matches_input(self):
         x = gaussian_sample(RngSpec(40), 9, 14)

@@ -339,10 +339,35 @@ class TestEntropy:
         ([[0.5, 0.5]], ShapeError, "entropy expects a non-empty 1-D vector"),
         ([1.5, -0.5], ValueError, "entropy expects non-negative finite probabilities"),
         ([0.5, float("nan")], ValueError, "entropy expects non-negative finite probabilities"),
-    ], ids=["empty", "2-D", "negative", "nan"])
+        ([2.0, 3.0], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
+        ([1e308, 1.0], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
+        ([1e308, 1e308], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
+        ([0.5, 0.25], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
+        ([1.0 + 2**-52, 0.0], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
+    ], ids=["empty", "2-D", "negative", "nan", "above-one", "near-max", "sum-overflow", "short-sum",
+            "one-ulp-above-one"])
     def test_rejects_non_distribution(self, p, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             shannon_entropy(p)
+
+    def test_sum_tolerance_is_n_eps(self):
+        eps = np.finfo(np.float64).eps
+        assert shannon_entropy([0.5, 0.5 - 2 * eps]) > 0
+        with pytest.raises(ValueError):
+            shannon_entropy([0.5, 0.5 - 4 * eps])
+
+    def test_accepts_correlation_map_at_large_n(self):
+        # a map divided by its own sum carries that sum's rounding
+        q, k, _ = seeded_instance(44, c=4, n=200_000)
+        q, k = normalize_and_scale(q, k, 6.0)
+        cmap = correlation_map(q, k, 7)
+        assert 0 < shannon_entropy(cmap) <= np.log(200_000)
+
+    def test_accepts_kept_weight_rows_at_large_n(self):
+        q, k, v = seeded_instance(45, c=4, c_out=1, n=2048)
+        weights = exact_attention(q, k, v, keep_weights=True).weights
+        entropies = [shannon_entropy(row) for row in weights]
+        assert np.abs(attention_row_entropies(q, k) - entropies).max() < 1e-12
 
     def test_one_hot_rows_are_positive_zero(self):
         # logits 900 apart: every weight row is exactly one-hot
