@@ -7,11 +7,12 @@ mirroring how the block consumes one input; each input mode refuses the
 flags of the other. Flags are spelled in full: no prefix stands for one.
 
 Exit codes: 0 success, 1 usage problem (bad flags, unreadable or
-malformed files, out-of-range values) or a closed stdout (a reader that
-quit early, as in `enlca flops | head -1`; this exit prints nothing), 2
-numeric failure (shape mismatch, overflow). Flag pairings are checked
-before anything is computed, and results and files are complete before
-the first print, so a failed call prints no partial result.
+malformed files, out-of-range values, a request larger than memory holds)
+or a closed stdout (a reader that quit early, as in `enlca flops |
+head -1`; this exit prints nothing), 2 numeric failure (shape mismatch,
+overflow). Flag pairings are checked before anything is computed, and
+results and files are complete before the first print, so a failed call
+prints no partial result.
 
 The base seed is --seed, 0 by default. Stream layout per invocation:
 derived transform weights come from stream offset 1, the attention
@@ -197,6 +198,8 @@ def _cmd_variance_sweep(args) -> int:
     k_list = _parse_list(args.k_list, "--k-list", float)
     result = variance_sweep_k(k_list, args.c, args.m, args.trials, _base(args))
     write_sweep_csv(result, sys.stdout if args.out is None else args.out)
+    for k_amp in result.skipped:
+        print(f"warning: skipped k_amp={_fmt(k_amp)}: variance beyond float range", file=sys.stderr)
     return 0
 
 
@@ -428,6 +431,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # sizes past what the machine holds are out-of-range values
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

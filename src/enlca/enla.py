@@ -6,10 +6,10 @@ estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
 exists and one GEMM yields both the numerator rows and the normalizer
 row. Both phi(K) and phi(Q) are streamed in column chunks through one
 reused m x CHUNK feature buffer, so the forward's extra memory is that
-buffer, the (c_out + 1) x N output and one shift per query column; the
-stabilizer shifts go where they are cheap (see enla_forward). The same
-loop evaluates several sample counts as row prefixes of one projection,
-for the approximation-error sweep. The multiply-add count is
+buffer, the (c_out + 1) x N output, one shift per query column and one
+per projection row; the stabilizer shifts go where they are cheap (see
+enla_forward). The same loop evaluates several sample counts as row
+prefixes of one projection, for the approximation-error sweep. The multiply-add count is
 2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
 keeps the published convention, which excludes the normalizer.
 
@@ -20,7 +20,6 @@ sharpens the attention at the price of exponentially larger variance.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,13 @@ import numpy as np
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
 from .features import _exp_features, _half_sq_norms, _projected, phi, sample_projection  # noqa: F401
 from .matrices import (
-    RngSpec, ShapeError, _headroom, _matrix_pair, _unit_exponent, _validated_qkv, as_matrix, check_settings,
-    normalize_columns,
+    NumericError, RngSpec, ShapeError, _headroom, _matrix_pair, _unit_exponent, _validated_qkv, as_matrix,
+    check_settings, normalize_columns,
 )
 
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
 # (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
 CHUNK = 2048
-EPSILON = np.finfo(np.float64).tiny  # the normalizer floor: float64's smallest normal
 
 __all__ = [
     "EnlaConfig",
@@ -50,9 +48,8 @@ __all__ = [
 
 
 class NormalizerUnderflowWarning(RuntimeWarning):
-    """Warned when float64 has lost attention normalizer entries, each below
-    its smallest normal EPSILON and floored to it. Unit columns amplified by
-    up to k_amp 1e5 lose none on the test instances; at 1e6 some do."""
+    """Never raised: every normalizer of the forward is at least 1. Still
+    exported because the benchmark harness under perfbench/ counts it."""
 
 
 @dataclass(frozen=True)
@@ -92,29 +89,28 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
 
     The keys are streamed first, CHUNK columns at a time, through one
     m x CHUNK feature buffer: each chunk's features are reduced into
-    kv = phi(K) [V^T | 1] (m x (c_out + 1)) at once. Keys share one
-    shift S, the running max of the real exponent F k - |k|^2 / 2; when a
-    chunk raises it, kv is rescaled by exp(old - new). The queries then go
-    through the same buffer, and each (c_out + 1)-row output block is
-    written in place. Every shift cancels in the output ratio, so one
+    kv = phi(K) [V^T | 1] (m x (c_out + 1)) at once. Row l of kv has its
+    own shift s_l, the running max of f_l . k - |k|^2 / 2 over the keys,
+    and is rescaled by exp(old - new) when a chunk raises it, so its key
+    sum is at least 1. The queries then go through the same buffer with
+    exponents f_l . q + s_l, each column shifted by its max, and each
+    (c_out + 1)-row output block is written in place. The term of that max
+    is exp(0) times a key sum of at least 1: every normalizer is at least 1
+    and none can underflow. Every shift cancels in the output ratio, so one
     column of extreme norm cannot push the features of the others out of
-    float range.
+    float range. Both exponents come out of the feature GEMMs, on a lifted
+    projection: [F | -1] [k_b; |k_b|^2 / 2] and [F | s] [q_b; 1].
 
     Each value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1),
     and its output row is scaled back by 2^e_r after the divide, so every
-    kv entry is at most N. A chunk whose column maxima of F u all lie in
-    [0, B], B = min(U, log(MAX / 2) - log(mN)), runs exp on its raw
-    projection; the bottom 0 keeps each key weight at most 1 and each raw
-    normalizer at least its shifted value, and such a query chunk leaves
-    its (c_out + 1)-row block in raw units. Any other chunk is shifted in
-    its block by its column maxima of F u (`features._exp_features`). Each
-    key weights its staged [V_b; 1] column by the rest of its shift,
-    exp((lead_j - |k_j|^2 / 2) - S), lead_j being what its block took out.
+    kv entry is at most N. With B = min(U, log(MAX / 2) - log(mN)), a key
+    chunk whose row maxima all lie in [-B, B], and a query chunk whose
+    column maxima all lie in [0, B], run exp on their raw exponents; such a
+    query chunk leaves its output block in raw units. Any other chunk is
+    shifted in its block by those maxima (`features._exp_features`).
 
-    A normalizer entry below EPSILON, float64's smallest normal, in the
-    units its chunk computed, is one float64 has lost: it is floored and
-    reported through a NormalizerUnderflowWarning, not an error. That
-    includes exact zeros from features that underflowed.
+    Keys whose |k|^2 all overflow, and a query column whose every exponent
+    is -inf, raise NumericError, as a projection of +inf does.
     """
     outputs = []
     _prefix_forwards(q, k, v, config, [config.m], outputs.append)
@@ -129,26 +125,30 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     that m, up to rounding; the first is bit-identical to it.
 
     The rows are processed in segments [m_{i-1}, m_i), each through the
-    key pass and then the query pass of enla_forward. Output i accumulates
-    in one (c_out + 1) x N block. A query chunk keeps the raw exp(F q) of
-    enla_forward for as long as every segment finds its columns in range;
-    it then owes no rescale but a key one. Once a segment finds a column
-    out of range, the chunk is shifted in that segment and every later
-    one, and what the earlier segments made is rescaled by exp(old - new)
-    per column, the old shift being 0 for a chunk that was unshifted. When
-    a segment raises the key shift, all of it is rescaled too. Every
-    segment tests its chunks against enla_forward's B at m = ms[-1].
-    Output i is floored and divided chunk by chunk as in enla_forward(m_i):
-    the first segment writes the block, each later one rescales it and adds
-    its own product, and the last output is divided in place.
+    key pass and then the query pass of enla_forward. A row's key shift
+    depends on no other row, so segments never rescale one another's kv
+    rows. Output i accumulates in one (c_out + 1) x N block. A query chunk
+    keeps the raw exp of enla_forward for as long as every segment finds
+    its columns in range. Once a segment finds a column out of range, the
+    chunk is shifted in that segment and every later one, and what the
+    earlier segments made is rescaled by exp(old - new) per column, the old
+    shift being 0 for a chunk that was unshifted. Every segment tests its
+    chunks against enla_forward's B at m = ms[-1]. Output i is divided
+    chunk by chunk as in enla_forward(m_i): the first segment writes the
+    block, each later one rescales it and adds its own product, and the
+    last output is divided in place.
 
     A callback and not a generator: a generator's frame is allocated per
     call, and repeated 40 000-column forwards through one then read a
     process peak two output blocks (9.8 MB) higher.
     """
     q, k, v = _validated_qkv(q, k, v)
-    f = sample_projection(config.rng, ms[-1], q.shape[0], config.orthogonal).f
-    c_out, n = v.shape
+    c, n = q.shape
+    c_out = v.shape[0]
+    # [F | -1]; after a segment's key pass its rows hold [F | s]
+    lifted = np.empty((ms[-1], c + 1))
+    lifted[:, :c] = sample_projection(config.rng, ms[-1], c, config.orthogonal).f
+    lifted[:, c] = -1.0
     e = _unit_exponent(v)
     bound = _headroom(ms[-1] * n)
     width = min(n, CHUNK)
@@ -157,12 +157,13 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     raw = np.empty(ms[-1] * width + 7)
     first = (-raw.ctypes.data % 64) // 8
     features = raw[first:first + ms[-1] * width].reshape(ms[-1], width)
-    # [2^-e V_b w_b; w_b] per key chunk, w_b its key weights: the last row
-    # makes the last column of kv the key sum
-    staged = np.empty((c_out + 1, width))
+    # a GEMM's lifted operand [k_b; |k_b|^2 / 2] or [q_b; 1], then a key
+    # chunk's staged [2^-e V_b; 1]: the last row makes the last column of kv
+    # the key sum
+    operand = np.empty((max(c, c_out) + 1, width))
     kv = np.zeros((ms[-1], c_out + 1))
-    key_shift = -math.inf
-    # each query column's running max of F q over the rows so far, and
+    key_shift = np.full(ms[-1], -math.inf)
+    # each query column's running max of F q + s over the rows so far, and
     # whether its chunk carries that max as a shift; later segments rescale
     query_shift = np.full(n, -math.inf)
     shifted = [False] * -(-n // CHUNK)
@@ -170,38 +171,44 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
 
     low = 0
     for high in ms:
-        rows = f[low:high]
-        shift_before = key_shift
+        rows, shift = lifted[low:high], key_shift[low:high]
         last = high == ms[-1]
         out = acc if last else np.empty_like(acc)
-        floored = 0
         with np.errstate(over="ignore", invalid="ignore"):  # one per segment: the helpers take none
             for start in range(0, n, CHUNK):
                 stop = min(n, start + CHUNK)
                 block = features[:high - low, :stop - start]
-                stage = staged[:, :stop - start]
-                half_sq = _half_sq_norms(k[:, start:stop])
-                top = _projected(rows, k, start, stop, block)
-                raised = max(key_shift, float(np.max(top - half_sq)))
-                if raised > key_shift:
-                    kv *= math.exp(key_shift - raised)
-                    key_shift = raised
-                shift = key_shift if key_shift > -math.inf else 0.0
-                lead = _exp_features(block, top, 0.0 <= top.min() and top.max() <= bound)
+                lift = operand[:c + 1, :stop - start]
+                lift[:c] = k[:, start:stop]
+                lift[c] = _half_sq_norms(lift[:c])
+                top = _projected(rows, lift, start, block, axis=1)
+                # a key of finite |k|^2 is finite on every row: a chunk's row
+                # maxima are all finite, or all -inf and its features all 0
+                if top[0] == -math.inf:
+                    continue
+                lead = _exp_features(block, top[:, None], -bound <= top.min() and top.max() <= bound)
+                stage = operand[:c_out + 1, :stop - start]
                 np.ldexp(v[:, start:stop], -e, out=stage[:-1])
-                # the rest of each key's shift, exp((lead - |k|^2 / 2) - S) <= 1
-                np.subtract(lead, half_sq, out=stage[-1])
-                stage[-1] -= shift
-                np.exp(stage[-1], out=stage[-1])
-                stage[:-1] *= stage[-1]
-                kv[low:high] += block @ stage.T
+                stage[-1] = 1.0
+                raised = np.maximum(shift, top)
+                kv[low:high] *= np.exp(shift - raised)[:, None]
+                kv[low:high] += (block @ stage.T) * np.exp(lead - raised[:, None])
+                shift[:] = raised
+            if shift[0] == -math.inf:
+                raise NumericError("every key's squared norm overflowed")
+            rows[:, c] = shift
 
-            key_rescale = math.exp(shift_before - key_shift) if key_shift > shift_before else 1.0
+            operand[c] = 1.0
             for chunk, start in enumerate(range(0, n, CHUNK)):
                 stop = min(n, start + CHUNK)
                 block = features[:high - low, :stop - start]
+                lift = operand[:c + 1, :stop - start]
+                lift[:c] = q[:, start:stop]
                 seen = query_shift[start:stop]
-                top = np.maximum(seen, _projected(rows, q, start, stop, block))
+                top = np.maximum(seen, _projected(rows, lift, start, block))
+                if top.min() == -math.inf:
+                    col = start + int(np.argmin(top))
+                    raise NumericError(f"every projection of query column {col} is -inf")
                 was_shifted = shifted[chunk]
                 shifted[chunk] = was_shifted or not (top.max() <= bound and top.min() >= 0.0)
                 _exp_features(block, top, not shifted[chunk])
@@ -209,34 +216,17 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
                 if low == 0:
                     np.matmul(kv[:high].T, block, out=cols)
                 else:
-                    rescale = key_rescale
                     if shifted[chunk]:
-                        rescale = rescale * _rescale(seen if was_shifted else 0.0, top)
-                    cols *= rescale
+                        cols *= np.exp((seen if was_shifted else 0.0) - top)
                     cols += kv[low:high].T @ block
                 seen[:] = top
                 if not last:
                     out[:, start:stop] = cols
                     cols = out[:, start:stop]
-                d = cols[-1]
-                if d.min() < EPSILON:
-                    floored += int(np.count_nonzero(d < EPSILON))
-                    np.maximum(d, EPSILON, out=d)
-                cols[:-1] /= d
+                cols[:-1] /= cols[-1]
                 np.ldexp(cols[:-1], e, out=cols[:-1])
-        if floored:
-            warnings.warn(f"{floored} normalizer entries below float64's smallest normal were floored",
-                          NormalizerUnderflowWarning, stacklevel=3)
         emit(out[:-1])
         low = high
-
-
-def _rescale(old, new):
-    """exp(old - new) per column for a running shift that went from old to
-    new; 1 where it did not rise, so a column still at -inf stays at 1 and
-    never meets exp(-inf + inf). A column that rises from -inf holds
-    zeros and gets 0. Runs under the forward's np.errstate."""
-    return np.exp(np.where(new > old, old - new, 0.0))
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ variance reduction from orthogonalized projection rows, are exercised by
 the Monte-Carlo helpers here.
 
 phi and the attention forward share two kernels: `_projected` forms F u
-in the caller's buffer and returns its column maxima, and `_exp_features`
-runs exp on it in place, raw or in the one shifted form.
+in the caller's buffer and returns its column or row maxima, and
+`_exp_features` runs exp on it in place, raw or shifted by those maxima.
 
 Projections come from one private sampler, `_projection_blocks`, which
 serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
@@ -158,7 +158,7 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     values = np.empty((f.m, u.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # the helpers take none
         half_sq = _half_sq_norms(u)
-        top = _projected(f.f, u, 0, u.shape[1], values)
+        top = _projected(f.f, u, 0, values)
         log_shift = float(np.max(top - half_sq))
         lead = _exp_features(values, top, raw=False)
         values *= np.exp((lead - half_sq - _finite_or_zero(log_shift)) - 0.5 * math.log(f.m))
@@ -178,30 +178,32 @@ def _finite_or_zero(shift):
     return np.where(np.isfinite(shift), shift, 0.0)
 
 
-def _projected(f: np.ndarray, u: np.ndarray, start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """Form F u_j for columns start..stop-1 of a validated c x N matrix u
-    in out (m x (stop - start)) and return the column maxima. The caller
-    runs `_exp_features` on out, so the features allocate nothing of size
-    m x N. A projection that overflows (a column maximum of +inf or NaN)
-    cannot be repaired by any shift and raises NumericError naming the
-    column of u. The caller holds np.errstate(over="ignore",
-    invalid="ignore"), once per pass and not once per chunk.
+def _projected(f: np.ndarray, u: np.ndarray, offset: int, out: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Form F u in out for u, the columns from `offset` on of a validated
+    matrix, and return the maxima of out along axis: its column maxima, or
+    its row maxima for axis=1. The caller runs `_exp_features` on
+    out, so the features allocate nothing of size m x N. A projection that
+    overflows (an entry of +inf or NaN) cannot be repaired by any shift and
+    raises NumericError naming the column of the whole matrix. The caller
+    holds np.errstate(over="ignore", invalid="ignore"), once per pass and not
+    once per chunk.
     """
-    np.matmul(f, u[:, start:stop], out=out)
-    top = out.max(axis=0)
+    np.matmul(f, u, out=out)
+    top = out.max(axis=axis)
     if not (top < math.inf).all():
-        col = start + int(np.flatnonzero(~(top < math.inf))[0])
+        col = offset + int(np.flatnonzero(~(out < math.inf).all(axis=0))[0])
         raise NumericError(f"phi overflowed after stabilization at column {col}")
     return top
 
 
 def _exp_features(block: np.ndarray, top: np.ndarray, raw: bool):
-    """exp in place on a projected block F u with column maxima top; return
-    the lead taken out of each column: 0 for a raw block, else its maximum
+    """exp in place on a projected block with maxima top, one per column
+    (an N-vector) or one per row (an m x 1 column), as top's shape says;
+    return the lead taken out of each: 0 for a raw block, else its maximum
     (-inf read as 0), which leaves every entry at most 1.
 
-    The one shifted form: a column whose real exponent F u_j - |u_j|^2 / 2
-    shares a shift S >= its max is then weighted by
+    The one shifted form of `phi`: a column whose real exponent
+    F u_j - |u_j|^2 / 2 shares a shift S >= its max is then weighted by
     exp((lead_j - |u_j|^2 / 2) - S) <= 1. F u_j - lead_j keeps the bits of
     F u_j that |u_j|^2 / 2 + S, as one subtrahend, loses once |u_j|^2 / 2
     dwarfs it.

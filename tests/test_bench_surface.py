@@ -119,3 +119,9 @@ def test_workload_config_keywords():
                                     matrices.gaussian_sample(matrices.RngSpec(2), 4, 10), 1.0)
     y = enla.enla_forward(q, k, np.ones((2, 10)), config)
     assert np.allclose(y, 1.0)
+
+
+def test_warning_class_the_harness_counts():
+    # perfbench/layers.py and perfbench/cli_child.py count this warning
+    # around each operation; the forward no longer raises it
+    assert issubclass(enla.NormalizerUnderflowWarning, RuntimeWarning)

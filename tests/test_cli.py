@@ -13,6 +13,7 @@ import pytest
 import enlca
 from enlca.cli import UsageError, build_parser, main
 from enlca.exact import shannon_entropy
+from enlca.features import sample_projection
 from enlca.matrices import (
     RngSpec,
     gaussian_sample,
@@ -155,6 +156,28 @@ class TestEnlaCommand:
         assert np.allclose(outputs[1], 1e200 * outputs[0], rtol=1e-9, atol=0)
 
 
+    def test_overflowing_key_norms_are_numeric_failure(self, matrices, tmp_path, capsys):
+        keys = tmp_path / "keys.csv"
+        write_matrix_csv(np.full((4, 32), 1e155), keys)
+        code, out, err = run(capsys, "enla", "--q", matrices["q"], "--k", str(keys), "--v", matrices["v"])
+        assert code == 2 and out == ""
+        assert err == "error: every key's squared norm overflowed\n"
+
+    def test_query_projecting_to_minus_inf_is_numeric_failure(self, matrices, tmp_path, capsys):
+        # the CLI draws its projection from stream 2 of the seed: at m = 1,
+        # query column 5 points against its one row and overflows to -inf
+        f = sample_projection(RngSpec(0).stream(2), 1, 4).f[0]
+        assert np.abs(f).sum() > 2.0
+        q = read_matrix_csv(matrices["q"])
+        q[:, 5] = -1e308 * np.sign(f)
+        queries = tmp_path / "queries.csv"
+        write_matrix_csv(q, queries)
+        code, out, err = run(capsys, "enla", "--q", str(queries), "--k", matrices["k"], "--v", matrices["v"],
+                             "--m", "1")
+        assert code == 2 and out == ""
+        assert err == "error: every projection of query column 5 is -inf\n"
+
+
 class TestBlockCommand:
     def test_shape_preserved(self, matrices, tmp_path, capsys):
         out = tmp_path / "y.csv"
@@ -237,6 +260,11 @@ class TestVarianceSweepCommand:
         meta, rows = read_sweep_csv(out)
         assert meta["axis"] == "k_amp" and meta["columns"] == "x,theory,empirical"
         assert [r[0] for r in rows] == [1.0, 2.0]
+
+    def test_skipped_point_is_one_warning_line(self, capsys):
+        code, out, err = run(capsys, "variance-sweep", "--k-list", "1,1e308", "--trials", "2")
+        assert code == 0 and len(out.splitlines()) == 2
+        assert err == "warning: skipped k_amp=1e+308: variance beyond float range\n"
 
     def test_bad_k_list_is_usage_error(self, capsys):
         code, _, err = run(capsys, "variance-sweep", "--k-list", "1,x")
@@ -389,6 +417,15 @@ class TestErrorPaths:
         code, _, err = run(capsys, "enla", "--q", str(bad), "--k", str(bad), "--v", str(bad))
         assert code == 1
         assert "bad.csv" in err and "not UTF-8" in err
+
+    def test_memory_error_is_usage_error(self, matrices, capsys, monkeypatch):
+        # a size past what the machine holds, as `--m 10000000000` asks for
+        def forward(*args):
+            raise MemoryError("Unable to allocate 298. GiB for an array with shape (10000000000, 4)")
+        monkeypatch.setattr(enlca.cli, "enla_forward", forward)
+        code, out, err = run(capsys, "enla", "--q", matrices["q"], "--k", matrices["k"], "--v", matrices["v"])
+        assert code == 1 and out == ""
+        assert err == "error: Unable to allocate 298. GiB for an array with shape (10000000000, 4)\n"
 
     def test_shape_mismatch_is_numeric_failure(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -13,7 +13,6 @@ from enlca.enla import (
     CHUNK,
     EnlaConfig,
     EnlcaBlockParams,
-    NormalizerUnderflowWarning,
     _prefix_forwards,
     block_inputs,
     enla_forward,
@@ -48,8 +47,9 @@ def forward_and_reference(c, c_out, n, m, orthogonal, k_amp=6.0):
 
 
 def four_by_nine(k_amp):
-    """A 4 x 9 instance at m = 8 whose normalizers float64 holds up to
-    k_amp 1e5; at k_amp 1e6 it loses one of them."""
+    """A 4 x 9 instance at m = 8. Under one key shift S for all rows, as in
+    the forward before its per-row shifts, float64 held its normalizers up
+    to k_amp 1e5 and lost one of them at k_amp 1e6."""
     base = RngSpec(2)
     theta, delta, v = (gaussian_sample(base.stream(i), 4, 9) for i in (1, 2, 3))
     q, k = normalize_and_scale(theta, delta, k_amp)
@@ -189,7 +189,7 @@ class TestEnlaForward:
             EnlaConfig(rng=RngSpec(0), m=0)
         with pytest.raises(ValueError):
             EnlaConfig(rng=RngSpec(0), k_amp=0.5)
-        # the normalizer floor is the constant EPSILON, not a setting
+        # the forward has no normalizer floor to set
         with pytest.raises(TypeError):
             EnlaConfig(rng=RngSpec(0), epsilon=1e-12)
 
@@ -223,22 +223,28 @@ class TestTwoPathReference:
         out = enla_forward(q, k, v, config)
         assert (np.abs(out - reference).max(axis=0) <= 1e-12 * np.abs(reference).max(axis=0)).all()
 
-    def test_floor_count_matches_reference_normalizer(self):
-        # float64 loses one normalizer of the 4 x 9 instance at k_amp 1e6:
-        # the forward floors that one only, and that column alone leaves the
-        # decimal reference; the floored output is a convex mix of v scaled down
-        q, k, v, config = four_by_nine(1e6)
-        out, messages = forward_with_warnings(q, k, v, config)
-        assert messages == ["1 normalizer entries below float64's smallest normal were floored"]
-        assert (decimal_error(out, config, q, k, v) > 100).sum() == 1
-        assert (np.abs(out) <= np.abs(v).max(axis=1, keepdims=True)).all()
+    @pytest.mark.parametrize("k_amp", [1.0, 1e6, 1e60])
+    def test_every_normalizer_at_least_one(self, k_amp):
+        # the unstabilized normalizers of the 4 x 9 instance underflow from
+        # k_amp 1e6 on; the forward's, in the units each chunk computed, hold
+        # a term exp(0) times a key sum of at least 1 at every prefix
+        q, k, v, config = four_by_nine(k_amp)
+        f = sample_projection(config.rng, config.m, 4).f
+        with np.errstate(all="ignore"):
+            unstabilized = two_path_forward(f, q, k, v)[1]
+        assert (unstabilized > 0).all() == (k_amp == 1.0)
+        normalizers = []
+        _prefix_forwards(q, k, v, config, [2, 3, 6, 8], lambda out: normalizers.append(out.base[-1].copy()))
+        assert len(normalizers) == 4
+        for d in normalizers:
+            assert (d >= 1.0 - 1e-15).all() and np.isfinite(d).all()
 
 
 class TestDecimalReference:
     """The forward against a 60-digit decimal evaluation of the same
     estimator with the same projection: within 100 eps E, with E the
     largest |f_l . u - |u|^2 / 2| over q and k, and with no warning, at
-    every amplification whose normalizers float64 holds."""
+    every amplification up to 1e8."""
 
     @staticmethod
     def check(q, k, v, config):
@@ -247,7 +253,7 @@ class TestDecimalReference:
             out = enla_forward(q, k, v, config)
         assert decimal_error(out, config, q, k, v).max() <= 100
 
-    @pytest.mark.parametrize("k_amp", [100.0, 900.0, 1e4, 1e5])
+    @pytest.mark.parametrize("k_amp", [100.0, 900.0, 1e4, 1e5, 1e6, 1e8])
     def test_four_by_nine(self, k_amp):
         self.check(*four_by_nine(k_amp))
 
@@ -257,7 +263,7 @@ class TestDecimalReference:
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 8), st.integers(1, 3), st.booleans(),
-           st.floats(0.0, 5.0), st.integers(0, 2**32))
+           st.floats(0.0, 8.0), st.integers(0, 2**32))
     def test_tiny_instances(self, c, n, m, c_out, orthogonal, log_k_amp, seed):
         k_amp = 10.0 ** log_k_amp
         q, k, v = seeded_qkv(seed, c, c_out, n, k_amp)
@@ -309,14 +315,14 @@ class TestChunkLoop:
         out = enla_forward(q, k, v, config)
         assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    @pytest.mark.filterwarnings("error")
     def test_every_key_norm_overflows(self):
-        # every |k|^2 / 2 is inf, so every key feature is 0: all
-        # normalizers are floored and the output stays finite
+        # every |k|^2 / 2 is inf, so every key feature is 0 and no key sum
+        # is left to divide by
         q, _, v = seeded_qkv(72, c=4, c_out=3, n=20)
         k = np.full((4, 20), 1e155)
-        with pytest.warns(NormalizerUnderflowWarning, match="^20 normalizer entries"):
-            out = enla_forward(q, k, v, EnlaConfig(rng=RngSpec(73), m=16))
-        assert np.array_equal(out, np.zeros_like(v))
+        with pytest.raises(NumericError, match="^every key's squared norm overflowed$"):
+            enla_forward(q, k, v, EnlaConfig(rng=RngSpec(73), m=16))
 
     def test_first_chunk_key_norms_overflow(self):
         # the key shift stays -inf through the first chunk, then turns
@@ -339,17 +345,17 @@ class TestChunkLoop:
         with pytest.raises(NumericError, match=f"column {bad}$"):
             enla_forward(q, k, v, EnlaConfig(rng=RngSpec(77), m=64))
 
+    @pytest.mark.filterwarnings("error")
     def test_query_projections_all_underflow(self):
         # every f_l . q_0 overflows to -inf: that column has no finite
-        # shift, its features are 0 and its normalizer is floored
+        # shift and no feature to weigh the keys with
         q, k, v = seeded_qkv(78, c=4, c_out=3, n=6)
         config = EnlaConfig(rng=RngSpec(79), m=1, k_amp=1.0)
         f = sample_projection(config.rng, 1, 4).f
         assert np.abs(f).sum() > 2.0
         q[:, 0] = -1e308 * np.sign(f[0])
-        with pytest.warns(NormalizerUnderflowWarning, match="^1 normalizer entries"):
-            out = enla_forward(q, k, v, config)
-        assert np.array_equal(out[:, 0], np.zeros(3)) and np.isfinite(out).all()
+        with pytest.raises(NumericError, match="^every projection of query column 0 is -inf$"):
+            enla_forward(q, k, v, config)
 
     def test_key_projections_all_underflow(self):
         # every f_l . k_0 overflows to -inf and |k_0|^2 / 2 to inf: key 0
@@ -364,16 +370,16 @@ class TestChunkLoop:
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_key_norms_far_above_projections(self):
-        # at norm 1e30, |k_j|^2 / 2 = 5e59 dwarfs F k_j, and |k_j|^2 / 2 + S
-        # cancels to about 0, which would leave exponents near 1e30 in a
-        # shifted key chunk. The forward must floor and report, not return
-        # NaN: a floored output is a convex mix of v scaled down
+        # at norm 1e30, |k_j|^2 / 2 = 5e59 dwarfs F k_j: the rounding of the
+        # exponents alone is about 1e44 nats, so no output can be accurate,
+        # but each must be a convex mix of its value row
         base = RngSpec(2)
         theta, delta, v = (gaussian_sample(base.stream(i), 4, 9) for i in (1, 2, 3))
         q, k = normalize_and_scale(theta, delta, 1e60)
         out, messages = forward_with_warnings(q, k, v, EnlaConfig(rng=base.stream(5), m=8))
-        assert messages == ["9 normalizer entries below float64's smallest normal were floored"]
-        assert (np.abs(out) <= np.abs(v).max(axis=1, keepdims=True)).all()
+        assert messages == []
+        assert np.isfinite(out).all()
+        assert ((v.min(axis=1, keepdims=True) <= out) & (out <= v.max(axis=1, keepdims=True))).all()
         assert np.isfinite(exact_attention(q, k, v).y).all()
 
 
@@ -395,7 +401,7 @@ def prefix_outputs(q, k, v, config, ms):
 class TestPrefixForwards:
     """Every sample count as a row prefix of one projection, against
     enla_forward at that count: the first prefix bit for bit, the later
-    ones to rounding, with the same floored normalizers."""
+    ones to rounding, with the same warnings (none)."""
 
     @pytest.mark.parametrize("ms, seed", [([1, 2, 3], 81), ([16, 32, 64, 128], 95)])
     def test_matches_forward_at_each_m(self, ms, seed):
@@ -416,12 +422,14 @@ class TestPrefixForwards:
         assert all(a < b for a, b in zip(prefix_shifts, prefix_shifts[1:]))
         self.check(q, k, v, EnlaConfig(rng=rng, m=ms[-1], k_amp=2.0), ms)
 
-    def test_floors_match_forward_at_each_m(self):
-        # the prefixes floor 0, 1, 3 and 1 of the 9 normalizers
+    def test_matches_forward_and_reference_at_k_amp_1e6(self):
+        # under one key shift for all rows these prefixes lost 0, 1, 3 and 1
+        # of the 9 normalizers; with a shift per row each is exact to rounding
         q, k, v, config = four_by_nine(1e6)
-        messages = self.check(q, k, v, config, [2, 3, 6, 8])
-        assert messages == [[f"{count} normalizer entries below float64's smallest normal were floored"]
-                            if count else [] for count in (0, 1, 3, 1)]
+        ms = [2, 3, 6, 8]
+        assert self.check(q, k, v, config, ms) == [[]] * 4
+        for m, (out, _) in zip(ms, prefix_outputs(q, k, v, config, ms)):
+            assert decimal_error(out, replace(config, m=m), q, k, v).max() <= 100
 
     @staticmethod
     def check(q, k, v, config, ms):
@@ -439,14 +447,12 @@ class TestPrefixForwards:
         return [messages for _, messages in outputs]
 
     def test_every_key_norm_overflows(self):
-        # the key shift stays -inf through both segments: no rescale may
-        # meet exp(-inf + inf), and both prefixes floor every normalizer
+        # the key shifts stay -inf through the first segment, which names
+        # the failure before any output
         q, _, v = seeded_qkv(72, c=4, c_out=3, n=20)
         k = np.full((4, 20), 1e155)
-        outputs = prefix_outputs(q, k, v, EnlaConfig(rng=RngSpec(73), m=16), [8, 16])
-        for out, messages in outputs:
-            assert np.array_equal(out, np.zeros_like(v))
-            assert len(messages) == 1 and messages[0].startswith("20 normalizer entries")
+        with pytest.raises(NumericError, match="^every key's squared norm overflowed$"):
+            prefix_outputs(q, k, v, EnlaConfig(rng=RngSpec(73), m=16), [8, 16])
 
     def test_first_chunk_key_norms_overflow(self):
         n = CHUNK + 5
@@ -460,9 +466,10 @@ class TestPrefixForwards:
             assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_query_shift_rising_from_minus_inf(self):
-        # f_0 . q_0 overflows to -inf while f_1 . q_0 is finite and
-        # hugely negative: column 0 is floored in the first prefix, and its
-        # zero accumulator must not meet 0 * exp(1e307) = NaN in the second
+        # f_0 . q_0 overflows to -inf while f_1 . q_0 is finite and hugely
+        # negative: the first prefix has no shift for column 0 and names it,
+        # so no later segment rescales from -inf; at m = 2 the column mixes
+        # the values by f_1 alone
         q, k, v = seeded_qkv(80, c=4, c_out=3, n=6)
         config = EnlaConfig(rng=RngSpec(60), m=2, k_amp=1.0)
         f = sample_projection(config.rng, 2, 4).f
@@ -470,13 +477,13 @@ class TestPrefixForwards:
         with np.errstate(over="ignore"):
             top = f @ q[:, 0]
         assert top[0] == -np.inf and -1.8e308 < top[1] < -1e307
-        (first, first_messages), (second, second_messages) = prefix_outputs(q, k, v, config, [1, 2])
-        assert first_messages == ["1 normalizer entries below float64's smallest normal were floored"]
-        assert np.array_equal(first[:, 0], np.zeros(3))
-        assert second_messages == []
-        expected = enla_forward(q, k, v, config)
-        assert np.isfinite(second).all()
-        assert np.abs(second - expected).max() <= 1e-13 * np.abs(expected).max()
+        with pytest.raises(NumericError, match="^every projection of query column 0 is -inf$"):
+            prefix_outputs(q, k, v, config, [1, 2])
+        out, messages = forward_with_warnings(q, k, v, config)
+        exponent = f[1] @ k - 0.5 * (k * k).sum(axis=0)
+        weights = np.exp(exponent - exponent.max())
+        assert messages == [] and np.isfinite(out).all()
+        assert np.abs(out[:, 0] - v @ weights / weights.sum()).max() <= 1e-13 * np.abs(v).max()
 
     @pytest.mark.parametrize("side", ["q", "k"])
     def test_projection_overflow_names_global_column(self, side):
@@ -488,11 +495,17 @@ class TestPrefixForwards:
 
 
 
+def key_shifts(f, k):
+    """Each projection row's key shift s_l = max_i (f_l . k_i - |k_i|^2 / 2)."""
+    return (f @ k - 0.5 * (k * k).sum(axis=0)).max(axis=1)
+
+
 class TestShiftBoundaries:
-    """Chunks whose column maxima of F u sit at either end of the range
-    [0, matrices._UNSHIFTED_MAX] in which a chunk skips its shift pass, and
-    extreme values, against the two-path reference: outputs to 1e-12 and
-    no normalizer floored."""
+    """Chunks whose maxima sit at either end of the range in which a chunk
+    skips its shift pass, with U = matrices._UNSHIFTED_MAX: a query chunk's
+    column maxima of F q + s in [0, U], a key chunk's row maxima of
+    F k - |k|^2 / 2 in [-U, U]; and extreme values. Against the two-path
+    reference: outputs to 1e-12 and no warning."""
 
     def check(self, out, messages, f, q, k, v):
         expected, _ = two_path_forward(f, q, k, v)
@@ -507,13 +520,15 @@ class TestShiftBoundaries:
     @pytest.mark.parametrize("orthogonal", [False, True])
     @pytest.mark.parametrize("side", ["q", "k"])
     def test_column_max_just_below_zero(self, side, orthogonal):
-        # m = c makes F invertible: u = F^-1 (-1e-6, ..., -1e-6) has every
-        # projection just below 0, in a chunk whose other columns are in range
+        # m = c makes F invertible: as a query, u = F^-1 (-1e-6 - s) has
+        # every exponent F u + s just below 0, in a chunk whose other columns
+        # are in range; as a key, u = F^-1 (-1e-6, ..., -1e-6)
         q, k, v = seeded_qkv(110, c=16, c_out=3, n=CHUNK + 5)
         config = EnlaConfig(rng=RngSpec(111), m=16, orthogonal=orthogonal)
         f = sample_projection(config.rng, 16, 16, orthogonal).f
-        u = np.linalg.solve(f, np.full(16, -1e-6))
-        assert -2e-6 < (f @ u).max() < 0
+        shift = key_shifts(f, k) if side == "q" else 0.0
+        u = np.linalg.solve(f, -1e-6 - shift * np.ones(16))
+        assert -2e-6 < (f @ u + shift).max() < 0
         (q if side == "q" else k)[:, 3] = u
         self.check_forward(q, k, v, config)
 
@@ -533,17 +548,46 @@ class TestShiftBoundaries:
     @pytest.mark.parametrize("side", ["q", "k"])
     def test_column_max_at_upper_bound(self, side, offset):
         # a column along the longest projection row, scaled so that its
-        # largest projection sits just below or just above the bound; at
-        # c = 256 its real exponent is still about 145, inside float range
+        # largest exponent, F u + s as a query, F u as a key, sits just below
+        # or just above the bound; at c = 256 its real exponent is still
+        # about 145, inside float range
         q, k, v = seeded_qkv(112, c=256, c_out=3, n=CHUNK + 5)
         config = EnlaConfig(rng=RngSpec(113), m=16)
         f = sample_projection(config.rng, 16, 256).f
+        shift = key_shifts(f, k) if side == "q" else np.zeros(16)
         norms = np.linalg.norm(f, axis=1)
         row = int(np.argmax(norms))
-        u = f[row] * (_UNSHIFTED_MAX * (1 + offset) / norms[row] ** 2)
-        assert ((f @ u).max() > _UNSHIFTED_MAX) == (offset > 0)
+        u = f[row] * ((_UNSHIFTED_MAX * (1 + offset) - shift[row]) / norms[row] ** 2)
+        assert ((f @ u + shift).max() > _UNSHIFTED_MAX) == (offset > 0)
         (q if side == "q" else k)[:, 3] = u
         self.check_forward(q, k, v, config)
+
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    @pytest.mark.parametrize("edge", [-1.0, 1.0])
+    def test_key_row_max_at_bound(self, monkeypatch, edge, offset):
+        # m = 1 and c = 1024, so that |f|^2 / 2 passes U: every key is
+        # t f / |f| with t |f| - t^2 / 2 just inside or outside -U or U. The
+        # one key chunk runs raw exactly inside, and identical keys mix the
+        # values uniformly on either path
+        raw_flags = []
+        exp_features = enla._exp_features
+
+        def recorded(block, top, raw):
+            raw_flags.append(raw)
+            return exp_features(block, top, raw)
+        monkeypatch.setattr(enla, "_exp_features", recorded)
+        q, _, v = seeded_qkv(126, c=1024, c_out=3, n=40)
+        config = EnlaConfig(rng=RngSpec(127), m=1)
+        f = sample_projection(config.rng, 1, 1024).f
+        norm = float(np.linalg.norm(f))
+        target = edge * _UNSHIFTED_MAX * (1 + offset)
+        t = norm - np.sqrt(norm ** 2 - 2 * target)
+        k = np.repeat(f.T * (t / norm), 40, axis=1)
+        exponent = float((f @ k - 0.5 * (k * k).sum(axis=0)).max())
+        assert (abs(exponent) > _UNSHIFTED_MAX) == (offset > 0)
+        out, messages = forward_with_warnings(q, k, v, config)
+        assert raw_flags[0] == (offset < 0) and messages == []
+        assert np.abs(out - v.mean(axis=1, keepdims=True)).max() <= 1e-12 * np.abs(v).max()
 
     @pytest.mark.parametrize("side", ["q", "k"])
     def test_column_leaves_range_in_later_segment(self, side):
@@ -696,12 +740,10 @@ class TestInPlaceSafety:
         assert [u.tobytes(), projection.f.tobytes()] == before
 
     def test_forward_leaves_inputs_untouched(self):
-        # an input with a floored normalizer also exercises the in-place
-        # normalizer floor
+        # at k_amp 1e6 the chunks are shifted in place too
         q, k, v, config = four_by_nine(1e6)
         before = self.snapshot(q, k, v)
-        with pytest.warns(NormalizerUnderflowWarning):
-            enla_forward(q, k, v, config)
+        enla_forward(q, k, v, config)
         assert [q.tobytes(), k.tobytes(), v.tobytes()] == before
 
     def test_block_leaves_inputs_untouched(self):
