@@ -148,10 +148,8 @@ def approximation_error_sweep(
     errors = np.empty((len(ms), trials))
     for t in range(trials):
         config = EnlaConfig(rng=rng.stream(16 + t), m=ms[-1])
-        trial = []
-        _prefix_forwards(q, k, v, config, ms, lambda approx: trial.append(
-            float(np.linalg.norm(approx - reference)) / ref_norm))
-        errors[:, t] = trial
+        errors[:, t] = [float(np.linalg.norm(approx - reference)) / ref_norm
+                        for approx in _prefix_forwards(q, k, v, config, ms)]
     points = [(float(m), float(np.median(row))) for m, row in zip(ms, errors)]
     return SweepTable(axis="m", metric_kind="rel_error", columns=("x", "value"), points=tuple(points))
 

@@ -6,10 +6,11 @@ estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
 exists and one GEMM yields both the numerator rows and the normalizer
 row. Both phi(K) and phi(Q) are streamed in column chunks through one
 reused m x CHUNK feature buffer, so the forward's extra memory is that
-buffer, the (c_out + 1) x N output, one shift per query column and one
-per projection row; the stabilizer shifts go where they are cheap (see
-enla_forward). The same loop evaluates several sample counts as row
-prefixes of one projection, for the approximation-error sweep. The multiply-add count is
+buffer, the (c_out + 1) x N output and one shift per projection row; the
+stabilizer shifts go where they are cheap (see enla_forward). The same
+loop evaluates several sample counts as row prefixes of one projection,
+for the approximation-error sweep: chunks outermost, each chunk staged
+once and taken through every row segment. The multiply-add count is
 2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
 keeps the published convention, which excludes the normalizer.
 
@@ -112,40 +113,35 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     Keys whose |k|^2 all overflow, and a query column whose every exponent
     is -inf, raise NumericError, as a projection of +inf does.
     """
-    outputs = []
-    _prefix_forwards(q, k, v, config, [config.m], outputs.append)
-    return outputs[0]
+    return _prefix_forwards(q, k, v, config, [config.m])[0]
 
 
-def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
-    """Call emit with enla_forward's output for each sample count in the
-    ascending list ms, in order, all from one projection of ms[-1] rows
-    drawn from config.rng: the output for m uses its first m rows. An iid
-    draw fills rows in order, so each output is the forward of config with
-    that m, up to rounding; the first is bit-identical to it.
+def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
+    """enla_forward's output for each sample count in the ascending list
+    ms, in order, all from one projection of ms[-1] rows drawn from
+    config.rng: the output for m uses its first m rows. An iid draw fills
+    rows in order, so each output is the forward of config with that m, up
+    to rounding; the first is bit-identical to it.
 
-    The rows are processed in segments [m_{i-1}, m_i), each through the
-    key pass and then the query pass of enla_forward. A row's key shift
-    depends on no other row, so segments never rescale one another's kv
-    rows. Output i accumulates in one (c_out + 1) x N block. A query chunk
-    keeps the raw exp of enla_forward for as long as every segment finds
-    its columns in range. Once a segment finds a column out of range, the
-    chunk is shifted in that segment and every later one, and what the
-    earlier segments made is rescaled by exp(old - new) per column, the old
-    shift being 0 for a chunk that was unshifted. Every segment tests its
-    chunks against enla_forward's B at m = ms[-1]. Output i is divided
-    chunk by chunk as in enla_forward(m_i): the first segment writes the
-    block, each later one rescales it and adds its own product, and the
-    last output is divided in place.
-
-    A callback and not a generator: a generator's frame is allocated per
-    call, and repeated 40 000-column forwards through one then read a
-    process peak two output blocks (9.8 MB) higher.
+    Both passes loop over chunks outermost and over the row segments
+    [m_{i-1}, m_i) inside, so each chunk of k, |k|^2 / 2, V and q is staged
+    once. A row's key shift depends on no other row, so a key chunk reduces
+    each segment into that segment's rows of kv with its own GEMM. A query
+    chunk carries its running column max, whether it is shifted, and the
+    previous segment's undivided sums through its segment loop: output i
+    holds those sums plus segment i's product. The chunk keeps the raw exp
+    of enla_forward while every segment finds its columns in range; once
+    one does not, that segment and every later one is shifted, and the sums
+    so far are rescaled by exp(old - new) per column, the old shift being 0
+    for a chunk that was unshifted. Every segment tests its chunks against
+    enla_forward's B at m = ms[-1]. Once the chunk has passed every
+    segment, each output divides its columns as enla_forward(m_i) does.
     """
     q, k, v = _validated_qkv(q, k, v)
     c, n = q.shape
     c_out = v.shape[0]
-    # [F | -1]; after a segment's key pass its rows hold [F | s]
+    spans = list(zip([0, *ms[:-1]], ms))
+    # [F | -1]; after the key pass its rows hold [F | s]
     lifted = np.empty((ms[-1], c + 1))
     lifted[:, :c] = sample_projection(config.rng, ms[-1], c, config.orthogonal).f
     lifted[:, c] = -1.0
@@ -157,76 +153,67 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms, emit) -> None:
     raw = np.empty(ms[-1] * width + 7)
     first = (-raw.ctypes.data % 64) // 8
     features = raw[first:first + ms[-1] * width].reshape(ms[-1], width)
-    # a GEMM's lifted operand [k_b; |k_b|^2 / 2] or [q_b; 1], then a key
-    # chunk's staged [2^-e V_b; 1]: the last row makes the last column of kv
+    # a chunk's GEMM operand [k_b; |k_b|^2 / 2] or [q_b; 1], and a key
+    # chunk's staged [2^-e V_b; 1]: its last row makes the last column of kv
     # the key sum
-    operand = np.empty((max(c, c_out) + 1, width))
+    operand = np.empty((c + 1, width))
+    staged = np.empty((c_out + 1, width))
+    staged[-1] = 1.0
     kv = np.zeros((ms[-1], c_out + 1))
     key_shift = np.full(ms[-1], -math.inf)
-    # each query column's running max of F q + s over the rows so far, and
-    # whether its chunk carries that max as a shift; later segments rescale
-    query_shift = np.full(n, -math.inf)
-    shifted = [False] * -(-n // CHUNK)
-    acc = np.empty((c_out + 1, n))
+    outputs = [np.empty((c_out + 1, n)) for _ in ms]
 
-    low = 0
-    for high in ms:
-        rows, shift = lifted[low:high], key_shift[low:high]
-        last = high == ms[-1]
-        out = acc if last else np.empty_like(acc)
-        with np.errstate(over="ignore", invalid="ignore"):  # one per segment: the helpers take none
-            for start in range(0, n, CHUNK):
-                stop = min(n, start + CHUNK)
+    with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
+        for start in range(0, n, CHUNK):
+            stop = min(n, start + CHUNK)
+            lift, stage = operand[:, :stop - start], staged[:, :stop - start]
+            lift[:c] = k[:, start:stop]
+            lift[c] = _half_sq_norms(lift[:c])
+            np.ldexp(v[:, start:stop], -e, out=stage[:-1])
+            for low, high in spans:
                 block = features[:high - low, :stop - start]
-                lift = operand[:c + 1, :stop - start]
-                lift[:c] = k[:, start:stop]
-                lift[c] = _half_sq_norms(lift[:c])
-                top = _projected(rows, lift, start, block, axis=1)
+                top = _projected(lifted[low:high], lift, start, block, axis=1)
                 # a key of finite |k|^2 is finite on every row: a chunk's row
                 # maxima are all finite, or all -inf and its features all 0
                 if top[0] == -math.inf:
                     continue
                 lead = _exp_features(block, top[:, None], -bound <= top.min() and top.max() <= bound)
-                stage = operand[:c_out + 1, :stop - start]
-                np.ldexp(v[:, start:stop], -e, out=stage[:-1])
-                stage[-1] = 1.0
+                shift = key_shift[low:high]
                 raised = np.maximum(shift, top)
                 kv[low:high] *= np.exp(shift - raised)[:, None]
                 kv[low:high] += (block @ stage.T) * np.exp(lead - raised[:, None])
                 shift[:] = raised
-            if shift[0] == -math.inf:
-                raise NumericError("every key's squared norm overflowed")
-            rows[:, c] = shift
+        if key_shift[0] == -math.inf:
+            raise NumericError("every key's squared norm overflowed")
+        lifted[:, c] = key_shift
 
-            operand[c] = 1.0
-            for chunk, start in enumerate(range(0, n, CHUNK)):
-                stop = min(n, start + CHUNK)
+        operand[c] = 1.0
+        for start in range(0, n, CHUNK):
+            stop = min(n, start + CHUNK)
+            lift = operand[:, :stop - start]
+            lift[:c] = q[:, start:stop]
+            # the chunk's running column max of F q + s, whether it carries
+            # that max as a shift, and the previous segment's undivided sums
+            seen, shifted, sums = -math.inf, False, None
+            for (low, high), out in zip(spans, outputs):
                 block = features[:high - low, :stop - start]
-                lift = operand[:c + 1, :stop - start]
-                lift[:c] = q[:, start:stop]
-                seen = query_shift[start:stop]
-                top = np.maximum(seen, _projected(rows, lift, start, block))
+                top = np.maximum(seen, _projected(lifted[low:high], lift, start, block))
                 if top.min() == -math.inf:
                     col = start + int(np.argmin(top))
                     raise NumericError(f"every projection of query column {col} is -inf")
-                was_shifted = shifted[chunk]
-                shifted[chunk] = was_shifted or not (top.max() <= bound and top.min() >= 0.0)
-                _exp_features(block, top, not shifted[chunk])
-                cols = acc[:, start:stop]
-                if low == 0:
-                    np.matmul(kv[:high].T, block, out=cols)
-                else:
-                    if shifted[chunk]:
-                        cols *= np.exp((seen if was_shifted else 0.0) - top)
-                    cols += kv[low:high].T @ block
-                seen[:] = top
-                if not last:
-                    out[:, start:stop] = cols
-                    cols = out[:, start:stop]
-                cols[:-1] /= cols[-1]
-                np.ldexp(cols[:-1], e, out=cols[:-1])
-        emit(out[:-1])
-        low = high
+                was_shifted = shifted
+                shifted = shifted or not (top.max() <= bound and top.min() >= 0.0)
+                _exp_features(block, top, not shifted)
+                cols = out[:, start:stop]
+                np.matmul(kv[low:high].T, block, out=cols)
+                if sums is not None:
+                    cols += sums * np.exp((seen if was_shifted else 0.0) - top) if shifted else sums
+                seen, sums = top, cols
+            for out in outputs:
+                cols = out[:-1, start:stop]
+                cols /= out[-1, start:stop]
+                np.ldexp(cols, e, out=cols)
+    return [out[:-1] for out in outputs]
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,10 @@ def decimal_forward(f, q, k, v, digits=60):
     q, k (c x N) and v (c_out x N), evaluated in `digits`-digit decimal
     arithmetic from the exact values of the float64 inputs. Each weight
     sum_l exp(a_lj + b_li), a = F q - |q|^2 / 2 and b = F k - |k|^2 / 2, is
-    taken in log space: a is shifted by each query's max and b by its
-    overall max, which cancel in the ratio. So the largest terms are 1 and
-    no term overflows; a term underflows only below 10^(-10^18)."""
+    taken in log space, as the forward takes it: each row l of b is shifted
+    by its own max t_l, and a_lj + t_l by each query's max over l, which
+    cancel in the ratio. So the largest terms are 1, no term overflows, and
+    every query's total holds a term 1 times a key sum of at least 1."""
     with decimal.localcontext() as ctx:
         ctx.prec = digits
         ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
@@ -77,11 +78,12 @@ def decimal_forward(f, q, k, v, digits=60):
             return out
 
         b = exponents(k)
-        b_top = max(max(row) for row in b)
-        key_terms = [[(x - b_top).exp() for x in row] for row in b]
+        b_tops = [max(row) for row in b]
+        key_terms = [[(x - top).exp() for x in row] for row, top in zip(b, b_tops)]
         values = [[decimal.Decimal(x) for x in col] for col in columns(v)]
         outputs = []
         for a in zip(*exponents(q)):
+            a = [x + top for x, top in zip(a, b_tops)]
             a_top = max(a)
             query_terms = [(x - a_top).exp() for x in a]
             weights = [sum(t * row[i] for t, row in zip(query_terms, key_terms))
