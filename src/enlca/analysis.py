@@ -143,7 +143,7 @@ def approximation_error_sweep(
     delta = gaussian_sample(rng.stream(2), c, n)
     v = gaussian_sample(rng.stream(3), c_out, n)
     q, k = normalize_and_scale(theta, delta, k_amp)
-    reference = exact_attention(q, k, v).y
+    reference = exact_attention(q, k, v)
     ref_norm = float(np.linalg.norm(reference))
     errors = np.empty((len(ms), trials))
     for t in range(trials):

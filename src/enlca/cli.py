@@ -41,7 +41,7 @@ from .analysis import (
 )
 from .contrastive import ContrastiveConfig, contrastive_loss, reconstruction_loss, relevance_scores, total_loss
 from .enla import EnlaConfig, block_inputs, enla_forward, enlca_block, random_block_params
-from .exact import correlation_map, exact_attention, shannon_entropy
+from .exact import attention_weights, correlation_map, exact_attention, shannon_entropy
 from .features import kernel_variance_empirical, phi, sample_projection
 from .matrices import (
     FormatError,
@@ -149,10 +149,10 @@ def _resolve_inputs(args, names, **settings):
 
 def _cmd_exact(args) -> int:
     (q, k, v), _ = _resolve_inputs(args, "qkv")
-    result = exact_attention(q, k, v, keep_weights=args.weights_out is not None)
-    if args.weights_out is not None:
-        write_matrix_csv(result.weights, args.weights_out)
-    _emit_matrix(result.y, args.out)
+    y = exact_attention(q, k, v)
+    if args.weights_out is not None:  # a second oracle pass, the one that holds N x N
+        write_matrix_csv(attention_weights(q, k), args.weights_out)
+    _emit_matrix(y, args.out)
     return 0
 
 

@@ -5,12 +5,13 @@ with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that enla is checked against, so it imports nothing
 from enla.
 
-Evaluation runs over blocks of query positions in one reused rows x N
-buffer, so the N x N weight matrix is never materialized unless
-explicitly requested. A block takes three passes: the logit GEMM, exp in
-place and one GEMM with the staged [2^-e v; 1] rows, whose last row is
-each query's normalizer. The weights stay unnormalized; the c_out x N
-output is divided by that row once, at the end.
+One block loop, _weight_rows, serves the outputs, weights, maps and
+entropies: it runs over blocks of a range of query columns in one reused
+rows x N buffer, so the N x N matrix exists only in attention_weights.
+A block takes three passes: the logit GEMM, exp in place and one GEMM
+with the staged rows, whose last row, all ones, gives each query's
+normalizer. The output stages [2^-e v; 1] and is divided by that row
+once, at the end; the others stage the ones alone.
 
 The forward's float-range rule (matrices._headroom) holds here too: each
 value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1), and its
@@ -18,11 +19,12 @@ output row is scaled back by 2^e_r after the divide, so the headroom of N
 weights, min(U, log(MAX / 2) - log(N)), and the shift are fixed before the
 logit GEMM: the logits are formed against k - k_0, which moves each row by
 the constant q_i . k_0, so each row's key-0 weight is exactly exp(0) = 1.
-When max|q_i| max|k_j - k_0| is within the headroom, every weight lies in
-[e^-U, e^U] and no sum of N weighted values can overflow. Any other input
-(a product that is not finite or above that bound) takes the row max of
-_softmax_rows, which names a query column whose logits overflowed, and
-every weight is at most 1. Either way the staged row of ones normalizes.
+When max|q_i| max|k_j - k_0|, over the range's queries, is within the
+headroom, every weight lies in [e^-U, e^U] and no sum of N weighted
+values can overflow. Any other input (a product that is not finite or
+above that bound) takes the row max of _softmax_rows, which names a
+query column whose logits overflowed, and every weight is at most 1.
+Either way the staged row of ones normalizes.
 
 A small-channel oracle (c + c_out <= 16, such as the approximation
 sweep's c = c_out = 8) takes blocks as tall as fit in 512 KiB, so that
@@ -33,9 +35,6 @@ more of the cost, and shorter blocks measured slower.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -49,21 +48,12 @@ _MIN_ROWS = 16
 _MAX_SHRINK_CHANNELS = 16  # largest c + c_out whose blocks shrink
 
 __all__ = [
-    "AttentionOutput",
     "attention_row_entropies",
+    "attention_weights",
     "correlation_map",
     "exact_attention",
     "shannon_entropy",
 ]
-
-
-@dataclass(frozen=True)
-class AttentionOutput:
-    """Result of exact attention: y is c_out x N; weights (N x N, row i =
-    weights of query i) is populated only when keep_weights was set."""
-
-    y: np.ndarray
-    weights: Optional[np.ndarray] = None
 
 
 def _validated_qk(q, k):
@@ -122,18 +112,19 @@ def _logit_keys(q, k):
     return k, False
 
 
-def _weight_rows(q, k, staged):
-    """Yield (start, stop, w, s) for each block of _block_rows queries: w
-    holds the weight rows of queries start..stop-1 against all keys,
-    unnormalized, and s = staged @ w.T, so that with staged's last row all
-    ones s[-1] holds their normalizers. Every w is a view of one reused
-    buffer, valid until the next step."""
-    keys, unshifted = _logit_keys(q, k)
-    n = q.shape[1]
+def _weight_rows(q, k, staged, first=0, last=None):
+    """Yield (start, stop, w, s) for each block of _block_rows queries among
+    the columns first..last-1 of q (all by default): w holds the weight
+    rows of queries start..stop-1 against all keys, unnormalized, and
+    s = staged @ w.T, so that with staged's last row all ones s[-1] holds
+    their normalizers. Every w is a view of one reused buffer, valid until
+    the next step."""
+    last = q.shape[1] if last is None else last
+    keys, unshifted = _logit_keys(q[:, first:last], k)
     rows = _block_rows(k.shape[1], q.shape[0], staged.shape[0] - 1)
-    buffer = np.empty((min(n, rows), k.shape[1]))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
+    buffer = np.empty((min(last - first, rows), k.shape[1]))
+    for start in range(first, last, rows):
+        stop = min(start + rows, last)
         w = buffer[:stop - start]
         with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
             np.matmul(q[:, start:stop].T, keys, out=w)
@@ -144,12 +135,11 @@ def _weight_rows(q, k, staged):
         yield start, stop, w, staged @ w.T
 
 
-def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
-    """Full-precision attention output for q, k (c x N) and v (c_out x N).
+def exact_attention(q, k, v) -> np.ndarray:
+    """Full-precision c_out x N attention output for q, k (c x N) and v (c_out x N).
 
     Transient memory is one block of at most MAX_ROWS x N, the c x N
-    key-relative copy and the (c_out + 1) x N staged values; weights are
-    stored only when keep_weights is True, which costs O(N^2) memory.
+    key-relative copy and the (c_out + 1) x N staged values.
     """
     q, k, v = _validated_qkv(q, k, v)
     c_out, n = v.shape
@@ -158,27 +148,32 @@ def exact_attention(q, k, v, keep_weights: bool = False) -> AttentionOutput:
     np.ldexp(v, -e, out=staged[:-1])
     staged[-1] = 1.0
     out = np.empty_like(staged)
-    weights = np.empty((n, n), dtype=np.float64) if keep_weights else None
-    for start, stop, w, s in _weight_rows(q, k, staged):
+    for start, stop, _, s in _weight_rows(q, k, staged):
         out[:, start:stop] = s
-        if keep_weights:
-            np.divide(w, s[-1, :, None], out=weights[start:stop])
     out[:-1] /= out[-1]
     np.ldexp(out[:-1], e, out=out[:-1])
-    return AttentionOutput(y=out[:-1], weights=weights)
+    return out[:-1]
+
+
+def attention_weights(q, k) -> np.ndarray:
+    """The N_q x N_k exact attention weights of q (c x N_q) against k
+    (c x N_k), row i those of query i; the one O(N^2) array of the oracle."""
+    q, k = _validated_qk(q, k)
+    weights = np.empty((q.shape[1], k.shape[1]))
+    for start, stop, w, s in _weight_rows(q, k, np.ones((1, k.shape[1]))):
+        np.divide(w, s.T, out=weights[start:stop])
+    return weights
 
 
 def correlation_map(q, k, query_index: int) -> np.ndarray:
     """Softmax-normalized relevance of one query position against all
-    positions: length-N vector. Reshaping to an h x w image is the
-    caller's concern."""
+    positions: length-N vector, row query_index of attention_weights.
+    Reshaping to an h x w image is the caller's concern."""
     q, k = _validated_qk(q, k)
     if not 0 <= query_index < q.shape[1]:
         raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
-    with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
-        logits = k.T @ q[:, query_index]
-    weights = _softmax_rows(logits[None, :], query_index)[0]
-    return weights / weights.sum()
+    _, _, w, s = next(_weight_rows(q, k, np.ones((1, k.shape[1])), query_index, query_index + 1))
+    return w[0] / s[0, 0]
 
 
 def shannon_entropy(p) -> float:

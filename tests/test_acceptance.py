@@ -24,7 +24,7 @@ from enlca.analysis import (
 from enlca.cli import main as cli_main
 from enlca.contrastive import ContrastiveConfig, contrastive_loss, relevance_scores
 from enlca.enla import EnlaConfig, enla_forward, normalize_and_scale
-from enlca.exact import attention_row_entropies, exact_attention
+from enlca.exact import attention_row_entropies, attention_weights, exact_attention
 from enlca.features import kernel_estimates, kernel_exact, kernel_variance_empirical
 from enlca.matrices import (
     RngSpec,
@@ -212,17 +212,17 @@ def test_criterion_9_property_suites(tmp_path):
         q, k = normalize_and_scale(theta, delta, 1.0)
         v = gaussian_sample(base.stream(3), 5, 20)
 
-        weights = exact_attention(q, k, v, keep_weights=True).weights
+        weights = attention_weights(q, k)
         if not (np.abs(weights.sum(axis=1) - 1.0).max() < 1e-9
                 and (weights >= 0).all() and (weights <= 1).all()):
             failures.append((seed, "row stochasticity"))
 
         perm = base.stream(4).generator().permutation(20)
-        if np.abs(exact_attention(q[:, perm], k, v).y
-                  - exact_attention(q, k, v).y[:, perm]).max() >= 1e-12:
+        if np.abs(exact_attention(q[:, perm], k, v)
+                  - exact_attention(q, k, v)[:, perm]).max() >= 1e-12:
             failures.append((seed, "query permutation equivariance"))
-        if np.abs(exact_attention(q, k[:, perm], v[:, perm]).y
-                  - exact_attention(q, k, v).y).max() >= 1e-12:
+        if np.abs(exact_attention(q, k[:, perm], v[:, perm])
+                  - exact_attention(q, k, v)).max() >= 1e-12:
             failures.append((seed, "key/value permutation invariance"))
 
         config = EnlaConfig(rng=base.stream(5), m=32, k_amp=1.0)

