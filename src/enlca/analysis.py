@@ -137,8 +137,10 @@ def approximation_error_sweep(
         raise ValueError(f"the exact oracle is only run up to n=4096, got {n}")
     if not m_list:
         raise ValueError("m_list must be non-empty")
+    check_settings(n=n, c=c, c_out=c_out, trials=trials)
+    for m in m_list:
+        check_settings(m=m)
     ms = sorted(set(int(m) for m in m_list))
-    check_settings(n=n, c=c, c_out=c_out, m=ms[0], trials=trials)
     theta = gaussian_sample(rng.stream(1), c, n)
     delta = gaussian_sample(rng.stream(2), c, n)
     v = gaussian_sample(rng.stream(3), c_out, n)
@@ -212,10 +214,12 @@ def runtime_scaling(
     """
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3 for a stable minimum, got {repeats}")
+    for n in n_list:
+        check_settings(n=n)
     sizes = [int(n) for n in n_list]
     if sorted(sizes) != sizes:
         raise ValueError(f"n_list must be ascending, got {sizes}")
-    check_settings(n=min(sizes, default=None), c=c, c_out=c_out)
+    check_settings(c=c, c_out=c_out)
     cases = []
     for i, n in enumerate(sizes):
         theta = gaussian_sample(rng.stream(3 * i + 1), c, n)

@@ -150,7 +150,7 @@ def _resolve_inputs(args, names, **settings):
 def _cmd_exact(args) -> int:
     (q, k, v), _ = _resolve_inputs(args, "qkv")
     y = exact_attention(q, k, v)
-    if args.weights_out is not None:  # a second oracle pass, the one that holds N x N
+    if args.weights_out is not None:  # a second oracle pass, the one that holds N_q x N_k
         write_matrix_csv(attention_weights(q, k), args.weights_out)
     _emit_matrix(y, args.out)
     return 0
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_derivation_flags(p)
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
-    p.add_argument("--weights-out", dest="weights_out", help="also write the N x N weight matrix")
+    p.add_argument("--weights-out", dest="weights_out", help="also write the N_q x N_k weight matrix")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("enla", help="randomized linear-complexity attention")

@@ -25,11 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import _validated_qkv
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
 from .features import _exp_features, _half_sq_norms, _projected, phi, sample_projection  # noqa: F401
 from .matrices import (
-    NumericError, RngSpec, ShapeError, _headroom, _matrix_pair, _unit_exponent, _validated_qkv, as_matrix,
-    check_settings, normalize_columns,
+    NumericError, RngSpec, ShapeError, _headroom, _matrix_pair, _unit_exponent, as_matrix, check_settings,
+    normalize_columns,
 )
 
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
@@ -138,6 +139,8 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
     segment, each output divides its columns as enla_forward(m_i) does.
     """
     q, k, v = _validated_qkv(q, k, v)
+    if q.shape != k.shape:  # the oracle's contract, with one query per key
+        raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
     c, n = q.shape
     c_out = v.shape[0]
     spans = list(zip([0, *ms[:-1]], ms))

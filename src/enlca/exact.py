@@ -5,26 +5,29 @@ with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that enla is checked against, so it imports nothing
 from enla.
 
-One block loop, _weight_rows, serves the outputs, weights, maps and
-entropies: it runs over blocks of a range of query columns in one reused
-rows x N buffer, so the N x N matrix exists only in attention_weights.
-A block takes three passes: the logit GEMM, exp in place and one GEMM
-with the staged rows, whose last row, all ones, gives each query's
-normalizer. The output stages [2^-e v; 1] and is divided by that row
-once, at the end; the others stage the ones alone.
+Every entry point takes one contract, _validated_qkv: q is c x N_q and k
+c x N_k with equal channel counts, v is c_out x N_k, so any sample of
+query columns is scored against all keys. One block loop, _weight_rows,
+serves outputs, weights, maps and entropies: it runs over the q it is
+given in blocks of rows, in one reused rows x N_k buffer, so the
+N_q x N_k matrix exists only in attention_weights. A block takes three
+passes: the logit GEMM, exp in place and one GEMM with the staged rows,
+whose last row, all ones, gives each query's normalizer. The output
+stages [2^-e v; 1] and is divided by that row once, at the end; the
+others stage the ones alone.
 
 The forward's float-range rule (matrices._headroom) holds here too: each
 value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1), and its
-output row is scaled back by 2^e_r after the divide, so the headroom of N
-weights, min(U, log(MAX / 2) - log(N)), and the shift are fixed before the
-logit GEMM: the logits are formed against k - k_0, which moves each row by
-the constant q_i . k_0, so each row's key-0 weight is exactly exp(0) = 1.
-When max|q_i| max|k_j - k_0|, over the range's queries, is within the
-headroom, every weight lies in [e^-U, e^U] and no sum of N weighted
-values can overflow. Any other input (a product that is not finite or
-above that bound) takes the row max of _softmax_rows, which names a
-query column whose logits overflowed, and every weight is at most 1.
-Either way the staged row of ones normalizes.
+output row is scaled back by 2^e_r after the divide, so the headroom of
+N_k weights, min(U, log(MAX / 2) - log(N_k)), and the shift are fixed
+before the logit GEMM: the logits are formed against k - k_0, which
+moves each row by the constant q_i . k_0, so each row's key-0 weight is
+exactly exp(0) = 1. When max|q_i| max|k_j - k_0|, over the given
+queries, is within the headroom, every weight lies in [e^-U, e^U] and no
+sum of N_k weighted values can overflow. Any other input (a product that
+is not finite or above that bound) takes the row max of _softmax_rows,
+which names a query column whose logits overflowed, and every weight is
+at most 1. Either way the staged row of ones normalizes.
 
 A small-channel oracle (c + c_out <= 16, such as the approximation
 sweep's c = c_out = 8) takes blocks as tall as fit in 512 KiB, so that
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import NumericError, ShapeError, _headroom, _unit_exponent, _validated_qkv, as_matrix
+from .matrices import NumericError, ShapeError, _headroom, _unit_exponent, as_matrix
 
 # Block height, the rows of the rows x N weight transient (see the module
 # docstring); the values come from a grid of heights timed over N and c.
@@ -56,13 +59,19 @@ __all__ = [
 ]
 
 
-def _validated_qk(q, k):
-    """q and k with equal channel counts; their position counts may differ."""
+def _validated_qkv(q, k, v=None):
+    """q and k with equal channel counts, their column counts free, and v,
+    if given, with a column per key: (q, k) or (q, k, v)."""
     q = as_matrix(q, "q")
     k = as_matrix(k, "k")
     if q.shape[0] != k.shape[0]:
         raise ShapeError(f"q and k need equal channel counts, got {q.shape} vs {k.shape}")
-    return q, k
+    if v is None:
+        return q, k
+    v = as_matrix(v, "v")
+    if v.shape[1] != k.shape[1]:
+        raise ShapeError(f"v has {v.shape[1]} positions, k has {k.shape[1]}")
+    return q, k, v
 
 
 def _softmax_rows(logits: np.ndarray, first_column: int) -> np.ndarray:
@@ -103,7 +112,7 @@ def _block_rows(n: int, c: int, c_out: int) -> int:
 def _logit_keys(q, k):
     """The keys of the logit GEMM and whether its logits go to exp with no
     row max: k - k_0 when max|q_i| max|k_j - k_0| is within the headroom
-    of a sum of N weights (see the module docstring); else k itself."""
+    of a sum of N_k weights (see the module docstring); else k itself."""
     with np.errstate(over="ignore", invalid="ignore"):  # a huge q or k: an inf or NaN reach, so row max
         relative = k - k[:, :1]
         reach = np.sqrt((q * q).sum(axis=0).max() * (relative * relative).sum(axis=0).max())
@@ -112,34 +121,35 @@ def _logit_keys(q, k):
     return k, False
 
 
-def _weight_rows(q, k, staged, first=0, last=None):
-    """Yield (start, stop, w, s) for each block of _block_rows queries among
-    the columns first..last-1 of q (all by default): w holds the weight
-    rows of queries start..stop-1 against all keys, unnormalized, and
-    s = staged @ w.T, so that with staged's last row all ones s[-1] holds
-    their normalizers. Every w is a view of one reused buffer, valid until
-    the next step."""
-    last = q.shape[1] if last is None else last
-    keys, unshifted = _logit_keys(q[:, first:last], k)
+def _weight_rows(q, k, staged, first=0):
+    """Yield (start, stop, w, s) for each block of _block_rows columns of q:
+    w holds the weight rows of q's columns start..stop-1 against all keys,
+    unnormalized, and s = staged @ w.T, so that with staged's last row all
+    ones s[-1] holds their normalizers. Every w is a view of one reused
+    buffer, valid until the next step. `first` is the caller's number for
+    q's column 0, which only the error naming an overflowing column reads."""
+    keys, unshifted = _logit_keys(q, k)
+    n_q = q.shape[1]
     rows = _block_rows(k.shape[1], q.shape[0], staged.shape[0] - 1)
-    buffer = np.empty((min(last - first, rows), k.shape[1]))
-    for start in range(first, last, rows):
-        stop = min(start + rows, last)
+    buffer = np.empty((min(n_q, rows), k.shape[1]))
+    for start in range(0, n_q, rows):
+        stop = min(start + rows, n_q)
         w = buffer[:stop - start]
         with np.errstate(over="ignore", invalid="ignore"):  # _softmax_rows names the column
             np.matmul(q[:, start:stop].T, keys, out=w)
         if unshifted:
             np.exp(w, out=w)
         else:
-            _softmax_rows(w, start)
+            _softmax_rows(w, first + start)
         yield start, stop, w, staged @ w.T
 
 
 def exact_attention(q, k, v) -> np.ndarray:
-    """Full-precision c_out x N attention output for q, k (c x N) and v (c_out x N).
+    """Full-precision c_out x N_q attention output for q (c x N_q), k
+    (c x N_k) and v (c_out x N_k): column i is query i's, over all keys.
 
-    Transient memory is one block of at most MAX_ROWS x N, the c x N
-    key-relative copy and the (c_out + 1) x N staged values.
+    Transient memory is one block of at most MAX_ROWS x N_k, the c x N_k
+    key-relative copy and the (c_out + 1) x N_k staged values.
     """
     q, k, v = _validated_qkv(q, k, v)
     c_out, n = v.shape
@@ -147,7 +157,7 @@ def exact_attention(q, k, v) -> np.ndarray:
     staged = np.empty((c_out + 1, n))
     np.ldexp(v, -e, out=staged[:-1])
     staged[-1] = 1.0
-    out = np.empty_like(staged)
+    out = np.empty((c_out + 1, q.shape[1]))
     for start, stop, _, s in _weight_rows(q, k, staged):
         out[:, start:stop] = s
     out[:-1] /= out[-1]
@@ -158,7 +168,7 @@ def exact_attention(q, k, v) -> np.ndarray:
 def attention_weights(q, k) -> np.ndarray:
     """The N_q x N_k exact attention weights of q (c x N_q) against k
     (c x N_k), row i those of query i; the one O(N^2) array of the oracle."""
-    q, k = _validated_qk(q, k)
+    q, k = _validated_qkv(q, k)
     weights = np.empty((q.shape[1], k.shape[1]))
     for start, stop, w, s in _weight_rows(q, k, np.ones((1, k.shape[1]))):
         np.divide(w, s.T, out=weights[start:stop])
@@ -167,12 +177,12 @@ def attention_weights(q, k) -> np.ndarray:
 
 def correlation_map(q, k, query_index: int) -> np.ndarray:
     """Softmax-normalized relevance of one query position against all
-    positions: length-N vector, row query_index of attention_weights.
+    keys: length-N_k vector, row query_index of attention_weights.
     Reshaping to an h x w image is the caller's concern."""
-    q, k = _validated_qk(q, k)
+    q, k = _validated_qkv(q, k)
     if not 0 <= query_index < q.shape[1]:
         raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
-    _, _, w, s = next(_weight_rows(q, k, np.ones((1, k.shape[1])), query_index, query_index + 1))
+    _, _, w, s = next(_weight_rows(q[:, query_index:query_index + 1], k, np.ones((1, k.shape[1])), query_index))
     return w[0] / s[0, 0]
 
 
@@ -194,7 +204,7 @@ def shannon_entropy(p) -> float:
 def attention_row_entropies(q, k) -> np.ndarray:
     """Per-query Shannon entropy of the exact attention weight rows,
     computed without holding the full weight matrix."""
-    q, k = _validated_qk(q, k)
+    q, k = _validated_qkv(q, k)
     out = np.empty(q.shape[1], dtype=np.float64)
     for start, stop, w, s in _weight_rows(q, k, np.ones((1, k.shape[1]))):
         w /= s.T

@@ -75,12 +75,16 @@ class FormatError(ValueError):
 def check_settings(*, k_amp=None, **counts) -> None:
     """The one range check of the settings a caller requests, shared by
     the library and the CLI: each count or size passed by name (m, n, c,
-    c_out, c_in, c_embed, trials, rows, cols, height, width) >= 1, then
-    amplification k_amp >= 1 and finite. A setting left at None is not
-    checked. Raises ValueError naming the first setting out of range and
-    its value."""
+    c_out, c_in, c_embed, trials, rows, cols, height, width) a Python or
+    numpy integer >= 1, never rounded and not a bool, then amplification
+    k_amp >= 1 and finite. A setting left at None is not checked. Raises
+    ValueError naming the first setting out of range and its value."""
     for name, value in counts.items():
-        if value is not None and not value >= 1:
+        if value is None:
+            continue
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value}")
+        if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if k_amp is not None and not k_amp >= 1.0:
         raise ValueError(f"k_amp must be >= 1, got {k_amp}")
@@ -114,16 +118,6 @@ def _matrix_pair(a, b, name_a: str, name_b: str):
     if a.shape != b.shape:
         raise ShapeError(f"{name_a} and {name_b} need equal shapes, got {a.shape} vs {b.shape}")
     return a, b
-
-
-def _validated_qkv(q, k, v):
-    """The one (q, k, v) contract of the exact oracle and the randomized
-    forward: q and k are c x N of equal shape, v is c_out x N."""
-    q, k = _matrix_pair(q, k, "q", "k")
-    v = as_matrix(v, "v")
-    if v.shape[1] != q.shape[1]:
-        raise ShapeError(f"v has {v.shape[1]} positions, q/k have {q.shape[1]}")
-    return q, k, v
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 
 import enlca
 from enlca.cli import UsageError, build_parser, main
-from enlca.exact import shannon_entropy
+from enlca.exact import attention_weights, exact_attention, shannon_entropy
 from enlca.features import sample_projection
 from enlca.matrices import (
     RngSpec,
@@ -110,6 +110,23 @@ class TestExactCommand:
         w = read_matrix_csv(wpath)
         assert w.shape == (32, 32)
         assert np.abs(w.sum(axis=1) - 1.0).max() < 1e-9
+
+    def test_queries_with_their_own_column_count(self, tmp_path, capsys):
+        base = RngSpec(905)
+        q = gaussian_sample(base.stream(1), 4, 3)
+        k, v = (gaussian_sample(base.stream(i), 4, 5) for i in (2, 3))
+        for name, a in (("q", q), ("k", k), ("v", v)):
+            write_matrix_csv(a, tmp_path / f"{name}.csv")
+        inputs = [arg for name in "qkv" for arg in (f"--{name}", str(tmp_path / f"{name}.csv"))]
+        y_path, w_path = tmp_path / "y.csv", tmp_path / "w.csv"
+        code, _, _ = run(capsys, "exact", *inputs, "--out", str(y_path), "--weights-out", str(w_path))
+        assert code == 0
+        assert np.array_equal(read_matrix_csv(y_path), exact_attention(q, k, v))
+        assert np.array_equal(read_matrix_csv(w_path), attention_weights(q, k))
+        assert read_matrix_csv(w_path).shape == (3, 5)
+        code, out, err = run(capsys, "enla", *inputs)
+        assert code == 2 and out == ""
+        assert err == "error: q and k need equal shapes, got (4, 3) vs (4, 5)\n"
 
 
 class TestEnlaCommand:

@@ -142,10 +142,12 @@ def test_kernels(data, c, m, orthogonal):
 
 
 @contract
-@given(st.data(), sizes, sizes, sizes, st.integers(-1, 6))
-def test_exact(data, c, n, c_out, query_index):
-    q, k = (data.draw(arrays(c, n)) for _ in range(2))
-    v = data.draw(arrays(c_out, n))
+@given(st.data(), sizes, sizes, sizes, sizes)
+def test_exact(data, c, n_q, n_k, c_out):
+    q = data.draw(arrays(c, n_q))
+    k = data.draw(arrays(c, n_k))
+    v = data.draw(arrays(c_out, n_k))
+    query_index = data.draw(st.integers(0, n_q - 1))
     assert_finite(outcome(exact_attention, q, k, v))
     assert_finite(outcome(attention_weights, q, k))
     assert_finite(outcome(correlation_map, q, k, query_index))

@@ -281,10 +281,10 @@ def test_shape_validation():
         exact_attention(np.zeros((3, 4)), np.zeros((3, 4)), np.zeros((3, 5)))
 
 
-# Malformed (q, k, v) triples; the oracle and the randomized forward share one contract.
+# Malformed (q, k, v) triples; the randomized forward validates through the
+# oracle's contract, so both refuse these alike.
 MALFORMED_QKV = {
     "channel mismatch": ((3, 4), (2, 4), (3, 4)),
-    "q/k position mismatch": ((3, 4), (3, 5), (3, 4)),
     "v position mismatch": ((3, 4), (3, 4), (3, 5)),
     "v channels and positions": ((3, 4), (3, 4), (2, 5)),
     "q not 2-D": ((4,), (3, 4), (3, 4)),
@@ -300,6 +300,48 @@ def test_oracle_and_forward_reject_alike(shapes):
     with pytest.raises(ShapeError) as forward:
         enla_forward(q, k, v, EnlaConfig(rng=RngSpec(0), m=8))
     assert str(oracle.value) == str(forward.value)
+
+
+def test_only_the_forward_needs_a_query_per_key():
+    q, k, v = np.zeros((3, 4)), np.zeros((3, 5)), np.ones((3, 5))
+    assert np.array_equal(exact_attention(q, k, v), np.ones((3, 4)))
+    with pytest.raises(ShapeError, match=r"^q and k need equal shapes, got \(3, 4\) vs \(3, 5\)$"):
+        enla_forward(q, k, v, EnlaConfig(rng=RngSpec(0), m=8))
+
+
+class TestCrossAttention:
+    """q with its own column count N_q against N_k keys and values."""
+
+    @pytest.mark.parametrize("n_q, n_k", [(1, 6), (6, 1), (1, 1), (3, 7), (9, 4)])
+    def test_against_scalar_oracle(self, n_q, n_k):
+        base = RngSpec(71)
+        q = gaussian_sample(base.stream(1), 3, n_q)
+        k = gaussian_sample(base.stream(2), 3, n_k)
+        v = gaussian_sample(base.stream(3), 2, n_k)
+        expected = np.array(naive_attention(columns(q), columns(k), columns(v))).T
+        assert np.abs(exact_attention(q, k, v) - expected).max() < 1e-12
+        # the scalar oracle's weights: its attention over the identity's columns
+        weights = np.array(naive_attention(columns(q), columns(k), columns(np.eye(n_k))))
+        assert attention_weights(q, k).shape == weights.shape == (n_q, n_k)
+        assert np.abs(attention_weights(q, k) - weights).max() < 1e-12
+        for i in range(n_q):
+            assert np.abs(correlation_map(q, k, i) - weights[i]).max() < 1e-12
+        entropies = [shannon_entropy(row / row.sum()) for row in weights]
+        assert np.abs(attention_row_entropies(q, k) - entropies).max() < 1e-12
+
+    @pytest.mark.parametrize("k_amp, outlier", [(1.0, 1.0), (6.0, 1.0), (6.0, 400.0)],
+                             ids=["k_amp 1", "k_amp 6", "k_amp 6, one long query left out"])
+    def test_query_columns_give_output_columns(self, k_amp, outlier):
+        # what a check on sampled query columns relies on; a long query 0,
+        # left out of the sample, takes the full call into the row max
+        base = RngSpec(73)
+        q, k = normalize_and_scale(gaussian_sample(base.stream(1), 8, 2048),
+                                   gaussian_sample(base.stream(2), 8, 2048), k_amp)
+        q[:, 0] *= outlier
+        v = gaussian_sample(base.stream(3), 8, 2048)
+        cols = RngSpec(74).generator().choice(np.arange(1, 2048), 256, replace=False)
+        full = exact_attention(q, k, v)
+        assert np.abs(exact_attention(q[:, cols], k, v) - full[:, cols]).max() <= 1e-14 * np.abs(v).max()
 
 
 class TestCorrelationMap:
@@ -328,7 +370,9 @@ class TestCorrelationMap:
     @pytest.mark.parametrize("call", [
         lambda q, k: correlation_map(q, k, 0),
         attention_row_entropies,
-    ], ids=["correlation_map", "attention_row_entropies"])
+        attention_weights,
+        lambda q, k: exact_attention(q, k, np.zeros((1, 5))),
+    ], ids=["correlation_map", "attention_row_entropies", "attention_weights", "exact_attention"])
     def test_channel_mismatch(self, call):
         message = r"^q and k need equal channel counts, got \(2, 3\) vs \(3, 5\)$"
         with pytest.raises(ShapeError, match=message):

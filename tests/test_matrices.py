@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from enlca.analysis import _aligned_vector, approximation_error_sweep, flop_count, runtime_scaling
 from enlca.contrastive import reconstruction_loss, relevance_scores
 from enlca.enla import EnlaConfig, EnlcaBlockParams, normalize_and_scale, random_block_params
-from enlca.exact import correlation_map, exact_attention
+from enlca.exact import correlation_map
 from enlca.features import kernel_estimates, sample_projection
 from enlca.matrices import (
     FormatError,
@@ -75,7 +75,6 @@ class TestEqualShapePairs:
     """Every operand pair that must match in shape says so in one form."""
 
     @pytest.mark.parametrize("call, names", [
-        (lambda a, b: exact_attention(a, b, np.zeros((1, 3))), "q and k"),
         (lambda a, b: relevance_scores(a, b, 1.0), "q and k"),
         (lambda a, b: normalize_and_scale(a, b, 1.0), "theta output and delta output"),
         (reconstruction_loss, "sr and hr"),
@@ -183,6 +182,26 @@ class TestCheckSettings:
         with pytest.raises(ValueError, match=rf"^{name} must be >= 1, got 0$") as caught:
             call()
         assert not isinstance(caught.value, ShapeError)
+
+    @pytest.mark.parametrize("name,value,call", [
+        ("m", 2.5, lambda: flop_count("enlca", 10, 2, 2, 2.5)),
+        ("n", 10.5, lambda: flop_count("nla", 10.5, 2, 2)),
+        ("c", True, lambda: flop_count("nla", 10, True, 2)),
+        ("m", 2.5, lambda: approximation_error_sweep(8, 2, 2, [2.5, 4], 1.0, 2, RngSpec(0))),
+        ("n", 2.5, lambda: runtime_scaling([2.5, 4], 2, 2, 4, 3)),
+        ("m", 2.5, lambda: EnlaConfig(rng=RngSpec(0), m=2.5)),
+        ("c_embed", 1.0, lambda: random_block_params(RngSpec(0), 4, 1.0, EnlaConfig(rng=RngSpec(1)))),
+    ], ids=["flop_count m", "flop_count n", "flop_count c", "approximation_error_sweep m", "runtime_scaling n",
+            "EnlaConfig m", "random_block_params c_embed"])
+    def test_non_integer_count_names_the_setting(self, name, value, call):
+        # a count is never rounded: the sweeps would label a point by an m they did not run
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
+            call()
+
+    def test_numpy_integer_counts(self):
+        model = flop_count("enlca", np.int64(10), np.int32(2), 2, np.uint8(2))
+        assert model.macs == flop_count("enlca", 10, 2, 2, 2).macs == 160
+        assert EnlaConfig(rng=RngSpec(0), m=np.int64(3)).m == 3
 
 
     @pytest.mark.parametrize("name,call", [
