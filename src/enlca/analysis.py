@@ -5,7 +5,8 @@ quadratic attention baseline, the randomized linear forward and a 3x3
 convolution of matching width. The sweeps measure how the randomized
 forward converges to the exact oracle with the sample count, how the
 estimator variance grows with amplification, and how wall-clock time
-scales with the input size.
+scales with the input size. Each sweep takes its axis (m_list, k_list or
+n_list) as any iterable of strictly ascending values.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Optional, Sequence, Union
+from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -114,15 +115,32 @@ class SweepTable:
         return [row[i] for row in self.points]
 
 
-def approximation_error_sweep(
-    n: int,
-    c: int,
-    c_out: int,
-    m_list: Sequence[int],
-    k_amp: float,
-    trials: int,
-    rng: RngSpec,
-) -> SweepTable:
+def _axis(values: Iterable, name: str, setting: str) -> list:
+    """The one rule of a sweep axis: every value passes check_settings as
+    `setting` (m, n or k_amp), then the axis must be non-empty and strictly
+    ascending. Returns floats for k_amp and ints otherwise."""
+    values = list(values)
+    for value in values:
+        check_settings(**{setting: value})
+    values = [float(value) if setting == "k_amp" else int(value) for value in values]
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    if any(later <= earlier for earlier, later in zip(values, values[1:])):
+        raise ValueError(f"{name} must be ascending, got {values}")
+    return values
+
+
+def _instance(rng: RngSpec, n: int, c: int, c_out: int,
+              k_amp: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sweep's (q, k, v): theta, delta and v from rng.stream(1), (2) and (3)."""
+    theta = gaussian_sample(rng.stream(1), c, n)
+    delta = gaussian_sample(rng.stream(2), c, n)
+    v = gaussian_sample(rng.stream(3), c_out, n)
+    return (*normalize_and_scale(theta, delta, k_amp), v)
+
+
+def approximation_error_sweep(n: int, c: int, c_out: int, m_list: Iterable[int], k_amp: float, trials: int,
+                              rng: RngSpec) -> SweepTable:
     """Median relative Frobenius error of the randomized forward against
     the exact oracle, per sample count.
 
@@ -135,16 +153,9 @@ def approximation_error_sweep(
     """
     if n > 4096:
         raise ValueError(f"the exact oracle is only run up to n=4096, got {n}")
-    if not m_list:
-        raise ValueError("m_list must be non-empty")
     check_settings(n=n, c=c, c_out=c_out, trials=trials)
-    for m in m_list:
-        check_settings(m=m)
-    ms = sorted(set(int(m) for m in m_list))
-    theta = gaussian_sample(rng.stream(1), c, n)
-    delta = gaussian_sample(rng.stream(2), c, n)
-    v = gaussian_sample(rng.stream(3), c_out, n)
-    q, k = normalize_and_scale(theta, delta, k_amp)
+    ms = _axis(m_list, "m_list", "m")
+    q, k, v = _instance(rng, n, c, c_out, k_amp)
     reference = exact_attention(q, k, v)
     ref_norm = float(np.linalg.norm(reference))
     errors = np.empty((len(ms), trials))
@@ -164,7 +175,7 @@ def _aligned_vector(c: int, k_amp: float) -> np.ndarray:
     return u
 
 
-def variance_sweep_k(k_list: Sequence[float], c: int, m: int, trials: int, rng: RngSpec) -> SweepTable:
+def variance_sweep_k(k_list: Iterable[float], c: int, m: int, trials: int, rng: RngSpec) -> SweepTable:
     """Estimator variance on amplified aligned unit vectors, theory next
     to measurement, per amplification factor.
 
@@ -172,13 +183,8 @@ def variance_sweep_k(k_list: Sequence[float], c: int, m: int, trials: int, rng: 
     where either side overflows float range are skipped and reported in
     `skipped`; the sweep continues.
     """
-    k_values = [float(k) for k in k_list]
-    for k_amp in k_values:
-        check_settings(k_amp=k_amp)
-    if sorted(k_values) != k_values:
-        raise ValueError(f"k_list must be ascending, got {k_values}")
-    points = []
-    overflowed = []
+    k_values = _axis(k_list, "k_list", "k_amp")
+    points, overflowed = [], []
     for i, k_amp in enumerate(k_values):
         u = _aligned_vector(c, k_amp)
         try:
@@ -196,14 +202,8 @@ def variance_sweep_k(k_list: Sequence[float], c: int, m: int, trials: int, rng: 
     )
 
 
-def runtime_scaling(
-    n_list: Sequence[int],
-    c: int,
-    c_out: int,
-    m: int,
-    repeats: int,
-    rng: RngSpec = RngSpec(0),
-) -> SweepTable:
+def runtime_scaling(n_list: Iterable[int], c: int, c_out: int, m: int, repeats: int,
+                    rng: RngSpec = RngSpec(0)) -> SweepTable:
     """Fastest wall-clock seconds of each forward per input size.
 
     Every repeat times each size in turn, the exact oracle and then the
@@ -212,21 +212,12 @@ def runtime_scaling(
     of one, and the minimum is the run it disturbed least. Timed sections
     run back to back on one thread of control.
     """
+    check_settings(repeats=repeats, c=c, c_out=c_out)
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3 for a stable minimum, got {repeats}")
-    for n in n_list:
-        check_settings(n=n)
-    sizes = [int(n) for n in n_list]
-    if sorted(sizes) != sizes:
-        raise ValueError(f"n_list must be ascending, got {sizes}")
-    check_settings(c=c, c_out=c_out)
-    cases = []
-    for i, n in enumerate(sizes):
-        theta = gaussian_sample(rng.stream(3 * i + 1), c, n)
-        delta = gaussian_sample(rng.stream(3 * i + 2), c, n)
-        v = gaussian_sample(rng.stream(3 * i + 3), c_out, n)
-        q, k = normalize_and_scale(theta, delta, 1.0)
-        cases.append((q, k, v, EnlaConfig(rng=rng.stream(10_000 + i), m=m)))
+    sizes = _axis(n_list, "n_list", "n")
+    cases = [(*_instance(rng.stream(3 * i), n, c, c_out, 1.0), EnlaConfig(rng=rng.stream(10_000 + i), m=m))
+             for i, n in enumerate(sizes)]
     exact_times = [math.inf] * len(sizes)
     enla_times = [math.inf] * len(sizes)
     for _ in range(repeats):

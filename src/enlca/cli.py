@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=int, default=8)
     p.add_argument("--cout", type=int, default=8)
-    p.add_argument("--m-list", dest="m_list", required=True, help="comma-separated sample counts")
+    p.add_argument("--m-list", dest="m_list", required=True, help="comma-separated ascending sample counts")
     p.add_argument("--k-amp", type=float, default=6.0, dest="k_amp")
     p.add_argument("--trials", type=int, default=8)
     _add_seed(p)
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_corr_map)
 
     p = sub.add_parser("bench", help="wall-clock scaling of exact vs randomized attention")
-    p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated input sizes")
+    p.add_argument("--n-list", dest="n_list", required=True, help="comma-separated ascending input sizes")
     p.add_argument("--c", type=int, default=16)
     p.add_argument("--cout", type=int, default=16)
     p.add_argument("--m", type=int, default=128)

@@ -75,9 +75,9 @@ class FormatError(ValueError):
 def check_settings(*, k_amp=None, **counts) -> None:
     """The one range check of the settings a caller requests, shared by
     the library and the CLI: each count or size passed by name (m, n, c,
-    c_out, c_in, c_embed, trials, rows, cols, height, width) a Python or
-    numpy integer >= 1, never rounded and not a bool, then amplification
-    k_amp >= 1 and finite. A setting left at None is not checked. Raises
+    c_out, c_in, c_embed, trials, repeats, rows, cols, height, width) a
+    Python or numpy integer >= 1, never rounded and not a bool, then
+    amplification k_amp >= 1 and finite. A setting left at None is not checked. Raises
     ValueError naming the first setting out of range and its value."""
     for name, value in counts.items():
         if value is None:

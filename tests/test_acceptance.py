@@ -4,7 +4,8 @@ PASS/FAIL line with its measured numbers.
 Monte-Carlo criteria run on pinned seeds; the expected margins were
 established by scanning seeds up front, so every assertion here is
 deterministic. Run with `pytest tests/test_acceptance.py -v -s` to see
-the per-criterion lines.
+the per-criterion lines; `pytest -m "not acceptance"` runs every other
+module without them.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from enlca.analysis import (
     approximation_error_sweep,
@@ -34,6 +36,8 @@ from enlca.matrices import (
 )
 
 from oracles import naive_contrastive
+
+pytestmark = pytest.mark.acceptance
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:

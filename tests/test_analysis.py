@@ -92,6 +92,17 @@ class TestApproximationErrorSweep:
         with pytest.raises(ValueError, match="^m_list must be non-empty$"):
             approximation_error_sweep(16, 4, 4, [], 1.0, 2, RngSpec(0))
 
+    @pytest.mark.parametrize("axis", [(2, 4), np.array([2, 4])], ids=["tuple", "array"])
+    def test_any_iterable_axis_matches_list(self, axis):
+        assert (approximation_error_sweep(16, 4, 4, axis, 1.0, 2, RngSpec(0))
+                == approximation_error_sweep(16, 4, 4, [2, 4], 1.0, 2, RngSpec(0)))
+
+    @pytest.mark.parametrize("m_list", [[64, 16], [4, 4]], ids=["descending", "repeated"])
+    def test_unsorted_or_repeated_m_list_rejected(self, m_list):
+        # a sample count is never reordered or dropped: the table rows follow the axis as given
+        with pytest.raises(ValueError, match=rf"^m_list must be ascending, got \[{m_list[0]}, {m_list[1]}\]$"):
+            approximation_error_sweep(16, 4, 4, m_list, 1.0, 2, RngSpec(0))
+
 
 class TestVarianceSweep:
     def test_theory_strictly_increases_over_amplification(self):
@@ -117,6 +128,18 @@ class TestVarianceSweep:
     def test_ascending_required(self):
         with pytest.raises(ValueError):
             variance_sweep_k([4, 2], c=4, m=8, trials=4, rng=RngSpec(0))
+
+    def test_array_axis_matches_list(self):
+        assert (variance_sweep_k(np.array([1.0, 2.0]), c=4, m=8, trials=8, rng=RngSpec(0))
+                == variance_sweep_k([1.0, 2.0], c=4, m=8, trials=8, rng=RngSpec(0)))
+
+    @pytest.mark.parametrize("k_list,message", [
+        ([2, 2], r"k_list must be ascending, got \[2.0, 2.0\]"),
+        ([], "k_list must be non-empty"),
+    ], ids=["repeated", "empty"])
+    def test_repeated_or_empty_k_list_rejected(self, k_list, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            variance_sweep_k(k_list, c=4, m=8, trials=4, rng=RngSpec(0))
 
 
 class TestRuntimeScaling:
@@ -158,6 +181,41 @@ class TestRuntimeScaling:
     def test_ascending_required(self):
         with pytest.raises(ValueError, match=r"^n_list must be ascending, got \[64, 32\]$"):
             runtime_scaling([64, 32], 4, 4, 8, repeats=3)
+
+    def test_empty_n_list_rejected(self):
+        with pytest.raises(ValueError, match="^n_list must be non-empty$"):
+            runtime_scaling([], 4, 4, 8, repeats=3)
+
+    @staticmethod
+    def _recorded(monkeypatch, n_list):
+        """The table and the (q, k, v) the oracle saw, under a clock that
+        ticks once per reading."""
+        seen, clock = [], [0.0]
+
+        def tick():
+            clock[0] += 1.0
+            return clock[0]
+        monkeypatch.setattr(analysis, "exact_attention", lambda q, k, v: seen.append((q, k, v)))
+        monkeypatch.setattr(analysis, "enla_forward", lambda q, k, v, config: None)
+        monkeypatch.setattr(analysis, "time", SimpleNamespace(perf_counter=tick))
+        return runtime_scaling(n_list, 4, 4, 8, repeats=3, rng=RngSpec(62)), seen
+
+    def test_array_axis_matches_list(self, monkeypatch):
+        table, seen = self._recorded(monkeypatch, np.array([16, 32]))
+        expected_table, expected = self._recorded(monkeypatch, [16, 32])
+        assert table == expected_table and table.column("x") == [16.0, 32.0]
+        assert len(seen) == len(expected) == 6
+        for got, want in zip(seen, expected):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_size_i_draws_its_instance_from_streams_3i_plus_1_to_3(self, monkeypatch):
+        _, seen = self._recorded(monkeypatch, [16, 32])
+        rng = RngSpec(62)
+        for i, (n, (q, k, v)) in enumerate(zip([16, 32], seen)):
+            want_q, want_k = analysis.normalize_and_scale(analysis.gaussian_sample(rng.stream(3 * i + 1), 4, n),
+                                                          analysis.gaussian_sample(rng.stream(3 * i + 2), 4, n), 1.0)
+            assert np.array_equal(q, want_q) and np.array_equal(k, want_k)
+            assert np.array_equal(v, analysis.gaussian_sample(rng.stream(3 * i + 3), 4, n))
 
 
 class TestSweepCsv:

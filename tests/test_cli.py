@@ -493,6 +493,7 @@ class TestErrorPaths:
         (["approx-sweep", "--n", "16", "--c", "0", "--m-list", "8"], "c must be >= 1, got 0"),
         (["approx-sweep", "--n", "16", "--cout", "0", "--m-list", "8"], "c_out must be >= 1, got 0"),
         (["approx-sweep", "--n", "16", "--m-list", ","], "--m-list must name at least one value"),
+        (["approx-sweep", "--n", "16", "--m-list", "64,16"], "m_list must be ascending, got [64, 16]"),
         (["bench", "--n-list", "16", "--c", "0"], "c must be >= 1, got 0"),
         (["block", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
         (["enla", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
@@ -505,7 +506,8 @@ class TestErrorPaths:
             "variance-sweep --k-list nan", "variance --k-amp inf", "variance-sweep --k-list inf",
             "corr-map --k-amp inf", "flops --n", "flops --method nla --m", "flops --m 0",
             "flops --m negative", "approx-sweep --n",
-            "approx-sweep --c", "approx-sweep --cout", "approx-sweep --m-list empty", "bench --c",
+            "approx-sweep --c", "approx-sweep --cout", "approx-sweep --m-list empty",
+            "approx-sweep --m-list descending", "bench --c",
             "block --c-embed",
             "enla --c-embed", "exact --c-embed", "corr-map --c-embed", "corr-map --height"])
     def test_out_of_range_value_is_usage_error(self, matrices, tmp_path, capsys, argv, message):

@@ -189,10 +189,11 @@ class TestCheckSettings:
         ("c", True, lambda: flop_count("nla", 10, True, 2)),
         ("m", 2.5, lambda: approximation_error_sweep(8, 2, 2, [2.5, 4], 1.0, 2, RngSpec(0))),
         ("n", 2.5, lambda: runtime_scaling([2.5, 4], 2, 2, 4, 3)),
+        ("repeats", 3.5, lambda: runtime_scaling([16], 2, 2, 4, 3.5)),
         ("m", 2.5, lambda: EnlaConfig(rng=RngSpec(0), m=2.5)),
         ("c_embed", 1.0, lambda: random_block_params(RngSpec(0), 4, 1.0, EnlaConfig(rng=RngSpec(1)))),
     ], ids=["flop_count m", "flop_count n", "flop_count c", "approximation_error_sweep m", "runtime_scaling n",
-            "EnlaConfig m", "random_block_params c_embed"])
+            "runtime_scaling repeats", "EnlaConfig m", "random_block_params c_embed"])
     def test_non_integer_count_names_the_setting(self, name, value, call):
         # a count is never rounded: the sweeps would label a point by an m they did not run
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value}$"):
