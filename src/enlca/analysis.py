@@ -116,11 +116,14 @@ class SweepTable:
 
 
 def _axis(values: Iterable, name: str, setting: str) -> list:
-    """The one rule of a sweep axis: every value passes check_settings as
-    `setting` (m, n or k_amp), then the axis must be non-empty and strictly
-    ascending. Returns floats for k_amp and ints otherwise."""
+    """The one rule of a sweep axis: the axis must be flat, every value
+    passes check_settings as `setting` (m, n or k_amp), then the axis must
+    be non-empty and strictly ascending. Returns floats for k_amp and ints
+    otherwise."""
     values = list(values)
     for value in values:
+        if np.ndim(value):
+            raise ValueError(f"{name} must be flat, got the entry {value}")
         check_settings(**{setting: value})
     values = [float(value) if setting == "k_amp" else int(value) for value in values]
     if not values:
@@ -151,9 +154,9 @@ def approximation_error_sweep(n: int, c: int, c_out: int, m_list: Iterable[int],
     evaluated once. An iid draw fills rows in order, so the first m rows
     are the projection a forward with that m draws from the same stream.
     """
+    check_settings(n=n, c=c, c_out=c_out, trials=trials)
     if n > 4096:
         raise ValueError(f"the exact oracle is only run up to n=4096, got {n}")
-    check_settings(n=n, c=c, c_out=c_out, trials=trials)
     ms = _axis(m_list, "m_list", "m")
     q, k, v = _instance(rng, n, c, c_out, k_amp)
     reference = exact_attention(q, k, v)
@@ -183,6 +186,7 @@ def variance_sweep_k(k_list: Iterable[float], c: int, m: int, trials: int, rng: 
     where either side overflows float range are skipped and reported in
     `skipped`; the sweep continues.
     """
+    check_settings(c=c, m=m, trials=trials)
     k_values = _axis(k_list, "k_list", "k_amp")
     points, overflowed = [], []
     for i, k_amp in enumerate(k_values):

@@ -97,6 +97,17 @@ class TestApproximationErrorSweep:
         assert (approximation_error_sweep(16, 4, 4, axis, 1.0, 2, RngSpec(0))
                 == approximation_error_sweep(16, 4, 4, [2, 4], 1.0, 2, RngSpec(0)))
 
+    @pytest.mark.parametrize("n, shown", [(5000.5, "5000.5"), ("x", "x")], ids=["float", "string"])
+    def test_n_named_before_oracle_size_guard(self, n, shown):
+        # n is checked as a count before it is compared with the size limit
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {shown}$"):
+            approximation_error_sweep(n, 4, 4, [8], 1.0, 2, RngSpec(0))
+
+    @pytest.mark.parametrize("m_list", [[[16, 32]], np.array([[16.0, 32.0]])], ids=["nested", "2-D"])
+    def test_nested_m_list_rejected(self, m_list):
+        with pytest.raises(ValueError, match=r"^m_list must be flat, got the entry \[16\.?,? 32\.?\]$"):
+            approximation_error_sweep(16, 4, 4, m_list, 1.0, 2, RngSpec(0))
+
     @pytest.mark.parametrize("m_list", [[64, 16], [4, 4]], ids=["descending", "repeated"])
     def test_unsorted_or_repeated_m_list_rejected(self, m_list):
         # a sample count is never reordered or dropped: the table rows follow the axis as given
@@ -140,6 +151,16 @@ class TestVarianceSweep:
     def test_repeated_or_empty_k_list_rejected(self, k_list, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             variance_sweep_k(k_list, c=4, m=8, trials=4, rng=RngSpec(0))
+
+    @pytest.mark.parametrize("k_list", [[[1.0, 2.0]], np.array([[1.0, 2.0]])], ids=["nested", "2-D"])
+    def test_nested_k_list_rejected(self, k_list):
+        with pytest.raises(ValueError, match=r"^k_list must be flat, got the entry \[1\.0?,? 2\.0?\]$"):
+            variance_sweep_k(k_list, c=4, m=8, trials=4, rng=RngSpec(0))
+
+    def test_fractional_trials_named(self):
+        # the trial count is checked before any point forms its stream from it
+        with pytest.raises(ValueError, match=r"^trials must be an integer, got 2.5$"):
+            variance_sweep_k([1.0], c=4, m=8, trials=2.5, rng=RngSpec(0))
 
 
 class TestRuntimeScaling:
@@ -185,6 +206,10 @@ class TestRuntimeScaling:
     def test_empty_n_list_rejected(self):
         with pytest.raises(ValueError, match="^n_list must be non-empty$"):
             runtime_scaling([], 4, 4, 8, repeats=3)
+
+    def test_nested_n_list_rejected(self):
+        with pytest.raises(ValueError, match=r"^n_list must be flat, got the entry \[32, 64\]$"):
+            runtime_scaling([[32, 64]], 4, 4, 8, repeats=3)
 
     @staticmethod
     def _recorded(monkeypatch, n_list):

@@ -40,6 +40,14 @@ class TestSampleProjection:
         b = sample_projection(spec, 6, 9, orthogonal=True)
         assert np.array_equal(a.f, b.f)
 
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_results_share_no_memory(self, orthogonal):
+        # the sampler's draw and output buffers are per call
+        a = sample_projection(RngSpec(17, 3), 6, 9, orthogonal)
+        b = sample_projection(RngSpec(17, 3), 6, 9, orthogonal)
+        assert not np.shares_memory(a.f, b.f)
+        assert np.array_equal(a.f, b.f)
+
     def test_iid_matches_plain_gaussian_stream(self):
         spec = RngSpec(21)
         assert np.array_equal(sample_projection(spec, 5, 4).f, gaussian_sample(spec, 5, 4))
@@ -371,7 +379,8 @@ class TestTrialBlocks:
 
     def test_rekeyed_draw_matches_fresh_generator(self):
         offsets = range(1, 2 * B + 3)
-        draws = np.concatenate(list(_projection_blocks(RngSpec(71, WRAPPING_ID), offsets, 4, 3)))
+        # each block is a view of one buffer that the next block overwrites
+        draws = np.concatenate([f.copy() for f in _projection_blocks(RngSpec(71, WRAPPING_ID), offsets, 4, 3)])
         for draw, offset in zip(draws, offsets):
             stream_id = (WRAPPING_ID + offset) % 2**64
             assert np.array_equal(draw, RngSpec(71, stream_id).generator().standard_normal((4, 3)))
@@ -393,6 +402,18 @@ class TestTrialBlocks:
         q = 32.0 * longest / np.linalg.norm(longest)
         with pytest.raises(NumericError, match="overflowed at trial 0$"):
             kernel_estimates(q, q, 16, 2 * B + 3, rng, orthogonal)
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    def test_overflow_names_mid_block_trial(self, orthogonal):
+        # the same construction on trial B + 5 alone: every other estimate
+        # is in range, and the second block names that trial, not its first
+        rng = RngSpec(3)
+        f = sample_projection(rng.stream(1 + B + 5), 16, 1024, orthogonal).f
+        longest = f[np.argmax(np.linalg.norm(f, axis=1))]
+        q = 32.0 * longest / np.linalg.norm(longest)
+        with pytest.raises(NumericError, match=f"^kernel estimate overflowed at trial {B + 5}$"):
+            kernel_estimates(q, q, 16, 2 * B + 3, rng, orthogonal)
+        assert np.isfinite(kernel_estimates(q, q, 16, B + 5, rng, orthogonal)).all()
 
     def test_degenerate_block_raises(self, monkeypatch):
         # zeroing projection row `row` of draw number `draw` (counted from
@@ -438,9 +459,9 @@ class TestOrthogonalRows:
         # m < c, m = c, m > c with a partial last block, and the 1 x 1 case
         f = np.stack([philox_gaussian(32, t, m, c) for t in range(count)])
         draws = f.copy()
-        formed = _orthogonal_rows(f, np.eye(c))
+        formed = next(_orthogonal_rows([f], np.eye(c)))
         for rhs in (philox_gaussian(33, 0, c, 1)[:, 0], philox_gaussian(33, 1, c, 3)):
-            product = _orthogonal_rows(f, rhs)
+            product = next(_orthogonal_rows([f], rhs))
             expected = formed @ rhs
             assert product.shape == expected.shape
             assert np.abs(product - expected).max() <= 1e-14 * np.abs(expected).max()
