@@ -12,7 +12,10 @@ loop evaluates several sample counts as row prefixes of one projection,
 for the approximation-error sweep: chunks outermost, each chunk staged
 once and taken through every row segment. The multiply-add count is
 2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
-keeps the published convention, which excludes the normalizer.
+keeps the published convention, which excludes the normalizer. The
+feature buffer, the staged chunk operands and the outputs start on a
+cache line (matrices._aligned_empty, which states the rule and its
+measured effect).
 
 Query/key columns enter unit-normalized and scaled by sqrt(k_amp); k_amp > 1
 sharpens the attention at the price of exponentially larger variance.
@@ -29,8 +32,8 @@ from .exact import _validated_qkv
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
 from .features import _exp_features, _half_sq_norms, _projected, phi, sample_projection  # noqa: F401
 from .matrices import (
-    NumericError, RngSpec, ShapeError, _headroom, _matrix_pair, _unit_exponent, as_matrix, check_settings,
-    normalize_columns,
+    NumericError, RngSpec, ShapeError, _aligned_empty, _headroom, _matrix_pair, _unit_exponent, as_matrix,
+    check_settings, normalize_columns,
 )
 
 # Columns per chunk of the forward: the feature buffer is m x CHUNK
@@ -151,20 +154,16 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
     e = _unit_exponent(v)
     bound = _headroom(ms[-1] * n)
     width = min(n, CHUNK)
-    # 64-byte aligned wherever malloc puts it: AVX-512 loads of its rows then
-    # never split a cache line (3 % faster feature passes on an AMD EPYC)
-    raw = np.empty(ms[-1] * width + 7)
-    first = (-raw.ctypes.data % 64) // 8
-    features = raw[first:first + ms[-1] * width].reshape(ms[-1], width)
+    features = _aligned_empty((ms[-1], width))
     # a chunk's GEMM operand [k_b; |k_b|^2 / 2] or [q_b; 1], and a key
     # chunk's staged [2^-e V_b; 1]: its last row makes the last column of kv
     # the key sum
-    operand = np.empty((c + 1, width))
-    staged = np.empty((c_out + 1, width))
+    operand = _aligned_empty((c + 1, width))
+    staged = _aligned_empty((c_out + 1, width))
     staged[-1] = 1.0
     kv = np.zeros((ms[-1], c_out + 1))
     key_shift = np.full(ms[-1], -math.inf)
-    outputs = [np.empty((c_out + 1, n)) for _ in ms]
+    outputs = [_aligned_empty((c_out + 1, n)) for _ in ms]
 
     with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
         for start in range(0, n, CHUNK):

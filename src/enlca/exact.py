@@ -29,6 +29,9 @@ is not finite or above that bound) takes the row max of _softmax_rows,
 which names a query column whose logits overflowed, and every weight is
 at most 1. Either way the staged row of ones normalizes.
 
+The weight buffer, the staged values and the output start on a cache line
+(matrices._aligned_empty, which states the rule and its measured effect).
+
 A small-channel oracle (c + c_out <= 16, such as the approximation
 sweep's c = c_out = 8) takes blocks as tall as fit in 512 KiB, so that
 their passes run from L2: 32 rows at N = 2048. Wider oracles, and long
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrices import NumericError, ShapeError, _headroom, _unit_exponent, as_matrix
+from .matrices import NumericError, ShapeError, _aligned_empty, _headroom, _is_integer, _unit_exponent, as_matrix
 
 # Block height, the rows of the rows x N weight transient (see the module
 # docstring); the values come from a grid of heights timed over N and c.
@@ -131,7 +134,7 @@ def _weight_rows(q, k, staged, first=0):
     keys, unshifted = _logit_keys(q, k)
     n_q = q.shape[1]
     rows = _block_rows(k.shape[1], q.shape[0], staged.shape[0] - 1)
-    buffer = np.empty((min(n_q, rows), k.shape[1]))
+    buffer = _aligned_empty((min(n_q, rows), k.shape[1]))
     for start in range(0, n_q, rows):
         stop = min(start + rows, n_q)
         w = buffer[:stop - start]
@@ -154,10 +157,10 @@ def exact_attention(q, k, v) -> np.ndarray:
     q, k, v = _validated_qkv(q, k, v)
     c_out, n = v.shape
     e = _unit_exponent(v)
-    staged = np.empty((c_out + 1, n))
+    staged = _aligned_empty((c_out + 1, n))
     np.ldexp(v, -e, out=staged[:-1])
     staged[-1] = 1.0
-    out = np.empty((c_out + 1, q.shape[1]))
+    out = _aligned_empty((c_out + 1, q.shape[1]))
     for start, stop, _, s in _weight_rows(q, k, staged):
         out[:, start:stop] = s
     out[:-1] /= out[-1]
@@ -180,6 +183,8 @@ def correlation_map(q, k, query_index: int) -> np.ndarray:
     keys: length-N_k vector, row query_index of attention_weights.
     Reshaping to an h x w image is the caller's concern."""
     q, k = _validated_qkv(q, k)
+    if not _is_integer(query_index):
+        raise ValueError(f"query_index must be an integer, got {query_index}")
     if not 0 <= query_index < q.shape[1]:
         raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
     _, _, w, s = next(_weight_rows(q[:, query_index:query_index + 1], k, np.ones((1, k.shape[1])), query_index))

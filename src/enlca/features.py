@@ -32,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrices import _U64_MAX, NumericError, RngSpec, ShapeError, as_matrix, as_vector, check_settings
+from .matrices import (
+    _U64_MAX, NumericError, RngSpec, ShapeError, _aligned_empty, as_matrix, as_vector, check_settings,
+)
 
 __all__ = [
     "PhiFeatures",
@@ -187,7 +189,7 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     u = as_matrix(u_cols, "phi input")
     if u.shape[0] != f.c:
         raise ShapeError(f"phi input has {u.shape[0]} channels, projection expects {f.c}")
-    values = np.empty((f.m, u.shape[1]))
+    values = _aligned_empty((f.m, u.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # the helpers take none
         half_sq = _half_sq_norms(u)
         top = _projected(f.f, u, 0, values)
@@ -375,6 +377,7 @@ def kernel_variance_empirical(
     compared against. A closed form beyond float range raises
     NumericError before any trial is drawn.
     """
+    check_settings(trials=trials)
     if trials < 2:
         raise ValueError(f"variance needs trials >= 2, got {trials}")
     theoretical = kernel_variance_theory(q_i, k_j, m)

@@ -60,6 +60,30 @@ def _unit_exponent(v: np.ndarray) -> np.ndarray:
     return np.frexp(np.maximum(v.max(axis=1), -v.min(axis=1)))[1][:, None]
 
 
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized C-ordered float64 array of `shape` whose data starts
+    on a 64-byte boundary, carved from an np.empty seven elements longer.
+
+    The rule of both attention paths: every N-sized block that they write
+    in place comes from here (enla's feature, operand, staged and output
+    blocks, the exact oracle's weight rows, staged values and output, and
+    phi's values), so that the AVX-512 passes of numpy's exp, divide and
+    ldexp and of the GEMMs load no vector across two cache lines. malloc
+    alone puts a block 0, 16, 32 or 48 bytes past a line. Measured in two
+    runs on a 2-core Xeon (numpy 2.4, one BLAS thread; BENCH_aligned.json),
+    a block 16, 32 or 48 bytes past a line against aligned: the oracle's
+    weight block took 1.15x the time at N = 2048, c = c_out = 8, and
+    0.99-1.05x at N = 10 000, c = c_out = 16; the forward's feature block
+    at m = 128 took 1.03-1.05x at N = 2048 and 1.01-1.07x at N = 40 000,
+    and its operand, staged and output blocks 1.02-1.03x at N = 2048.
+    Later rows start on a line too when the row length is a multiple of 8.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    first = (-raw.ctypes.data % 64) // 8
+    return raw[first:first + size].reshape(shape)
+
+
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
@@ -72,6 +96,11 @@ class FormatError(ValueError):
     """Serialized matrix data could not be parsed."""
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_settings(*, k_amp=None, **counts) -> None:
     """The one range check of the settings a caller requests, shared by
     the library and the CLI: each count or size passed by name (m, n, c,
@@ -82,7 +111,7 @@ def check_settings(*, k_amp=None, **counts) -> None:
     for name, value in counts.items():
         if value is None:
             continue
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        if not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -137,8 +166,9 @@ class RngSpec:
     """Identifies one reproducible random stream.
 
     seed selects the experiment, stream_id a substream within it (trial
-    index, input slot, ...). Both are 64-bit unsigned; the pair is the
-    Philox key, so any two distinct specs yield independent streams.
+    index, input slot, ...). Both are 64-bit unsigned, given as Python or
+    numpy integers (not bools) and stored as int; the pair is the Philox
+    key, so any two distinct specs yield independent streams.
     """
 
     seed: int
@@ -147,16 +177,20 @@ class RngSpec:
     def __post_init__(self):
         for field in ("seed", "stream_id"):
             value = getattr(self, field)
-            if not isinstance(value, int) or not (0 <= value <= _U64_MAX):
+            if not _is_integer(value) or not (0 <= value <= _U64_MAX):
                 raise ValueError(f"{field} must be an integer in [0, 2^64), got {value!r}")
+            object.__setattr__(self, field, int(value))
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def stream(self, offset: int) -> "RngSpec":
-        """Derived spec with stream_id shifted by `offset` (mod 2^64)."""
-        return RngSpec(self.seed, (self.stream_id + offset) % (_U64_MAX + 1))
+        """Derived spec with stream_id shifted by `offset`, a Python or
+        numpy integer (mod 2^64)."""
+        if not _is_integer(offset):
+            raise ValueError(f"offset must be an integer, got {offset!r}")
+        return RngSpec(self.seed, (self.stream_id + int(offset)) % (_U64_MAX + 1))
 
 
 def gaussian_sample(rng: RngSpec, rows: int, cols: int) -> np.ndarray:

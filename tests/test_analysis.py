@@ -162,6 +162,11 @@ class TestVarianceSweep:
         with pytest.raises(ValueError, match=r"^trials must be an integer, got 2.5$"):
             variance_sweep_k([1.0], c=4, m=8, trials=2.5, rng=RngSpec(0))
 
+    def test_numpy_integer_trials_match_int(self):
+        # each point's stream offset i * (trials + 1) is then a numpy integer
+        assert (variance_sweep_k([1.0, 2.0], c=4, m=4, trials=np.int64(10), rng=RngSpec(0))
+                == variance_sweep_k([1.0, 2.0], c=4, m=4, trials=10, rng=RngSpec(0)))
+
 
 class TestRuntimeScaling:
     def test_smoke_and_ordering(self):

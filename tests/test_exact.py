@@ -82,6 +82,12 @@ def test_key_shift_invariance():
     assert np.abs(exact_attention(q, k, v) - shifted).max() < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 7, 2049])
+def test_output_starts_on_a_cache_line(n):
+    q, k, v = seeded_instance(5, n=n)
+    assert exact_attention(q, k, v).ctypes.data % 64 == 0
+
+
 def test_chunking_does_not_change_results(monkeypatch):
     q, k, v = seeded_instance(19, c=5, c_out=4, n=37)
     monkeypatch.setattr(exact, "MAX_ROWS", 37)
@@ -366,6 +372,15 @@ class TestCorrelationMap:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             correlation_map(np.zeros((2, 3)), np.zeros((2, 3)), 3)
+
+    @pytest.mark.parametrize("index", [1.5, True, "1", np.float64(1.0)])
+    def test_non_integer_index_refused_by_name(self, index):
+        with pytest.raises(ValueError, match=rf"^query_index must be an integer, got {index}$"):
+            correlation_map(np.zeros((2, 3)), np.zeros((2, 3)), index)
+
+    def test_numpy_integer_index(self):
+        q, k, _ = seeded_instance(3, n=5)
+        assert np.array_equal(correlation_map(q, k, np.int64(2)), correlation_map(q, k, 2))
 
     @pytest.mark.parametrize("call", [
         lambda q, k: correlation_map(q, k, 0),

@@ -504,6 +504,11 @@ class TestVarianceEmpirical:
         with pytest.raises(ValueError):
             kernel_variance_empirical(np.ones(3), np.ones(3), 4, 1, RngSpec(0))
 
+    @pytest.mark.parametrize("trials", ["x", True, 2.5])
+    def test_trials_named_before_the_two_trial_test(self, trials):
+        with pytest.raises(ValueError, match=rf"^trials must be an integer, got {trials}$"):
+            kernel_variance_empirical(np.ones(3), np.ones(3), 4, trials, RngSpec(0))
+
     def test_finite_theory_with_out_of_range_factors(self):
         # the closed form e^100 / 4 fits in float range though exp(2 q.k)
         # underflows and expm1(|q + k|^2) overflows

@@ -17,6 +17,7 @@ from enlca.matrices import (
     NumericError,
     RngSpec,
     ShapeError,
+    _aligned_empty,
     as_matrix,
     gaussian_sample,
     normalize_columns,
@@ -225,6 +226,35 @@ class TestRngSpec:
     def test_stream_derivation(self):
         spec = RngSpec(7, 10)
         assert spec.stream(5) == RngSpec(7, 15)
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = RngSpec(np.int64(3), np.uint64(2**64 - 1))
+        assert spec == RngSpec(3, 2**64 - 1)
+        assert type(spec.seed) is int and type(spec.stream_id) is int
+
+    @pytest.mark.parametrize("offset", [np.int64(2), np.uint64(2), np.int32(2)])
+    def test_numpy_integer_offset(self, offset):
+        rng = RngSpec(7, 2**64 - 1)
+        assert rng.stream(offset) == rng.stream(2) == RngSpec(7, 1)
+
+    @pytest.mark.parametrize("field", ["seed", "stream_id"])
+    def test_bool_refused_by_name(self, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer in \[0, 2\^64\), got True$"):
+            RngSpec(**{"seed": 0, field: True})
+
+    @pytest.mark.parametrize("offset", [True, 2.0, "2"])
+    def test_non_integer_offset_refused(self, offset):
+        with pytest.raises(ValueError, match=rf"^offset must be an integer, got {offset!r}$"):
+            RngSpec(0).stream(offset)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (17, 40000), (128, 2049)])
+def test_aligned_empty_starts_on_a_cache_line(shape):
+    # eight blocks alive at once, so that malloc cannot align them all by chance
+    blocks = [_aligned_empty(shape) for _ in range(8)]
+    for a in blocks:
+        assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+        assert a.ctypes.data % 64 == 0
 
 
 class TestColumnNormalization:
