@@ -9,10 +9,13 @@ margin. Driving the loss down pushes the two groups apart.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .exact import _validated_qkv
 from .matrices import NumericError, ShapeError, _matrix_pair, as_matrix, check_settings, normalize_columns
 
 __all__ = [
@@ -34,9 +37,11 @@ class ContrastiveConfig:
     b: float = 1.0
 
     def __post_init__(self):
-        for name in ("n1", "n2"):
+        for name in ("n1", "n2", "b"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            if name != "b" and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if self.n1 + self.n2 > 1.0:
             raise ValueError(
@@ -47,12 +52,15 @@ class ContrastiveConfig:
 
 
 def relevance_scores(q, k, k_amp: float) -> np.ndarray:
-    """N x N matrix of amplified cosines: entry (i, j) is k_amp times the
-    cosine between query column i and key column j. Invariant to positive
-    rescaling of any input column."""
-    q, k = _matrix_pair(q, k, "q", "k")
+    """N_q x N_k matrix of amplified cosines for q (c x N_q) and k (c x N_k),
+    the oracle's contract (`exact._validated_qkv`): entry (i, j) is k_amp
+    times the cosine between query column i and key column j. Invariant to
+    positive rescaling of any input column. A cosine that rounds past +-1
+    is clipped to it, so every score lies in [-k_amp, k_amp]."""
+    q, k = _validated_qkv(q, k)
     check_settings(k_amp=k_amp)
-    return k_amp * (normalize_columns(q).T @ normalize_columns(k))
+    cosines = normalize_columns(q).T @ normalize_columns(k)
+    return k_amp * np.clip(cosines, -1.0, 1.0, out=cosines)
 
 
 def contrastive_loss(t, cfg: ContrastiveConfig) -> float:
@@ -106,8 +114,12 @@ def reconstruction_loss(sr, hr) -> float:
 
 
 def total_loss(rec: float, cl: float, lambda_cl: float) -> float:
-    """Composite training objective: rec + lambda_cl * cl."""
+    """Composite training objective: rec + lambda_cl * cl. A sum past
+    float range raises NumericError."""
     values = (rec, cl, lambda_cl)
     if not all(np.isfinite(v) for v in values):
         raise ValueError(f"loss terms must be finite, got {values}")
-    return rec + lambda_cl * cl
+    loss = float(rec) + float(lambda_cl) * float(cl)
+    if math.isinf(loss):
+        raise NumericError("total loss overflowed")
+    return loss

@@ -2,16 +2,20 @@
 
 The forward replaces every exp(q_i . k_j) with the random-feature
 estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
-(m x (c_out + 1)), then multiplied by phi(Q)^T, so no N x N object ever
-exists and one GEMM yields both the numerator rows and the normalizer
-row. Both phi(K) and phi(Q) are streamed in column chunks through one
-reused m x CHUNK feature buffer, so the forward's extra memory is that
-buffer, the (c_out + 1) x N output and one shift per projection row; the
-stabilizer shifts go where they are cheap (see enla_forward). The same
-loop evaluates several sample counts as row prefixes of one projection,
-for the approximation-error sweep: chunks outermost, each chunk staged
-once and taken through every row segment. The multiply-add count is
-2mNc + 2mN(c_out + 1), the 2mN being the normalizer; analysis.flop_count
+(m x (c_out + 1)), then multiplied by phi(Q)^T, so no N_q x N_k object
+ever exists and one GEMM yields both the numerator rows and the
+normalizer row. The estimator is a per-query map times a per-key map, so
+N_q queries and N_k keys are free to differ. Both phi(K) and phi(Q) are
+streamed in column chunks through one reused m x CHUNK feature buffer, so
+the forward's extra memory is that buffer, the (c_out + 1) x N_q output
+and one shift per projection row; the stabilizer shifts go where they are
+cheap (see enla_forward). The same loop evaluates several sample counts
+as row prefixes of one projection, for the approximation-error sweep:
+chunks outermost, each chunk staged once and taken through every row
+segment. The multiply-add count is m N_k (c + c_out + 1) for the keys
+(phi(K) and its reduction into kv) plus m N_q (c + c_out + 1) for the
+queries (phi(Q) and the output GEMM), the m N_k + m N_q being the
+normalizer: 2mNc + 2mN(c_out + 1) at N_q = N_k = N. analysis.flop_count
 keeps the published convention, which excludes the normalizer. The
 feature buffer, the staged chunk operands and the outputs start on a
 cache line (matrices._aligned_empty, which states the rule and its
@@ -83,14 +87,16 @@ def normalize_and_scale(theta_out, delta_out, k_amp: float):
     sqrt(k_amp), so every surviving column has norm sqrt(k_amp) and
     q_i . k_j = k_amp * cos(angle) stays within [-k_amp, k_amp].
     """
-    theta_out, delta_out = _matrix_pair(theta_out, delta_out, "theta output", "delta output")
+    theta_out, delta_out = as_matrix(theta_out, "theta output"), as_matrix(delta_out, "delta output")
     check_settings(k_amp=k_amp)
     scale = np.sqrt(k_amp)
     return scale * normalize_columns(theta_out), scale * normalize_columns(delta_out)
 
 
 def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
-    """Randomized attention output for q, k (c x N) and v (c_out x N).
+    """Randomized c_out x N_q attention output for q (c x N_q), k (c x N_k)
+    and v (c_out x N_k): column i is query i's, over all keys, under the
+    oracle's contract (`exact._validated_qkv`).
 
     The keys are streamed first, CHUNK columns at a time, through one
     m x CHUNK feature buffer: each chunk's features are reduced into
@@ -108,14 +114,16 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
 
     Each value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1),
     and its output row is scaled back by 2^e_r after the divide, so every
-    kv entry is at most N. With B = min(U, log(MAX / 2) - log(mN)), a key
+    kv entry is at most N_k. With B = min(U, log(MAX / 2) - log(m N_k)),
+    the headroom of a query's m N_k terms, a key
     chunk whose row maxima all lie in [-B, B], and a query chunk whose
     column maxima all lie in [0, B], run exp on their raw exponents; such a
     query chunk leaves its output block in raw units. Any other chunk is
     shifted in its block by those maxima (`features._exp_features`).
 
     Keys whose |k|^2 all overflow, and a query column whose every exponent
-    is -inf, raise NumericError, as a projection of +inf does.
+    is -inf, raise NumericError, as a projection of +inf does; that error
+    names a key column or a query column.
     """
     return _prefix_forwards(q, k, v, config, [config.m])[0]
 
@@ -142,18 +150,15 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
     segment, each output divides its columns as enla_forward(m_i) does.
     """
     q, k, v = _validated_qkv(q, k, v)
-    if q.shape != k.shape:  # the oracle's contract, with one query per key
-        raise ShapeError(f"q and k need equal shapes, got {q.shape} vs {k.shape}")
-    c, n = q.shape
-    c_out = v.shape[0]
+    (c, n_q), (c_out, n_k) = q.shape, v.shape
     spans = list(zip([0, *ms[:-1]], ms))
     # [F | -1]; after the key pass its rows hold [F | s]
     lifted = np.empty((ms[-1], c + 1))
     lifted[:, :c] = sample_projection(config.rng, ms[-1], c, config.orthogonal).f
     lifted[:, c] = -1.0
     e = _unit_exponent(v)
-    bound = _headroom(ms[-1] * n)
-    width = min(n, CHUNK)
+    bound = _headroom(ms[-1] * n_k)
+    width = min(max(n_q, n_k), CHUNK)
     features = _aligned_empty((ms[-1], width))
     # a chunk's GEMM operand [k_b; |k_b|^2 / 2] or [q_b; 1], and a key
     # chunk's staged [2^-e V_b; 1]: its last row makes the last column of kv
@@ -163,18 +168,18 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
     staged[-1] = 1.0
     kv = np.zeros((ms[-1], c_out + 1))
     key_shift = np.full(ms[-1], -math.inf)
-    outputs = [_aligned_empty((c_out + 1, n)) for _ in ms]
+    outputs = [_aligned_empty((c_out + 1, n_q)) for _ in ms]
 
     with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
-        for start in range(0, n, CHUNK):
-            stop = min(n, start + CHUNK)
+        for start in range(0, n_k, CHUNK):
+            stop = min(n_k, start + CHUNK)
             lift, stage = operand[:, :stop - start], staged[:, :stop - start]
             lift[:c] = k[:, start:stop]
             lift[c] = _half_sq_norms(lift[:c])
             np.ldexp(v[:, start:stop], -e, out=stage[:-1])
             for low, high in spans:
                 block = features[:high - low, :stop - start]
-                top = _projected(lifted[low:high], lift, start, block, axis=1)
+                top = _projected(lifted[low:high], lift, start, block, axis=1, column="key column")
                 # a key of finite |k|^2 is finite on every row: a chunk's row
                 # maxima are all finite, or all -inf and its features all 0
                 if top[0] == -math.inf:
@@ -190,8 +195,8 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
         lifted[:, c] = key_shift
 
         operand[c] = 1.0
-        for start in range(0, n, CHUNK):
-            stop = min(n, start + CHUNK)
+        for start in range(0, n_q, CHUNK):
+            stop = min(n_q, start + CHUNK)
             lift = operand[:, :stop - start]
             lift[:c] = q[:, start:stop]
             # the chunk's running column max of F q + s, whether it carries
@@ -199,7 +204,7 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
             seen, shifted, sums = -math.inf, False, None
             for (low, high), out in zip(spans, outputs):
                 block = features[:high - low, :stop - start]
-                top = np.maximum(seen, _projected(lifted[low:high], lift, start, block))
+                top = np.maximum(seen, _projected(lifted[low:high], lift, start, block, column="query column"))
                 if top.min() == -math.inf:
                     col = start + int(np.argmin(top))
                     raise NumericError(f"every projection of query column {col} is -inf")

@@ -212,21 +212,22 @@ def _finite_or_zero(shift):
     return np.where(np.isfinite(shift), shift, 0.0)
 
 
-def _projected(f: np.ndarray, u: np.ndarray, offset: int, out: np.ndarray, axis: int = 0) -> np.ndarray:
+def _projected(f: np.ndarray, u: np.ndarray, offset: int, out: np.ndarray, axis: int = 0,
+               column: str = "column") -> np.ndarray:
     """Form F u in out for u, the columns from `offset` on of a validated
     matrix, and return the maxima of out along axis: its column maxima, or
-    its row maxima for axis=1. The caller runs `_exp_features` on
-    out, so the features allocate nothing of size m x N. A projection that
-    overflows (an entry of +inf or NaN) cannot be repaired by any shift and
-    raises NumericError naming the column of the whole matrix. The caller
-    holds np.errstate(over="ignore", invalid="ignore"), once per pass and not
-    once per chunk.
+    its row maxima for axis=1. The caller runs `_exp_features` on out, so
+    the features allocate nothing of size m x N. A projection that
+    overflows (+inf or NaN) cannot be repaired by any shift and raises
+    NumericError naming its `column` of the whole matrix ("key column" or
+    "query column" in the forward). The caller ignores over and invalid in
+    one np.errstate per pass, not per chunk.
     """
     np.matmul(f, u, out=out)
     top = out.max(axis=axis)
     if not (top < math.inf).all():
         col = offset + int(np.flatnonzero(~(out < math.inf).all(axis=0))[0])
-        raise NumericError(f"phi overflowed after stabilization at column {col}")
+        raise NumericError(f"phi overflowed after stabilization at {column} {col}")
     return top
 
 

@@ -37,8 +37,8 @@ def naive_attention(q_cols, k_cols, v_cols):
 
 
 def two_path_forward(f, q, k, v):
-    """Random-feature attention for projection rows f (m x c), q, k (c x N)
-    and v (c_out x N), unstabilized, with the numerator and the normalizer
+    """Random-feature attention for projection rows f (m x c), q (c x N_q),
+    k (c x N_k) and v (c_out x N_k), unstabilized, with the numerator and the normalizer
     computed on separate paths. Returns (output, normalizer).
 
     The output leaves out each query's factor exp(-|q|^2 / 2), which
@@ -55,7 +55,7 @@ def two_path_forward(f, q, k, v):
 
 def decimal_forward(f, q, k, v, digits=60):
     """The random-feature attention output for projection rows f (m x c),
-    q, k (c x N) and v (c_out x N), evaluated in `digits`-digit decimal
+    q (c x N_q), k (c x N_k) and v (c_out x N_k), evaluated in `digits`-digit decimal
     arithmetic from the exact values of the float64 inputs. Each weight
     sum_l exp(a_lj + b_li), a = F q - |q|^2 / 2 and b = F k - |k|^2 / 2, is
     taken in log space, as the forward takes it: each row l of b is shifted

@@ -12,6 +12,8 @@ import pytest
 
 import enlca
 from enlca.cli import UsageError, build_parser, main
+from enlca.contrastive import ContrastiveConfig, contrastive_loss, relevance_scores
+from enlca.enla import EnlaConfig, enla_forward
 from enlca.exact import attention_weights, exact_attention, shannon_entropy
 from enlca.features import sample_projection
 from enlca.matrices import (
@@ -124,9 +126,17 @@ class TestExactCommand:
         assert np.array_equal(read_matrix_csv(y_path), exact_attention(q, k, v))
         assert np.array_equal(read_matrix_csv(w_path), attention_weights(q, k))
         assert read_matrix_csv(w_path).shape == (3, 5)
-        code, out, err = run(capsys, "enla", *inputs)
-        assert code == 2 and out == ""
-        assert err == "error: q and k need equal shapes, got (4, 3) vs (4, 5)\n"
+        # enla takes the same files: one output column per query
+        enla_path = tmp_path / "enla.csv"
+        code, _, _ = run(capsys, "enla", *inputs, "--seed", "4", "--out", str(enla_path))
+        assert code == 0
+        config = EnlaConfig(rng=RngSpec(4).stream(2), m=128)
+        assert np.array_equal(read_matrix_csv(enla_path), enla_forward(q, k, v, config))
+        # and contrastive scores the 3 queries against the 5 keys
+        code, out, _ = run(capsys, "contrastive", *inputs[:4], "--n1", "0.2", "--n2", "0.4")
+        assert code == 0
+        expected = contrastive_loss(relevance_scores(q, k, 6.0), ContrastiveConfig(n1=0.2, n2=0.4))
+        assert out == f"contrastive_loss {expected:.10g}\n"
 
 
 class TestEnlaCommand:
@@ -334,6 +344,15 @@ class TestContrastiveCommand:
         code, out, err = run(capsys, "contrastive", "--t", str(paths["t"]), "--n1", "0.5", "--n2", "0.5",
                              "--sr", str(paths["sr"]), "--hr", str(paths["hr"]))
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_total_loss_past_float_range_is_numeric_failure(self, tmp_path, capsys):
+        # a reconstruction loss of 1.7e308 plus 1e308 times a contrastive loss of 1
+        paths = {name: tmp_path / f"{name}.csv" for name in ("t", "sr", "hr")}
+        for name, a in (("t", np.zeros((1, 2))), ("sr", np.zeros((2, 2))), ("hr", np.full((2, 2), 1.7e308))):
+            write_matrix_csv(a, paths[name])
+        code, out, err = run(capsys, "contrastive", "--t", str(paths["t"]), "--n1", "0.5", "--n2", "0.5",
+                             "--sr", str(paths["sr"]), "--hr", str(paths["hr"]), "--lambda-cl", "1e308")
+        assert (code, out, err) == (2, "", "error: total loss overflowed\n")
 
 
 class TestCorrMapCommand:

@@ -94,10 +94,12 @@ def exponent_scale(f, *sides):
 
 
 @contract
-@given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 3), st.integers(1, 8), st.booleans())
-def test_forward(data, c, n, c_out, m, orthogonal):
-    q, k = (data.draw(arrays(c, n)) for _ in range(2))
-    v = data.draw(arrays(c_out, n))
+@given(st.data(), st.integers(1, 4), st.integers(1, 6), st.integers(1, 6), st.integers(1, 3), st.integers(1, 8),
+       st.booleans())
+def test_forward(data, c, n_q, n_k, c_out, m, orthogonal):
+    q = data.draw(arrays(c, n_q))
+    k = data.draw(arrays(c, n_k))
+    v = data.draw(arrays(c_out, n_k))
     config = EnlaConfig(rng=RngSpec(data.draw(st.integers(0, 2**32))), m=m, orthogonal=orthogonal)
     out = outcome(enla_forward, q, k, v, config)
     if out is None:
@@ -156,14 +158,16 @@ def test_exact(data, c, n_q, n_k, c_out):
 
 
 @contract
-@given(st.data(), sizes, st.integers(2, 12), k_amps)
-def test_contrastive(data, c, n, k_amp):
-    q, k = (data.draw(arrays(c, n)) for _ in range(2))
+@given(st.data(), sizes, sizes, st.integers(2, 12), k_amps)
+def test_contrastive(data, c, n_q, n_k, k_amp):
+    q = data.draw(arrays(c, n_q))
+    k = data.draw(arrays(c, n_k))
     scores = outcome(relevance_scores, q, k, k_amp)
     assert_finite(scores)
     if scores is not None:
+        assert (np.abs(scores) <= k_amp).all()
         assert_finite(outcome(contrastive_loss, scores, ContrastiveConfig(n1=0.2, n2=0.5)))
-    assert_finite(outcome(reconstruction_loss, q, k))
+    assert_finite(outcome(reconstruction_loss, k, data.draw(arrays(c, n_k))))
 
 
 @contract
@@ -187,7 +191,7 @@ def test_block(data, c_in, n, k_amp):
     weights = [data.draw(arrays(c_in, cols)) for cols in (c_embed, c_embed, c_in)]
     config = EnlaConfig(rng=RngSpec(data.draw(st.integers(0, 2**32))), m=4, k_amp=k_amp)
     params = outcome(EnlcaBlockParams, *weights, config)
-    assert_finite(outcome(normalize_and_scale, x, x, k_amp))
+    assert_finite(outcome(normalize_and_scale, x, data.draw(arrays(c_in, n + 1)), k_amp))
     if params is not None:
         assert_finite(outcome(block_inputs, x, params))
         assert_finite(outcome(enlca_block, x, params))

@@ -49,6 +49,23 @@ class TestRelevanceScores:
         q = np.array([[3e200, 3.0], [4e200, 4.0]])
         assert np.allclose(relevance_scores(q, q, 6.0), 6.0, rtol=1e-15, atol=0)
 
+    def test_cosine_rounding_past_one_is_clipped(self):
+        # this column's cosine with itself rounds to 1 + 2^-52; at the
+        # largest k_amp the unclipped score overflowed
+        b = np.array([[0.9034701816518086], [0.09401229776087457], [-0.7434992493538084]])
+        big = np.finfo(np.float64).max
+        assert relevance_scores(b, b, big)[0, 0] == big
+        assert relevance_scores(b, -b, big)[0, 0] == -big
+        assert relevance_scores(b, b, 6.0)[0, 0] == 6.0
+
+    def test_queries_with_their_own_column_count(self):
+        q = gaussian_sample(RngSpec(21), 4, 7)
+        k = gaussian_sample(RngSpec(22), 4, 3)
+        cols = [5, 0]
+        t = relevance_scores(q[:, cols], k, 6.0)
+        assert t.shape == (2, 3)
+        assert np.array_equal(t, relevance_scores(q, k, 6.0)[cols])
+
     def test_ties_equation_chain_together(self):
         # Relevance of the normalized/amplified features equals their
         # plain inner products: both express k_amp * cosine.
@@ -147,6 +164,16 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError):
             ContrastiveConfig(n2=1.0)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("n1", "0.1"), ("n2", "0.1"), ("b", "1"), ("b", None), ("n1", True),
+    ])
+    def test_config_non_number_named(self, setting, value):
+        with pytest.raises(ValueError, match=rf"^{setting} must be a real number, got {value!r}$"):
+            ContrastiveConfig(**{setting: value})
+
+    def test_config_numpy_numbers_accepted(self):
+        assert ContrastiveConfig(n1=np.float64(0.1), b=np.int64(2)).b == 2
+
     def test_config_margin_must_be_finite(self):
         with pytest.raises(ValueError, match="^b must be finite, got inf$"):
             ContrastiveConfig(b=float("inf"))
@@ -191,6 +218,12 @@ class TestTotalLoss:
 
     def test_zero_contrastive(self):
         assert total_loss(0.25, 0.0, 1e-3) == 0.25
+
+    def test_sum_past_float_range_raises(self):
+        with pytest.raises(NumericError, match="^total loss overflowed$"):
+            total_loss(1e308, 1e308, 1.0)
+        with pytest.raises(NumericError, match="^total loss overflowed$"):
+            total_loss(np.float64(-1e308), np.float64(-1e308), np.float64(1.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -101,8 +101,16 @@ class TestNormalizeAndScale:
         assert np.array_equal(q, k)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            normalize_and_scale(np.zeros((2, 3)), np.zeros((2, 4)), 2.0)
+        # each input is checked alone, under its own name
+        with pytest.raises(ShapeError, match="^delta output must be 2-D, got ndim=1$"):
+            normalize_and_scale(np.zeros((2, 3)), np.zeros(3), 2.0)
+
+    def test_inputs_with_their_own_shapes(self):
+        theta = gaussian_sample(RngSpec(3), 5, 7)
+        delta = gaussian_sample(RngSpec(4), 2, 3)
+        q, k = normalize_and_scale(theta, delta, 6.0)
+        assert np.array_equal(q, normalize_and_scale(theta, theta, 6.0)[0])
+        assert np.array_equal(k, normalize_and_scale(delta, delta, 6.0)[1])
 
 
 class TestEnlaForward:
@@ -499,6 +507,18 @@ class TestPrefixForwards:
 
 
 
+def recorded_raw_flags(monkeypatch):
+    """The raw flag of every chunk's _exp_features call, keys first."""
+    flags = []
+    exp_features = enla._exp_features
+
+    def recorded(block, top, raw):
+        flags.append(raw)
+        return exp_features(block, top, raw)
+    monkeypatch.setattr(enla, "_exp_features", recorded)
+    return flags
+
+
 def key_shifts(f, k):
     """Each projection row's key shift s_l = max_i (f_l . k_i - |k_i|^2 / 2)."""
     return (f @ k - 0.5 * (k * k).sum(axis=0)).max(axis=1)
@@ -572,13 +592,7 @@ class TestShiftBoundaries:
         # t f / |f| with t |f| - t^2 / 2 just inside or outside -U or U. The
         # one key chunk runs raw exactly inside, and identical keys mix the
         # values uniformly on either path
-        raw_flags = []
-        exp_features = enla._exp_features
-
-        def recorded(block, top, raw):
-            raw_flags.append(raw)
-            return exp_features(block, top, raw)
-        monkeypatch.setattr(enla, "_exp_features", recorded)
+        raw_flags = recorded_raw_flags(monkeypatch)
         q, _, v = seeded_qkv(126, c=1024, c_out=3, n=40)
         config = EnlaConfig(rng=RngSpec(127), m=1)
         f = sample_projection(config.rng, 1, 1024).f
@@ -715,6 +729,110 @@ class TestUnshiftedPath:
         for m, out in zip([32, 64, 128], _prefix_forwards(q, k, v, config, [32, 64, 128])):
             reference, _ = two_path_forward(f[:m], q, k, v)
             assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+
+def cross_qkv(seed, c, c_out, n_q, n_k, k_amp=1.0):
+    """seeded_qkv's q on n_q columns, against its k and v on n_k."""
+    q, _, _ = seeded_qkv(seed, c, c_out, n_q, k_amp)
+    _, k, v = seeded_qkv(seed, c, c_out, n_k, k_amp)
+    return q, k, v
+
+
+class TestCrossShapes:
+    """N_q queries against N_k keys, the oracle's contract: the per-query
+    and per-key feature maps tie neither count to the other."""
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    @pytest.mark.parametrize("n_q, n_k", [(1, 9), (9, 1), (CHUNK + 3, 5), (5, CHUNK + 3)])
+    def test_against_two_path_reference(self, n_q, n_k, orthogonal):
+        q, k, v = cross_qkv(130, c=8, c_out=3, n_q=n_q, n_k=n_k, k_amp=6.0)
+        config = EnlaConfig(rng=RngSpec(131), m=64, orthogonal=orthogonal)
+        f = sample_projection(config.rng, 64, 8, orthogonal).f
+        reference, _ = two_path_forward(f, q, k, v)
+        out = enla_forward(q, k, v, config)
+        assert out.shape == (3, n_q)
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_prefix_forwards(self):
+        q, k, v = cross_qkv(132, c=8, c_out=3, n_q=CHUNK + 3, n_k=7)
+        config = EnlaConfig(rng=RngSpec(133), m=64)
+        f = sample_projection(config.rng, 64, 8).f
+        for m, out in zip([16, 64], _prefix_forwards(q, k, v, config, [16, 64])):
+            reference, _ = two_path_forward(f[:m], q, k, v)
+            assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("offset", [-1e-9, 1e-9])
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("n_q, n_k", [(3, 5), (5, 2)])
+    def test_column_max_at_headroom(self, monkeypatch, n_q, n_k, side, offset):
+        # TestShiftBoundaries' column along the longest projection row, its
+        # largest exponent just inside or outside B = _headroom(m N_k), the
+        # bound of a query's m N_k terms; against the decimal reference
+        q, k, v = cross_qkv(134, c=256, c_out=2, n_q=n_q, n_k=n_k)
+        config = EnlaConfig(rng=RngSpec(135), m=16)
+        f = sample_projection(config.rng, 16, 256).f
+        bound = _headroom(config.m * n_k)
+        shift = key_shifts(f, k) if side == "q" else np.zeros(16)
+        norms = np.linalg.norm(f, axis=1)
+        row = int(np.argmax(norms))
+        u = f[row] * ((bound * (1 + offset) - shift[row]) / norms[row] ** 2)
+        assert ((f @ u + shift).max() > bound) == (offset > 0)
+        (q if side == "q" else k)[:, 1] = u
+        raw_flags = recorded_raw_flags(monkeypatch)
+        out = enla_forward(q, k, v, config)
+        if side == "q":
+            assert raw_flags[-1] == (offset < 0)
+        assert decimal_error(out, config, q, k, v).max() <= 100
+
+    @pytest.mark.parametrize("n_k", [5, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("width", [1, 3, 8, 16, 40])
+    def test_query_columns(self, monkeypatch, width, n_k):
+        # no query chunk takes the shifted path, so each output column is
+        # its query's alone. Bit for bit where the GEMMs take one kernel:
+        # OpenBLAS rounds the 1-4 columns left over from its groups of 8
+        # in another, so narrower or ragged samples agree to rounding
+        q, k, v = cross_qkv(136, c=16, c_out=3, n_q=CHUNK + 5, n_k=n_k, k_amp=6.0)
+        config = EnlaConfig(rng=RngSpec(137), m=64)
+        cols = RngSpec(136).stream(9).generator().choice(CHUNK + 5, width, replace=False)
+        raw_flags = recorded_raw_flags(monkeypatch)
+        full = enla_forward(q, k, v, config)
+        sampled = enla_forward(q[:, cols], k, v, config)
+        assert all(raw_flags)
+        if width % 8 == 0:
+            assert np.array_equal(sampled, full[:, cols])
+        assert np.abs(sampled - full[:, cols]).max() <= 1e-14 * np.abs(v).max()
+
+    def test_query_columns_when_a_left_out_column_shifts(self, monkeypatch):
+        # column 1 passes U and shifts its chunk in the full forward; the
+        # sampled columns run raw
+        q, k, v = cross_qkv(138, c=256, c_out=3, n_q=40, n_k=9)
+        config = EnlaConfig(rng=RngSpec(139), m=16)
+        f = sample_projection(config.rng, 16, 256).f
+        norms = np.linalg.norm(f, axis=1)
+        row = int(np.argmax(norms))
+        q[:, 1] = f[row] * (2 * _UNSHIFTED_MAX / norms[row] ** 2)
+        raw_flags = recorded_raw_flags(monkeypatch)
+        full = enla_forward(q, k, v, config)
+        assert raw_flags[-1] is False
+        cols = [0, 2, 39]
+        sampled = enla_forward(q[:, cols], k, v, config)
+        assert raw_flags[-1] is True
+        assert np.abs(sampled - full[:, cols]).max() <= 1e-14 * np.abs(v).max()
+
+    @pytest.mark.parametrize("side, n_q, n_k, col", [
+        ("q", 3, 5, 1), ("k", 3, 5, 2), ("q", CHUNK + 3, 5, CHUNK + 1), ("k", 5, CHUNK + 3, CHUNK + 1),
+    ])
+    def test_overflow_names_its_side(self, side, n_q, n_k, col):
+        q, k, v = cross_qkv(140, c=2, c_out=1, n_q=n_q, n_k=n_k)
+        (q if side == "q" else k)[:, col] = 1e308
+        name = "query" if side == "q" else "key"
+        with pytest.raises(NumericError, match=f"^phi overflowed after stabilization at {name} column {col}$"):
+            enla_forward(q, k, v, EnlaConfig(rng=RngSpec(141), m=16))
+
+    def test_phi_keeps_its_message(self):
+        u = np.array([[1.0, 1e308], [1.0, 1e308]])
+        with pytest.raises(NumericError, match="^phi overflowed after stabilization at column 1$"):
+            phi(sample_projection(RngSpec(141), 16, 2), u)
 
 
 class TestInPlaceSafety:

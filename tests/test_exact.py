@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from enlca import exact
+from enlca.contrastive import relevance_scores
 from enlca.enla import EnlaConfig, enla_forward, normalize_and_scale
 from enlca.exact import (
     attention_row_entropies,
@@ -308,11 +309,10 @@ def test_oracle_and_forward_reject_alike(shapes):
     assert str(oracle.value) == str(forward.value)
 
 
-def test_only_the_forward_needs_a_query_per_key():
+def test_forward_and_oracle_take_queries_with_their_own_column_count():
     q, k, v = np.zeros((3, 4)), np.zeros((3, 5)), np.ones((3, 5))
     assert np.array_equal(exact_attention(q, k, v), np.ones((3, 4)))
-    with pytest.raises(ShapeError, match=r"^q and k need equal shapes, got \(3, 4\) vs \(3, 5\)$"):
-        enla_forward(q, k, v, EnlaConfig(rng=RngSpec(0), m=8))
+    assert np.array_equal(enla_forward(q, k, v, EnlaConfig(rng=RngSpec(0), m=8)), np.ones((3, 4)))
 
 
 class TestCrossAttention:
@@ -387,7 +387,9 @@ class TestCorrelationMap:
         attention_row_entropies,
         attention_weights,
         lambda q, k: exact_attention(q, k, np.zeros((1, 5))),
-    ], ids=["correlation_map", "attention_row_entropies", "attention_weights", "exact_attention"])
+        lambda q, k: relevance_scores(q, k, 1.0),
+    ], ids=["correlation_map", "attention_row_entropies", "attention_weights", "exact_attention",
+            "relevance_scores"])
     def test_channel_mismatch(self, call):
         message = r"^q and k need equal channel counts, got \(2, 3\) vs \(3, 5\)$"
         with pytest.raises(ShapeError, match=message):

@@ -76,8 +76,6 @@ class TestEqualShapePairs:
     """Every operand pair that must match in shape says so in one form."""
 
     @pytest.mark.parametrize("call, names", [
-        (lambda a, b: relevance_scores(a, b, 1.0), "q and k"),
-        (lambda a, b: normalize_and_scale(a, b, 1.0), "theta output and delta output"),
         (reconstruction_loss, "sr and hr"),
         (lambda a, b: EnlcaBlockParams(a, b, np.eye(2), EnlaConfig(rng=RngSpec(0))),
          "w_theta and w_delta"),
