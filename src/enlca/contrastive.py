@@ -38,9 +38,7 @@ class ContrastiveConfig:
 
     def __post_init__(self):
         for name in ("n1", "n2", "b"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+            value = _real(name, getattr(self, name))
             if name != "b" and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if self.n1 + self.n2 > 1.0:
@@ -49,6 +47,13 @@ class ContrastiveConfig:
             )
         if not np.isfinite(self.b):
             raise ValueError(f"b must be finite, got {self.b}")
+
+
+def _real(name: str, value):
+    """value, if it is a real number and not a bool; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
 def relevance_scores(q, k, k_amp: float) -> np.ndarray:
@@ -114,9 +119,11 @@ def reconstruction_loss(sr, hr) -> float:
 
 
 def total_loss(rec: float, cl: float, lambda_cl: float) -> float:
-    """Composite training objective: rec + lambda_cl * cl. A sum past
-    float range raises NumericError."""
-    values = (rec, cl, lambda_cl)
+    """Composite training objective: rec + lambda_cl * cl. A term that is
+    not a real number, or is a bool, raises ValueError naming it; a term
+    that is not finite raises ValueError too, and a sum past float range
+    NumericError."""
+    values = tuple(map(_real, ("rec", "cl", "lambda_cl"), (rec, cl, lambda_cl)))
     if not all(np.isfinite(v) for v in values):
         raise ValueError(f"loss terms must be finite, got {values}")
     loss = float(rec) + float(lambda_cl) * float(cl)

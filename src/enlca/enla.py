@@ -6,20 +6,23 @@ estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
 ever exists and one GEMM yields both the numerator rows and the
 normalizer row. The estimator is a per-query map times a per-key map, so
 N_q queries and N_k keys are free to differ. Both phi(K) and phi(Q) are
-streamed in column chunks through one reused m x CHUNK feature buffer, so
-the forward's extra memory is that buffer, the (c_out + 1) x N_q output
-and one shift per projection row; the stabilizer shifts go where they are
-cheap (see enla_forward). The same loop evaluates several sample counts
-as row prefixes of one projection, for the approximation-error sweep:
-chunks outermost, each chunk staged once and taken through every row
-segment. The multiply-add count is m N_k (c + c_out + 1) for the keys
+streamed in column chunks, and each chunk in row tiles of at most R rows,
+R fixed by c and c_out so that every GEMM of a tile stays on OpenBLAS's
+small-matrix path (_tile_rows, which states the rule and its measured
+effect). So the forward's extra memory is one reused R x CHUNK feature
+buffer, one (c_out + 1) x CHUNK product buffer, the (c_out + 1) x N_q
+output and one shift per projection row; the stabilizer shifts go where
+they are cheap (see enla_forward). The same loop evaluates several sample
+counts as row prefixes of one projection, for the approximation-error
+sweep: chunks outermost, each chunk staged once and taken through every
+row segment. The multiply-add count is m N_k (c + c_out + 1) for the keys
 (phi(K) and its reduction into kv) plus m N_q (c + c_out + 1) for the
 queries (phi(Q) and the output GEMM), the m N_k + m N_q being the
 normalizer: 2mNc + 2mN(c_out + 1) at N_q = N_k = N. analysis.flop_count
 keeps the published convention, which excludes the normalizer. The
-feature buffer, the staged chunk operands and the outputs start on a
-cache line (matrices._aligned_empty, which states the rule and its
-measured effect).
+working block (feature tile, staged chunk operands and product) and the
+outputs start on a cache line (matrices._aligned_empty, which states the
+rule and its measured effect).
 
 Query/key columns enter unit-normalized and scaled by sqrt(k_amp); k_amp > 1
 sharpens the attention at the price of exponentially larger variance.
@@ -40,9 +43,13 @@ from .matrices import (
     check_settings, normalize_columns,
 )
 
-# Columns per chunk of the forward: the feature buffer is m x CHUNK
-# (2 MiB at m = 128). Chosen from the chunk-width sweep in BENCH_chunked.json.
+# Columns per chunk of the forward. Chosen from the chunk-width sweep in
+# BENCH_chunked.json, made when the feature buffer held all m rows.
 CHUNK = 2048
+# OpenBLAS's two small-matrix limits and the fewest rows worth a tile (see _tile_rows)
+_SMALL_GEMM_MNK = 100 ** 3
+_SMALL_GEMM_TN_MN = 1200
+_MIN_TILE_ROWS = 24
 
 __all__ = [
     "EnlaConfig",
@@ -98,14 +105,16 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     and v (c_out x N_k): column i is query i's, over all keys, under the
     oracle's contract (`exact._validated_qkv`).
 
-    The keys are streamed first, CHUNK columns at a time, through one
-    m x CHUNK feature buffer: each chunk's features are reduced into
-    kv = phi(K) [V^T | 1] (m x (c_out + 1)) at once. Row l of kv has its
-    own shift s_l, the running max of f_l . k - |k|^2 / 2 over the keys,
-    and is rescaled by exp(old - new) when a chunk raises it, so its key
-    sum is at least 1. The queries then go through the same buffer with
-    exponents f_l . q + s_l, each column shifted by its max, and each
-    (c_out + 1)-row output block is written in place. The term of that max
+    The keys are streamed first, CHUNK columns and at most R rows
+    (`_tile_rows`) at a time, through one R x CHUNK feature buffer: each
+    tile's features are reduced into its rows of kv = phi(K) [V^T | 1]
+    (m x (c_out + 1)) at once. Row l of kv has its own shift s_l, the
+    running max of f_l . k - |k|^2 / 2 over the keys, and is rescaled by
+    exp(old - new) when a chunk raises it, so its key sum is at least 1.
+    The queries then go through the same buffer with exponents
+    f_l . q + s_l, each column shifted by its max, and each (c_out + 1)-row
+    output block is written in place as the sum of its tiles' products
+    (`_prefix_forwards` says how the tiles carry it). The term of that max
     is exp(0) times a key sum of at least 1: every normalizer is at least 1
     and none can underflow. Every shift cancels in the output ratio, so one
     column of extreme norm cannot push the features of the others out of
@@ -128,6 +137,44 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     return _prefix_forwards(q, k, v, config, [config.m])[0]
 
 
+def _tile_rows(c: int, c_out: int):
+    """R, the most projection rows in one tile of the forward at c
+    channels and c_out value rows, or None: every row segment is then one
+    tile.
+
+    The rule of the forward's GEMMs: each of a tile's three (its features
+    [F | s] u, R x (c + 1) by (c + 1) x W; its kv share, R x W by
+    W x (c_out + 1); its output share, (c_out + 1) x R by R x W) stays on
+    OpenBLAS's small-matrix path, which skips the operand packing of its
+    blocked path. OpenBLAS's SkylakeX permit takes a GEMM while
+    M N K <= 10^6, and one whose first operand is transposed, as the kv
+    GEMM's is, only while M N <= 1200. So R is the largest count with R CHUNK (max(c, c_out) + 1)
+    <= 10^6 and R (c_out + 1) <= 1200: 54 at c = c_out = 8, 28 at 16. It
+    is taken at the widest chunk, so that it depends on c and c_out alone:
+    enla_forward(m_1) cuts a sweep's first prefix, and a sample of query
+    columns the full call, into the same tiles. Below 24 rows (max(c,
+    c_out) of 20 and more) the forward keeps its segments whole: at 23
+    rows tiles took 0.97-1.07x the time of whole segments, within the
+    runs' spread, and from 19 rows down they lost (1.04-1.16x at 19 rows,
+    1.23-1.32x at 14, 2.1-2.3x at 7; three, three and two runs).
+
+    Measured on a 2-core Xeon (OpenBLAS 0.3.31, SkylakeX core, numpy 2.4,
+    one BLAS thread; BENCH_tiles.json). ns per tile element of the three
+    GEMMs at W = 2048, by R, across the first limit:
+
+        c = c_out = 8:   48: 1.96  54: 2.04 | 56: 2.73  64: 2.72
+        c = c_out = 16:  24: 3.48  28: 3.44 | 32: 3.84  64: 3.76
+
+    The kv GEMM alone at W = 512, across the second: 1.15 ns at 70 rows
+    and 1.46 at 72 (c_out = 16), 0.56 at 133 and 1.15 at 134 (c_out = 8).
+    enla_forward at N = 40 000, m = 128, whole segments against tiles
+    (medians of 10 alternating pairs): 32.0 -> 23.2 ms at c = c_out = 8
+    and 38.0 -> 31.5 at 16.
+    """
+    rows = min(_SMALL_GEMM_MNK // (CHUNK * (max(c, c_out) + 1)), _SMALL_GEMM_TN_MN // (c_out + 1))
+    return rows if rows >= _MIN_TILE_ROWS else None
+
+
 def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
     """enla_forward's output for each sample count in the ascending list
     ms, in order, all from one projection of ms[-1] rows drawn from
@@ -136,22 +183,39 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
     to rounding; the first is bit-identical to it.
 
     Both passes loop over chunks outermost and over the row segments
-    [m_{i-1}, m_i) inside, so each chunk of k, |k|^2 / 2, V and q is staged
-    once. A row's key shift depends on no other row, so a key chunk reduces
-    each segment into that segment's rows of kv with its own GEMM. A query
-    chunk carries its running column max, whether it is shifted, and the
-    previous segment's undivided sums through its segment loop: output i
-    holds those sums plus segment i's product. The chunk keeps the raw exp
-    of enla_forward while every segment finds its columns in range; once
-    one does not, that segment and every later one is shifted, and the sums
-    so far are rescaled by exp(old - new) per column, the old shift being 0
-    for a chunk that was unshifted. Every segment tests its chunks against
-    enla_forward's B at m = ms[-1]. Once the chunk has passed every
-    segment, each output divides its columns as enla_forward(m_i) does.
+    [m_{i-1}, m_i) inside, each cut into tiles of at most R = _tile_rows(c,
+    c_out) rows from its first row, so each chunk of k, |k|^2 / 2, V and q
+    is staged once. A row's key shift depends on no other row, so a key
+    chunk forms each tile's rows of its share of kv with the tile's own
+    GEMM, then rescales and adds to every row of kv at once.
+    A query chunk carries its running column max, whether it is shifted,
+    and the undivided sums of the tiles so far through its tile loop: a
+    segment's first product goes into output i, onto the previous
+    segment's sums, and each later tile's product is added to it from the
+    product buffer, so output i holds the sums of every tile up to segment
+    i's last. The chunk keeps the raw exp of enla_forward while every tile
+    finds its columns in range; once one does not, that tile and every
+    later one is shifted, and the sums so far are rescaled by
+    exp(old - new) per column, the old shift being 0 for a chunk that was
+    unshifted. A column may stay -inf through a segment's early tiles; it
+    is named only if it is still -inf after the segment's last. Every tile
+    tests its chunks against enla_forward's B at m = ms[-1]. Once the chunk
+    has passed every segment, each output divides its columns as
+    enla_forward(m_i) does.
+
+    The feature tile, the chunk operand, the staged values and the product
+    buffer are one allocation. As four, at the approximation sweep's shape
+    (N = 2048, c = c_out = 8, prefixes 16 to 128) glibc gave their pages
+    back at the end of every call and the next call faulted about 450 of
+    them in again, which cost more than the tiles saved: glibc trims the
+    top of its heap when a free leaves more than twice its mmap threshold
+    there, and that threshold follows the largest block freed, which the
+    tiles shrink from an m-row feature buffer to an R-row one.
     """
     q, k, v = _validated_qkv(q, k, v)
     (c, n_q), (c_out, n_k) = q.shape, v.shape
-    spans = list(zip([0, *ms[:-1]], ms))
+    rows = min(_tile_rows(c, c_out) or ms[-1], ms[-1])
+    segments = [[(t, min(high, t + rows)) for t in range(low, high, rows)] for low, high in zip([0, *ms[:-1]], ms)]
     # [F | -1]; after the key pass its rows hold [F | s]
     lifted = np.empty((ms[-1], c + 1))
     lifted[:, :c] = sample_projection(config.rng, ms[-1], c, config.orthogonal).f
@@ -159,15 +223,18 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
     e = _unit_exponent(v)
     bound = _headroom(ms[-1] * n_k)
     width = min(max(n_q, n_k), CHUNK)
-    features = _aligned_empty((ms[-1], width))
-    # a chunk's GEMM operand [k_b; |k_b|^2 / 2] or [q_b; 1], and a key
-    # chunk's staged [2^-e V_b; 1]: its last row makes the last column of kv
-    # the key sum
-    operand = _aligned_empty((c + 1, width))
-    staged = _aligned_empty((c_out + 1, width))
+    # one block (see the docstring): the feature tile; a chunk's GEMM
+    # operand [k_b; |k_b|^2 / 2] or [q_b; 1]; a key chunk's staged
+    # [2^-e V_b; 1], whose last row makes the last column of kv the key sum;
+    # and a later tile's share of a query chunk
+    features, operand, staged, product = np.split(
+        _aligned_empty((rows + c + 1 + 2 * (c_out + 1), width)), np.cumsum([rows, c + 1, c_out + 1]))
     staged[-1] = 1.0
     kv = np.zeros((ms[-1], c_out + 1))
     key_shift = np.full(ms[-1], -math.inf)
+    # a key chunk's row maxima, the lead exp took out of each row and each
+    # row's share of kv
+    tops, leads, shares = np.empty(ms[-1]), np.empty((ms[-1], 1)), np.empty((ms[-1], c_out + 1))
     outputs = [_aligned_empty((c_out + 1, n_q)) for _ in ms]
 
     with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
@@ -177,19 +244,20 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
             lift[:c] = k[:, start:stop]
             lift[c] = _half_sq_norms(lift[:c])
             np.ldexp(v[:, start:stop], -e, out=stage[:-1])
-            for low, high in spans:
+            for low, high in (tile for segment in segments for tile in segment):
                 block = features[:high - low, :stop - start]
-                top = _projected(lifted[low:high], lift, start, block, axis=1, column="key column")
+                top = tops[low:high] = _projected(lifted[low:high], lift, start, block, axis=1, column="key column")
                 # a key of finite |k|^2 is finite on every row: a chunk's row
                 # maxima are all finite, or all -inf and its features all 0
                 if top[0] == -math.inf:
-                    continue
-                lead = _exp_features(block, top[:, None], -bound <= top.min() and top.max() <= bound)
-                shift = key_shift[low:high]
-                raised = np.maximum(shift, top)
-                kv[low:high] *= np.exp(shift - raised)[:, None]
-                kv[low:high] += (block @ stage.T) * np.exp(lead - raised[:, None])
-                shift[:] = raised
+                    break
+                leads[low:high] = _exp_features(block, top[:, None], -bound <= top.min() and top.max() <= bound)
+                np.matmul(block, stage.T, out=shares[low:high])
+            else:  # every row of kv at once, rescaled to its raised shift
+                raised = np.maximum(key_shift, tops)
+                kv *= np.exp(key_shift - raised)[:, None]
+                kv += shares * np.exp(leads - raised[:, None])
+                key_shift[:] = raised
         if key_shift[0] == -math.inf:
             raise NumericError("every key's squared norm overflowed")
         lifted[:, c] = key_shift
@@ -197,25 +265,32 @@ def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
         operand[c] = 1.0
         for start in range(0, n_q, CHUNK):
             stop = min(n_q, start + CHUNK)
-            lift = operand[:, :stop - start]
+            lift, part = operand[:, :stop - start], product[:, :stop - start]
             lift[:c] = q[:, start:stop]
             # the chunk's running column max of F q + s, whether it carries
-            # that max as a shift, and the previous segment's undivided sums
+            # that max as a shift, and the undivided sums of the tiles so far
             seen, shifted, sums = -math.inf, False, None
-            for (low, high), out in zip(spans, outputs):
-                block = features[:high - low, :stop - start]
-                top = np.maximum(seen, _projected(lifted[low:high], lift, start, block, column="query column"))
-                if top.min() == -math.inf:
-                    col = start + int(np.argmin(top))
-                    raise NumericError(f"every projection of query column {col} is -inf")
-                was_shifted = shifted
-                shifted = shifted or not (top.max() <= bound and top.min() >= 0.0)
-                _exp_features(block, top, not shifted)
+            for segment, out in zip(segments, outputs):
                 cols = out[:, start:stop]
-                np.matmul(kv[low:high].T, block, out=cols)
-                if sums is not None:
-                    cols += sums * np.exp((seen if was_shifted else 0.0) - top) if shifted else sums
-                seen, sums = top, cols
+                for i, (low, high) in enumerate(segment):
+                    block = features[:high - low, :stop - start]
+                    top = np.maximum(seen, _projected(lifted[low:high], lift, start, block, column="query column"))
+                    was_shifted = shifted
+                    shifted = shifted or not (top.max() <= bound and top.min() >= 0.0)
+                    _exp_features(block, top, not shifted)
+                    # a segment's first product goes into its output, a later one beside it
+                    share = cols if i == 0 else part
+                    np.matmul(kv[low:high].T, block, out=share)
+                    if sums is not None:
+                        if shifted:
+                            # -inf - -inf, a column with no finite exponent
+                            # yet, rescales its sums of 0 by 1
+                            sums = sums * np.exp(np.fmin((seen if was_shifted else 0.0) - top, 0.0))
+                        np.add(share, sums, out=cols)
+                    seen, sums = top, cols
+                if seen.min() == -math.inf:
+                    col = start + int(np.argmin(seen))
+                    raise NumericError(f"every projection of query column {col} is -inf")
             for out in outputs:
                 cols = out[:-1, start:stop]
                 cols /= out[-1, start:stop]

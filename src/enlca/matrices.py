@@ -65,9 +65,10 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     on a 64-byte boundary, carved from an np.empty seven elements longer.
 
     The rule of both attention paths: every N-sized block that they write
-    in place comes from here (enla's feature, operand, staged and output
-    blocks, the exact oracle's weight rows, staged values and output, and
-    phi's values), so that the AVX-512 passes of numpy's exp, divide and
+    in place comes from here (enla's working block, whose rows hold its
+    feature tile, operand, staged values and product, and its outputs; the
+    exact oracle's weight rows, staged values and output; and phi's
+    values), so that the AVX-512 passes of numpy's exp, divide and
     ldexp and of the GEMMs load no vector across two cache lines. malloc
     alone puts a block 0, 16, 32 or 48 bytes past a line. Measured in two
     runs on a 2-core Xeon (numpy 2.4, one BLAS thread; BENCH_aligned.json),

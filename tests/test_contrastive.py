@@ -228,3 +228,14 @@ class TestTotalLoss:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             total_loss(float("inf"), 0.0, 1.0)
+
+    @pytest.mark.parametrize("terms, name, value", [
+        (("1", 0.0, 1.0), "rec", "1"), ((0.1, None, 1.0), "cl", None), ((True, 1.0, 1.0), "rec", True),
+        ((0.1, 1.0, False), "lambda_cl", False),
+    ])
+    def test_non_number_named(self, terms, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a real number, got {value!r}$"):
+            total_loss(*terms)
+
+    def test_numpy_numbers_accepted(self):
+        assert total_loss(np.float64(0.25), np.int64(2), np.float32(0.5)) == 1.25

@@ -13,6 +13,7 @@ from enlca.enla import (
     EnlaConfig,
     EnlcaBlockParams,
     _prefix_forwards,
+    _tile_rows,
     block_inputs,
     enla_forward,
     enlca_block,
@@ -20,7 +21,7 @@ from enlca.enla import (
     random_block_params,
 )
 from enlca.exact import _block_rows, attention_row_entropies, exact_attention
-from enlca.features import phi, sample_projection
+from enlca.features import ProjectionMatrix, phi, sample_projection
 from enlca.matrices import (
     _UNSHIFTED_MAX, NumericError, RngSpec, ShapeError, _headroom, as_matrix, gaussian_sample, normalize_columns,
 )
@@ -835,6 +836,108 @@ class TestCrossShapes:
             phi(sample_projection(RngSpec(141), 16, 2), u)
 
 
+def recorded_tiles(monkeypatch):
+    """The rows of every block the forward projects, as ("key" or "query",
+    rows), in call order."""
+    tiles = []
+    projected = enla._projected
+
+    def recorded(f, u, offset, out, axis=0, column="column"):
+        tiles.append(("key" if axis == 1 else "query", out.shape[0]))
+        return projected(f, u, offset, out, axis, column)
+    monkeypatch.setattr(enla, "_projected", recorded)
+    return tiles
+
+
+class TestRowTiles:
+    """Row segments of more than R = _tile_rows(c, c_out) rows run as tiles
+    of at most R rows, R fixed by the channel counts alone."""
+
+    R = _tile_rows(16, 16)
+
+    def test_rule(self):
+        # both limits of OpenBLAS's small-matrix path hold at the widest
+        # chunk, and R does not depend on m, N or the chunk's width
+        for c, c_out in [(16, 16), (8, 8), (16, 3), (3, 16), (1, 1)]:
+            rows = _tile_rows(c, c_out)
+            assert rows >= 24
+            assert rows * CHUNK * (max(c, c_out) + 1) <= 10**6 and rows * (c_out + 1) <= 1200
+        assert self.R == 28 and _tile_rows(8, 8) == 54
+
+    @pytest.mark.parametrize("c", [32, 64])
+    @pytest.mark.parametrize("wide_values", [False, True])
+    def test_wide_channels_get_one_tile(self, monkeypatch, c, wide_values):
+        c_out = c if wide_values else 3
+        assert _tile_rows(c, c_out) is None
+        tiles = recorded_tiles(monkeypatch)
+        q, k, v = seeded_qkv(150, c=c, c_out=c_out, n=CHUNK + 5)
+        enla_forward(q, k, v, EnlaConfig(rng=RngSpec(151), m=128))
+        assert tiles == [("key", 128)] * 2 + [("query", 128)] * 2
+
+    def test_first_prefix_spanning_tiles(self, monkeypatch):
+        # m_1 = 2R + 3 ends mid-tile; enla_forward(m_1) cuts it into the
+        # same tiles, so the two agree bit for bit
+        ms = [2 * self.R + 3, 128]
+        n = CHUNK + 5
+        q, k, v = seeded_qkv(152, c=16, c_out=16, n=n, k_amp=2.0)
+        k = k * np.linspace(0.1, 1.1, n)
+        tiles = recorded_tiles(monkeypatch)
+        TestPrefixForwards.check(q, k, v, EnlaConfig(rng=RngSpec(153), m=128, k_amp=2.0), ms)
+        # the key pass of both chunks, through both segments' tiles
+        segment_tiles = [self.R, self.R, 3, self.R, self.R, 128 - ms[0] - 2 * self.R]
+        assert tiles[:2 * len(segment_tiles)] == [("key", rows) for rows in 2 * segment_tiles]
+
+    def test_query_chunk_turns_shifted_in_later_tile(self, monkeypatch):
+        # column 3 lies along a row of the second tile, where its exponent
+        # F q + s passes B; on the first tile every column is in [0, B]. So
+        # the one segment runs its first tile raw and its second shifted,
+        # rescaling the first tile's sums from shift 0
+        m = 2 * self.R
+        q, k, v = seeded_qkv(154, c=16, c_out=3, n=9)
+        config = EnlaConfig(rng=RngSpec(155), m=m)
+        f = sample_projection(config.rng, m, 16).f
+        shift, bound = key_shifts(f, k), _headroom(m * 9)
+        row = self.R + int(np.argmax(np.linalg.norm(f[self.R:], axis=1)))
+        q[:, 3] = f[row] * ((bound + 1.0 - shift[row]) / (f[row] @ f[row]))
+        exponent = f @ q + shift[:, None]
+        first = exponent[:self.R].max(axis=0)
+        assert 0 <= first.min() and first.max() <= bound < exponent[self.R:, 3].max()
+        raw_flags = recorded_raw_flags(monkeypatch)
+        out = enla_forward(q, k, v, config)
+        assert raw_flags[-2:] == [True, False]
+        assert decimal_error(out, config, q, k, v).max() <= 100
+
+    @pytest.mark.parametrize("orthogonal", [False, True])
+    @pytest.mark.parametrize("m", [1, R - 1, R, R + 1])
+    def test_matches_reference_around_one_tile(self, m, orthogonal):
+        q, k, v, config, reference = forward_and_reference(16, 16, CHUNK + 3, m, orthogonal)
+        out = enla_forward(q, k, v, config)
+        assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("finite_tile", [True, False])
+    def test_query_column_minus_inf_on_early_tiles(self, monkeypatch, finite_tile):
+        # f_l . q_0 overflows to -inf on the first two tiles. With a third
+        # tile on which it is finite, column 0 mixes the values by that
+        # tile's rows, all equal to g, alone; without it the column is named
+        rows = _tile_rows(2, 3)
+        f = np.tile([2.0, 0.0], (2 * rows + 4, 1))
+        if finite_tile:
+            f[2 * rows:, 0] = 0.5
+        monkeypatch.setattr(enla, "sample_projection", lambda rng, m, c, orthogonal: ProjectionMatrix(f, False))
+        q, k, v = seeded_qkv(156, c=2, c_out=3, n=40)
+        q[0, 0], q[1, 0] = -1e308, 0.0
+        config = EnlaConfig(rng=RngSpec(157), m=2 * rows + 4)
+        if not finite_tile:
+            with pytest.raises(NumericError, match="^every projection of query column 0 is -inf$"):
+                enla_forward(q, k, v, config)
+            return
+        out = enla_forward(q, k, v, config)
+        exponent = 0.5 * k[0] - 0.5 * (k * k).sum(axis=0)
+        weights = np.exp(exponent - exponent.max())
+        assert np.isfinite(out).all()
+        assert np.abs(out[:, 0] - v @ weights / weights.sum()).max() <= 1e-13 * np.abs(v).max()
+
+
 class TestInPlaceSafety:
     """The forward writes its temporaries in place; none of that may reach
     the caller's arrays, which as_matrix passes through uncopied."""
@@ -877,10 +980,13 @@ def test_outputs_start_on_a_cache_line(n):
 
 
 def test_forward_peak_memory_is_one_feature_matrix():
-    # keys and queries stream through one m x CHUNK feature buffer, so the
-    # peak is that buffer plus O((c + c_out) N): the output and its
-    # normalizer row, (c_out + 1) x N
-    n, c, m = 4 * CHUNK, 8, 64
+    # keys and queries stream through one R x CHUNK feature buffer, R =
+    # _tile_rows(c, c) = 54 rows of the m, and the queries' (c + 1) x CHUNK
+    # product buffer, so the peak is those plus O((c + c_out) N), the output
+    # and its normalizer row, (c_out + 1) x N, plus O((c + c_out) m): the
+    # lifted projection, kv, and the key shifts, row maxima, leads and
+    # shares of kv that a key chunk sets for every row at once
+    n, c, m = 4 * CHUNK, 8, 256
     q, k, v = seeded_qkv(67, c=c, c_out=c, n=n, k_amp=6.0)
     config = EnlaConfig(rng=RngSpec(68), m=m)
     tracemalloc.start()
@@ -889,7 +995,7 @@ def test_forward_peak_memory_is_one_feature_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (m * CHUNK + (2 * c + 1) * n)
+    assert peak <= 8 * ((_tile_rows(c, c) + c + 1) * CHUNK + (2 * c + 1) * n + (4 * c + 7) * m)
 
 
 def test_oracle_peak_memory_is_one_block():
