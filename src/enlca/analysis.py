@@ -19,9 +19,9 @@ from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
-from .enla import EnlaConfig, _prefix_forwards, enla_forward, normalize_and_scale
+from .enla import EnlaConfig, _Forwards, enla_forward, normalize_and_scale
 from .exact import exact_attention
-from .features import kernel_variance_empirical
+from .features import _projection_blocks, kernel_variance_empirical
 from .matrices import NumericError, RngSpec, _open_for, check_settings, gaussian_sample
 
 __all__ = [
@@ -147,12 +147,18 @@ def approximation_error_sweep(n: int, c: int, c_out: int, m_list: Iterable[int],
     """Median relative Frobenius error of the randomized forward against
     the exact oracle, per sample count.
 
-    The instance (q, k, v) is fixed by `rng` and shared across all m.
-    Trial t draws one projection, with the largest m rows, from
-    rng.stream(16 + t), and each m uses its first m rows, so sample counts
-    are compared on common random numbers and each trial's features are
-    evaluated once. An iid draw fills rows in order, so the first m rows
-    are the projection a forward with that m draws from the same stream.
+    The instance (q, k, v) is fixed by `rng` and shared across all m, and
+    the forward's set-up for it (`enla._Forwards`) is built once. Trial t
+    draws one projection, with the largest m rows, from rng.stream(16 + t),
+    through the re-keyed sampler of the Monte-Carlo trials
+    (`features._projection_blocks`, whose draws are bit-identical to
+    `sample_projection`'s), and each m uses its first m rows, so sample
+    counts are compared on common random numbers and each trial's features
+    are evaluated once. An iid draw fills rows in order, so the first m
+    rows are the projection a forward with that m draws from the same
+    stream: each trial's first error is that of
+    enla_forward(q, k, v, EnlaConfig(rng.stream(16 + t), m=m_1)). Each
+    trial's outputs are its own, so they are scored in place.
     """
     check_settings(n=n, c=c, c_out=c_out, trials=trials)
     if n > 4096:
@@ -161,11 +167,12 @@ def approximation_error_sweep(n: int, c: int, c_out: int, m_list: Iterable[int],
     q, k, v = _instance(rng, n, c, c_out, k_amp)
     reference = exact_attention(q, k, v)
     ref_norm = float(np.linalg.norm(reference))
+    forwards = _Forwards(q, k, v, ms)
+    draws = (f for block in _projection_blocks(rng, range(16, 16 + trials), ms[-1], c) for f in block)
     errors = np.empty((len(ms), trials))
-    for t in range(trials):
-        config = EnlaConfig(rng=rng.stream(16 + t), m=ms[-1])
-        errors[:, t] = [float(np.linalg.norm(approx - reference)) / ref_norm
-                        for approx in _prefix_forwards(q, k, v, config, ms)]
+    for t, f in enumerate(draws):
+        errors[:, t] = [float(np.linalg.norm(np.subtract(approx, reference, out=approx))) / ref_norm
+                        for approx in forwards.project(f)]
     points = [(float(m), float(np.median(row))) for m, row in zip(ms, errors)]
     return SweepTable(axis="m", metric_kind="rel_error", columns=("x", "value"), points=tuple(points))
 

@@ -15,9 +15,16 @@ output and one shift per projection row; the stabilizer shifts go where
 they are cheap (see enla_forward). The same loop evaluates several sample
 counts as row prefixes of one projection, for the approximation-error
 sweep: chunks outermost, each chunk staged once and taken through every
-row segment. The multiply-add count is m N_k (c + c_out + 1) for the keys
-(phi(K) and its reduction into kv) plus m N_q (c + c_out + 1) for the
-queries (phi(Q) and the output GEMM), the m N_k + m N_q being the
+row segment. What depends on the instance (q, k, v) and the sample counts
+alone is set up once (`_Forwards`): validation, v's row exponents, the
+headroom, the row tiles, the working block, kv and the key pass's per-row
+arrays. What depends on the projection runs once per projection
+(`_Forwards.project`): it writes the lifted projection, resets the key
+shifts, runs both passes and returns fresh outputs, which the caller
+owns. enla_forward sets up its instance for its one projection; the sweep
+sets up its instance once for all its trials. The multiply-add count is
+m N_k (c + c_out + 1) for the keys (phi(K) and its reduction into kv)
+plus m N_q (c + c_out + 1) for the queries (phi(Q) and the output GEMM), the m N_k + m N_q being the
 normalizer: 2mNc + 2mN(c_out + 1) at N_q = N_k = N. analysis.flop_count
 keeps the published convention, which excludes the normalizer. The
 working block (feature tile, staged chunk operands and product) and the
@@ -114,7 +121,7 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     The queries then go through the same buffer with exponents
     f_l . q + s_l, each column shifted by its max, and each (c_out + 1)-row
     output block is written in place as the sum of its tiles' products
-    (`_prefix_forwards` says how the tiles carry it). The term of that max
+    (`_Forwards.project` says how the tiles carry it). The term of that max
     is exp(0) times a key sum of at least 1: every normalizer is at least 1
     and none can underflow. Every shift cancels in the output ratio, so one
     column of extreme norm cannot push the features of the others out of
@@ -134,7 +141,8 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     is -inf, raise NumericError, as a projection of +inf does; that error
     names a key column or a query column.
     """
-    return _prefix_forwards(q, k, v, config, [config.m])[0]
+    forwards = _Forwards(q, k, v, [config.m])
+    return forwards.project(sample_projection(config.rng, config.m, forwards.c, config.orthogonal).f)[0]
 
 
 def _tile_rows(c: int, c_out: int):
@@ -175,127 +183,156 @@ def _tile_rows(c: int, c_out: int):
     return rows if rows >= _MIN_TILE_ROWS else None
 
 
-def _prefix_forwards(q, k, v, config: EnlaConfig, ms) -> list:
-    """enla_forward's output for each sample count in the ascending list
-    ms, in order, all from one projection of ms[-1] rows drawn from
-    config.rng: the output for m uses its first m rows. An iid draw fills
-    rows in order, so each output is the forward of config with that m, up
-    to rounding; the first is bit-identical to it.
+class _Forwards:
+    """enla_forward on one instance (q, k, v) at each sample count of the
+    ascending list ms, for any number of projections of ms[-1] rows.
 
-    Both passes loop over chunks outermost and over the row segments
-    [m_{i-1}, m_i) inside, each cut into tiles of at most R = _tile_rows(c,
-    c_out) rows from its first row, so each chunk of k, |k|^2 / 2, V and q
-    is staged once. A row's key shift depends on no other row, so a key
-    chunk forms each tile's rows of its share of kv with the tile's own
-    GEMM, then rescales and adds to every row of kv at once.
-    A query chunk carries its running column max, whether it is shifted,
-    and the undivided sums of the tiles so far through its tile loop: a
-    segment's first product goes into output i, onto the previous
-    segment's sums, and each later tile's product is added to it from the
-    product buffer, so output i holds the sums of every tile up to segment
-    i's last. The chunk keeps the raw exp of enla_forward while every tile
-    finds its columns in range; once one does not, that tile and every
-    later one is shifted, and the sums so far are rescaled by
-    exp(old - new) per column, the old shift being 0 for a chunk that was
-    unshifted. A column may stay -inf through a segment's early tiles; it
-    is named only if it is still -inf after the segment's last. Every tile
-    tests its chunks against enla_forward's B at m = ms[-1]. Once the chunk
-    has passed every segment, each output divides its columns as
-    enla_forward(m_i) does.
+    Built once per instance: the validated q, k and v, v's row exponents
+    e, the headroom B at m = ms[-1], the row segments and their tiles, the
+    working block, kv, the key shifts, the key pass's per-row arrays and
+    the lifted projection [F | -1]. `project` runs one projection through
+    them and returns outputs of its own, so a caller that keeps or edits
+    one projection's outputs leaves every other projection's untouched.
 
     The feature tile, the chunk operand, the staged values and the product
     buffer are one allocation. As four, at the approximation sweep's shape
     (N = 2048, c = c_out = 8, prefixes 16 to 128) glibc gave their pages
-    back at the end of every call and the next call faulted about 450 of
+    back after every forward and the next forward faulted about 450 of
     them in again, which cost more than the tiles saved: glibc trims the
     top of its heap when a free leaves more than twice its mmap threshold
     there, and that threshold follows the largest block freed, which the
     tiles shrink from an m-row feature buffer to an R-row one.
     """
-    q, k, v = _validated_qkv(q, k, v)
-    (c, n_q), (c_out, n_k) = q.shape, v.shape
-    rows = min(_tile_rows(c, c_out) or ms[-1], ms[-1])
-    segments = [[(t, min(high, t + rows)) for t in range(low, high, rows)] for low, high in zip([0, *ms[:-1]], ms)]
-    # [F | -1]; after the key pass its rows hold [F | s]
-    lifted = np.empty((ms[-1], c + 1))
-    lifted[:, :c] = sample_projection(config.rng, ms[-1], c, config.orthogonal).f
-    lifted[:, c] = -1.0
-    e = _unit_exponent(v)
-    bound = _headroom(ms[-1] * n_k)
-    width = min(max(n_q, n_k), CHUNK)
-    # one block (see the docstring): the feature tile; a chunk's GEMM
-    # operand [k_b; |k_b|^2 / 2] or [q_b; 1]; a key chunk's staged
-    # [2^-e V_b; 1], whose last row makes the last column of kv the key sum;
-    # and a later tile's share of a query chunk
-    features, operand, staged, product = np.split(
-        _aligned_empty((rows + c + 1 + 2 * (c_out + 1), width)), np.cumsum([rows, c + 1, c_out + 1]))
-    staged[-1] = 1.0
-    kv = np.zeros((ms[-1], c_out + 1))
-    key_shift = np.full(ms[-1], -math.inf)
-    # a key chunk's row maxima, the lead exp took out of each row and each
-    # row's share of kv
-    tops, leads, shares = np.empty(ms[-1]), np.empty((ms[-1], 1)), np.empty((ms[-1], c_out + 1))
-    outputs = [_aligned_empty((c_out + 1, n_q)) for _ in ms]
 
-    with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
-        for start in range(0, n_k, CHUNK):
-            stop = min(n_k, start + CHUNK)
-            lift, stage = operand[:, :stop - start], staged[:, :stop - start]
-            lift[:c] = k[:, start:stop]
-            lift[c] = _half_sq_norms(lift[:c])
-            np.ldexp(v[:, start:stop], -e, out=stage[:-1])
-            for low, high in (tile for segment in segments for tile in segment):
-                block = features[:high - low, :stop - start]
-                top = tops[low:high] = _projected(lifted[low:high], lift, start, block, axis=1, column="key column")
-                # a key of finite |k|^2 is finite on every row: a chunk's row
-                # maxima are all finite, or all -inf and its features all 0
-                if top[0] == -math.inf:
-                    break
-                leads[low:high] = _exp_features(block, top[:, None], -bound <= top.min() and top.max() <= bound)
-                np.matmul(block, stage.T, out=shares[low:high])
-            else:  # every row of kv at once, rescaled to its raised shift
-                raised = np.maximum(key_shift, tops)
-                kv *= np.exp(key_shift - raised)[:, None]
-                kv += shares * np.exp(leads - raised[:, None])
-                key_shift[:] = raised
-        if key_shift[0] == -math.inf:
-            raise NumericError("every key's squared norm overflowed")
-        lifted[:, c] = key_shift
+    def __init__(self, q, k, v, ms):
+        self.q, self.k, self.v = _validated_qkv(q, k, v)
+        (self.c, self.n_q), (c_out, n_k) = self.q.shape, self.v.shape
+        rows = min(_tile_rows(self.c, c_out) or ms[-1], ms[-1])
+        self.segments = [[(t, min(high, t + rows)) for t in range(low, high, rows)]
+                         for low, high in zip([0, *ms[:-1]], ms)]
+        self.e = _unit_exponent(self.v)
+        self.bound = _headroom(ms[-1] * n_k)
+        width = min(max(self.n_q, n_k), CHUNK)
+        # one block (see the docstring): the feature tile; a chunk's GEMM
+        # operand [k_b; |k_b|^2 / 2] or [q_b; 1]; a key chunk's staged
+        # [2^-e V_b; 1], whose last row makes the last column of kv the key sum;
+        # and a later tile's share of a query chunk
+        self.features, self.operand, self.staged, self.product = np.split(
+            _aligned_empty((rows + self.c + 1 + 2 * (c_out + 1), width)),
+            np.cumsum([rows, self.c + 1, c_out + 1]))
+        self.staged[-1] = 1.0
+        # [F | -1], written per projection; after its key pass the rows hold [F | s]
+        self.lifted = np.empty((ms[-1], self.c + 1))
+        # zero once: a projection's first key chunk with finite row maxima
+        # rescales kv by exp(-inf - s) = 0, so no projection reads another's
+        self.kv = np.zeros((ms[-1], c_out + 1))
+        self.key_shift = np.empty(ms[-1])
+        # a key chunk's row maxima, the lead exp took out of each row and each
+        # row's share of kv
+        self.tops, self.leads = np.empty(ms[-1]), np.empty((ms[-1], 1))
+        self.shares = np.empty((ms[-1], c_out + 1))
 
-        operand[c] = 1.0
-        for start in range(0, n_q, CHUNK):
-            stop = min(n_q, start + CHUNK)
-            lift, part = operand[:, :stop - start], product[:, :stop - start]
-            lift[:c] = q[:, start:stop]
-            # the chunk's running column max of F q + s, whether it carries
-            # that max as a shift, and the undivided sums of the tiles so far
-            seen, shifted, sums = -math.inf, False, None
-            for segment, out in zip(segments, outputs):
-                cols = out[:, start:stop]
-                for i, (low, high) in enumerate(segment):
+    def project(self, f) -> list:
+        """The output for each sample count m in ms, in order, from the
+        projection f (ms[-1] x c): the output for m uses its first m rows.
+        An iid draw fills rows in order, so each output is enla_forward
+        with that m on f's stream, up to rounding; the first is
+        bit-identical to it. The outputs are fresh arrays that the caller
+        owns. Each call first writes [F | -1] into the lifted projection
+        and resets the key shifts to -inf, so no call reads what an
+        earlier one left.
+
+        Both passes loop over chunks outermost and over the row segments
+        [m_{i-1}, m_i) inside, each cut into tiles of at most R =
+        _tile_rows(c, c_out) rows from its first row, so each chunk of k,
+        |k|^2 / 2, V and q is staged once. A row's key shift depends on no
+        other row, so a key chunk forms each tile's rows of its share of kv
+        with the tile's own GEMM, then rescales and adds to every row of kv
+        at once. A query chunk carries its running column max, whether it
+        is shifted, and the undivided sums of the tiles so far through its
+        tile loop: a segment's first product goes into output i, onto the
+        previous segment's sums, and each later tile's product is added to
+        it from the product buffer, so output i holds the sums of every
+        tile up to segment i's last. The chunk keeps the raw exp of
+        enla_forward while every tile finds its columns in range; once one
+        does not, that tile and every later one is shifted, and the sums so
+        far are rescaled by exp(old - new) per column, the old shift being 0
+        for a chunk that was unshifted. A column may stay -inf through a
+        segment's early tiles; it is named only if it is still -inf after
+        the segment's last. Every tile tests its chunks against
+        enla_forward's B at m = ms[-1]. Once the chunk has passed every
+        segment, each output divides its columns as enla_forward(m_i) does.
+        """
+        q, k, v, c, e, bound, segments = self.q, self.k, self.v, self.c, self.e, self.bound, self.segments
+        features, operand, staged, product = self.features, self.operand, self.staged, self.product
+        lifted, kv, key_shift, tops, leads, shares = (
+            self.lifted, self.kv, self.key_shift, self.tops, self.leads, self.shares)
+        n_k = k.shape[1]
+        lifted[:, :c] = f
+        lifted[:, c] = -1.0
+        key_shift.fill(-math.inf)
+        outputs = [_aligned_empty((kv.shape[1], self.n_q)) for _ in segments]
+
+        with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
+            for start in range(0, n_k, CHUNK):
+                stop = min(n_k, start + CHUNK)
+                lift, stage = operand[:, :stop - start], staged[:, :stop - start]
+                lift[:c] = k[:, start:stop]
+                lift[c] = _half_sq_norms(lift[:c])
+                np.ldexp(v[:, start:stop], -e, out=stage[:-1])
+                for low, high in (tile for segment in segments for tile in segment):
                     block = features[:high - low, :stop - start]
-                    top = np.maximum(seen, _projected(lifted[low:high], lift, start, block, column="query column"))
-                    was_shifted = shifted
-                    shifted = shifted or not (top.max() <= bound and top.min() >= 0.0)
-                    _exp_features(block, top, not shifted)
-                    # a segment's first product goes into its output, a later one beside it
-                    share = cols if i == 0 else part
-                    np.matmul(kv[low:high].T, block, out=share)
-                    if sums is not None:
-                        if shifted:
-                            # -inf - -inf, a column with no finite exponent
-                            # yet, rescales its sums of 0 by 1
-                            sums = sums * np.exp(np.fmin((seen if was_shifted else 0.0) - top, 0.0))
-                        np.add(share, sums, out=cols)
-                    seen, sums = top, cols
-                if seen.min() == -math.inf:
-                    col = start + int(np.argmin(seen))
-                    raise NumericError(f"every projection of query column {col} is -inf")
-            for out in outputs:
-                cols = out[:-1, start:stop]
-                cols /= out[-1, start:stop]
-                np.ldexp(cols, e, out=cols)
-    return [out[:-1] for out in outputs]
+                    top = tops[low:high] = _projected(lifted[low:high], lift, start, block, axis=1,
+                                                      column="key column")
+                    # a key of finite |k|^2 is finite on every row: a chunk's row
+                    # maxima are all finite, or all -inf and its features all 0
+                    if top[0] == -math.inf:
+                        break
+                    leads[low:high] = _exp_features(block, top[:, None], -bound <= top.min() and top.max() <= bound)
+                    np.matmul(block, stage.T, out=shares[low:high])
+                else:  # every row of kv at once, rescaled to its raised shift
+                    raised = np.maximum(key_shift, tops)
+                    kv *= np.exp(key_shift - raised)[:, None]
+                    kv += shares * np.exp(leads - raised[:, None])
+                    key_shift[:] = raised
+            if key_shift[0] == -math.inf:
+                raise NumericError("every key's squared norm overflowed")
+            lifted[:, c] = key_shift
+
+            operand[c] = 1.0
+            for start in range(0, self.n_q, CHUNK):
+                stop = min(self.n_q, start + CHUNK)
+                lift, part = operand[:, :stop - start], product[:, :stop - start]
+                lift[:c] = q[:, start:stop]
+                # the chunk's running column max of F q + s, whether it carries
+                # that max as a shift, and the undivided sums of the tiles so far
+                seen, shifted, sums = -math.inf, False, None
+                for segment, out in zip(segments, outputs):
+                    cols = out[:, start:stop]
+                    for i, (low, high) in enumerate(segment):
+                        block = features[:high - low, :stop - start]
+                        top = np.maximum(seen, _projected(lifted[low:high], lift, start, block, column="query column"))
+                        was_shifted = shifted
+                        shifted = shifted or not (top.max() <= bound and top.min() >= 0.0)
+                        _exp_features(block, top, not shifted)
+                        # a segment's first product goes into its output, a later one beside it
+                        share = cols if i == 0 else part
+                        np.matmul(kv[low:high].T, block, out=share)
+                        if sums is not None:
+                            if shifted:
+                                # -inf - -inf, a column with no finite exponent
+                                # yet, rescales its sums of 0 by 1
+                                sums = sums * np.exp(np.fmin((seen if was_shifted else 0.0) - top, 0.0))
+                            np.add(share, sums, out=cols)
+                        seen, sums = top, cols
+                    if seen.min() == -math.inf:
+                        col = start + int(np.argmin(seen))
+                        raise NumericError(f"every projection of query column {col} is -inf")
+                for out in outputs:
+                    cols = out[:-1, start:stop]
+                    cols /= out[-1, start:stop]
+                    np.ldexp(cols, e, out=cols)
+        return [out[:-1] for out in outputs]
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,18 @@ in the caller's buffer and returns its column or row maxima, and
 
 Projections come from one private sampler, `_projection_blocks`, which
 serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
-trials of `kernel_estimates`. It re-keys one Philox to each projection's
-stream from a plain-int copy of its fresh state; every draw is
-bit-identical to one drawn alone by a fresh generator on its stream. One
-helper, `_orthogonal_rows`, owns the orthogonal construction: it reads
-F_orth z off the R factor of a single Householder QR of [B^T | z] per
-block B of rows, so the trials never form Q or F_orth, and
-`sample_projection` forms F_orth as the case z = I_c. Both are generators
-that keep their buffers for the whole call: one draw buffer, and one
-stack holding [B | z^T] row-wise, with z^T written once, so that LAPACK
-reads each matrix as a Fortran-ordered view. A trial then costs its
-Philox draw, its share of one QR and of one vectorized estimator pass.
+trials of `kernel_estimates` and of `analysis.approximation_error_sweep`.
+It re-keys one Philox to each projection's stream from a plain-int copy
+of its fresh state; every draw is bit-identical to one drawn alone by a
+fresh generator on its stream. One helper, `_orthogonal_rows`, owns the
+orthogonal construction: it reads F_orth z off the R factor of a single
+Householder QR of [B^T | z] per block B of rows, so the trials never
+form Q or F_orth, and `sample_projection` forms F_orth as the case
+z = I_c. Both are generators that keep their buffers for the whole
+call: one draw buffer, and one stack holding [B | z^T] row-wise, with
+z^T written once, so that LAPACK reads each matrix as a Fortran-ordered
+view. A trial then costs its Philox draw, its share of one QR and of
+one vectorized estimator pass.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from enlca import analysis
+from enlca import analysis, enla
 from enlca.analysis import (
     approximation_error_sweep,
     consecutive_ratios,
@@ -15,6 +15,8 @@ from enlca.analysis import (
     variance_sweep_k,
     write_sweep_csv,
 )
+from enlca.enla import EnlaConfig, enla_forward
+from enlca.exact import exact_attention
 from enlca.matrices import RngSpec
 from oracles import read_sweep_csv
 
@@ -83,6 +85,31 @@ class TestApproximationErrorSweep:
     def test_deterministic(self):
         kwargs = dict(n=16, c=3, c_out=3, m_list=[8, 32], k_amp=1.0, trials=4, rng=RngSpec(53))
         assert approximation_error_sweep(**kwargs) == approximation_error_sweep(**kwargs)
+
+    def test_each_trial_is_the_forward_on_its_stream(self, monkeypatch):
+        # 34 trials take two blocks of the sampler, n = 4096 two chunks, and
+        # every stream id 16 + t past the base wraps past 2^64
+        n, ms, trials, rng = 4096, [16, 48], 34, RngSpec(57, 2**64 - 9)
+        firsts = []
+        project = enla._Forwards.project
+
+        def recorded(self, f):
+            outputs = project(self, f)
+            firsts.append(outputs[0].copy())
+            return outputs
+        monkeypatch.setattr(enla._Forwards, "project", recorded)
+        sweep = approximation_error_sweep(n, 4, 3, ms, 1.0, trials, rng)
+        monkeypatch.undo()
+        assert len(firsts) == trials
+        q, k, v = analysis._instance(rng, n, 4, 3, 1.0)
+        reference = exact_attention(q, k, v)
+        ref_norm = float(np.linalg.norm(reference))
+        errors = []
+        for t, first in enumerate(firsts):
+            expected = enla_forward(q, k, v, EnlaConfig(rng.stream(16 + t), m=ms[0]))
+            assert np.array_equal(first, expected)
+            errors.append(float(np.linalg.norm(expected - reference)) / ref_norm)
+        assert sweep.points[0] == (16.0, float(np.median(errors)))
 
     def test_oracle_size_guard(self):
         with pytest.raises(ValueError):

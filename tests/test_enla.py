@@ -12,7 +12,7 @@ from enlca.enla import (
     CHUNK,
     EnlaConfig,
     EnlcaBlockParams,
-    _prefix_forwards,
+    _Forwards,
     _tile_rows,
     block_inputs,
     enla_forward,
@@ -44,6 +44,13 @@ def forward_and_reference(c, c_out, n, m, orthogonal, k_amp=6.0):
     f = sample_projection(config.rng, m, c, orthogonal).f
     reference, _ = two_path_forward(f, q, k, v)
     return q, k, v, config, reference
+
+
+def prefix_forwards(q, k, v, config, ms):
+    """The output at each sample count in ms from config's projection of
+    ms[-1] rows, through the one instance set-up the sweep builds."""
+    forwards = _Forwards(q, k, v, ms)
+    return forwards.project(sample_projection(config.rng, ms[-1], forwards.c, config.orthogonal).f)
 
 
 def four_by_nine(k_amp):
@@ -233,7 +240,7 @@ class TestTwoPathReference:
         with np.errstate(all="ignore"):
             unstabilized = two_path_forward(f, q, k, v)[1]
         assert (unstabilized > 0).all() == (k_amp == 1.0)
-        outputs = _prefix_forwards(q, k, v, config, [2, 3, 6, 8])
+        outputs = prefix_forwards(q, k, v, config, [2, 3, 6, 8])
         assert len(outputs) == 4
         for out in outputs:
             # the normalizer row lies just below the output's rows, in one
@@ -423,7 +430,7 @@ class TestPrefixForwards:
     def check(q, k, v, config, ms):
         """Each prefix output against enla_forward at its m, the first bit
         for bit; returns the outputs."""
-        outputs = _prefix_forwards(q, k, v, config, ms)
+        outputs = prefix_forwards(q, k, v, config, ms)
         assert len(outputs) == len(ms)
         for i, (m, out) in enumerate(zip(ms, outputs)):
             expected = enla_forward(q, k, v, replace(config, m=m))
@@ -456,7 +463,7 @@ class TestPrefixForwards:
         exponent = f @ q[:, :CHUNK] + shift[:, None]
         first = exponent[:16].max(axis=0)
         assert 0 <= first.min() and first.max() <= bound < exponent[16:, 3].max()
-        _prefix_forwards(q, k, v, config, ms)
+        prefix_forwards(q, k, v, config, ms)
         # chunk 0 raw then shifted, chunk 1 raw in both segments
         assert query_flags == [True, False, True, True]
         self.check(q, k, v, config, ms)
@@ -467,14 +474,14 @@ class TestPrefixForwards:
         q, _, v = seeded_qkv(72, c=4, c_out=3, n=20)
         k = np.full((4, 20), 1e155)
         with pytest.raises(NumericError, match="^every key's squared norm overflowed$"):
-            _prefix_forwards(q, k, v, EnlaConfig(rng=RngSpec(73), m=16), [8, 16])
+            prefix_forwards(q, k, v, EnlaConfig(rng=RngSpec(73), m=16), [8, 16])
 
     def test_first_chunk_key_norms_overflow(self):
         n = CHUNK + 5
         q, k, v = seeded_qkv(74, c=4, c_out=3, n=n)
         k[:, :CHUNK] = 1e155
         config = EnlaConfig(rng=RngSpec(75), m=16, k_amp=1.0)
-        for m, out in zip([8, 16], _prefix_forwards(q, k, v, config, [8, 16])):
+        for m, out in zip([8, 16], prefix_forwards(q, k, v, config, [8, 16])):
             expected = enla_forward(q, k, v, replace(config, m=m))
             assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -491,7 +498,7 @@ class TestPrefixForwards:
             top = f @ q[:, 0]
         assert top[0] == -np.inf and -1.8e308 < top[1] < -1e307
         with pytest.raises(NumericError, match="^every projection of query column 0 is -inf$"):
-            _prefix_forwards(q, k, v, config, [1, 2])
+            prefix_forwards(q, k, v, config, [1, 2])
         out = enla_forward(q, k, v, config)
         exponent = f[1] @ k - 0.5 * (k * k).sum(axis=0)
         weights = np.exp(exponent - exponent.max())
@@ -504,7 +511,7 @@ class TestPrefixForwards:
         q, k, v = seeded_qkv(76, c=4, c_out=3, n=CHUNK + 8)
         (q if side == "q" else k)[:, bad] = 1e308
         with pytest.raises(NumericError, match=f"column {bad}$"):
-            _prefix_forwards(q, k, v, EnlaConfig(rng=RngSpec(77), m=64), [16, 64])
+            prefix_forwards(q, k, v, EnlaConfig(rng=RngSpec(77), m=64), [16, 64])
 
 
 
@@ -621,7 +628,7 @@ class TestShiftBoundaries:
         u = f[row] * (_UNSHIFTED_MAX * (1 + 1e-9) / norms[row - 16] ** 2)
         assert 0 <= (f[:16] @ u).max() < _UNSHIFTED_MAX < (f[16:] @ u).max()
         (q if side == "q" else k)[:, 3] = u
-        for m, out in zip(ms, _prefix_forwards(q, k, v, config, ms)):
+        for m, out in zip(ms, prefix_forwards(q, k, v, config, ms)):
             self.check(out, f[:m], q, k, v)
 
     @pytest.mark.parametrize("orthogonal", [False, True])
@@ -679,7 +686,7 @@ class TestValueScale:
         q, k, v = seeded_qkv(7, c=16, c_out=3, n=2 * CHUNK + 3)
         v = 1e307 * (1.0 + np.abs(v))
         config = EnlaConfig(rng=RngSpec(7).stream(4), m=64)
-        for m, out in zip([16, 64], _prefix_forwards(q, k, v, config, [16, 64])):
+        for m, out in zip([16, 64], prefix_forwards(q, k, v, config, [16, 64])):
             self.assert_close(out, self.reference(replace(config, m=m), q, k, v, 1e307))
 
     def test_each_row_keeps_its_own_scale(self):
@@ -727,7 +734,7 @@ class TestUnshiftedPath:
         q, k, v = seeded_qkv(124, c=16, c_out=3, n=2 * CHUNK + 3, k_amp=k_amp)
         config = EnlaConfig(rng=RngSpec(125), m=128)
         f = sample_projection(config.rng, 128, 16).f
-        for m, out in zip([32, 64, 128], _prefix_forwards(q, k, v, config, [32, 64, 128])):
+        for m, out in zip([32, 64, 128], prefix_forwards(q, k, v, config, [32, 64, 128])):
             reference, _ = two_path_forward(f[:m], q, k, v)
             assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -758,7 +765,7 @@ class TestCrossShapes:
         q, k, v = cross_qkv(132, c=8, c_out=3, n_q=CHUNK + 3, n_k=7)
         config = EnlaConfig(rng=RngSpec(133), m=64)
         f = sample_projection(config.rng, 64, 8).f
-        for m, out in zip([16, 64], _prefix_forwards(q, k, v, config, [16, 64])):
+        for m, out in zip([16, 64], prefix_forwards(q, k, v, config, [16, 64])):
             reference, _ = two_path_forward(f[:m], q, k, v)
             assert np.abs(out - reference).max() <= 1e-12 * np.abs(reference).max()
 
@@ -938,6 +945,35 @@ class TestRowTiles:
         assert np.abs(out[:, 0] - v @ weights / weights.sum()).max() <= 1e-13 * np.abs(v).max()
 
 
+class TestProjectionIsolation:
+    """One instance set-up serves any number of projections: what a
+    projection leaves in it (its lifted rows and key shifts) never reaches
+    the next, and each projection's outputs are its own."""
+
+    def test_unshifted_projection_after_shifted_one(self, monkeypatch):
+        # A's rows are 1e3 times B's, so A's exponents pass the headroom as
+        # at k_amp 1e6: every chunk A computes is shifted, every chunk B
+        # computes raw. The first chunk's keys have |k|^2 past float range,
+        # so each key pass starts from a key shift of -inf
+        n, ms = 2 * CHUNK + 3, [8, 16]
+        q, k, v = seeded_qkv(160, c=4, c_out=3, n=n)
+        k[:, :CHUNK] = 1e155
+        b = sample_projection(RngSpec(161), ms[-1], 4).f
+        flags = recorded_raw_flags(monkeypatch)
+        alone = _Forwards(q, k, v, ms).project(b)
+        assert flags and all(flags)
+        forwards = _Forwards(q, k, v, ms)
+        del flags[:]
+        shifted = forwards.project(1e3 * b)
+        assert flags and not any(flags)
+        kept = [out.copy() for out in shifted]
+        after = forwards.project(b)
+        for out, expected in zip(after, alone):
+            assert np.array_equal(out, expected)
+        for out, expected in zip(shifted, kept):
+            assert np.array_equal(out, expected)
+
+
 class TestInPlaceSafety:
     """The forward writes its temporaries in place; none of that may reach
     the caller's arrays, which as_matrix passes through uncopied."""
@@ -975,7 +1011,7 @@ class TestInPlaceSafety:
 def test_outputs_start_on_a_cache_line(n):
     q, k, v = seeded_qkv(70, c=4, c_out=3, n=n)
     config = EnlaConfig(rng=RngSpec(71), m=8)
-    outputs = [enla_forward(q, k, v, config), *_prefix_forwards(q, k, v, config, [2, 5, 8])]
+    outputs = [enla_forward(q, k, v, config), *prefix_forwards(q, k, v, config, [2, 5, 8])]
     assert [out.ctypes.data % 64 for out in outputs] == [0] * 4
 
 
