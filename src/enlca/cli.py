@@ -42,7 +42,7 @@ from .analysis import (
 from .contrastive import ContrastiveConfig, contrastive_loss, reconstruction_loss, relevance_scores, total_loss
 from .enla import EnlaConfig, block_inputs, enla_forward, enlca_block, random_block_params
 from .exact import attention_weights, correlation_map, exact_attention, shannon_entropy
-from .features import kernel_variance_empirical, phi, sample_projection
+from .features import kernel_variance_empirical
 from .matrices import (
     FormatError,
     NumericError,
@@ -89,13 +89,13 @@ def _emit_matrix(a: np.ndarray, out: Optional[str]) -> None:
 
 
 def _parse_list(raw: str, flag: str, kind=int) -> list:
-    try:
-        values = [kind(tok) for tok in raw.split(",") if tok != ""]
+    tokens = raw.split(",")
+    if not any(tokens):
+        raise UsageError(f"{flag} must name at least one value")
+    try:  # an empty entry, as in "4,,8", is not a number either
+        return [kind(tok) for tok in tokens]
     except ValueError:
         raise UsageError(f"{flag} must be comma-separated {kind.__name__}s, got {raw!r}") from None
-    if not values:
-        raise UsageError(f"{flag} must name at least one value")
-    return values
 
 
 def _refuse(args, mode: str, flags) -> None:
@@ -165,15 +165,6 @@ def _cmd_enla(args) -> int:
 def _cmd_block(args) -> int:
     x, params = _block_params(args, m=args.m, orthogonal=args.orthogonal)
     _emit_matrix(enlca_block(x, params), args.out)
-    return 0
-
-
-def _cmd_phi(args) -> int:
-    u = _load_matrix(args.input)
-    projection = sample_projection(_base(args).stream(2), args.m, u.shape[0], args.orthogonal)
-    features = phi(projection, u)
-    write_matrix_csv(features.values, args.out)
-    print(f"log_shift {_fmt(features.log_shift)}")
     return 0
 
 
@@ -325,15 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_block)
-
-    p = sub.add_parser("phi", help="apply the positive feature map to a matrix")
-    p.add_argument("--input", required=True, help="input matrix CSV (c x N)")
-    _add_projection_flags(p)
-    _add_seed(p)
-    p.add_argument("--out", required=True,
-                   help="stabilized feature CSV; exact features = out * exp(log_shift), "
-                        "where the printed log_shift is the max of F u - |u|^2/2")
-    p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("variance", help="estimator variance on amplified aligned vectors")
     p.add_argument("--c", type=int, default=8, help="feature dimension")

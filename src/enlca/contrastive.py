@@ -10,13 +10,12 @@ margin. Driving the loss down pushes the two groups apart.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exact import _validated_qkv
-from .matrices import NumericError, ShapeError, _matrix_pair, as_matrix, check_settings, normalize_columns
+from .matrices import NumericError, ShapeError, _matrix_pair, _real, as_matrix, check_settings, normalize_columns
 
 __all__ = [
     "ContrastiveConfig",
@@ -47,13 +46,6 @@ class ContrastiveConfig:
             )
         if not np.isfinite(self.b):
             raise ValueError(f"b must be finite, got {self.b}")
-
-
-def _real(name: str, value):
-    """value, if it is a real number and not a bool; else ValueError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return value
 
 
 def relevance_scores(q, k, k_amp: float) -> np.ndarray:

@@ -24,12 +24,13 @@ shifts, runs both passes and returns fresh outputs, which the caller
 owns. enla_forward sets up its instance for its one projection; the sweep
 sets up its instance once for all its trials. The multiply-add count is
 m N_k (c + c_out + 1) for the keys (phi(K) and its reduction into kv)
-plus m N_q (c + c_out + 1) for the queries (phi(Q) and the output GEMM), the m N_k + m N_q being the
-normalizer: 2mNc + 2mN(c_out + 1) at N_q = N_k = N. analysis.flop_count
-keeps the published convention, which excludes the normalizer. The
-working block (feature tile, staged chunk operands and product) and the
-outputs start on a cache line (matrices._aligned_empty, which states the
-rule and its measured effect).
+plus m N_q (c + c_out + 1) for the queries (phi(Q) and the output GEMM),
+the m N_k + m N_q being the normalizer: 2mNc + 2mN(c_out + 1) at
+N_q = N_k = N. analysis.flop_count keeps the published convention,
+which excludes the normalizer. The working block (feature tile, staged
+chunk operands and product) and the outputs start on a cache line
+(matrices._aligned_empty, which states the rule and its measured
+effect).
 
 Query/key columns enter unit-normalized and scaled by sqrt(k_amp); k_amp > 1
 sharpens the attention at the price of exponentially larger variance.
@@ -156,15 +157,16 @@ def _tile_rows(c: int, c_out: int):
     OpenBLAS's small-matrix path, which skips the operand packing of its
     blocked path. OpenBLAS's SkylakeX permit takes a GEMM while
     M N K <= 10^6, and one whose first operand is transposed, as the kv
-    GEMM's is, only while M N <= 1200. So R is the largest count with R CHUNK (max(c, c_out) + 1)
-    <= 10^6 and R (c_out + 1) <= 1200: 54 at c = c_out = 8, 28 at 16. It
-    is taken at the widest chunk, so that it depends on c and c_out alone:
-    enla_forward(m_1) cuts a sweep's first prefix, and a sample of query
-    columns the full call, into the same tiles. Below 24 rows (max(c,
-    c_out) of 20 and more) the forward keeps its segments whole: at 23
-    rows tiles took 0.97-1.07x the time of whole segments, within the
-    runs' spread, and from 19 rows down they lost (1.04-1.16x at 19 rows,
-    1.23-1.32x at 14, 2.1-2.3x at 7; three, three and two runs).
+    GEMM's is, only while M N <= 1200. So R is the largest count with
+    R CHUNK (max(c, c_out) + 1) <= 10^6 and R (c_out + 1) <= 1200: 54 at
+    c = c_out = 8, 28 at 16. It is taken at the widest chunk, so that it
+    depends on c and c_out alone: enla_forward(m_1) cuts a sweep's first
+    prefix, and a sample of query columns the full call, into the same
+    tiles. Below 24 rows (max(c, c_out) of 20 and more) the forward
+    keeps its segments whole: at 23 rows tiles took 0.97-1.07x the time
+    of whole segments, within the runs' spread, and from 19 rows down
+    they lost (1.04-1.16x at 19 rows, 1.23-1.32x at 14, 2.1-2.3x at 7;
+    three, three and two runs).
 
     Measured on a 2-core Xeon (OpenBLAS 0.3.31, SkylakeX core, numpy 2.4,
     one BLAS thread; BENCH_tiles.json). ns per tile element of the three

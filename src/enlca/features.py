@@ -42,7 +42,6 @@ __all__ = [
     "ProjectionMatrix",
     "VarianceReport",
     "kernel_estimates",
-    "kernel_exact",
     "kernel_variance_empirical",
     "kernel_variance_theory",
     "phi",
@@ -78,7 +77,8 @@ class ProjectionMatrix:
 
 @dataclass(frozen=True)
 class PhiFeatures:
-    """Stabilized feature values: the exact map is values * exp(log_shift)."""
+    """Stabilized feature values: the exact map is values * exp(log_shift).
+    Kept, like `phi` and `enla.phi`, only for the benchmark harness."""
 
     values: np.ndarray
     log_shift: float
@@ -185,7 +185,7 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     feature matrix is values * exp(log_shift), and a ratio of phi products
     can use `values` as they are. Each column is shifted by its maximum
     and then weighted by the rest of its shift, with the 1/sqrt(m) scale,
-    as `_exp_features` describes.
+    as `_exp_features` describes. Kept only for the benchmark harness.
     """
     u = as_matrix(u_cols, "phi input")
     if u.shape[0] != f.c:
@@ -238,11 +238,11 @@ def _exp_features(block: np.ndarray, top: np.ndarray, raw: bool):
     return the lead taken out of each: 0 for a raw block, else its maximum
     (-inf read as 0), which leaves every entry at most 1.
 
-    The one shifted form of `phi`: a column whose real exponent
-    F u_j - |u_j|^2 / 2 shares a shift S >= its max is then weighted by
-    exp((lead_j - |u_j|^2 / 2) - S) <= 1. F u_j - lead_j keeps the bits of
-    F u_j that |u_j|^2 / 2 + S, as one subtrahend, loses once |u_j|^2 / 2
-    dwarfs it.
+    The one shifted form of `phi`, the forward and `kernel_estimates`: a
+    column whose real exponent F u_j - |u_j|^2 / 2 shares a shift S >= its
+    max is then weighted by exp((lead_j - |u_j|^2 / 2) - S) <= 1.
+    F u_j - lead_j keeps the bits of F u_j that |u_j|^2 / 2 + S, as one
+    subtrahend, loses once |u_j|^2 / 2 dwarfs it.
     """
     lead = 0.0 if raw else _finite_or_zero(top)
     if not raw:
@@ -257,20 +257,6 @@ def _kernel_operands(q_i, k_j) -> tuple[np.ndarray, np.ndarray]:
     if q.shape != k.shape:
         raise ShapeError(f"kernel operands need equal length, got {q.size} vs {k.size}")
     return q, k
-
-
-def kernel_exact(q_i, k_j) -> float:
-    """exp(q . k), the exponential (softmax) kernel."""
-    q, k = _kernel_operands(q_i, k_j)
-    with np.errstate(over="ignore"):  # an inf inner product is named below
-        inner = float(q @ k)
-    try:
-        value = math.exp(inner)
-    except OverflowError:
-        raise NumericError(f"kernel overflowed: exp({inner:.6g})") from None
-    if not math.isfinite(value):
-        raise NumericError(f"kernel overflowed: exp({inner:.6g})")
-    return value
 
 
 def kernel_variance_theory(q_i, k_j, m: int) -> float:
@@ -302,7 +288,7 @@ def kernel_estimates(
     Trial t draws its projection from rng.stream(1 + t), so trials are
     order-independent and can be reproduced individually. A trial's
     phi(q) . phi(k) collapses to exp(-(|q|^2 + |k|^2) / 2) * mean_l
-    exp(f_l . z) for z = q + k, which is evaluated max-shifted.
+    exp(f_l . z) for z = q + k, evaluated max-shifted (`_exp_features`).
 
     Trials run _TRIAL_BLOCK at a time: one re-keyed Philox draws the
     block and one vectorized pass forms F z, its row maxima and the
@@ -329,8 +315,7 @@ def kernel_estimates(
     t = 0
     for g in products:
         top = g.max(axis=1)
-        g -= top[:, None]
-        np.exp(g, out=g)
+        _exp_features(g, top[:, None], raw=False)
         exponents = (top + log_const).tolist()
         try:
             prefactors = list(map(math.exp, exponents))

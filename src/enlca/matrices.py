@@ -13,6 +13,7 @@ numpy's ziggurat transform on that stream.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -102,13 +103,21 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _real(name: str, value):
+    """value, if it is a real number and not a bool; else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 def check_settings(*, k_amp=None, **counts) -> None:
     """The one range check of the settings a caller requests, shared by
     the library and the CLI: each count or size passed by name (m, n, c,
     c_out, c_in, c_embed, trials, repeats, rows, cols, height, width) a
     Python or numpy integer >= 1, never rounded and not a bool, then
-    amplification k_amp >= 1 and finite. A setting left at None is not checked. Raises
-    ValueError naming the first setting out of range and its value."""
+    amplification k_amp, a real number and not a bool, >= 1 and finite. A
+    setting left at None is not checked. Raises ValueError naming the first
+    setting out of range and its value."""
     for name, value in counts.items():
         if value is None:
             continue
@@ -116,7 +125,7 @@ def check_settings(*, k_amp=None, **counts) -> None:
             raise ValueError(f"{name} must be an integer, got {value}")
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    if k_amp is not None and not k_amp >= 1.0:
+    if k_amp is not None and not _real("k_amp", k_amp) >= 1.0:
         raise ValueError(f"k_amp must be >= 1, got {k_amp}")
     if k_amp == math.inf:
         raise ValueError(f"k_amp must be finite, got {k_amp}")

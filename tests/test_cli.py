@@ -236,18 +236,6 @@ class TestBlockCommand:
         assert code == 1 and "features" in err
 
 
-class TestPhiCommand:
-    def test_writes_features_and_shift(self, matrices, tmp_path, capsys):
-        out = tmp_path / "phi.csv"
-        code, stdout, _ = run(capsys, "phi", "--input", matrices["q"], "--m", "16",
-                              "--seed", "2", "--out", str(out))
-        assert code == 0
-        assert stdout.startswith("log_shift ")
-        values = read_matrix_csv(out)
-        assert values.shape == (16, 32)
-        assert (values > 0).all()
-
-
 class TestVarianceCommand:
     def test_reports_three_numbers(self, capsys):
         code, out, _ = run(capsys, "variance", "--m", "32", "--k-amp", "1",
@@ -496,7 +484,6 @@ class TestErrorPaths:
         (["variance", "--c", "0", "--trials", "10"], "c must be >= 1"),
         (["variance-sweep", "--c", "0", "--trials", "10"], "c must be >= 1"),
         (["corr-map", "--features", "X", "--k-amp", "0.5"], "k_amp must be >= 1"),
-        (["phi", "--input", "Q", "--out", "OUT", "--m", "0"], "m must be >= 1, got 0"),
         (["variance", "--m", "0", "--trials", "10"], "m must be >= 1, got 0"),
         (["variance", "--k-amp", "0.5", "--trials", "10"], "k_amp must be >= 1, got 0.5"),
         (["variance", "--k-amp", "-1", "--trials", "10"], "k_amp must be >= 1, got -1.0"),
@@ -513,6 +500,12 @@ class TestErrorPaths:
         (["approx-sweep", "--n", "16", "--cout", "0", "--m-list", "8"], "c_out must be >= 1, got 0"),
         (["approx-sweep", "--n", "16", "--m-list", ","], "--m-list must name at least one value"),
         (["approx-sweep", "--n", "16", "--m-list", "64,16"], "m_list must be ascending, got [64, 16]"),
+        (["approx-sweep", "--n", "16", "--m-list", "4,,8"], "--m-list must be comma-separated ints, got '4,,8'"),
+        (["approx-sweep", "--n", "16", "--m-list", ",4"], "--m-list must be comma-separated ints, got ',4'"),
+        (["approx-sweep", "--n", "16", "--m-list", "4,"], "--m-list must be comma-separated ints, got '4,'"),
+        (["bench", "--n-list", "8,,16"], "--n-list must be comma-separated ints, got '8,,16'"),
+        (["variance-sweep", "--k-list", "1,,2", "--trials", "10"],
+         "--k-list must be comma-separated floats, got '1,,2'"),
         (["bench", "--n-list", "16", "--c", "0"], "c must be >= 1, got 0"),
         (["block", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
         (["enla", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
@@ -521,12 +514,14 @@ class TestErrorPaths:
         (["corr-map", "--features", "X", "--height", "-6", "--width", "-6", "--out", "OUT"],
          "height must be >= 1, got -6"),
     ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --k-amp below 1",
-            "phi --m", "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
+            "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
             "variance-sweep --k-list nan", "variance --k-amp inf", "variance-sweep --k-list inf",
             "corr-map --k-amp inf", "flops --n", "flops --method nla --m", "flops --m 0",
             "flops --m negative", "approx-sweep --n",
             "approx-sweep --c", "approx-sweep --cout", "approx-sweep --m-list empty",
-            "approx-sweep --m-list descending", "bench --c",
+            "approx-sweep --m-list descending", "approx-sweep --m-list inner empty entry",
+            "approx-sweep --m-list leading empty entry", "approx-sweep --m-list trailing empty entry",
+            "bench --n-list empty entry", "variance-sweep --k-list empty entry", "bench --c",
             "block --c-embed",
             "enla --c-embed", "exact --c-embed", "corr-map --c-embed", "corr-map --height"])
     def test_out_of_range_value_is_usage_error(self, matrices, tmp_path, capsys, argv, message):
@@ -610,8 +605,6 @@ REMOVED_FLAGS = [
     ("corr-map", ["--v", "V"]),
     ("corr-map", ["--m", "8"]),
     ("corr-map", ["--orthogonal"]),
-    ("phi", ["--k-amp", "2"]),
-    ("phi", ["--epsilon", "1e-9"]),
     ("variance", ["--epsilon", "1e-9"]),
     ("block", ["--q", "Q"]),
     ("block", ["--k", "K"]),
@@ -636,7 +629,6 @@ def test_removed_flag_is_usage_error(matrices, tmp_path, capsys, command, extra)
         "exact": ["--q", q, "--k", k, "--v", v],
         "enla": ["--q", q, "--k", k, "--v", v],
         "corr-map": ["--q", q, "--k", k],
-        "phi": ["--input", q, "--out", str(tmp_path / "phi.csv")],
         "variance": ["--trials", "10"],
         "block": ["--features", x],
         "approx-sweep": ["--n", "16", "--m-list", "8"],
@@ -690,10 +682,12 @@ def readme_commands():
 
 
 def test_readme_commands_parse():
-    """Every README command parses with the CLI's own parser."""
+    """README shows every subcommand and no other, and every README
+    command parses with the CLI's own parser."""
     commands = readme_commands()
-    assert {"flops", "approx-sweep", "variance-sweep", "bench", "corr-map"} <= {a[1] for a in commands}
     parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {a[1] for a in commands} == set(subparsers.choices)
     for argv in commands:
         try:
             parser.parse_args(argv[1:])

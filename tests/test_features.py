@@ -12,7 +12,6 @@ from enlca.features import (
     _orthogonal_rows,
     _projection_blocks,
     kernel_estimates,
-    kernel_exact,
     kernel_variance_empirical,
     kernel_variance_theory,
     phi,
@@ -185,31 +184,13 @@ class TestPhi:
         assert abs(est.mean() - math.e) / math.e < 0.01
 
 
-class TestKernelExact:
-    def test_zero(self):
-        assert kernel_exact([0.0, 0.0], [0.0, 0.0]) == 1.0
-
-    def test_unit_inner_product(self):
-        assert abs(kernel_exact([1.0, 0.0], [1.0, 0.0]) - math.e) < 1e-12
-
-    def test_amplified_alignment(self):
-        u = unit_vector(3, math.sqrt(6.0))
-        assert abs(kernel_exact(u, u) - math.exp(6.0)) < 1e-9
-        assert round(kernel_exact(u, u), 4) == 403.4288
-
-    def test_overflow_rejected(self):
-        big = np.full(4, 500.0)
-        with pytest.raises(NumericError):
-            kernel_exact(big, big)
-
-    def test_overflowing_inner_product_rejected_without_warning(self):
-        big = [1e155, 1e155]
-        with pytest.raises(NumericError, match=r"^kernel overflowed: exp\(inf\)$"):
-            kernel_exact(big, big)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            kernel_exact([1.0], [1.0, 2.0])
+@pytest.mark.parametrize("kernel", [
+    lambda q, k: kernel_variance_theory(q, k, 4),
+    lambda q, k: kernel_estimates(q, k, 4, 2, RngSpec(0)),
+], ids=["kernel_variance_theory", "kernel_estimates"])
+def test_kernel_operands_need_equal_length(kernel):
+    with pytest.raises(ShapeError, match=r"^kernel operands need equal length, got 1 vs 2$"):
+        kernel([1.0], [1.0, 2.0])
 
 
 class TestVarianceTheory:
@@ -333,7 +314,7 @@ class TestKernelEstimates:
             k /= np.linalg.norm(k)
             est = kernel_estimates(q, k, m=8, trials=20_000, rng=base)
             se = est.std(ddof=1) / math.sqrt(est.size)
-            assert abs(est.mean() - kernel_exact(q, k)) <= 3 * se
+            assert abs(est.mean() - math.exp(float(q @ k))) <= 3 * se
 
 
 class TestTrialBlocks:

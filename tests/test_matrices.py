@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from enlca.matrices import (
     ShapeError,
     _aligned_empty,
     as_matrix,
+    check_settings,
     gaussian_sample,
     normalize_columns,
     read_matrix_csv,
@@ -214,6 +216,26 @@ class TestCheckSettings:
     def test_infinite_setting_names_the_setting(self, name, call):
         with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf$"):
             call()
+
+    @pytest.mark.parametrize("shown,call", [
+        ("True", lambda: check_settings(k_amp=True)),
+        ("'6'", lambda: check_settings(k_amp="6")),
+        ("True", lambda: EnlaConfig(rng=RngSpec(0), k_amp=True)),
+        ("True", lambda: normalize_and_scale(np.ones((2, 2)), np.ones((2, 2)), True)),
+        ("True", lambda: relevance_scores(np.ones((2, 2)), np.ones((2, 2)), True)),
+        ("'1'", lambda: approximation_error_sweep(8, 2, 2, [2], "1", 2, RngSpec(0))),
+        ("array(2.)", lambda: _aligned_vector(4, np.array(2.0))),
+    ], ids=["check_settings bool", "check_settings str", "EnlaConfig bool", "normalize_and_scale bool",
+            "relevance_scores bool", "approximation_error_sweep str", "_aligned_vector array"])
+    def test_non_real_k_amp_names_the_setting(self, shown, call):
+        # the one type rule of a real setting, shared with ContrastiveConfig and total_loss
+        with pytest.raises(ValueError, match=rf"^k_amp must be a real number, got {re.escape(shown)}$"):
+            call()
+
+    def test_numpy_and_integer_k_amp(self):
+        for k_amp in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+            check_settings(k_amp=k_amp)
+        assert EnlaConfig(rng=RngSpec(0), k_amp=np.float64(3.0)).k_amp == 3.0
 
 
 class TestRngSpec:
