@@ -6,13 +6,19 @@ estimator and exploits associativity: phi(K) [V^T | 1] is reduced first
 ever exists and one GEMM yields both the numerator rows and the
 normalizer row. The estimator is a per-query map times a per-key map, so
 N_q queries and N_k keys are free to differ. Both phi(K) and phi(Q) are
-streamed in column chunks, and each chunk in row tiles of at most R rows,
-R fixed by c and c_out so that every GEMM of a tile stays on OpenBLAS's
-small-matrix path (_tile_rows, which states the rule and its measured
-effect). So the forward's extra memory is one reused R x CHUNK feature
-buffer, one (c_out + 1) x CHUNK product buffer, the (c_out + 1) x N_q
-output and one shift per projection row; the stabilizer shifts go where
-they are cheap (see enla_forward). The same loop evaluates several sample
+streamed in column chunks, and each chunk in row tiles, so that every GEMM
+of a tile stays on OpenBLAS's small-matrix path. The key pass cuts
+CHUNK-column chunks into tiles of at most R rows, R fixed by c and c_out
+(_tile_rows). The query pass has a shape of its own, fixed by c, c_out
+and the first sample count m_1 (_query_tiles): chunks of W_q columns, so
+narrow that a tile of R_q >= m_1 rows fits, down to W_MIN columns, which
+makes each query chunk's output one GEMM written in place; where the key
+pass keeps whole segments, so does the query pass. Each helper states
+its rule and its measured effect. So the forward's extra memory is one
+reused working block, holding either pass's feature tile, chunk operand
+and staged values or product, the (c_out + 1) x N_q output and one shift
+per projection row; the stabilizer shifts go where they are cheap (see
+enla_forward). The same loop evaluates several sample
 counts as row prefixes of one projection, for the approximation-error
 sweep: chunks outermost, each chunk staged once and taken through every
 row segment. What depends on the instance (q, k, v) and the sample counts
@@ -27,10 +33,9 @@ m N_k (c + c_out + 1) for the keys (phi(K) and its reduction into kv)
 plus m N_q (c + c_out + 1) for the queries (phi(Q) and the output GEMM),
 the m N_k + m N_q being the normalizer: 2mNc + 2mN(c_out + 1) at
 N_q = N_k = N. analysis.flop_count keeps the published convention,
-which excludes the normalizer. The working block (feature tile, staged
-chunk operands and product) and the outputs start on a cache line
-(matrices._aligned_empty, which states the rule and its measured
-effect).
+which excludes the normalizer. The working block and the outputs start
+on a cache line (matrices._aligned_empty, which states the rule and its
+measured effect).
 
 Query/key columns enter unit-normalized and scaled by sqrt(k_amp); k_amp > 1
 sharpens the attention at the price of exponentially larger variance.
@@ -45,7 +50,7 @@ import numpy as np
 
 from .exact import _validated_qkv
 # phi itself is unused here; perfbench/spans.py wraps it under this module's name.
-from .features import _exp_features, _half_sq_norms, _projected, phi, sample_projection  # noqa: F401
+from .features import _exp_features, _half_sq_norms, _overflow_check, _projected, phi, sample_projection  # noqa: F401
 from .matrices import (
     NumericError, RngSpec, ShapeError, _aligned_empty, _headroom, _matrix_pair, _unit_exponent, as_matrix,
     check_settings, normalize_columns,
@@ -58,6 +63,8 @@ CHUNK = 2048
 _SMALL_GEMM_MNK = 100 ** 3
 _SMALL_GEMM_TN_MN = 1200
 _MIN_TILE_ROWS = 24
+# The narrowest query chunk (see _query_tiles)
+W_MIN = 256
 
 __all__ = [
     "EnlaConfig",
@@ -114,17 +121,19 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     oracle's contract (`exact._validated_qkv`).
 
     The keys are streamed first, CHUNK columns and at most R rows
-    (`_tile_rows`) at a time, through one R x CHUNK feature buffer: each
+    (`_tile_rows`) at a time, through one R x CHUNK feature tile: each
     tile's features are reduced into its rows of kv = phi(K) [V^T | 1]
     (m x (c_out + 1)) at once. Row l of kv has its own shift s_l, the
     running max of f_l . k - |k|^2 / 2 over the keys, and is rescaled by
     exp(old - new) when a chunk raises it, so its key sum is at least 1.
-    The queries then go through the same buffer with exponents
-    f_l . q + s_l, each column shifted by its max, and each (c_out + 1)-row
-    output block is written in place as the sum of its tiles' products
-    (`_Forwards.project` says how the tiles carry it). The term of that max
-    is exp(0) times a key sum of at least 1: every normalizer is at least 1
-    and none can underflow. Every shift cancels in the output ratio, so one
+    The queries then go through the same block, W_q columns and at most
+    R_q rows at a time (`_query_tiles`), with exponents f_l . q + s_l, each
+    column shifted by its max, and each (c_out + 1)-row output block is
+    written in place as the sum of its tiles' products: one product where
+    the m rows fit one tile (`_Forwards.project` says how the tiles carry
+    it). The term of that max is exp(0) times a key sum of at least 1:
+    every normalizer is at least 1 and none can underflow. Every shift
+    cancels in the output ratio, so one
     column of extreme norm cannot push the features of the others out of
     float range. Both exponents come out of the feature GEMMs, on a lifted
     projection: [F | -1] [k_b; |k_b|^2 / 2] and [F | s] [q_b; 1].
@@ -147,9 +156,9 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
 
 
 def _tile_rows(c: int, c_out: int):
-    """R, the most projection rows in one tile of the forward at c
-    channels and c_out value rows, or None: every row segment is then one
-    tile.
+    """R, the most projection rows in one tile of the forward's key pass
+    at c channels and c_out value rows, or None: every row segment is then
+    one tile. The query pass uses it too where `_query_tiles` falls back.
 
     The rule of the forward's GEMMs: each of a tile's three (its features
     [F | s] u, R x (c + 1) by (c + 1) x W; its kv share, R x W by
@@ -161,12 +170,11 @@ def _tile_rows(c: int, c_out: int):
     R CHUNK (max(c, c_out) + 1) <= 10^6 and R (c_out + 1) <= 1200: 54 at
     c = c_out = 8, 28 at 16. It is taken at the widest chunk, so that it
     depends on c and c_out alone: enla_forward(m_1) cuts a sweep's first
-    prefix, and a sample of query columns the full call, into the same
-    tiles. Below 24 rows (max(c, c_out) of 20 and more) the forward
-    keeps its segments whole: at 23 rows tiles took 0.97-1.07x the time
-    of whole segments, within the runs' spread, and from 19 rows down
-    they lost (1.04-1.16x at 19 rows, 1.23-1.32x at 14, 2.1-2.3x at 7;
-    three, three and two runs).
+    prefix into the same tiles. Below 24 rows (max(c, c_out) of 20 and
+    more) the key pass keeps its segments whole: at 23 rows tiles took
+    0.97-1.07x the time of whole segments, within the runs' spread, and
+    from 19 rows down they lost (1.04-1.16x at 19 rows, 1.23-1.32x at 14,
+    2.1-2.3x at 7; three, three and two runs).
 
     Measured on a 2-core Xeon (OpenBLAS 0.3.31, SkylakeX core, numpy 2.4,
     one BLAS thread; BENCH_tiles.json). ns per tile element of the three
@@ -185,44 +193,110 @@ def _tile_rows(c: int, c_out: int):
     return rows if rows >= _MIN_TILE_ROWS else None
 
 
+def _query_tiles(c: int, c_out: int, m_1: int):
+    """(R_q, W_q): the most projection rows in one tile of the forward's
+    query pass, or None (every row segment is then one tile), and the width
+    of its query chunks, at c channels, c_out value rows and first sample
+    count m_1.
+
+    W_q is the widest multiple of 8 in [W_MIN, CHUNK] at which m_1 rows
+    keep the pass's feature and output GEMMs on OpenBLAS's small-matrix
+    path, m_1 W_q (max(c, c_out) + 1) <= 10^6 (see _tile_rows), and
+    R_q = 10^6 // (W_q (max(c, c_out) + 1)), never fewer than the key
+    pass's R. So up to m_1 = 10^6 / (W_MIN (max(c, c_out) + 1)) rows (229
+    at c = 16) the first segment is one query tile, and each query chunk's
+    output one GEMM written in place: at c = c_out = 16 and m = 128, 128
+    rows at 456 columns, where the key pass's 28-row tiles would add four
+    partial sums and running-max merges per chunk. At c = c_out = 8 and
+    m_1 = 16 it gives the key pass's own (54, CHUNK). Where the key pass
+    keeps whole segments (max(c, c_out) >= 20) the query pass does too,
+    at CHUNK: (None, CHUNK). The shape depends on c, c_out and m_1 alone,
+    so enla_forward(m_1) cuts a sweep's first prefix, and a sample of
+    query columns the full call, into the same tiles, and W_q, a multiple
+    of 8, splits the columns where OpenBLAS's groups of 8 do.
+
+    Measured on a 2-core Xeon (OpenBLAS 0.3.31, numpy 2.4, one BLAS
+    thread; BENCH_query_tiles.json), process CPU of enla_forward over
+    that of the same forward with the key pass's tiles in its query pass,
+    medians of 10 alternating fresh processes. At N = 10 000 and
+    c = c_out = 16, by W_MIN (the range of two runs):
+
+        m:          512        1024       4096
+        W_MIN = 8:  0.83-0.86  0.92-0.93  1.52-1.67
+               64:  0.84-0.89  0.91-0.92  0.89-0.91
+              128:  0.85-0.87  0.84-0.85  0.86-0.87
+              256:  0.83-0.86  0.83-0.85  0.84-0.88
+              512:  0.84-0.85  0.84-0.86  0.84-0.87
+
+    256 and 512 lie within each other's spread; 512 would clamp the
+    456-column chunks of c = 16, m = 128 and cut their rows into two tiles.
+
+    With query tiles also where max(c, c_out) >= 20 (whole segments only
+    below 24 rows), N = 2048, c = c_out = 64, m = 128 read 1.07-1.18x in
+    three runs of four and 0.95x in the fourth (three tiles per
+    256-column chunk), and the c = 32 sweep over m = 16 to 128 read 1.18x
+    with 16-row tiles. Where one query tile held the first segment, they
+    gained at N = 10 000 (0.78-1.08x at c = 20, m = 128; 0.82-0.92x at
+    c = 32, m = 32) but not at N = 2048 (0.86-1.18x at c = 32, m = 32),
+    which the rule cannot see.
+    """
+    if _tile_rows(c, c_out) is None:
+        return None, CHUNK
+    depth = max(c, c_out) + 1
+    width = min(CHUNK, max(W_MIN, _SMALL_GEMM_MNK // (m_1 * depth) // 8 * 8))
+    return _SMALL_GEMM_MNK // (width * depth), width
+
+
 class _Forwards:
     """enla_forward on one instance (q, k, v) at each sample count of the
     ascending list ms, for any number of projections of ms[-1] rows.
 
     Built once per instance: the validated q, k and v, v's row exponents
-    e, the headroom B at m = ms[-1], the row segments and their tiles, the
-    working block, kv, the key shifts, the key pass's per-row arrays and
-    the lifted projection [F | -1]. `project` runs one projection through
-    them and returns outputs of its own, so a caller that keeps or edits
-    one projection's outputs leaves every other projection's untouched.
+    e, the headroom B at m = ms[-1], the row segments and each pass's
+    tiles of them (the key pass's from `_tile_rows`, the query pass's and
+    its chunk width from `_query_tiles` at m_1 = ms[0], so that the first
+    output cuts the tiles of enla_forward(m_1)), the working block, kv, the
+    key shifts, the key pass's per-row arrays and the lifted projection
+    [F | -1]. `project` runs one projection through them and returns
+    outputs of its own, so a caller that keeps or edits one projection's
+    outputs leaves every other projection's untouched.
 
-    The feature tile, the chunk operand, the staged values and the product
-    buffer are one allocation. As four, at the approximation sweep's shape
-    (N = 2048, c = c_out = 8, prefixes 16 to 128) glibc gave their pages
-    back after every forward and the next forward faulted about 450 of
-    them in again, which cost more than the tiles saved: glibc trims the
-    top of its heap when a free leaves more than twice its mmap threshold
-    there, and that threshold follows the largest block freed, which the
-    tiles shrink from an m-row feature buffer to an R-row one.
+    The working block is one allocation, sized for the larger of two
+    layouts of rows: the key pass's feature tile, chunk operand and staged
+    values, and the query pass's feature tile, chunk operand and product
+    buffer, so the query pass's shape adds no allocation. As four
+    allocations (tile, operand, staged values, product), at the
+    approximation sweep's shape (N = 2048, c = c_out = 8, prefixes 16 to
+    128) glibc gave their pages back after every forward and the next
+    forward faulted about 450 of them in again, which cost more than the
+    tiles saved: glibc trims the top of its heap when a free leaves more
+    than twice its mmap threshold there, and that threshold follows the
+    largest block freed, which the tiles shrink from an m-row feature
+    buffer to an R-row one.
     """
 
     def __init__(self, q, k, v, ms):
         self.q, self.k, self.v = _validated_qkv(q, k, v)
         (self.c, self.n_q), (c_out, n_k) = self.q.shape, self.v.shape
-        rows = min(_tile_rows(self.c, c_out) or ms[-1], ms[-1])
-        self.segments = [[(t, min(high, t + rows)) for t in range(low, high, rows)]
-                         for low, high in zip([0, *ms[:-1]], ms)]
+        q_rows, self.q_chunk = _query_tiles(self.c, c_out, ms[0])
+        key_rows, q_rows = (min(rows or ms[-1], ms[-1]) for rows in (_tile_rows(self.c, c_out), q_rows))
+        # each pass's row segments, cut into its tiles from their first rows
+        self.segments, self.q_segments = (
+            [[(t, min(high, t + rows)) for t in range(low, high, rows)] for low, high in zip([0, *ms[:-1]], ms)]
+            for rows in (key_rows, q_rows))
         self.e = _unit_exponent(self.v)
         self.bound = _headroom(ms[-1] * n_k)
         width = min(max(self.n_q, n_k), CHUNK)
-        # one block (see the docstring): the feature tile; a chunk's GEMM
-        # operand [k_b; |k_b|^2 / 2] or [q_b; 1]; a key chunk's staged
-        # [2^-e V_b; 1], whose last row makes the last column of kv the key sum;
-        # and a later tile's share of a query chunk
-        self.features, self.operand, self.staged, self.product = np.split(
-            _aligned_empty((rows + self.c + 1 + 2 * (c_out + 1), width)),
-            np.cumsum([rows, self.c + 1, c_out + 1]))
-        self.staged[-1] = 1.0
+        # one block (see the docstring) in two layouts: the key pass's feature
+        # tile, its chunk's GEMM operand [k_b; |k_b|^2 / 2] and the chunk's
+        # staged [2^-e V_b; 1], whose last row makes the last column of kv the
+        # key sum; and the query pass's feature tile, its operand [q_b; 1] and
+        # a later tile's share of a query chunk
+        layouts = (key_rows, width), (q_rows, min(width, self.q_chunk))
+        block = _aligned_empty((max((rows + self.c + c_out + 2) * w for rows, w in layouts),))
+        (self.features, self.operand, self.staged), (self.q_features, self.q_operand, self.product) = (
+            np.split(block[:(rows + self.c + c_out + 2) * w].reshape(-1, w), np.cumsum([rows, self.c + 1]))
+            for rows, w in layouts)
         # [F | -1], written per projection; after its key pass the rows hold [F | s]
         self.lifted = np.empty((ms[-1], self.c + 1))
         # zero once: a projection's first key chunk with finite row maxima
@@ -240,39 +314,46 @@ class _Forwards:
         An iid draw fills rows in order, so each output is enla_forward
         with that m on f's stream, up to rounding; the first is
         bit-identical to it. The outputs are fresh arrays that the caller
-        owns. Each call first writes [F | -1] into the lifted projection
-        and resets the key shifts to -inf, so no call reads what an
-        earlier one left.
+        owns. Each call first writes [F | -1] into the lifted projection,
+        resets the key shifts to -inf and sets the staged row of ones,
+        which the query layout of the working block overwrites, so no call
+        reads what an earlier one left.
 
         Both passes loop over chunks outermost and over the row segments
-        [m_{i-1}, m_i) inside, each cut into tiles of at most R =
-        _tile_rows(c, c_out) rows from its first row, so each chunk of k,
-        |k|^2 / 2, V and q is staged once. A row's key shift depends on no
-        other row, so a key chunk forms each tile's rows of its share of kv
-        with the tile's own GEMM, then rescales and adds to every row of kv
-        at once. A query chunk carries its running column max, whether it
-        is shifted, and the undivided sums of the tiles so far through its
-        tile loop: a segment's first product goes into output i, onto the
-        previous segment's sums, and each later tile's product is added to
-        it from the product buffer, so output i holds the sums of every
-        tile up to segment i's last. The chunk keeps the raw exp of
-        enla_forward while every tile finds its columns in range; once one
-        does not, that tile and every later one is shifted, and the sums so
-        far are rescaled by exp(old - new) per column, the old shift being 0
-        for a chunk that was unshifted. A column may stay -inf through a
-        segment's early tiles; it is named only if it is still -inf after
-        the segment's last. Every tile tests its chunks against
-        enla_forward's B at m = ms[-1]. Once the chunk has passed every
-        segment, each output divides its columns as enla_forward(m_i) does.
+        [m_{i-1}, m_i) inside, each cut into tiles from its first row, so
+        each chunk of k, |k|^2 / 2, V and q is staged once: key chunks of
+        CHUNK columns in tiles of at most R = _tile_rows(c, c_out) rows,
+        and query chunks of W_q columns in tiles of at most R_q rows,
+        (R_q, W_q) = _query_tiles(c, c_out, m_1). A row's key shift depends
+        on no other row, so a key chunk forms each tile's rows of its share
+        of kv with the tile's own GEMM, then rescales and adds to every row
+        of kv at once. A query chunk carries its running column max,
+        whether it is shifted, and the undivided sums of the tiles so far
+        through its tile loop: a segment's first product goes into output
+        i, onto the previous segment's sums, and each later tile's product
+        is added to it from the product buffer, so output i holds the sums
+        of every tile up to segment i's last. The chunk keeps the raw exp
+        of enla_forward while every tile finds its columns in range; once
+        one does not, that tile and every later one is shifted, and the
+        sums so far are rescaled by exp(old - new) per column, the old
+        shift being 0 for a chunk that was unshifted. A column may stay
+        -inf through a segment's early tiles; it is named only if it is
+        still -inf after the segment's last. Every tile tests its chunks
+        against enla_forward's B at m = ms[-1], and only a tile that fails
+        that range test is checked for a projection of +inf or NaN
+        (`features._overflow_check`): maxima within the range are finite.
+        Once the chunk has passed every segment, each output divides its
+        columns as enla_forward(m_i) does.
         """
         q, k, v, c, e, bound, segments = self.q, self.k, self.v, self.c, self.e, self.bound, self.segments
-        features, operand, staged, product = self.features, self.operand, self.staged, self.product
+        features, operand, staged = self.features, self.operand, self.staged
         lifted, kv, key_shift, tops, leads, shares = (
             self.lifted, self.kv, self.key_shift, self.tops, self.leads, self.shares)
         n_k = k.shape[1]
         lifted[:, :c] = f
         lifted[:, c] = -1.0
         key_shift.fill(-math.inf)
+        staged[-1] = 1.0
         outputs = [_aligned_empty((kv.shape[1], self.n_q)) for _ in segments]
 
         with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
@@ -284,13 +365,15 @@ class _Forwards:
                 np.ldexp(v[:, start:stop], -e, out=stage[:-1])
                 for low, high in (tile for segment in segments for tile in segment):
                     block = features[:high - low, :stop - start]
-                    top = tops[low:high] = _projected(lifted[low:high], lift, start, block, axis=1,
-                                                      column="key column")
-                    # a key of finite |k|^2 is finite on every row: a chunk's row
-                    # maxima are all finite, or all -inf and its features all 0
-                    if top[0] == -math.inf:
-                        break
-                    leads[low:high] = _exp_features(block, top[:, None], -bound <= top.min() and top.max() <= bound)
+                    top = tops[low:high] = _projected(lifted[low:high], lift, block, axis=1)
+                    raw = -bound <= top.min() and top.max() <= bound
+                    if not raw:
+                        _overflow_check(top, block, start, "key column")
+                        # a key of finite |k|^2 is finite on every row: a chunk's
+                        # row maxima are all finite, or all -inf and its features all 0
+                        if top[0] == -math.inf:
+                            break
+                    leads[low:high] = _exp_features(block, top[:, None], raw)
                     np.matmul(block, stage.T, out=shares[low:high])
                 else:  # every row of kv at once, rescaled to its raised shift
                     raised = np.maximum(key_shift, tops)
@@ -301,21 +384,27 @@ class _Forwards:
                 raise NumericError("every key's squared norm overflowed")
             lifted[:, c] = key_shift
 
+            # the working block's query layout, which overwrites the key layout
+            features, operand, chunk = self.q_features, self.q_operand, self.q_chunk
             operand[c] = 1.0
-            for start in range(0, self.n_q, CHUNK):
-                stop = min(self.n_q, start + CHUNK)
-                lift, part = operand[:, :stop - start], product[:, :stop - start]
+            for start in range(0, self.n_q, chunk):
+                stop = min(self.n_q, start + chunk)
+                lift, part = operand[:, :stop - start], self.product[:, :stop - start]
                 lift[:c] = q[:, start:stop]
                 # the chunk's running column max of F q + s, whether it carries
                 # that max as a shift, and the undivided sums of the tiles so far
                 seen, shifted, sums = -math.inf, False, None
-                for segment, out in zip(segments, outputs):
+                for segment, out in zip(self.q_segments, outputs):
                     cols = out[:, start:stop]
                     for i, (low, high) in enumerate(segment):
                         block = features[:high - low, :stop - start]
-                        top = np.maximum(seen, _projected(lifted[low:high], lift, start, block, column="query column"))
+                        top = _projected(lifted[low:high], lift, block)
+                        if sums is not None:
+                            np.maximum(seen, top, out=top)
                         was_shifted = shifted
-                        shifted = shifted or not (top.max() <= bound and top.min() >= 0.0)
+                        if not (top.max() <= bound and top.min() >= 0.0):
+                            _overflow_check(top, block, start, "query column")
+                            shifted = True
                         _exp_features(block, top, not shifted)
                         # a segment's first product goes into its output, a later one beside it
                         share = cols if i == 0 else part
@@ -327,7 +416,8 @@ class _Forwards:
                                 sums = sums * np.exp(np.fmin((seen if was_shifted else 0.0) - top, 0.0))
                             np.add(share, sums, out=cols)
                         seen, sums = top, cols
-                    if seen.min() == -math.inf:
+                    # an unshifted chunk's maxima all passed the range test
+                    if shifted and seen.min() == -math.inf:
                         col = start + int(np.argmin(seen))
                         raise NumericError(f"every projection of query column {col} is -inf")
                 for out in outputs:

@@ -6,9 +6,10 @@ has the closed form K^2(q,k) * (exp(|q+k|^2) - 1) / m. Both facts, plus the
 variance reduction from orthogonalized projection rows, are exercised by
 the Monte-Carlo helpers here.
 
-phi and the attention forward share two kernels: `_projected` forms F u
-in the caller's buffer and returns its column or row maxima, and
-`_exp_features` runs exp on it in place, raw or shifted by those maxima.
+phi and the attention forward share three kernels: `_projected` forms F u
+in the caller's buffer and returns its column or row maxima,
+`_overflow_check` names a column whose projection overflowed, and
+`_exp_features` runs exp on F u in place, raw or shifted by those maxima.
 
 Projections come from one private sampler, `_projection_blocks`, which
 serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
@@ -193,7 +194,8 @@ def phi(f: ProjectionMatrix, u_cols) -> PhiFeatures:
     values = _aligned_empty((f.m, u.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # the helpers take none
         half_sq = _half_sq_norms(u)
-        top = _projected(f.f, u, 0, values)
+        top = _projected(f.f, u, values)
+        _overflow_check(top, values, 0)
         log_shift = float(np.max(top - half_sq))
         lead = _exp_features(values, top, raw=False)
         values *= np.exp((lead - half_sq - _finite_or_zero(log_shift)) - 0.5 * math.log(f.m))
@@ -213,23 +215,29 @@ def _finite_or_zero(shift):
     return np.where(np.isfinite(shift), shift, 0.0)
 
 
-def _projected(f: np.ndarray, u: np.ndarray, offset: int, out: np.ndarray, axis: int = 0,
-               column: str = "column") -> np.ndarray:
-    """Form F u in out for u, the columns from `offset` on of a validated
-    matrix, and return the maxima of out along axis: its column maxima, or
-    its row maxima for axis=1. The caller runs `_exp_features` on out, so
-    the features allocate nothing of size m x N. A projection that
-    overflows (+inf or NaN) cannot be repaired by any shift and raises
-    NumericError naming its `column` of the whole matrix ("key column" or
-    "query column" in the forward). The caller ignores over and invalid in
+def _projected(f: np.ndarray, u: np.ndarray, out: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Form F u in out for u, columns of a validated matrix, and return the
+    maxima of out along axis: its column maxima, or its row maxima for
+    axis=1. The caller runs `_exp_features` on out, so the features
+    allocate nothing of size m x N, and `_overflow_check` on any maxima
+    it has not shown to be finite. The caller ignores over and invalid in
     one np.errstate per pass, not per chunk.
     """
     np.matmul(f, u, out=out)
-    top = out.max(axis=axis)
+    return out.max(axis=axis)
+
+
+def _overflow_check(top: np.ndarray, out: np.ndarray, offset: int, column: str = "column"):
+    """Raise NumericError if a projection in out overflowed (+inf or NaN),
+    which no shift can repair, naming its `column` of the whole matrix
+    ("key column" or "query column" in the forward), out's first column
+    being `offset`; top holds out's maxima, as `_projected` returned them.
+    phi runs it on every block; the forward only on a block whose maxima
+    fail its range test, since maxima within a finite range are finite.
+    """
     if not (top < math.inf).all():
         col = offset + int(np.flatnonzero(~(out < math.inf).all(axis=0))[0])
         raise NumericError(f"phi overflowed after stabilization at {column} {col}")
-    return top
 
 
 def _exp_features(block: np.ndarray, top: np.ndarray, raw: bool):

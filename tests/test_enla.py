@@ -10,9 +10,11 @@ from enlca import enla
 from enlca.analysis import approximation_error_sweep
 from enlca.enla import (
     CHUNK,
+    W_MIN,
     EnlaConfig,
     EnlcaBlockParams,
     _Forwards,
+    _query_tiles,
     _tile_rows,
     block_inputs,
     enla_forward,
@@ -810,6 +812,24 @@ class TestCrossShapes:
             assert np.array_equal(sampled, full[:, cols])
         assert np.abs(sampled - full[:, cols]).max() <= 1e-14 * np.abs(v).max()
 
+    @pytest.mark.parametrize("n_k", [5, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("width", [8, 16, 40])
+    def test_query_columns_across_query_chunks(self, monkeypatch, width, n_k):
+        # at m = 128 the query chunks are W_q = 456 wide, a multiple of 8, so
+        # a sample spanning several of them still agrees bit for bit
+        rows, chunk = _query_tiles(16, 3, 128)
+        assert (rows, chunk) == (128, 456)
+        n_q = 3 * chunk + 5
+        q, k, v = cross_qkv(136, c=16, c_out=3, n_q=n_q, n_k=n_k, k_amp=6.0)
+        config = EnlaConfig(rng=RngSpec(137), m=128)
+        cols = RngSpec(136).stream(10).generator().choice(n_q, width, replace=False)
+        assert len(set(cols // chunk)) >= 2
+        raw_flags = recorded_raw_flags(monkeypatch)
+        full = enla_forward(q, k, v, config)
+        sampled = enla_forward(q[:, cols], k, v, config)
+        assert all(raw_flags)
+        assert np.array_equal(sampled, full[:, cols])
+
     def test_query_columns_when_a_left_out_column_shifts(self, monkeypatch):
         # column 1 passes U and shifts its chunk in the full forward; the
         # sampled columns run raw
@@ -849,16 +869,17 @@ def recorded_tiles(monkeypatch):
     tiles = []
     projected = enla._projected
 
-    def recorded(f, u, offset, out, axis=0, column="column"):
+    def recorded(f, u, out, axis=0):
         tiles.append(("key" if axis == 1 else "query", out.shape[0]))
-        return projected(f, u, offset, out, axis, column)
+        return projected(f, u, out, axis)
     monkeypatch.setattr(enla, "_projected", recorded)
     return tiles
 
 
 class TestRowTiles:
     """Row segments of more than R = _tile_rows(c, c_out) rows run as tiles
-    of at most R rows, R fixed by the channel counts alone."""
+    of at most R rows, R fixed by the channel counts alone; the query pass
+    cuts its own tiles, fixed by the channel counts and m_1 (_query_tiles)."""
 
     R = _tile_rows(16, 16)
 
@@ -870,6 +891,29 @@ class TestRowTiles:
             assert rows >= 24
             assert rows * CHUNK * (max(c, c_out) + 1) <= 10**6 and rows * (c_out + 1) <= 1200
         assert self.R == 28 and _tile_rows(8, 8) == 54
+
+    def test_query_rule(self):
+        # the query pass's chunks are the widest multiple of 8 in [W_MIN,
+        # CHUNK] at which m_1 rows keep its GEMMs on the small-matrix path,
+        # and its tiles as many rows as that width allows; where the key
+        # pass keeps whole segments, so does the query pass
+        assert W_MIN % 8 == 0
+        for c, c_out in [(16, 16), (8, 8), (16, 3), (3, 16), (1, 1), (19, 3), (20, 3), (32, 3), (64, 64), (256, 3)]:
+            depth = max(c, c_out) + 1
+            for m_1 in [1, 16, 64, 128, 129, 512, 4096]:
+                width = max([w for w in range(W_MIN, CHUNK + 1, 8) if m_1 * w * depth <= 10**6], default=W_MIN)
+                rows = 10**6 // (width * depth)
+                expected = (None, CHUNK) if _tile_rows(c, c_out) is None else (rows, width)
+                assert _query_tiles(c, c_out, m_1) == expected
+                if expected[0] is not None:
+                    assert rows >= _tile_rows(c, c_out) >= 24
+                    assert rows * width * depth <= 10**6 and width % 8 == 0 and W_MIN <= width <= CHUNK
+        # the approximation sweep's first prefix keeps the key pass's tiles,
+        # forward_large's m takes one tile per chunk, and wide channels keep
+        # whole segments: 16 rows would fit at c = 256 and W_q = 240
+        assert _query_tiles(8, 8, 16) == (54, 2048) == (_tile_rows(8, 8), CHUNK)
+        assert _query_tiles(16, 16, 128) == (128, 456)
+        assert _query_tiles(256, 3, 16) == (None, CHUNK)
 
     @pytest.mark.parametrize("c", [32, 64])
     @pytest.mark.parametrize("wide_values", [False, True])
@@ -895,20 +939,23 @@ class TestRowTiles:
         assert tiles[:2 * len(segment_tiles)] == [("key", rows) for rows in 2 * segment_tiles]
 
     def test_query_chunk_turns_shifted_in_later_tile(self, monkeypatch):
-        # column 3 lies along a row of the second tile, where its exponent
-        # F q + s passes B; on the first tile every column is in [0, B]. So
-        # the one segment runs its first tile raw and its second shifted,
-        # rescaling the first tile's sums from shift 0
-        m = 2 * self.R
+        # m = 2 R_q clamps W_q at W_MIN, so the one segment has two query
+        # tiles. Column 3 lies along a row of the second, where its exponent
+        # F q + s passes B; on the first every column is in [0, B]. So the
+        # segment runs its first tile raw and its second shifted, rescaling
+        # the first tile's sums from shift 0
+        rows = _query_tiles(16, 3, CHUNK)[0]
+        m = 2 * rows
+        assert _query_tiles(16, 3, m) == (rows, W_MIN)
         q, k, v = seeded_qkv(154, c=16, c_out=3, n=9)
         config = EnlaConfig(rng=RngSpec(155), m=m)
         f = sample_projection(config.rng, m, 16).f
         shift, bound = key_shifts(f, k), _headroom(m * 9)
-        row = self.R + int(np.argmax(np.linalg.norm(f[self.R:], axis=1)))
+        row = rows + int(np.argmax(np.linalg.norm(f[rows:], axis=1)))
         q[:, 3] = f[row] * ((bound + 1.0 - shift[row]) / (f[row] @ f[row]))
         exponent = f @ q + shift[:, None]
-        first = exponent[:self.R].max(axis=0)
-        assert 0 <= first.min() and first.max() <= bound < exponent[self.R:, 3].max()
+        first = exponent[:rows].max(axis=0)
+        assert 0 <= first.min() and first.max() <= bound < exponent[rows:, 3].max()
         raw_flags = recorded_raw_flags(monkeypatch)
         out = enla_forward(q, k, v, config)
         assert raw_flags[-2:] == [True, False]
@@ -923,10 +970,12 @@ class TestRowTiles:
 
     @pytest.mark.parametrize("finite_tile", [True, False])
     def test_query_column_minus_inf_on_early_tiles(self, monkeypatch, finite_tile):
-        # f_l . q_0 overflows to -inf on the first two tiles. With a third
-        # tile on which it is finite, column 0 mixes the values by that
-        # tile's rows, all equal to g, alone; without it the column is named
-        rows = _tile_rows(2, 3)
+        # f_l . q_0 overflows to -inf on the first two query tiles (m clamps
+        # W_q at W_MIN). With a third tile on which it is finite, column 0
+        # mixes the values by that tile's rows, all equal to g, alone;
+        # without it the column is named
+        rows = _query_tiles(2, 3, CHUNK)[0]
+        assert _query_tiles(2, 3, 2 * rows + 4) == (rows, W_MIN)
         f = np.tile([2.0, 0.0], (2 * rows + 4, 1))
         if finite_tile:
             f[2 * rows:, 0] = 0.5
