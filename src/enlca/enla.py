@@ -7,19 +7,14 @@ ever exists and one GEMM yields both the numerator rows and the
 normalizer row. The estimator is a per-query map times a per-key map, so
 N_q queries and N_k keys are free to differ. Both phi(K) and phi(Q) are
 streamed in column chunks, and each chunk in row tiles, so that every GEMM
-of a tile stays on OpenBLAS's small-matrix path. The key pass cuts
-CHUNK-column chunks into tiles of at most R rows, R fixed by c and c_out
-(_tile_rows). The query pass has a shape of its own, fixed by c, c_out
-and the first sample count m_1 (_query_tiles): chunks of W_q columns, so
-narrow that a tile of R_q >= m_1 rows fits, down to W_MIN columns, which
-makes each query chunk's output one GEMM written in place; where the key
-pass keeps whole segments, so does the query pass. Each helper states
-its rule and its measured effect. So the forward's extra memory is one
-reused working block, holding either pass's feature tile, chunk operand
-and staged values or product, the (c_out + 1) x N_q output and one shift
-per projection row; the stabilizer shifts go where they are cheap (see
-enla_forward). The same loop evaluates several sample
-counts as row prefixes of one projection, for the approximation-error
+of a tile stays on OpenBLAS's small-matrix path. One rule sizes both
+passes' chunks and tiles, and states its numbers and their measured
+effect (_tiles). So the forward's extra memory is one reused working
+block, holding either pass's feature tile, chunk operand and staged
+values or product, the (c_out + 1) x N_q output and one shift per
+projection row; the stabilizer shifts go where they are cheap (see
+enla_forward). The same loop evaluates several sample counts as row
+prefixes of one projection, for the approximation-error
 sweep: chunks outermost, each chunk staged once and taken through every
 row segment. What depends on the instance (q, k, v) and the sample counts
 alone is set up once (`_Forwards`): validation, v's row exponents, the
@@ -56,14 +51,13 @@ from .matrices import (
     check_settings, normalize_columns,
 )
 
-# Columns per chunk of the forward. Chosen from the chunk-width sweep in
-# BENCH_chunked.json, made when the feature buffer held all m rows.
+# The widest chunk of the forward (see _tiles). Chosen from the chunk-width
+# sweep in BENCH_chunked.json, made when the feature buffer held all m rows.
 CHUNK = 2048
-# OpenBLAS's two small-matrix limits and the fewest rows worth a tile (see _tile_rows)
+# OpenBLAS's small-matrix limit, the fewest rows worth a tile and the
+# narrowest chunk (see _tiles)
 _SMALL_GEMM_MNK = 100 ** 3
-_SMALL_GEMM_TN_MN = 1200
 _MIN_TILE_ROWS = 24
-# The narrowest query chunk (see _query_tiles)
 W_MIN = 256
 
 __all__ = [
@@ -120,15 +114,15 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     and v (c_out x N_k): column i is query i's, over all keys, under the
     oracle's contract (`exact._validated_qkv`).
 
-    The keys are streamed first, CHUNK columns and at most R rows
-    (`_tile_rows`) at a time, through one R x CHUNK feature tile: each
-    tile's features are reduced into its rows of kv = phi(K) [V^T | 1]
+    The keys are streamed first, a chunk of columns and a tile of rows at
+    a time (`_tiles` at m = 1), through one feature tile: each tile's
+    features are reduced into its rows of kv = phi(K) [V^T | 1]
     (m x (c_out + 1)) at once. Row l of kv has its own shift s_l, the
     running max of f_l . k - |k|^2 / 2 over the keys, and is rescaled by
     exp(old - new) when a chunk raises it, so its key sum is at least 1.
-    The queries then go through the same block, W_q columns and at most
-    R_q rows at a time (`_query_tiles`), with exponents f_l . q + s_l, each
-    column shifted by its max, and each (c_out + 1)-row output block is
+    The queries then go through the same block, in chunks and tiles of
+    their own (`_tiles` at m), with exponents f_l . q + s_l, each column
+    shifted by its max, and each (c_out + 1)-row output block is
     written in place as the sum of its tiles' products: one product where
     the m rows fit one tile (`_Forwards.project` says how the tiles carry
     it). The term of that max is exp(0) times a key sum of at least 1:
@@ -155,71 +149,59 @@ def enla_forward(q, k, v, config: EnlaConfig) -> np.ndarray:
     return forwards.project(sample_projection(config.rng, config.m, forwards.c, config.orthogonal).f)[0]
 
 
-def _tile_rows(c: int, c_out: int):
-    """R, the most projection rows in one tile of the forward's key pass
-    at c channels and c_out value rows, or None: every row segment is then
-    one tile. The query pass uses it too where `_query_tiles` falls back.
+def _tiles(c: int, c_out: int, m: int):
+    """(R, W): the most projection rows in one tile of a forward pass, or
+    None (every row segment is then one tile), and the width of its chunks,
+    at c channels, c_out value rows and m rows in the first row segment.
+    The key pass takes it at m = 1, which gives the widest chunk, and the
+    query pass at the first sample count m_1. So both shapes depend on c,
+    c_out and m_1 alone: enla_forward(m_1) cuts a sweep's first prefix, and
+    a sample of query columns the full call, into the same tiles.
 
-    The rule of the forward's GEMMs: each of a tile's three (its features
-    [F | s] u, R x (c + 1) by (c + 1) x W; its kv share, R x W by
-    W x (c_out + 1); its output share, (c_out + 1) x R by R x W) stays on
-    OpenBLAS's small-matrix path, which skips the operand packing of its
-    blocked path. OpenBLAS's SkylakeX permit takes a GEMM while
-    M N K <= 10^6, and one whose first operand is transposed, as the kv
-    GEMM's is, only while M N <= 1200. So R is the largest count with
-    R CHUNK (max(c, c_out) + 1) <= 10^6 and R (c_out + 1) <= 1200: 54 at
-    c = c_out = 8, 28 at 16. It is taken at the widest chunk, so that it
-    depends on c and c_out alone: enla_forward(m_1) cuts a sweep's first
-    prefix into the same tiles. Below 24 rows (max(c, c_out) of 20 and
-    more) the key pass keeps its segments whole: at 23 rows tiles took
+    The rule keeps each of a tile's three GEMMs (its features [F | s] u,
+    R x (c + 1) by (c + 1) x W; its kv share, R x W by W x (c_out + 1); its
+    output share, (c_out + 1) x R by R x W) on OpenBLAS's small-matrix path,
+    which skips the operand packing of its blocked path. OpenBLAS's
+    SkylakeX permit takes a GEMM while M N K <= 10^6. W is the widest
+    multiple of 8 in [W_MIN, CHUNK] at which m rows keep the features and
+    the output share within it, m W (max(c, c_out) + 1) <= 10^6, and
+    R = 10^6 // (W (max(c, c_out) + 1)), never fewer rows than at m = 1.
+    The key pass's shape is (54, 2048) at c = c_out = 8 and (28, 2048) at
+    16. The query pass's is (128, 456) at c = c_out = 16 and m_1 = 128, so
+    the first segment is one query tile, and each query chunk's output one
+    GEMM written in place, up to m_1 = 10^6 / (W_MIN (max(c, c_out) + 1))
+    rows (229 at c = 16); at c = c_out = 8 and m_1 = 16 it is the key
+    pass's own. W, a multiple of 8, splits the columns where OpenBLAS's
+    groups of 8 do. The permit also holds a GEMM whose first operand is
+    transposed, as the kv GEMM's is, to M N <= 1200; at W = CHUNK the first
+    limit keeps R (c_out + 1) at most 488, so that one never binds on the
+    key pass. (The kv GEMM alone at W = 512, across it: 1.15 ns per
+    element at 70 rows and 1.46 at 72 (c_out = 16), 0.56 at 133 and 1.15
+    at 134 (c_out = 8).)
+
+    The rule has two limits. Where the widest chunk leaves fewer than 24
+    rows (max(c, c_out) of 20 and more) both passes keep their segments
+    whole, at CHUNK columns: (None, CHUNK). At 23 rows key tiles took
     0.97-1.07x the time of whole segments, within the runs' spread, and
     from 19 rows down they lost (1.04-1.16x at 19 rows, 1.23-1.32x at 14,
-    2.1-2.3x at 7; three, three and two runs).
+    2.1-2.3x at 7; three, three and two runs). And no chunk is narrower
+    than W_MIN columns, which keeps per-chunk costs from dominating at
+    large m.
 
     Measured on a 2-core Xeon (OpenBLAS 0.3.31, SkylakeX core, numpy 2.4,
-    one BLAS thread; BENCH_tiles.json). ns per tile element of the three
-    GEMMs at W = 2048, by R, across the first limit:
+    one BLAS thread). ns per tile element of the three GEMMs at W = 2048,
+    by R, across the first limit (BENCH_tiles.json):
 
         c = c_out = 8:   48: 1.96  54: 2.04 | 56: 2.73  64: 2.72
         c = c_out = 16:  24: 3.48  28: 3.44 | 32: 3.84  64: 3.76
 
-    The kv GEMM alone at W = 512, across the second: 1.15 ns at 70 rows
-    and 1.46 at 72 (c_out = 16), 0.56 at 133 and 1.15 at 134 (c_out = 8).
-    enla_forward at N = 40 000, m = 128, whole segments against tiles
-    (medians of 10 alternating pairs): 32.0 -> 23.2 ms at c = c_out = 8
-    and 38.0 -> 31.5 at 16.
-    """
-    rows = min(_SMALL_GEMM_MNK // (CHUNK * (max(c, c_out) + 1)), _SMALL_GEMM_TN_MN // (c_out + 1))
-    return rows if rows >= _MIN_TILE_ROWS else None
-
-
-def _query_tiles(c: int, c_out: int, m_1: int):
-    """(R_q, W_q): the most projection rows in one tile of the forward's
-    query pass, or None (every row segment is then one tile), and the width
-    of its query chunks, at c channels, c_out value rows and first sample
-    count m_1.
-
-    W_q is the widest multiple of 8 in [W_MIN, CHUNK] at which m_1 rows
-    keep the pass's feature and output GEMMs on OpenBLAS's small-matrix
-    path, m_1 W_q (max(c, c_out) + 1) <= 10^6 (see _tile_rows), and
-    R_q = 10^6 // (W_q (max(c, c_out) + 1)), never fewer than the key
-    pass's R. So up to m_1 = 10^6 / (W_MIN (max(c, c_out) + 1)) rows (229
-    at c = 16) the first segment is one query tile, and each query chunk's
-    output one GEMM written in place: at c = c_out = 16 and m = 128, 128
-    rows at 456 columns, where the key pass's 28-row tiles would add four
-    partial sums and running-max merges per chunk. At c = c_out = 8 and
-    m_1 = 16 it gives the key pass's own (54, CHUNK). Where the key pass
-    keeps whole segments (max(c, c_out) >= 20) the query pass does too,
-    at CHUNK: (None, CHUNK). The shape depends on c, c_out and m_1 alone,
-    so enla_forward(m_1) cuts a sweep's first prefix, and a sample of
-    query columns the full call, into the same tiles, and W_q, a multiple
-    of 8, splits the columns where OpenBLAS's groups of 8 do.
-
-    Measured on a 2-core Xeon (OpenBLAS 0.3.31, numpy 2.4, one BLAS
-    thread; BENCH_query_tiles.json), process CPU of enla_forward over
-    that of the same forward with the key pass's tiles in its query pass,
-    medians of 10 alternating fresh processes. At N = 10 000 and
-    c = c_out = 16, by W_MIN (the range of two runs):
+    enla_forward at N = 40 000, m = 128, whole segments against key tiles
+    in both passes (medians of 10 alternating pairs): 32.0 -> 23.2 ms at
+    c = c_out = 8 and 38.0 -> 31.5 at 16. Process CPU of enla_forward with
+    the query pass's own shape over that of the same forward with the key
+    pass's tiles in its query pass, medians of 10 alternating fresh
+    processes, at N = 10 000 and c = c_out = 16, by W_MIN (the range of two
+    runs; BENCH_query_tiles.json):
 
         m:          512        1024       4096
         W_MIN = 8:  0.83-0.86  0.92-0.93  1.52-1.67
@@ -238,12 +220,15 @@ def _query_tiles(c: int, c_out: int, m_1: int):
     with 16-row tiles. Where one query tile held the first segment, they
     gained at N = 10 000 (0.78-1.08x at c = 20, m = 128; 0.82-0.92x at
     c = 32, m = 32) but not at N = 2048 (0.86-1.18x at c = 32, m = 32),
-    which the rule cannot see.
+    which the rule cannot see. So only the rule is shared, not the shape:
+    with the key pass at the query pass's shape, the forward at
+    N = 40 000, c = c_out = 16, m = 128 took 1.10x and 1.12x the time
+    (medians of 12 and 8 alternating fresh processes; BENCH_tile_rule.json).
     """
-    if _tile_rows(c, c_out) is None:
-        return None, CHUNK
     depth = max(c, c_out) + 1
-    width = min(CHUNK, max(W_MIN, _SMALL_GEMM_MNK // (m_1 * depth) // 8 * 8))
+    if _SMALL_GEMM_MNK // (CHUNK * depth) < _MIN_TILE_ROWS:
+        return None, CHUNK
+    width = min(CHUNK, max(W_MIN, _SMALL_GEMM_MNK // (m * depth) // 8 * 8))
     return _SMALL_GEMM_MNK // (width * depth), width
 
 
@@ -252,14 +237,14 @@ class _Forwards:
     ascending list ms, for any number of projections of ms[-1] rows.
 
     Built once per instance: the validated q, k and v, v's row exponents
-    e, the headroom B at m = ms[-1], the row segments and each pass's
-    tiles of them (the key pass's from `_tile_rows`, the query pass's and
-    its chunk width from `_query_tiles` at m_1 = ms[0], so that the first
-    output cuts the tiles of enla_forward(m_1)), the working block, kv, the
-    key shifts, the key pass's per-row arrays and the lifted projection
-    [F | -1]. `project` runs one projection through them and returns
-    outputs of its own, so a caller that keeps or edits one projection's
-    outputs leaves every other projection's untouched.
+    e, the headroom B at m = ms[-1], the row segments, each pass's tiles
+    of them and its chunk width (`_tiles` at m = 1 for the keys and at
+    m_1 = ms[0] for the queries, so that the first output cuts the tiles of
+    enla_forward(m_1)), the working block, kv, the key shifts, the key
+    pass's per-row arrays and the lifted projection [F | -1]. `project`
+    runs one projection through them and returns outputs of its own, so a
+    caller that keeps or edits one projection's outputs leaves every other
+    projection's untouched.
 
     The working block is one allocation, sized for the larger of two
     layouts of rows: the key pass's feature tile, chunk operand and staged
@@ -278,25 +263,24 @@ class _Forwards:
     def __init__(self, q, k, v, ms):
         self.q, self.k, self.v = _validated_qkv(q, k, v)
         (self.c, self.n_q), (c_out, n_k) = self.q.shape, self.v.shape
-        q_rows, self.q_chunk = _query_tiles(self.c, c_out, ms[0])
-        key_rows, q_rows = (min(rows or ms[-1], ms[-1]) for rows in (_tile_rows(self.c, c_out), q_rows))
-        # each pass's row segments, cut into its tiles from their first rows
-        self.segments, self.q_segments = (
-            [[(t, min(high, t + rows)) for t in range(low, high, rows)] for low, high in zip([0, *ms[:-1]], ms)]
-            for rows in (key_rows, q_rows))
         self.e = _unit_exponent(self.v)
         self.bound = _headroom(ms[-1] * n_k)
-        width = min(max(self.n_q, n_k), CHUNK)
-        # one block (see the docstring) in two layouts: the key pass's feature
-        # tile, its chunk's GEMM operand [k_b; |k_b|^2 / 2] and the chunk's
-        # staged [2^-e V_b; 1], whose last row makes the last column of kv the
-        # key sum; and the query pass's feature tile, its operand [q_b; 1] and
-        # a later tile's share of a query chunk
-        layouts = (key_rows, width), (q_rows, min(width, self.q_chunk))
-        block = _aligned_empty((max((rows + self.c + c_out + 2) * w for rows, w in layouts),))
-        (self.features, self.operand, self.staged), (self.q_features, self.q_operand, self.product) = (
-            np.split(block[:(rows + self.c + c_out + 2) * w].reshape(-1, w), np.cumsum([rows, self.c + 1]))
-            for rows, w in layouts)
+        # the key pass's tile rows and chunk width, then the query pass's; no
+        # chunk is wider than the longer of q and k
+        shapes = [(min(rows or ms[-1], ms[-1]), min(width, max(self.n_q, n_k)))
+                  for rows, width in (_tiles(self.c, c_out, m) for m in (1, ms[0]))]
+        block = _aligned_empty((max((rows + self.c + c_out + 2) * width for rows, width in shapes),))
+        ranges = list(zip([0, *ms[:-1]], ms))  # the row segments [m_{i-1}, m_i)
+        # per pass: its row segments, each cut into tiles from its first row,
+        # its chunk width and its layout of the one block (see the docstring):
+        # the feature tile, the chunk's GEMM operand, [k_b; |k_b|^2 / 2] or
+        # [q_b; 1], and c_out + 1 rows, which hold a key chunk's staged
+        # [2^-e V_b; 1], whose last row makes the last column of kv the key
+        # sum, or a later tile's share of a query chunk
+        self.passes = [
+            ([[(t, min(high, t + rows)) for t in range(low, high, rows)] for low, high in ranges], width,
+             *np.split(block[:(rows + self.c + c_out + 2) * width].reshape(-1, width), np.cumsum([rows, self.c + 1])))
+            for rows, width in shapes]
         # [F | -1], written per projection; after its key pass the rows hold [F | s]
         self.lifted = np.empty((ms[-1], self.c + 1))
         # zero once: a projection's first key chunk with finite row maxima
@@ -321,13 +305,11 @@ class _Forwards:
 
         Both passes loop over chunks outermost and over the row segments
         [m_{i-1}, m_i) inside, each cut into tiles from its first row, so
-        each chunk of k, |k|^2 / 2, V and q is staged once: key chunks of
-        CHUNK columns in tiles of at most R = _tile_rows(c, c_out) rows,
-        and query chunks of W_q columns in tiles of at most R_q rows,
-        (R_q, W_q) = _query_tiles(c, c_out, m_1). A row's key shift depends
-        on no other row, so a key chunk forms each tile's rows of its share
-        of kv with the tile's own GEMM, then rescales and adds to every row
-        of kv at once. A query chunk carries its running column max,
+        each chunk of k, |k|^2 / 2, V and q is staged once, in the pass's
+        chunks and tiles (`_tiles`). A row's key shift depends on no other
+        row, so a key chunk forms each tile's rows of its share of kv with
+        the tile's own GEMM, then rescales and adds to every row of kv at
+        once. A query chunk carries its running column max,
         whether it is shifted, and the undivided sums of the tiles so far
         through its tile loop: a segment's first product goes into output
         i, onto the previous segment's sums, and each later tile's product
@@ -345,8 +327,8 @@ class _Forwards:
         Once the chunk has passed every segment, each output divides its
         columns as enla_forward(m_i) does.
         """
-        q, k, v, c, e, bound, segments = self.q, self.k, self.v, self.c, self.e, self.bound, self.segments
-        features, operand, staged = self.features, self.operand, self.staged
+        q, k, v, c, e, bound = self.q, self.k, self.v, self.c, self.e, self.bound
+        segments, chunk, features, operand, staged = self.passes[0]
         lifted, kv, key_shift, tops, leads, shares = (
             self.lifted, self.kv, self.key_shift, self.tops, self.leads, self.shares)
         n_k = k.shape[1]
@@ -357,8 +339,8 @@ class _Forwards:
         outputs = [_aligned_empty((kv.shape[1], self.n_q)) for _ in segments]
 
         with np.errstate(over="ignore", invalid="ignore"):  # once: the helpers take none
-            for start in range(0, n_k, CHUNK):
-                stop = min(n_k, start + CHUNK)
+            for start in range(0, n_k, chunk):
+                stop = min(n_k, start + chunk)
                 lift, stage = operand[:, :stop - start], staged[:, :stop - start]
                 lift[:c] = k[:, start:stop]
                 lift[c] = _half_sq_norms(lift[:c])
@@ -385,16 +367,16 @@ class _Forwards:
             lifted[:, c] = key_shift
 
             # the working block's query layout, which overwrites the key layout
-            features, operand, chunk = self.q_features, self.q_operand, self.q_chunk
+            segments, chunk, features, operand, product = self.passes[1]
             operand[c] = 1.0
             for start in range(0, self.n_q, chunk):
                 stop = min(self.n_q, start + chunk)
-                lift, part = operand[:, :stop - start], self.product[:, :stop - start]
+                lift, part = operand[:, :stop - start], product[:, :stop - start]
                 lift[:c] = q[:, start:stop]
                 # the chunk's running column max of F q + s, whether it carries
                 # that max as a shift, and the undivided sums of the tiles so far
                 seen, shifted, sums = -math.inf, False, None
-                for segment, out in zip(self.q_segments, outputs):
+                for segment, out in zip(segments, outputs):
                     cols = out[:, start:stop]
                     for i, (low, high) in enumerate(segment):
                         block = features[:high - low, :stop - start]

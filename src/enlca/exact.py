@@ -35,10 +35,10 @@ The weight buffer, the staged values and the output start on a cache line
 A small-channel oracle (c + c_out <= 16, such as the approximation
 sweep's c = c_out = 8) takes blocks as tall as fit in 512 KiB, so that
 their passes run from L2: 32 rows at N = 2048. Those blocks already sit
-under the bound that the forward's row tiles keep (enla._tile_rows): at
+under the bound that the forward's tiles keep (enla._tiles): at
 c = c_out = 8 a block's logit GEMM is 32 x 2048 x 8 = 0.52 M
 multiply-adds and its value GEMM 32 x 2048 x 9 = 0.59 M, both within
-OpenBLAS's small-matrix limit of 10^6. Wider oracles, and long
+OpenBLAS's small-matrix limit. Wider oracles, and long
 ones where fewer than 16 rows would fit, keep blocks of MAX_ROWS = 256
 rows: there the GEMMs, which repack all of k and v for every block, carry
 more of the cost, and shorter blocks measured slower.

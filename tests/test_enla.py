@@ -14,8 +14,7 @@ from enlca.enla import (
     EnlaConfig,
     EnlcaBlockParams,
     _Forwards,
-    _query_tiles,
-    _tile_rows,
+    _tiles,
     block_inputs,
     enla_forward,
     enlca_block,
@@ -817,7 +816,7 @@ class TestCrossShapes:
     def test_query_columns_across_query_chunks(self, monkeypatch, width, n_k):
         # at m = 128 the query chunks are W_q = 456 wide, a multiple of 8, so
         # a sample spanning several of them still agrees bit for bit
-        rows, chunk = _query_tiles(16, 3, 128)
+        rows, chunk = _tiles(16, 3, 128)
         assert (rows, chunk) == (128, 456)
         n_q = 3 * chunk + 5
         q, k, v = cross_qkv(136, c=16, c_out=3, n_q=n_q, n_k=n_k, k_amp=6.0)
@@ -877,49 +876,62 @@ def recorded_tiles(monkeypatch):
 
 
 class TestRowTiles:
-    """Row segments of more than R = _tile_rows(c, c_out) rows run as tiles
-    of at most R rows, R fixed by the channel counts alone; the query pass
-    cuts its own tiles, fixed by the channel counts and m_1 (_query_tiles)."""
+    """Row segments of more than R rows run as tiles of at most R rows, and
+    each pass's chunks are W columns wide, (R, W) = _tiles(c, c_out, m): the
+    key pass's at m = 1, fixed by the channel counts alone, and the query
+    pass's at m = m_1."""
 
-    R = _tile_rows(16, 16)
+    R = _tiles(16, 16, 1)[0]
+
+    # 19 and 20 channels straddle the fallback, and 487 and 488 the width at
+    # which one row stops fitting a whole CHUNK, which only the fallback
+    # keeps at CHUNK
+    CHANNELS = [(16, 16), (8, 8), (16, 3), (3, 16), (1, 1), (19, 3), (3, 19), (19, 19), (20, 3), (3, 20),
+                (20, 20), (32, 3), (64, 64), (256, 3), (487, 3), (487, 487), (488, 3), (3, 488)]
 
     def test_rule(self):
-        # both limits of OpenBLAS's small-matrix path hold at the widest
-        # chunk, and R does not depend on m, N or the chunk's width
-        for c, c_out in [(16, 16), (8, 8), (16, 3), (3, 16), (1, 1)]:
-            rows = _tile_rows(c, c_out)
-            assert rows >= 24
-            assert rows * CHUNK * (max(c, c_out) + 1) <= 10**6 and rows * (c_out + 1) <= 1200
-        assert self.R == 28 and _tile_rows(8, 8) == 54
+        # at m = 1 the rule gives the key pass's shape: R rows of CHUNK
+        # columns, the most that keep the GEMMs on OpenBLAS's small-matrix
+        # path, which also keeps the transposed kv GEMM within its limit;
+        # fewer than 24 rows and the segments stay whole
+        for c, c_out in self.CHANNELS:
+            key_rows = 10**6 // (CHUNK * (max(c, c_out) + 1))
+            assert _tiles(c, c_out, 1) == ((None, CHUNK) if key_rows < 24 else (key_rows, CHUNK))
+            assert key_rows * (c_out + 1) <= 1200
+        assert _tiles(19, 19, 1) == (24, CHUNK) and _tiles(20, 20, 1) == (None, CHUNK)
+        assert self.R == 28 and _tiles(16, 16, 1) == (28, 2048)
+        assert _tiles(8, 8, 1) == (54, 2048)
+        assert _tiles(256, 3, 1) == (None, CHUNK)
 
     def test_query_rule(self):
         # the query pass's chunks are the widest multiple of 8 in [W_MIN,
-        # CHUNK] at which m_1 rows keep its GEMMs on the small-matrix path,
+        # CHUNK] at which m rows keep its GEMMs on the small-matrix path,
         # and its tiles as many rows as that width allows; where the key
         # pass keeps whole segments, so does the query pass
         assert W_MIN % 8 == 0
-        for c, c_out in [(16, 16), (8, 8), (16, 3), (3, 16), (1, 1), (19, 3), (20, 3), (32, 3), (64, 64), (256, 3)]:
+        for c, c_out in self.CHANNELS:
             depth = max(c, c_out) + 1
-            for m_1 in [1, 16, 64, 128, 129, 512, 4096]:
-                width = max([w for w in range(W_MIN, CHUNK + 1, 8) if m_1 * w * depth <= 10**6], default=W_MIN)
+            key_rows = 10**6 // (CHUNK * depth)
+            for m in [1, 2, 16, 64, 128, 129, 229, 230, 512, 4096]:
+                width = max([w for w in range(W_MIN, CHUNK + 1, 8) if m * w * depth <= 10**6], default=W_MIN)
                 rows = 10**6 // (width * depth)
-                expected = (None, CHUNK) if _tile_rows(c, c_out) is None else (rows, width)
-                assert _query_tiles(c, c_out, m_1) == expected
+                expected = (None, CHUNK) if key_rows < 24 else (rows, width)
+                assert _tiles(c, c_out, m) == expected
                 if expected[0] is not None:
-                    assert rows >= _tile_rows(c, c_out) >= 24
+                    assert rows >= key_rows >= 24
                     assert rows * width * depth <= 10**6 and width % 8 == 0 and W_MIN <= width <= CHUNK
         # the approximation sweep's first prefix keeps the key pass's tiles,
-        # forward_large's m takes one tile per chunk, and wide channels keep
-        # whole segments: 16 rows would fit at c = 256 and W_q = 240
-        assert _query_tiles(8, 8, 16) == (54, 2048) == (_tile_rows(8, 8), CHUNK)
-        assert _query_tiles(16, 16, 128) == (128, 456)
-        assert _query_tiles(256, 3, 16) == (None, CHUNK)
+        # forward_large's m takes one query tile per chunk, and wide
+        # channels keep whole segments: 16 rows would fit at c = 256 and W = 240
+        assert _tiles(8, 8, 16) == (54, 2048) == _tiles(8, 8, 1)
+        assert _tiles(16, 16, 128) == (128, 456)
+        assert _tiles(256, 3, 16) == (None, CHUNK)
 
     @pytest.mark.parametrize("c", [32, 64])
     @pytest.mark.parametrize("wide_values", [False, True])
     def test_wide_channels_get_one_tile(self, monkeypatch, c, wide_values):
         c_out = c if wide_values else 3
-        assert _tile_rows(c, c_out) is None
+        assert _tiles(c, c_out, 1)[0] is None
         tiles = recorded_tiles(monkeypatch)
         q, k, v = seeded_qkv(150, c=c, c_out=c_out, n=CHUNK + 5)
         enla_forward(q, k, v, EnlaConfig(rng=RngSpec(151), m=128))
@@ -944,9 +956,9 @@ class TestRowTiles:
         # F q + s passes B; on the first every column is in [0, B]. So the
         # segment runs its first tile raw and its second shifted, rescaling
         # the first tile's sums from shift 0
-        rows = _query_tiles(16, 3, CHUNK)[0]
+        rows = _tiles(16, 3, CHUNK)[0]
         m = 2 * rows
-        assert _query_tiles(16, 3, m) == (rows, W_MIN)
+        assert _tiles(16, 3, m) == (rows, W_MIN)
         q, k, v = seeded_qkv(154, c=16, c_out=3, n=9)
         config = EnlaConfig(rng=RngSpec(155), m=m)
         f = sample_projection(config.rng, m, 16).f
@@ -974,8 +986,8 @@ class TestRowTiles:
         # W_q at W_MIN). With a third tile on which it is finite, column 0
         # mixes the values by that tile's rows, all equal to g, alone;
         # without it the column is named
-        rows = _query_tiles(2, 3, CHUNK)[0]
-        assert _query_tiles(2, 3, 2 * rows + 4) == (rows, W_MIN)
+        rows = _tiles(2, 3, CHUNK)[0]
+        assert _tiles(2, 3, 2 * rows + 4) == (rows, W_MIN)
         f = np.tile([2.0, 0.0], (2 * rows + 4, 1))
         if finite_tile:
             f[2 * rows:, 0] = 0.5
@@ -1066,7 +1078,7 @@ def test_outputs_start_on_a_cache_line(n):
 
 def test_forward_peak_memory_is_one_feature_matrix():
     # keys and queries stream through one R x CHUNK feature buffer, R =
-    # _tile_rows(c, c) = 54 rows of the m, and the queries' (c + 1) x CHUNK
+    # _tiles(c, c, 1)[0] = 54 rows of the m, and the queries' (c + 1) x CHUNK
     # product buffer, so the peak is those plus O((c + c_out) N), the output
     # and its normalizer row, (c_out + 1) x N, plus O((c + c_out) m): the
     # lifted projection, kv, and the key shifts, row maxima, leads and
@@ -1080,7 +1092,7 @@ def test_forward_peak_memory_is_one_feature_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * ((_tile_rows(c, c) + c + 1) * CHUNK + (2 * c + 1) * n + (4 * c + 7) * m)
+    assert peak <= 8 * ((_tiles(c, c, 1)[0] + c + 1) * CHUNK + (2 * c + 1) * n + (4 * c + 7) * m)
 
 
 def test_oracle_peak_memory_is_one_block():
