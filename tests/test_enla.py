@@ -70,7 +70,12 @@ def decimal_error(out, config, q, k, v):
     largest |f_l . u - |u|^2 / 2| over the columns u of q and k: the size of
     the exponents whose rounding the forward cannot avoid. Per output
     column."""
-    f = sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f
+    return projection_decimal_error(out, sample_projection(config.rng, config.m, q.shape[0], config.orthogonal).f,
+                                    q, k, v)
+
+
+def projection_decimal_error(out, f, q, k, v):
+    """decimal_error for the projection rows f."""
     reference = decimal_forward(f, q, k, v)
     scale = max(float(np.abs(f @ u - 0.5 * (u * u).sum(axis=0)).max()) for u in (q, k))
     return np.abs(out - reference).max(axis=0) / (np.abs(reference).max() * np.finfo(np.float64).eps * scale)
@@ -1004,6 +1009,36 @@ class TestRowTiles:
         weights = np.exp(exponent - exponent.max())
         assert np.isfinite(out).all()
         assert np.abs(out[:, 0] - v @ weights / weights.sum()).max() <= 1e-13 * np.abs(v).max()
+
+
+class TestMiniatureTiles:
+    """The forward's loop at miniature chunks and tiles, against the
+    60-digit decimal reference. With CHUNK, W_MIN, _MIN_TILE_ROWS and
+    _SMALL_GEMM_MNK at 16, 8, 2 and 300, `_tiles` gives chunks of 8 to 16
+    columns and tiles of 4 to 18 rows, so instances small enough for the
+    reference cross chunks, tiles and row segments in both passes. One key
+    or query column is scaled by up to 1e150, which shifts its chunks."""
+
+    MINIATURE = [("CHUNK", 16), ("W_MIN", 8), ("_MIN_TILE_ROWS", 2), ("_SMALL_GEMM_MNK", 300)]
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 44), st.integers(1, 44),
+           st.lists(st.integers(1, 13), min_size=1, max_size=3), st.floats(0.0, 3.0), st.sampled_from("qk"),
+           st.integers(0, 43), st.one_of(st.just(0.0), st.floats(0.0, 150.0)), st.booleans(), st.integers(0, 2**32))
+    def test_prefixes_match_decimal_reference(self, c, c_out, n_q, n_k, segments, log_k_amp, side, col, log_scale,
+                                              orthogonal, seed):
+        ms = np.cumsum(segments).tolist()
+        q, k, v = cross_qkv(seed, c, c_out, n_q, n_k, 10.0 ** log_k_amp)
+        u = q if side == "q" else k
+        u[:, col % u.shape[1]] *= 10.0 ** log_scale
+        f = sample_projection(RngSpec(seed, 4), ms[-1], c, orthogonal).f
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in self.MINIATURE:
+                patch.setattr(enla, name, value)
+            assert all(8 <= _tiles(c, c_out, m)[1] <= 16 for m in (1, ms[0]))
+            outputs = _Forwards(q, k, v, ms).project(f)
+        for m, out in zip(ms, outputs):
+            assert projection_decimal_error(out, f[:m], q, k, v).max() <= 100
 
 
 class TestProjectionIsolation:
