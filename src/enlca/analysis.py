@@ -148,7 +148,10 @@ def approximation_error_sweep(n: int, c: int, c_out: int, m_list: Iterable[int],
     the exact oracle, per sample count.
 
     The instance (q, k, v) is fixed by `rng` and shared across all m, and
-    the forward's set-up for it (`enla._Forwards`) is built once. Trial t
+    the forward's set-up for it (`enla._Forwards`: validation, the value
+    exponents, the headroom, the tiles and the working block) is built
+    once. Each trial's projection gets its own lifted rows, kv and key
+    shifts from the key pass, then its outputs from the query pass. Trial t
     draws one projection, with the largest m rows, from rng.stream(16 + t),
     through the re-keyed sampler of the Monte-Carlo trials
     (`features._projection_blocks`, whose draws are bit-identical to

@@ -66,19 +66,14 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     on a 64-byte boundary, carved from an np.empty seven elements longer.
 
     The rule of both attention paths: every N-sized block that they write
-    in place comes from here (enla's working block, whose rows hold its
-    feature tile, operand, staged values and product, and its outputs; the
-    exact oracle's weight rows, staged values and output; and phi's
-    values), so that the AVX-512 passes of numpy's exp, divide and
-    ldexp and of the GEMMs load no vector across two cache lines. malloc
-    alone puts a block 0, 16, 32 or 48 bytes past a line. Measured in two
-    runs on a 2-core Xeon (numpy 2.4, one BLAS thread; BENCH_aligned.json),
-    a block 16, 32 or 48 bytes past a line against aligned: the oracle's
-    weight block took 1.15x the time at N = 2048, c = c_out = 8, and
-    0.99-1.05x at N = 10 000, c = c_out = 16; the forward's feature block
-    at m = 128 took 1.03-1.05x at N = 2048 and 1.01-1.07x at N = 40 000,
-    and its operand, staged and output blocks 1.02-1.03x at N = 2048.
-    Later rows start on a line too when the row length is a multiple of 8.
+    in place comes from here (enla's working block and outputs; the exact
+    oracle's weight rows, staged values and output; and phi's values), so
+    that the AVX-512 passes of numpy's exp, divide and ldexp and of the
+    GEMMs load no vector across two cache lines; malloc alone puts a block
+    0, 16, 32 or 48 bytes past a line. Later rows start on a line too when
+    the row length is a multiple of 8. A block 16, 32 or 48 bytes past a
+    line took up to 1.15x the time of an aligned one (`BENCH_aligned.json`
+    `inproc_offsets`).
     """
     size = math.prod(shape)
     raw = np.empty(size + 7)

@@ -1130,6 +1130,21 @@ def test_forward_peak_memory_is_one_feature_matrix():
     assert peak <= 8 * ((_tiles(c, c, 1)[0] + c + 1) * CHUNK + (2 * c + 1) * n + (4 * c + 7) * m)
 
 
+def test_working_block_fits_each_pass_to_its_own_side():
+    # 40 000 queries against 100 keys at forward_large's channels: the key
+    # layout needs 62 rows of 100 columns and the query layout 162 rows of
+    # 456, so the one block the set-up keeps is 0.59 MB; a key layout of
+    # 2048 columns, sized by the queries, would make it 1.02 MB
+    q, k, v = cross_qkv(72, c=16, c_out=16, n_q=40_000, n_k=100)
+    tracemalloc.start()
+    try:
+        forwards = _Forwards(q, k, v, [128])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert forwards.n_q == 40_000 and held <= 0.6e6
+
+
 def test_oracle_peak_memory_is_one_block():
     # at the approximation sweep's shape the oracle's weights stream
     # through one block of _block_rows x N, so the peak is that block plus
