@@ -5,8 +5,7 @@ quadratic attention baseline, the randomized linear forward and a 3x3
 convolution of matching width. The sweeps measure how the randomized
 forward converges to the exact oracle with the sample count, how the
 estimator variance grows with amplification, and how wall-clock time
-scales with the input size. Each sweep takes its axis (m_list, k_list or
-n_list) as any iterable of strictly ascending values.
+scales with the input size. Every sweep axis follows one rule, `_axis`.
 """
 
 from __future__ import annotations
@@ -147,21 +146,13 @@ def approximation_error_sweep(n: int, c: int, c_out: int, m_list: Iterable[int],
     """Median relative Frobenius error of the randomized forward against
     the exact oracle, per sample count.
 
-    The instance (q, k, v) is fixed by `rng` and shared across all m, and
-    the forward's set-up for it (`enla._Forwards`: validation, the value
-    exponents, the headroom, the tiles and the working block) is built
-    once. Each trial's projection gets its own lifted rows, kv and key
-    shifts from the key pass, then its outputs from the query pass. Trial t
-    draws one projection, with the largest m rows, from rng.stream(16 + t),
-    through the re-keyed sampler of the Monte-Carlo trials
-    (`features._projection_blocks`, whose draws are bit-identical to
-    `sample_projection`'s), and each m uses its first m rows, so sample
-    counts are compared on common random numbers and each trial's features
-    are evaluated once. An iid draw fills rows in order, so the first m
-    rows are the projection a forward with that m draws from the same
-    stream: each trial's first error is that of
-    enla_forward(q, k, v, EnlaConfig(rng.stream(16 + t), m=m_1)). Each
-    trial's outputs are its own, so they are scored in place.
+    The instance (q, k, v) is fixed by `rng`, and the forward is set up for
+    it once (`enla._Forwards`). Trial t draws one projection of the largest
+    m rows from rng.stream(16 + t) (`features._projection_blocks`), and each
+    m uses its first m rows, so sample counts are compared on common random
+    numbers. An iid draw fills rows in order, so each trial's first error
+    is bit for bit that of enla_forward(q, k, v, EnlaConfig(rng.stream(16 +
+    t), m=m_1)). Each trial's outputs are its own and are scored in place.
     """
     check_settings(n=n, c=c, c_out=c_out, trials=trials)
     if n > 4096:

@@ -1,10 +1,9 @@
 """Contrastive separation of relevant from irrelevant features.
 
 Relevance between positions is the amplified cosine of their query/key
-features. Per query, the scores are sorted descending; the loss compares
-the average exponentiated score of the top group (size floor(n1*N))
-against an equally sized group starting at rank floor(n2*N), plus a
-margin. Driving the loss down pushes the two groups apart.
+features. Per query, the loss compares its top-scoring group against a
+window of lower-ranked scores, plus a margin, so driving it down pushes
+the two groups apart.
 """
 
 from __future__ import annotations

@@ -34,9 +34,8 @@ from .matrices import (
     check_settings, normalize_columns,
 )
 
-# The widest chunk of the forward (see _tiles), from the chunk-width sweep
-# of BENCH_chunked.json (`chunk_width_sweep`), made when the feature buffer
-# held all m rows.
+# The widest chunk of the forward (see _tiles), from `BENCH_chunked.json`
+# `chunk_width_sweep`, made when the feature buffer held all m rows.
 CHUNK = 2048
 # OpenBLAS's small-matrix limit, the fewest rows worth a tile and the
 # narrowest chunk (see _tiles)

@@ -5,43 +5,14 @@ with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that enla is checked against, so it imports nothing
 from enla.
 
-Every entry point takes one contract, _validated_qkv: q is c x N_q and k
-c x N_k with equal channel counts, v is c_out x N_k, so any sample of
-query columns is scored against all keys. One block loop, _weight_rows,
-serves outputs, weights, maps and entropies: it runs over the q it is
-given in blocks of rows, in one reused rows x N_k buffer, so the
-N_q x N_k matrix exists only in attention_weights. A block takes three
-passes: the logit GEMM, exp in place and one GEMM with the staged rows,
-whose last row, all ones, gives each query's normalizer. The output
-stages [2^-e v; 1] and is divided by that row once, at the end; the
-others stage the ones alone.
-
-The forward's float-range rule (matrices._headroom) holds here too: each
-value row v_r enters as 2^-e_r v_r, max|v_r| 2^-e_r in [0.5, 1), and its
-output row is scaled back by 2^e_r after the divide, so the headroom of
-N_k weights, min(U, log(MAX / 2) - log(N_k)), and the shift are fixed
-before the logit GEMM: the logits are formed against k - k_0, which
-moves each row by the constant q_i . k_0, so each row's key-0 weight is
-exactly exp(0) = 1. When max|q_i| max|k_j - k_0|, over the given
-queries, is within the headroom, every weight lies in [e^-U, e^U] and no
-sum of N_k weighted values can overflow. Any other input (a product that
-is not finite or above that bound) takes the row max of _softmax_rows,
-which names a query column whose logits overflowed, and every weight is
-at most 1. Either way the staged row of ones normalizes.
-
-The weight buffer, the staged values and the output start on a cache line
-(matrices._aligned_empty, which states the rule and its measured effect).
-
-A small-channel oracle (c + c_out <= 16, such as the approximation
-sweep's c = c_out = 8) takes blocks as tall as fit in 512 KiB, so that
-their passes run from L2: 32 rows at N = 2048. Those blocks already sit
-under the bound that the forward's tiles keep (enla._tiles): at
-c = c_out = 8 a block's logit GEMM is 32 x 2048 x 8 = 0.52 M
-multiply-adds and its value GEMM 32 x 2048 x 9 = 0.59 M, both within
-OpenBLAS's small-matrix limit. Wider oracles, and long
-ones where fewer than 16 rows would fit, keep blocks of MAX_ROWS = 256
-rows: there the GEMMs, which repack all of k and v for every block, carry
-more of the cost, and shorter blocks measured slower.
+Every entry point takes one contract, `_validated_qkv`. One block loop,
+`_weight_rows`, serves outputs, weights, maps and entropies, so the
+N_q x N_k matrix exists only in `attention_weights`. The forward's
+float-range rule (`matrices._headroom`) holds here too: value rows enter
+at unit scale, and logits against k - k_0 within the headroom
+(`_logit_keys`) go to exp unshifted, since no sum of N_k weighted values
+can then overflow; any other input takes a row max (`_softmax_rows`).
+Every N-sized block comes from `matrices._aligned_empty`.
 """
 
 from __future__ import annotations
@@ -50,8 +21,7 @@ import numpy as np
 
 from .matrices import NumericError, ShapeError, _aligned_empty, _headroom, _is_integer, _unit_exponent, as_matrix
 
-# Block height, the rows of the rows x N weight transient (see the module
-# docstring); the values come from a grid of heights timed over N and c.
+# The oracle's block rule (see _block_rows)
 MAX_ROWS = 256
 _BLOCK_BYTES = 512 * 1024
 _MIN_ROWS = 16
@@ -110,7 +80,12 @@ def _row_entropies(p: np.ndarray) -> np.ndarray:
 
 def _block_rows(n: int, c: int, c_out: int) -> int:
     """Query rows per block against n keys, for c-channel q and k and a
-    c_out-row v (0 for the entropies, which stage only the row of ones)."""
+    c_out-row v (0 for the entropies, which stage only the row of ones):
+    when c + c_out <= 16, as many as fit in 512 KiB, so that a block's
+    passes run from L2, unless fewer than 16 fit; else, and at most,
+    MAX_ROWS = 256. Wider oracles repack all of k and v for every block, so
+    shorter blocks measured slower there, and so did every other rule tried
+    (`BENCH_oracle_block.json` `block_grid` and `rules_rejected`)."""
     rows = min(MAX_ROWS, _BLOCK_BYTES // (8 * n))
     shrinks = c + c_out <= _MAX_SHRINK_CHANNELS and rows >= _MIN_ROWS
     return rows if shrinks else MAX_ROWS
@@ -118,8 +93,10 @@ def _block_rows(n: int, c: int, c_out: int) -> int:
 
 def _logit_keys(q, k):
     """The keys of the logit GEMM and whether its logits go to exp with no
-    row max: k - k_0 when max|q_i| max|k_j - k_0| is within the headroom
-    of a sum of N_k weights (see the module docstring); else k itself."""
+    row max: k - k_0, which moves each row by the constant q_i . k_0 and
+    makes its key-0 weight exactly 1, when max|q_i| max|k_j - k_0| is
+    within the headroom of a sum of N_k weights (`matrices._headroom`), so
+    that every weight lies in [e^-U, e^U]; else k itself."""
     with np.errstate(over="ignore", invalid="ignore"):  # a huge q or k: an inf or NaN reach, so row max
         relative = k - k[:, :1]
         reach = np.sqrt((q * q).sum(axis=0).max() * (relative * relative).sum(axis=0).max())

@@ -2,29 +2,14 @@
 
 The feature map phi(u) = m^-1/2 * exp(-|u|^2 / 2) * exp(F u) with Gaussian
 F makes phi(q) . phi(k) an unbiased estimator of exp(q . k); its variance
-has the closed form K^2(q,k) * (exp(|q+k|^2) - 1) / m. Both facts, plus the
-variance reduction from orthogonalized projection rows, are exercised by
-the Monte-Carlo helpers here.
+has the closed form K^2(q,k) * (exp(|q+k|^2) - 1) / m, and orthogonalized
+projection rows lower it. The Monte-Carlo helpers here exercise all three.
 
-phi and the attention forward share three kernels: `_projected` forms F u
-in the caller's buffer and returns its column or row maxima,
-`_overflow_check` names a column whose projection overflowed, and
-`_exp_features` runs exp on F u in place, raw or shifted by those maxima.
-
-Projections come from one private sampler, `_projection_blocks`, which
-serves `sample_projection` and, _TRIAL_BLOCK at a time, the Monte-Carlo
-trials of `kernel_estimates` and of `analysis.approximation_error_sweep`.
-It re-keys one Philox to each projection's stream from a plain-int copy
-of its fresh state; every draw is bit-identical to one drawn alone by a
-fresh generator on its stream. One helper, `_orthogonal_rows`, owns the
-orthogonal construction: it reads F_orth z off the R factor of a single
-Householder QR of [B^T | z] per block B of rows, so the trials never
-form Q or F_orth, and `sample_projection` forms F_orth as the case
-z = I_c. Both are generators that keep their buffers for the whole
-call: one draw buffer, and one stack holding [B | z^T] row-wise, with
-z^T written once, so that LAPACK reads each matrix as a Fortran-ordered
-view. A trial then costs its Philox draw, its share of one QR and of
-one vectorized estimator pass.
+phi and the attention forward share three kernels: `_projected`,
+`_overflow_check` and `_exp_features`. `_projection_blocks` draws every
+projection (`sample_projection`'s, the Monte-Carlo trials' and
+`analysis.approximation_error_sweep`'s), and `_orthogonal_rows` owns the
+orthogonal construction.
 """
 
 from __future__ import annotations
@@ -51,12 +36,10 @@ __all__ = [
 
 _REL_GAP_FLOOR = 1e-30
 
-# Monte-Carlo trials per block: one stacked R-factor QR per block of c
-# rows (orthogonal only) and one vectorized estimator pass each. Blocks of
-# 16, 32 and 64 trials ran within 3 % of each other (iid plus orthogonal
-# kernel_estimates at c=64, m=16, 3200 trials: CPU medians 208, 203 and
-# 207 ms over 21 interleaved rounds, one BLAS thread, 2-core x86 host);
-# larger blocks hold more memory.
+# Monte-Carlo trials per block, each block one draw buffer, one stacked QR
+# (orthogonal only) and one vectorized estimator pass. Blocks of 16, 32 and
+# 64 trials ran within 3 % of each other, and larger ones hold more memory
+# (`BENCH_mc_floor.json` `trial_block_grid`).
 _TRIAL_BLOCK = 32
 
 
@@ -88,14 +71,11 @@ class PhiFeatures:
 def sample_projection(rng: RngSpec, m: int, c: int, orthogonal: bool = False) -> ProjectionMatrix:
     """Draw an m x c projection with iid N(0,1) entries.
 
-    With orthogonal=True the rows are orthogonalized block-wise (blocks of
-    up to c rows) and each row keeps its original norm, which is chi_c
-    distributed and independent of all row directions; every row is still
-    marginally N(0, I_c), so estimators built on the projection stay
-    unbiased while their variance drops. The directions are the Q factor
-    of the block's transpose with its signs fixed so that diag(R) > 0,
-    which makes them the Gram-Schmidt directions of the block's rows;
-    `_orthogonal_rows` reads them off the R factor of [B^T | I_c].
+    With orthogonal=True each block of up to c rows is replaced by its
+    Gram-Schmidt directions (`_orthogonal_rows`), each row keeping its own
+    norm, which is chi_c distributed and independent of all directions:
+    every row is still marginally N(0, I_c), so estimators built on the
+    projection stay unbiased while their variance drops.
     """
     blocks = _projection_blocks(rng, range(1), m, c)
     if orthogonal:
@@ -105,14 +85,12 @@ def sample_projection(rng: RngSpec, m: int, c: int, orthogonal: bool = False) ->
 
 def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int):
     """Yield the raw m x c draws of rng.stream(o) for o in offsets, as
-    (count, m, c) stacks of up to _TRIAL_BLOCK. Every stack is a view of
-    one draw buffer kept for the whole call, which the next stack
-    overwrites. For each projection the one Philox gets key (seed,
-    stream_id + o mod 2^64) and a zero counter through the public state
-    setter: the draw of a fresh generator on that stream, at a tenth of the
-    cost of building one. The setter is given a copy of the fresh state
-    in plain ints and lists, made once per call with .tolist(), which it
-    reads in under half the time of the getter's uint64 arrays."""
+    (count, m, c) stacks of up to _TRIAL_BLOCK, each a view of one draw
+    buffer that the next stack overwrites. Each draw re-keys one Philox to
+    (seed, stream_id + o mod 2^64) with a zero counter, through the state
+    setter given a plain-int copy of the fresh state: bit-identical to a
+    fresh generator on that stream, and cheaper than building one or
+    setting uint64 arrays (`BENCH_mc_floor.json` `inproc`)."""
     check_settings(m=m, c=c)
     gen = rng.generator()
     bits = gen.bit_generator
@@ -132,24 +110,21 @@ def _projection_blocks(rng: RngSpec, offsets: range, m: int, c: int):
 
 def _orthogonal_rows(blocks, rhs: np.ndarray, first_trial: int | None = None):
     """F_orth @ rhs for every raw draw F of each (count, m, c) stack in
-    blocks, yielded per stack, where F_orth orthogonalizes each block B of
-    up to c rows: its rows are the directions Q * sign(diag R) of
-    B^T = Q R, scaled by B's row norms.
+    blocks, yielded per stack, where F_orth replaces each block B of up to
+    c rows by the directions Q * sign(diag R) of B^T = Q R, scaled by B's
+    row norms. rhs is a c-vector or a c x p matrix; each result is
+    (count, m) or (count, m, p), a view of one output buffer that the next
+    stack overwrites.
 
-    rhs is a c-vector or a c x p matrix; each result is (count, m) or
-    (count, m, p), a view of one output buffer that the next stack
-    overwrites. Q is never formed: one Householder QR (LAPACK geqrf) of
-    the c x (b + p) matrix [B^T | rhs] leaves Q[:, :b]^T rhs in R[:b, b:],
-    because its first b reflectors see only B^T. Those matrices live in one
-    stack kept for the whole call and stored row-wise, as [B | rhs^T]:
-    rhs^T is written once below a slot of min(m, c) rows, and each block B
-    fills the slot's last b rows. Each matrix then reaches numpy's qr as a
-    Fortran-ordered transpose view, which LAPACK reads as it is, with no
-    concatenated or broadcast copy. numpy's raw mode returns R transposed:
-    R[i, j] is h[..., j, i]. A row with |R[i, i]| < 1e-150 is linearly
-    dependent on the rows before it and raises NumericError naming the
-    projection row and, given first_trial, the trial of the draw (the first
-    stack's first draw is trial first_trial).
+    Q is never formed: one Householder QR (geqrf) of [B^T | rhs] leaves
+    Q[:, :b]^T rhs in R[:b, b:], because its first b reflectors see only
+    B^T. The matrices live row-wise, as [B | rhs^T], in one stack kept for
+    the call, so each reaches LAPACK as a Fortran-ordered view; numpy's raw
+    mode returns R transposed. Forming Q, and a stack per block, cost more
+    (`BENCH_qless.json` `in_process`; `BENCH_mc_floor.json` `faults`). A
+    row with |R[i, i]| < 1e-150 depends linearly on the rows before it and
+    raises NumericError naming the projection row and, given first_trial,
+    the trial of the draw (the first stack's first draw is that trial).
     """
     rows = rhs.reshape(rhs.shape[0], -1).T
     stack = None
@@ -294,20 +269,16 @@ def kernel_estimates(
     """Estimator samples across `trials` independent projections.
 
     Trial t draws its projection from rng.stream(1 + t), so trials are
-    order-independent and can be reproduced individually. A trial's
-    phi(q) . phi(k) collapses to exp(-(|q|^2 + |k|^2) / 2) * mean_l
-    exp(f_l . z) for z = q + k, evaluated max-shifted (`_exp_features`).
-
-    Trials run _TRIAL_BLOCK at a time: one re-keyed Philox draws the
-    block and one vectorized pass forms F z, its row maxima and the
-    shifted means, exp in place and sum / m. With orthogonal=True,
-    _orthogonal_rows gives F_orth z, which matches sample_projection's
-    F_orth times z to rounding, not bitwise. Each estimate is bit-identical
-    to its trial evaluated alone, kernel_estimates(q, k, m, 1,
-    rng.stream(t), orthogonal)[0]; only the prefactor exp(max + log_const)
-    is math.exp, mapped over the block, because np.exp may round it
-    differently. One finiteness test per block names the first trial whose
-    estimate overflowed. A q or k whose squared norm is past float range
+    order-independent and can be reproduced individually: each estimate is
+    bit-identical to kernel_estimates(q, k, m, 1, rng.stream(t),
+    orthogonal)[0]. A trial's phi(q) . phi(k) collapses to
+    exp(-(|q|^2 + |k|^2) / 2) * mean_l exp(f_l . z) for z = q + k,
+    evaluated max-shifted (`_exp_features`) one block of _TRIAL_BLOCK trials
+    at a time; each trial's prefactor goes through math.exp, since np.exp
+    over the block may round it differently. With orthogonal=True, F_orth z
+    comes from `_orthogonal_rows` and matches sample_projection's to
+    rounding, not bitwise. NumericError names the first trial whose
+    estimate overflowed; a q or k whose squared norm is past float range
     gives estimates of 0 unsampled.
     """
     q, k = _kernel_operands(q_i, k_j)

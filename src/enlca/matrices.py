@@ -65,15 +65,12 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     """An uninitialized C-ordered float64 array of `shape` whose data starts
     on a 64-byte boundary, carved from an np.empty seven elements longer.
 
-    The rule of both attention paths: every N-sized block that they write
-    in place comes from here (enla's working block and outputs; the exact
-    oracle's weight rows, staged values and output; and phi's values), so
-    that the AVX-512 passes of numpy's exp, divide and ldexp and of the
-    GEMMs load no vector across two cache lines; malloc alone puts a block
-    0, 16, 32 or 48 bytes past a line. Later rows start on a line too when
-    the row length is a multiple of 8. A block 16, 32 or 48 bytes past a
-    line took up to 1.15x the time of an aligned one (`BENCH_aligned.json`
-    `inproc_offsets`).
+    Every N-sized block that either attention path, or phi, writes in place
+    comes from here, so that the AVX-512 passes of numpy's exp, divide and
+    ldexp and of the GEMMs load no vector across two cache lines; later
+    rows start on a line too when the row length is a multiple of 8. Blocks
+    that malloc put 16, 32 or 48 bytes past a line ran slower
+    (`BENCH_aligned.json` `inproc_offsets`).
     """
     size = math.prod(shape)
     raw = np.empty(size + 7)
@@ -130,17 +127,23 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Validate `data` as a finite float64 2-D array and return it.
 
     Accepts anything array-like. Rejects empty shapes, non-2-D input and
-    NaN/Inf entries. The result is C-contiguous and safe to treat as
-    immutable (a copy is made unless `data` already complies).
+    NaN/Inf entries, naming the first: only a sum that is not finite, as
+    NaN and inf make it, sends the entries to that scan. The result is
+    C-contiguous and safe to treat as immutable (a copy is made unless
+    `data` already complies).
     """
     a = np.asarray(data, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, got {a.shape}")
-    if not np.isfinite(a).all():
-        row, col = (int(i) for i in np.argwhere(~np.isfinite(a))[0])
-        raise NumericError(f"{name} has a non-finite entry at ({row}, {col})")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = a.sum()
+    if not np.isfinite(total):
+        bad = np.argwhere(~np.isfinite(a))
+        if bad.size:
+            row, col = (int(i) for i in bad[0])
+            raise NumericError(f"{name} has a non-finite entry at ({row}, {col})")
     return np.ascontiguousarray(a)
 
 
@@ -219,11 +222,8 @@ def normalize_columns(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Interchange format.
-#
-# CSV: line 1 is "rows,cols"; each following line holds one row of
-# comma-separated decimal reals. Values are written with Python's repr,
-# which is shortest-round-trip, so re-parsing restores bit-identical f64.
+# Interchange format: "rows,cols", then one line of comma-separated reals per
+# row, written by repr, which round-trips float64 bit for bit.
 # ---------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,34 @@ class TestAsMatrix:
     def test_rejects_inf(self):
         with pytest.raises(NumericError):
             as_matrix([[float("inf")], [0.0]])
+
+    def test_accepts_entries_whose_sum_overflows(self):
+        a = as_matrix([[1e308, 1e308]])
+        assert a.tolist() == [[1e308, 1e308]]
+
+    @pytest.mark.parametrize("bad", [
+        [(2, 3, math.nan)],
+        [(2, 3, math.inf), (4, 0, -math.inf)],
+        [(4, 0, math.nan), (2, 3, -math.inf), (3, 1, math.inf)],
+    ])
+    def test_names_the_first_non_finite_entry(self, bad):
+        a = np.ones((5, 4))
+        for row, col, value in bad:
+            a[row, col] = value
+        with pytest.raises(NumericError, match=r"^x has a non-finite entry at \(2, 3\)$"):
+            as_matrix(a, "x")
+
+    def test_check_allocates_nothing_of_the_input_size(self):
+        """A 16 x 40 000 matrix is 5 MB; the finiteness check must not hold
+        a temporary of one entry per element (a bool array is 640 KB)."""
+        a = np.ones((16, 40_000))
+        tracemalloc.start()
+        try:
+            as_matrix(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestAsVector:
