@@ -41,7 +41,7 @@ from .analysis import (
 )
 from .contrastive import ContrastiveConfig, contrastive_loss, reconstruction_loss, relevance_scores, total_loss
 from .enla import EnlaConfig, block_inputs, enla_forward, enlca_block, random_block_params
-from .exact import attention_weights, correlation_map, exact_attention, shannon_entropy
+from .exact import _validated_qkv, attention_row_entropies, attention_weights, exact_attention
 from .features import kernel_variance_empirical
 from .matrices import (
     FormatError,
@@ -238,11 +238,15 @@ def _cmd_corr_map(args) -> int:
     if None in image and image != (None, None, None):
         raise UsageError("--out, --height and --width come together")
     (q, k, *_), _ = _resolve_inputs(args, "qk")
+    q, k = _validated_qkv(q, k)  # a shape error names all of q, not its column
+    i = args.query_index
+    if not 0 <= i < q.shape[1]:
+        raise UsageError(f"query_index {i} out of range for {q.shape[1]} positions")
     try:
-        cmap = correlation_map(q, k, args.query_index)
-    except IndexError as exc:
-        raise UsageError(str(exc)) from None
-    entropy = shannon_entropy(cmap)
+        cmap = attention_weights(q[:, [i]], k)[0]
+    except NumericError:  # the one-column sample's column 0 is query i
+        raise NumericError(f"attention logits overflowed at query column {i}") from None
+    entropy = attention_row_entropies(q[:, [i]], k)[0]
     if args.out is not None:
         export_correlation_pgm(cmap, args.height, args.width, args.out)
     if args.csv_out is not None:

@@ -51,8 +51,10 @@ def relevance_scores(q, k, k_amp: float) -> np.ndarray:
     """N_q x N_k matrix of amplified cosines for q (c x N_q) and k (c x N_k),
     the oracle's contract (`exact._validated_qkv`): entry (i, j) is k_amp
     times the cosine between query column i and key column j. Invariant to
-    positive rescaling of any input column. A cosine that rounds past +-1
-    is clipped to it, so every score lies in [-k_amp, k_amp]."""
+    positive rescaling of any column of norm at least 1e-12; a shorter one
+    is divided by 1e-12 (`normalize_columns`), so its scores shrink with
+    it. A cosine that rounds past +-1 is clipped to it: every score lies
+    in [-k_amp, k_amp]."""
     q, k = _validated_qkv(q, k)
     check_settings(k_amp=k_amp)
     cosines = normalize_columns(q).T @ normalize_columns(k)

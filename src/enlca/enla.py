@@ -83,8 +83,9 @@ def normalize_and_scale(theta_out, delta_out, k_amp: float):
     """Turn raw query/key feature maps into amplified unit features.
 
     Each column is divided by its own norm (floored at 1e-12) and scaled by
-    sqrt(k_amp), so every surviving column has norm sqrt(k_amp) and
-    q_i . k_j = k_amp * cos(angle) stays within [-k_amp, k_amp].
+    sqrt(k_amp), so every column of norm at least 1e-12 has norm sqrt(k_amp)
+    and q_i . k_j = k_amp * cos(angle) stays within [-k_amp, k_amp]; a
+    shorter column keeps norm sqrt(k_amp) |column| / 1e-12, less than that.
     """
     theta_out, delta_out = as_matrix(theta_out, "theta output"), as_matrix(delta_out, "delta output")
     check_settings(k_amp=k_amp)

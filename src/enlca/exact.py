@@ -5,21 +5,22 @@ with weights exp(q_i . k_j) normalized per query. This is the slow,
 trustworthy baseline that enla is checked against, so it imports nothing
 from enla.
 
-Every entry point takes one contract, `_validated_qkv`. One block loop,
-`_weight_rows`, serves outputs, weights, maps and entropies, so the
-N_q x N_k matrix exists only in `attention_weights`. The forward's
-float-range rule (`matrices._headroom`) holds here too: value rows enter
-at unit scale, and logits against k - k_0 within the headroom
-(`_logit_keys`) go to exp unshifted, since no sum of N_k weighted values
-can then overflow; any other input takes a row max (`_softmax_rows`).
-Every N-sized block comes from `matrices._aligned_empty`.
+Every entry point takes one contract, `_validated_qkv`, on any sample
+of query columns, q[:, cols]. One block loop, `_weight_rows`, serves
+outputs, weights and entropies, so the N_q x N_k matrix exists only in
+`attention_weights`. The forward's float-range rule (`matrices._headroom`)
+holds here too: value rows enter at unit scale, and logits against
+k - k_0 within the headroom (`_logit_keys`) go to exp unshifted, since no
+sum of N_k weighted values can then overflow; any other input takes a
+row max (`_softmax_rows`). Every N-sized block comes from
+`matrices._aligned_empty`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .matrices import NumericError, ShapeError, _aligned_empty, _headroom, _is_integer, _unit_exponent, as_matrix
+from .matrices import NumericError, ShapeError, _aligned_empty, _headroom, _unit_exponent, as_matrix
 
 # The oracle's block rule (see _block_rows)
 MAX_ROWS = 256
@@ -30,9 +31,7 @@ _MAX_SHRINK_CHANNELS = 16  # largest c + c_out whose blocks shrink
 __all__ = [
     "attention_row_entropies",
     "attention_weights",
-    "correlation_map",
     "exact_attention",
-    "shannon_entropy",
 ]
 
 
@@ -67,17 +66,6 @@ def _softmax_rows(logits: np.ndarray, first_column: int) -> np.ndarray:
     return logits
 
 
-def _row_entropies(p: np.ndarray) -> np.ndarray:
-    """Entropy in nats of each row of a non-negative matrix, formed in p's
-    place (p is overwritten); zero entries contribute 0, one-hot rows +0."""
-    # the one scratch block: log p, with a zero entry's log taken at the
-    # smallest subnormal, finite, so that its term p log p is 0 and not NaN
-    log = np.maximum(p, np.finfo(np.float64).smallest_subnormal)
-    np.log(log, out=log)
-    p *= log
-    return 0.0 - p.sum(axis=1)
-
-
 def _block_rows(n: int, c: int, c_out: int) -> int:
     """Query rows per block against n keys, for c-channel q and k and a
     c_out-row v (0 for the entropies, which stage only the row of ones):
@@ -105,13 +93,13 @@ def _logit_keys(q, k):
     return k, False
 
 
-def _weight_rows(q, k, staged, first=0):
+def _weight_rows(q, k, staged):
     """Yield (start, stop, w, s) for each block of _block_rows columns of q:
     w holds the weight rows of q's columns start..stop-1 against all keys,
     unnormalized, and s = staged @ w.T, so that with staged's last row all
     ones s[-1] holds their normalizers. Every w is a view of one reused
-    buffer, valid until the next step. `first` is the caller's number for
-    q's column 0, which only the error naming an overflowing column reads."""
+    buffer, valid until the next step. An overflowing row is named by its
+    column in q as given; a caller that sliced q names its own column."""
     keys, unshifted = _logit_keys(q, k)
     n_q = q.shape[1]
     rows = _block_rows(k.shape[1], q.shape[0], staged.shape[0] - 1)
@@ -124,7 +112,7 @@ def _weight_rows(q, k, staged, first=0):
         if unshifted:
             np.exp(w, out=w)
         else:
-            _softmax_rows(w, first + start)
+            _softmax_rows(w, start)
         yield start, stop, w, staged @ w.T
 
 
@@ -159,40 +147,17 @@ def attention_weights(q, k) -> np.ndarray:
     return weights
 
 
-def correlation_map(q, k, query_index: int) -> np.ndarray:
-    """Softmax-normalized relevance of one query position against all
-    keys: length-N_k vector, row query_index of attention_weights.
-    Reshaping to an h x w image is the caller's concern."""
-    q, k = _validated_qkv(q, k)
-    if not _is_integer(query_index):
-        raise ValueError(f"query_index must be an integer, got {query_index}")
-    if not 0 <= query_index < q.shape[1]:
-        raise IndexError(f"query_index {query_index} out of range for {q.shape[1]} positions")
-    _, _, w, s = next(_weight_rows(q[:, query_index:query_index + 1], k, np.ones((1, k.shape[1])), query_index))
-    return w[0] / s[0, 0]
-
-
-def shannon_entropy(p) -> float:
-    """Entropy in nats of a probability vector; zero entries contribute 0.
-    Entries must lie in [0, 1] and their sum within N eps of 1, the
-    rounding a vector normalized by its own sum can carry."""
-    p = np.array(p, dtype=np.float64)  # a copy: _row_entropies overwrites it
-    if p.ndim != 1 or p.size < 1:
-        raise ShapeError("entropy expects a non-empty 1-D vector")
-    if (p < 0).any() or not np.isfinite(p).all():
-        raise ValueError("entropy expects non-negative finite probabilities")
-    # no entry above 1 first, so that the sum cannot overflow
-    if (p > 1).any() or abs(p.sum() - 1.0) > p.size * np.finfo(np.float64).eps:
-        raise ValueError("entropy expects probabilities of at most 1 that sum to 1")
-    return float(_row_entropies(p[None, :])[0])
-
-
 def attention_row_entropies(q, k) -> np.ndarray:
-    """Per-query Shannon entropy of the exact attention weight rows,
-    computed without holding the full weight matrix."""
+    """Per-query Shannon entropy in nats of the exact attention weight rows,
+    computed without holding the full weight matrix; a one-hot row's is +0."""
     q, k = _validated_qkv(q, k)
     out = np.empty(q.shape[1], dtype=np.float64)
     for start, stop, w, s in _weight_rows(q, k, np.ones((1, k.shape[1]))):
         w /= s.T
-        out[start:stop] = _row_entropies(w)
+        # the one scratch block: log w, with a zero weight's log taken at the
+        # smallest subnormal, finite, so that its term w log w is 0 and not NaN
+        log = np.maximum(w, np.finfo(np.float64).smallest_subnormal)
+        np.log(log, out=log)
+        w *= log
+        out[start:stop] = 0.0 - w.sum(axis=1)
     return out

@@ -127,8 +127,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     """Validate `data` as a finite float64 2-D array and return it.
 
     Accepts anything array-like. Rejects empty shapes, non-2-D input and
-    NaN/Inf entries, naming the first: only a sum that is not finite, as
-    NaN and inf make it, sends the entries to that scan. The result is
+    NaN/Inf entries, naming the first as (row, column). The result is
     C-contiguous and safe to treat as immutable (a copy is made unless
     `data` already complies).
     """
@@ -137,14 +136,19 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         raise ShapeError(f"{name} must be 2-D, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, got {a.shape}")
+    _screen_finite(a, name)
+    return np.ascontiguousarray(a)
+
+
+def _screen_finite(a: np.ndarray, name: str) -> None:
+    """NumericError naming a's first non-finite entry by its index; only a
+    sum that is not finite, as NaN and inf make it, sends a to that scan."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = a.sum()
     if not np.isfinite(total):
         bad = np.argwhere(~np.isfinite(a))
         if bad.size:
-            row, col = (int(i) for i in bad[0])
-            raise NumericError(f"{name} has a non-finite entry at ({row}, {col})")
-    return np.ascontiguousarray(a)
+            raise NumericError(f"{name} has a non-finite entry at ({', '.join(map(str, bad[0]))})")
 
 
 def _matrix_pair(a, b, name_a: str, name_b: str):
@@ -158,14 +162,14 @@ def _matrix_pair(a, b, name_a: str, name_b: str):
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:
-    """Validate `data` as a finite float64 1-D array and return it."""
+    """Validate `data` as a finite float64 1-D array and return it; a
+    NaN/Inf entry is named as (index)."""
     v = np.asarray(data, dtype=np.float64)
     if v.ndim != 1:
         raise ShapeError(f"{name} must be 1-D, got ndim={v.ndim}")
     if v.size < 1:
         raise ShapeError(f"{name} must be non-empty")
-    if not np.isfinite(v).all():
-        raise NumericError(f"{name} has a non-finite entry")
+    _screen_finite(v, name)
     return np.ascontiguousarray(v)
 
 

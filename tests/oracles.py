@@ -36,6 +36,14 @@ def naive_attention(q_cols, k_cols, v_cols):
     return out
 
 
+def entropy(p):
+    """Shannon entropy in nats of the probability vector p, as the formula
+    reads: -sum p log p over the nonzero entries."""
+    p = np.asarray(p, dtype=np.float64)
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
+
+
 def two_path_forward(f, q, k, v):
     """Random-feature attention for projection rows f (m x c), q (c x N_q),
     k (c x N_k) and v (c_out x N_k), unstabilized, with the numerator and the normalizer

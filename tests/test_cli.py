@@ -14,7 +14,7 @@ import enlca
 from enlca.cli import UsageError, build_parser, main
 from enlca.contrastive import ContrastiveConfig, contrastive_loss, relevance_scores
 from enlca.enla import EnlaConfig, enla_forward
-from enlca.exact import attention_weights, exact_attention, shannon_entropy
+from enlca.exact import attention_weights, exact_attention
 from enlca.features import sample_projection
 from enlca.matrices import (
     RngSpec,
@@ -22,7 +22,7 @@ from enlca.matrices import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from oracles import read_pgm, read_sweep_csv
+from oracles import entropy, read_pgm, read_sweep_csv
 
 
 @pytest.fixture
@@ -370,7 +370,7 @@ class TestCorrMapCommand:
                               "--c-embed", "6", "--seed", "13", "--csv-out", str(out))
         assert code == 0
         cmap = read_matrix_csv(out)[0]
-        assert abs(shannon_entropy(cmap) - float(stdout.split()[1])) < 1e-9
+        assert abs(entropy(cmap) - float(stdout.split()[1])) < 1e-9
 
     def test_one_hot_map_has_entropy_zero(self, tmp_path, capsys):
         q, k = tmp_path / "q.csv", tmp_path / "k.csv"
@@ -379,15 +379,19 @@ class TestCorrMapCommand:
         code, out, _ = run(capsys, "corr-map", "--q", str(q), "--k", str(k))
         assert code == 0 and out == "entropy 0\n"
 
-    @pytest.mark.parametrize("command", ["exact", "corr-map"])
-    def test_overflowing_logits_are_numeric_failure(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("argv, column", [
+        (["exact"], 0), (["corr-map"], 0), (["corr-map", "--query-index", "1"], 1),
+    ], ids=["exact", "corr-map", "corr-map --query-index 1"])
+    def test_overflowing_logits_are_numeric_failure(self, tmp_path, capsys, argv, column):
+        # query `column` meets the keys at +inf and -inf, the other stays finite;
+        # corr-map names the query it was asked for, not its one-column sample's 0
         q, k = tmp_path / "q.csv", tmp_path / "k.csv"
-        write_matrix_csv([[1e300, 1.0]], q)
+        write_matrix_csv(np.roll([[1e300, 1.0]], column), q)
         write_matrix_csv([[1e300, -1e300]], k)
-        inputs = ["--q", str(q), "--k", str(k)] + (["--v", str(q)] if command == "exact" else [])
-        code, out, err = run(capsys, command, *inputs)
+        inputs = ["--q", str(q), "--k", str(k)] + (["--v", str(q)] if argv[0] == "exact" else [])
+        code, out, err = run(capsys, *argv, *inputs)
         assert code == 2 and out == ""
-        assert err == "error: attention logits overflowed at query column 0\n"
+        assert err == f"error: attention logits overflowed at query column {column}\n"
 
     def test_pgm_needs_shape(self, matrices, tmp_path, capsys):
         code, _, err = run(capsys, "corr-map", "--features", matrices["features"],
@@ -481,6 +485,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv,message", [
         (["corr-map", "--features", "X", "--query-index", "999"], "query_index 999 out of range"),
+        (["corr-map", "--q", "Q", "--k", "K", "--query-index", "-1"], "query_index -1 out of range"),
         (["variance", "--c", "0", "--trials", "10"], "c must be >= 1"),
         (["variance-sweep", "--c", "0", "--trials", "10"], "c must be >= 1"),
         (["corr-map", "--features", "X", "--k-amp", "0.5"], "k_amp must be >= 1"),
@@ -513,7 +518,8 @@ class TestErrorPaths:
         (["corr-map", "--features", "X", "--c-embed", "0"], "c_embed must be >= 1, got 0"),
         (["corr-map", "--features", "X", "--height", "-6", "--width", "-6", "--out", "OUT"],
          "height must be >= 1, got -6"),
-    ], ids=["corr-map --query-index", "variance --c", "variance-sweep --c", "corr-map --k-amp below 1",
+    ], ids=["corr-map --query-index", "corr-map --query-index -1", "variance --c", "variance-sweep --c",
+            "corr-map --k-amp below 1",
             "variance --m", "variance --k-amp below 1", "variance --k-amp negative",
             "variance-sweep --k-list nan", "variance --k-amp inf", "variance-sweep --k-list inf",
             "corr-map --k-amp inf", "flops --n", "flops --method nla --m", "flops --m 0",

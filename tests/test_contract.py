@@ -1,6 +1,6 @@
 """The float-range contract of every public function that takes arrays:
-it returns a finite result or raises a named NumericError, ShapeError,
-ValueError or IndexError, and it never emits a warning. Two documented
+it returns a finite result or raises a named NumericError, ShapeError
+or ValueError, and it never emits a warning. Two documented
 exceptions: kernel_variance_theory returns inf for a variance past float
 range, and phi a log_shift of -inf when every feature is 0.
 
@@ -24,20 +24,20 @@ from hypothesis import strategies as st
 from enlca import analysis, contrastive, enla, exact, features, matrices, pgm
 from enlca import (
     ContrastiveConfig, EnlaConfig, EnlcaBlockParams, NumericError, RngSpec, ShapeError, as_matrix, as_vector,
-    attention_row_entropies, attention_weights, block_inputs, contrastive_loss, correlation_map, enla_forward,
+    attention_row_entropies, attention_weights, block_inputs, contrastive_loss, enla_forward,
     enlca_block, exact_attention, export_correlation_pgm, kernel_estimates, kernel_variance_empirical,
     kernel_variance_theory, normalize_and_scale, normalize_columns, phi, read_matrix_csv, reconstruction_loss,
-    relevance_scores, sample_projection, shannon_entropy, write_matrix_csv,
+    relevance_scores, sample_projection, write_matrix_csv,
 )
 from oracles import decimal_forward
 
-NAMED = (NumericError, ShapeError, ValueError, IndexError)
+NAMED = (NumericError, ShapeError, ValueError)
 FUZZED = {
     "as_matrix", "as_vector", "attention_row_entropies", "attention_weights", "block_inputs", "contrastive_loss",
-    "correlation_map", "enla_forward", "enlca_block", "exact_attention", "export_correlation_pgm",
+    "enla_forward", "enlca_block", "exact_attention", "export_correlation_pgm",
     "kernel_estimates", "kernel_variance_empirical", "kernel_variance_theory",
     "normalize_and_scale", "normalize_columns", "phi", "reconstruction_loss", "relevance_scores",
-    "shannon_entropy", "write_matrix_csv",
+    "write_matrix_csv",
 }
 NO_ARRAYS = {
     "approximation_error_sweep", "check_settings", "consecutive_ratios", "flop_count", "flop_table",
@@ -151,9 +151,10 @@ def test_exact(data, c, n_q, n_k, c_out):
     query_index = data.draw(st.integers(0, n_q - 1))
     assert_finite(outcome(exact_attention, q, k, v))
     assert_finite(outcome(attention_weights, q, k))
-    assert_finite(outcome(correlation_map, q, k, query_index))
     assert_finite(outcome(attention_row_entropies, q, k))
-    assert_finite(outcome(shannon_entropy, v[0]))
+    # one query's map and entropy, its column sliced out as corr-map takes it
+    assert_finite(outcome(attention_weights, q[:, [query_index]], k))
+    assert_finite(outcome(attention_row_entropies, q[:, [query_index]], k))
 
 
 @contract

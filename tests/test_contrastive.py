@@ -36,6 +36,16 @@ class TestRelevanceScores:
         rescaled = relevance_scores(q * scales, k * (2.0 * scales), 6.0)
         assert np.abs(base - rescaled).max() < 1e-12
 
+    def test_scaling_invariance_ends_at_the_norm_floor(self):
+        # a column of norm 5e-13 is divided by 1e-12, not by its norm, so it
+        # scores 0.25 against itself; rescaled to norm 0.5 or 2e-12 it is
+        # divided by its norm and scores 1
+        short = np.array([[3e-13], [4e-13]])
+        assert relevance_scores(short, short, 1.0)[0, 0] == 0.25
+        assert relevance_scores(short, 1e12 * short, 1.0)[0, 0] == 0.5
+        for scale in (1e12, 4.0):
+            assert relevance_scores(scale * short, scale * short, 1.0)[0, 0] == 1.0
+
     @settings(max_examples=25)
     @given(st.integers(0, 2**32), st.floats(1.0, 12.0))
     def test_entries_bounded(self, seed, k_amp):

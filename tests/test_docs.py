@@ -1,11 +1,13 @@
 """README.md and the docstrings and comments under src/ name only what
-exists: a `module._name` must be defined by that enlca module, a
-backticked `_name` by some enlca module, a `BENCH_*.json` must be a file
-at the repository's root, a backticked key cited right after it a
-top-level key of that file, and a module constant written as
-`NAME = value` must hold that value. So renaming or deleting a helper, a
-BENCH file or one of its keys, or changing a constant, cannot leave its
-old name or value in the docs. README's quoted results are rerun here."""
+exists: a `module.name`, public or private, must be defined or imported
+by that enlca module, a backticked `_name` defined by some enlca module,
+and so must every bare name README's module table backticks; a
+`BENCH_*.json` must be a file at the repository's root, a backticked key
+cited right after it a top-level key of that file, and a module constant
+written as `NAME = value` must hold that value. So renaming or deleting
+a function, a BENCH file or one of its keys, or changing a constant,
+cannot leave its old name or value in the docs. README's quoted results
+are rerun here."""
 
 import ast
 import contextlib
@@ -56,16 +58,25 @@ def docs(trees):
         yield f"{module} comments", "\n".join(t.string.lstrip("# ") for t in tokens if t.type == tokenize.COMMENT)
 
 
-def test_docs_name_only_defined_private_helpers():
+def test_docs_name_only_defined_names():
     trees = parsed()
     names = {module: defined(tree) for module, tree in trees.items()}
     everywhere = set().union(*names.values())
-    qualified = re.compile(rf"\b({'|'.join(names)})\.(_[A-Za-z]\w*)")
+    # public or private, and a name a module imports is its attribute too
+    # (`enla.phi`); `exact.py` is a file name, not a name of exact
+    attributes = {module: names[module] | {alias.asname or alias.name for node in tree.body
+                                           if isinstance(node, ast.ImportFrom) for alias in node.names}
+                  for module, tree in trees.items()}
+    qualified = re.compile(rf"\b({'|'.join(names)})\.(?!py\b)([A-Za-z_]\w*)")
     backticked = re.compile(r"`(_[A-Za-z]\w*)")
     missing = {(where, f"{module}.{name}") for where, text in docs(trees)
-               for module, name in qualified.findall(text) if name not in names[module]}
+               for module, name in qualified.findall(text) if name not in attributes[module]}
     missing |= {(where, name) for where, text in docs(trees)
                 for name in backticked.findall(text) if name not in everywhere}
+    # the module table backticks only names that exist, the package's own aside
+    table = re.search(r"\| module .*?\n\n", README, flags=re.S).group(0)
+    missing |= {("README.md module table", name) for name in re.findall(r"`(\w+)`", table)
+                if name not in everywhere | {"enlca"}}
     assert not missing
 
 

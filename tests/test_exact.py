@@ -7,16 +7,10 @@ import pytest
 from enlca import exact
 from enlca.contrastive import relevance_scores
 from enlca.enla import EnlaConfig, enla_forward, normalize_and_scale
-from enlca.exact import (
-    attention_row_entropies,
-    attention_weights,
-    correlation_map,
-    exact_attention,
-    shannon_entropy,
-)
+from enlca.exact import attention_row_entropies, attention_weights, exact_attention
 from enlca.matrices import _UNSHIFTED_MAX, NumericError, RngSpec, ShapeError, gaussian_sample
 
-from oracles import columns, naive_attention
+from oracles import columns, entropy, naive_attention
 
 
 def seeded_instance(seed, c=3, c_out=3, n=4):
@@ -130,7 +124,7 @@ class TestBlocks:
         q, k, _ = seeded_instance(43, c=16, n=1100)
         weights = attention_weights(q, k)
         assert np.abs(weights.sum(axis=1) - 1.0).max() < 1e-12
-        expected = np.array([shannon_entropy(row) for row in weights])
+        expected = np.array([entropy(row) for row in weights])
         assert np.abs(attention_row_entropies(q, k) - expected).max() < 1e-12
 
 
@@ -251,7 +245,7 @@ class TestRegimes:
 
     @pytest.mark.parametrize("k_amp", [1.0, 6.0])
     def test_correlation_map_is_a_weight_row(self, no_row_max, k_amp):
-        # in range, a map runs the oracle's block loop on its one column: no
+        # in range, a map is the oracle's block loop on one sliced column: no
         # row max, and the weight row to rounding; the bound is for small
         # k_amp, at 400 the two differed by 5.5e-14 of the row's max
         base = RngSpec(61)
@@ -260,7 +254,7 @@ class TestRegimes:
         weights = attention_weights(q, k)
         for i in (0, 127, 128, 511):  # 128-row blocks
             row = weights[i]
-            assert np.abs(correlation_map(q, k, i) - row).max() <= 1e-14 * row.max()
+            assert np.abs(attention_weights(q[:, [i]], k)[0] - row).max() <= 1e-14 * row.max()
 
 
 def test_oracle_imports_nothing_from_the_forward():
@@ -331,8 +325,8 @@ class TestCrossAttention:
         assert attention_weights(q, k).shape == weights.shape == (n_q, n_k)
         assert np.abs(attention_weights(q, k) - weights).max() < 1e-12
         for i in range(n_q):
-            assert np.abs(correlation_map(q, k, i) - weights[i]).max() < 1e-12
-        entropies = [shannon_entropy(row / row.sum()) for row in weights]
+            assert np.abs(attention_weights(q[:, [i]], k)[0] - weights[i]).max() < 1e-12
+        entropies = [entropy(row / row.sum()) for row in weights]
         assert np.abs(attention_row_entropies(q, k) - entropies).max() < 1e-12
 
     @pytest.mark.parametrize("k_amp, outlier", [(1.0, 1.0), (6.0, 1.0), (6.0, 400.0)],
@@ -351,12 +345,15 @@ class TestCrossAttention:
 
 
 class TestCorrelationMap:
+    """One query's map: its column sliced out of q, as the CLI's corr-map
+    takes it."""
+
     def test_single_position(self):
-        out = correlation_map([[1.0]], [[2.0]], 0)
+        out = attention_weights([[1.0]], [[2.0]])[0]
         assert np.array_equal(out, [1.0])
 
     def test_zero_features_uniform(self):
-        out = correlation_map(np.zeros((3, 5)), np.zeros((3, 5)), 2)
+        out = attention_weights(np.zeros((3, 5))[:, [2]], np.zeros((3, 5)))[0]
         assert np.abs(out - 0.2).max() < 1e-15
 
     def test_amplification_raises_peak(self):
@@ -365,31 +362,16 @@ class TestCorrelationMap:
         delta = gaussian_sample(base.stream(2), 6, 25)
         q1, k1 = normalize_and_scale(theta, delta, 1.0)
         q6, k6 = normalize_and_scale(theta, delta, 6.0)
-        sharp = correlation_map(q6, k6, 4)
-        flat = correlation_map(q1, k1, 4)
+        sharp = attention_weights(q6[:, [4]], k6)[0]
+        flat = attention_weights(q1[:, [4]], k1)[0]
         assert sharp.max() >= flat.max()
 
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            correlation_map(np.zeros((2, 3)), np.zeros((2, 3)), 3)
-
-    @pytest.mark.parametrize("index", [1.5, True, "1", np.float64(1.0)])
-    def test_non_integer_index_refused_by_name(self, index):
-        with pytest.raises(ValueError, match=rf"^query_index must be an integer, got {index}$"):
-            correlation_map(np.zeros((2, 3)), np.zeros((2, 3)), index)
-
-    def test_numpy_integer_index(self):
-        q, k, _ = seeded_instance(3, n=5)
-        assert np.array_equal(correlation_map(q, k, np.int64(2)), correlation_map(q, k, 2))
-
     @pytest.mark.parametrize("call", [
-        lambda q, k: correlation_map(q, k, 0),
         attention_row_entropies,
         attention_weights,
         lambda q, k: exact_attention(q, k, np.zeros((1, 5))),
         lambda q, k: relevance_scores(q, k, 1.0),
-    ], ids=["correlation_map", "attention_row_entropies", "attention_weights", "exact_attention",
-            "relevance_scores"])
+    ], ids=["attention_row_entropies", "attention_weights", "exact_attention", "relevance_scores"])
     def test_channel_mismatch(self, call):
         message = r"^q and k need equal channel counts, got \(2, 3\) vs \(3, 5\)$"
         with pytest.raises(ShapeError, match=message):
@@ -398,46 +380,29 @@ class TestCorrelationMap:
 
 class TestEntropy:
     def test_uniform_is_log_n(self):
-        assert abs(shannon_entropy(np.full(8, 0.125)) - np.log(8)) < 1e-12
+        assert abs(attention_row_entropies(np.zeros((2, 1)), np.zeros((2, 8)))[0] - np.log(8)) < 1e-12
 
     def test_point_mass_is_zero(self):
-        for p in ([1.0], [0.0, 1.0, 0.0]):
-            assert shannon_entropy(p) == 0.0
-            assert np.copysign(1.0, shannon_entropy(p)) == 1.0  # +0, not -0
-
-    @pytest.mark.parametrize("p, error, message", [
-        ([], ShapeError, "entropy expects a non-empty 1-D vector"),
-        ([[0.5, 0.5]], ShapeError, "entropy expects a non-empty 1-D vector"),
-        ([1.5, -0.5], ValueError, "entropy expects non-negative finite probabilities"),
-        ([0.5, float("nan")], ValueError, "entropy expects non-negative finite probabilities"),
-        ([2.0, 3.0], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
-        ([1e308, 1.0], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
-        ([1e308, 1e308], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
-        ([0.5, 0.25], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
-        ([1.0 + 2**-52, 0.0], ValueError, "entropy expects probabilities of at most 1 that sum to 1"),
-    ], ids=["empty", "2-D", "negative", "nan", "above-one", "near-max", "sum-overflow", "short-sum",
-            "one-ulp-above-one"])
-    def test_rejects_non_distribution(self, p, error, message):
-        with pytest.raises(error, match=f"^{message}$"):
-            shannon_entropy(p)
-
-    def test_sum_tolerance_is_n_eps(self):
-        eps = np.finfo(np.float64).eps
-        assert shannon_entropy([0.5, 0.5 - 2 * eps]) > 0
-        with pytest.raises(ValueError):
-            shannon_entropy([0.5, 0.5 - 4 * eps])
+        # one key, and logits 900 apart from the other two
+        for q, k in (([[1.0]], [[2.0]]), ([[30.0]], [[-30.0, 30.0, -30.0]])):
+            [h] = attention_row_entropies(q, k)
+            assert h == 0.0
+            assert np.copysign(1.0, h) == 1.0  # +0, not -0
 
     def test_accepts_correlation_map_at_large_n(self):
         # a map divided by its own sum carries that sum's rounding
         q, k, _ = seeded_instance(44, c=4, n=200_000)
         q, k = normalize_and_scale(q, k, 6.0)
-        cmap = correlation_map(q, k, 7)
-        assert 0 < shannon_entropy(cmap) <= np.log(200_000)
+        cmap = attention_weights(q[:, [7]], k)[0]
+        assert abs(cmap.sum() - 1.0) <= 200_000 * np.finfo(np.float64).eps
+        [h] = attention_row_entropies(q[:, [7]], k)
+        assert 0 < h <= np.log(200_000)
+        assert abs(h - entropy(cmap)) < 1e-12
 
     def test_accepts_weight_rows_at_large_n(self):
         q, k, _ = seeded_instance(45, c=4, n=2048)
         weights = attention_weights(q, k)
-        entropies = [shannon_entropy(row) for row in weights]
+        entropies = [entropy(row) for row in weights]
         assert np.abs(attention_row_entropies(q, k) - entropies).max() < 1e-12
 
     def test_one_hot_rows_are_positive_zero(self):
@@ -448,7 +413,7 @@ class TestEntropy:
     def test_row_entropies_match_weights(self):
         q, k, _ = seeded_instance(37, c=4, n=15)
         weights = attention_weights(q, k)
-        expected = np.array([shannon_entropy(row) for row in weights])
+        expected = np.array([entropy(row) for row in weights])
         assert np.abs(attention_row_entropies(q, k) - expected).max() < 1e-12
 
 
@@ -463,16 +428,15 @@ class TestOverflowingLogits:
     @pytest.mark.parametrize("call", [
         lambda q, k: exact_attention(q, k, np.ones((1, 2))),
         attention_weights,
-        lambda q, k: correlation_map(q, k, 1),
         attention_row_entropies,
-    ], ids=["exact_attention", "attention_weights", "correlation_map", "attention_row_entropies"])
+    ], ids=["exact_attention", "attention_weights", "attention_row_entropies"])
     def test_names_query_column(self, call):
         with pytest.raises(NumericError, match="^attention logits overflowed at query column 1$"):
             call(self.Q, self.K)
 
     def test_all_negative_infinite_row(self):
         with pytest.raises(NumericError, match="query column 0"):
-            correlation_map([[-1e300]], [[1e300, 2e300]], 0)
+            attention_weights([[-1e300]], [[1e300, 2e300]])
 
     def test_names_column_of_later_chunk(self, monkeypatch):
         monkeypatch.setattr(exact, "MAX_ROWS", 2)

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from enlca.analysis import _aligned_vector, approximation_error_sweep, flop_count, runtime_scaling
 from enlca.contrastive import reconstruction_loss, relevance_scores
 from enlca.enla import EnlaConfig, EnlcaBlockParams, normalize_and_scale, random_block_params
-from enlca.exact import correlation_map
+from enlca.exact import attention_weights
 from enlca.features import kernel_estimates, sample_projection
 from enlca.matrices import (
     FormatError,
@@ -21,6 +21,7 @@ from enlca.matrices import (
     ShapeError,
     _aligned_empty,
     as_matrix,
+    as_vector,
     check_settings,
     gaussian_sample,
     normalize_columns,
@@ -96,11 +97,31 @@ class TestAsVector:
     @pytest.mark.parametrize("data, error, message", [
         ([[1.0, 2.0]], ShapeError, "q must be 1-D, got ndim=2"),
         ([], ShapeError, "q must be non-empty"),
-        ([1.0, math.inf], NumericError, "q has a non-finite entry"),
+        ([1.0, math.inf], NumericError, r"q has a non-finite entry at \(1\)"),
     ], ids=["2-D", "empty", "inf"])
     def test_rejects(self, data, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             kernel_estimates(data, [1.0, 2.0], 4, 1, RngSpec(0))
+
+    def test_names_the_first_non_finite_entry(self):
+        v = np.ones(6)
+        v[[2, 4]] = math.nan, -math.inf
+        with pytest.raises(NumericError, match=r"^x has a non-finite entry at \(2\)$"):
+            as_vector(v, "x")
+
+    def test_accepts_entries_whose_sum_overflows(self):
+        assert as_vector([1e308, 1e308]).tolist() == [1e308, 1e308]
+
+    def test_check_allocates_nothing_of_the_input_size(self):
+        """The screen of as_matrix: one sum, no bool temporary of 640 KB."""
+        v = np.ones(640_000)
+        tracemalloc.start()
+        try:
+            as_vector(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestEqualShapePairs:
@@ -118,9 +139,10 @@ class TestEqualShapePairs:
 
 
 def softmax(values):
-    """The library's one softmax, reached through correlation_map: a single
-    unit query against one-channel keys makes the logits equal `values`."""
-    return correlation_map([[1.0]], [values], 0)
+    """The library's one softmax, reached through attention_weights: a
+    single unit query against one-channel keys makes the logits equal
+    `values`."""
+    return attention_weights([[1.0]], [values])[0]
 
 
 class TestSoftmax:
